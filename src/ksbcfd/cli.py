@@ -41,6 +41,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -551,6 +552,31 @@ def _write_meta(config: RunConfig, out_dir: Path) -> None:
         f.write("\n")
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_heap() -> None:
+    """Keep the memory a time step frees for the next step (glibc only).
+
+    Each step allocates and frees megabytes of numpy temporaries.  Under
+    glibc's default, adaptive thresholds the top of the heap goes back to
+    the kernel once more than twice the largest block freed so far is free
+    there, so a run can fault its temporaries in anew every step: about
+    1 300 page faults a step, 0.7 s of system time in 13 s, on the 180 x 180
+    corner blow-up.  Fixed thresholds (blocks up to 32 MB from the heap,
+    trimmed above 64 MB free) keep those pages mapped.  Elsewhere this does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ksbcfd",
@@ -582,6 +608,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_meta(config, out_dir)
+    _retain_freed_heap()
 
     try:
         if config.mode == "convergence":

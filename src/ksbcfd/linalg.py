@@ -1,20 +1,27 @@
-"""Minimal sparse linear algebra for the per-step systems.
+"""Sparse and tensor-product linear algebra for the per-step systems.
 
 CSR matrices (storage and matvec delegate to scipy.sparse behind this
-module's interface), Conjugate Gradient for the symmetric positive definite
-concentration system, BiCGStab for the nonsymmetric density systems, Jacobi
-preconditioning, a sparse LU solve (scipy's SuperLU) that the stepper falls
-back on when BiCGStab fails on a density system, and a dense partial-pivot
-solver used as an independent oracle in the tests.
+module's interface); a fast-diagonalization solver for the area-weighted
+heat operator of a tensor-product grid, which solves the concentration
+system directly and preconditions the density solves; Conjugate Gradient
+for symmetric positive definite systems; BiCGStab for the nonsymmetric
+density systems, with Jacobi or an operator as right preconditioner; a
+sparse LU solve (scipy's SuperLU) that the stepper falls back on when
+BiCGStab fails on a density system; and a dense partial-pivot solver used
+as an independent oracle in the tests.
 
 Every solve returns a ``SolveReport`` whose ``reason`` says why it
 stopped: ``converged``, ``max_iter`` (iteration budget spent),
 ``stagnated`` (BiCGStab went ``_STAGNATION_WINDOW`` iterations without a new
 best residual, or a refinement restart made no progress) or ``breakdown``
-(a vanishing denominator, or an exactly singular LU factor).
+(a vanishing denominator, an exactly singular LU factor, or a direct
+solution that misses the tolerance).
 
-All solves are single-threaded with a fixed arithmetic order, so identical
-inputs give bit-identical outputs.  Reported residuals are always recomputed
+Identical inputs give bit-identical outputs at a fixed BLAS thread count.
+numpy's dot products and norms on long vectors, and the matrix products of
+the tensor solver, run in the BLAS library, whose threads split the sums;
+a different thread count can change the last bits of a result (and with
+them a Krylov iteration count).  Reported residuals are always recomputed
 from the returned iterate (``|b - A x| / |b|``), never taken from the
 recursive residual of the iteration.
 """
@@ -22,20 +29,24 @@ recursive residual of the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SparseMatrix",
     "SolveReport",
     "SingularMatrixError",
+    "TensorHeatSolver",
     "from_triplets",
     "from_scipy_csr",
     "matvec",
     "cg",
     "bicgstab",
+    "fast_diag_solve",
     "sparse_lu_solve",
     "dense_solve",
     "write_matrix_market",
@@ -58,16 +69,29 @@ class SolveReport:
     reason: str  # converged, max_iter, stagnated or breakdown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """CSR matrix: nondecreasing offsets, sorted unique columns per row."""
+    """CSR matrix: nondecreasing offsets, sorted unique columns per row.
+
+    ``row_offsets``, ``col_indices`` and ``values`` are the arrays of the
+    wrapped scipy matrix itself, not copies.
+    """
 
     n_rows: int
     n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    _csr: sp.csr_matrix = field(repr=False, compare=False)
+    _csr: sp.csr_matrix = field(repr=False)
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self._csr.indptr
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self._csr.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._csr.data
 
     @property
     def nnz(self) -> int:
@@ -90,14 +114,7 @@ def from_scipy_csr(csr: sp.csr_matrix) -> SparseMatrix:
     csr.sort_indices()
     if not np.all(np.isfinite(csr.data)):
         raise ValueError("matrix entries must be finite")
-    return SparseMatrix(
-        n_rows=csr.shape[0],
-        n_cols=csr.shape[1],
-        row_offsets=csr.indptr.copy(),
-        col_indices=csr.indices.copy(),
-        values=csr.data.copy(),
-        _csr=csr,
-    )
+    return SparseMatrix(n_rows=csr.shape[0], n_cols=csr.shape[1], _csr=csr)
 
 
 def from_triplets(n_rows: int, n_cols: int, entries) -> SparseMatrix:
@@ -141,6 +158,17 @@ def _jacobi_inverse(a: SparseMatrix) -> np.ndarray:
     return 1.0 / d
 
 
+def _preconditioner(a: SparseMatrix, precond) -> Callable[[np.ndarray], np.ndarray]:
+    """The map r -> M^-1 r: ``precond`` itself when it is callable, Jacobi for
+    ``"jacobi"``, the identity otherwise."""
+    if callable(precond):
+        return precond
+    if precond == "jacobi":
+        m_inv = _jacobi_inverse(a)
+        return lambda r: m_inv * r
+    return np.copy
+
+
 def _true_relative_residual(a: SparseMatrix, b: np.ndarray, x: np.ndarray, b_norm: float) -> float:
     return float(np.linalg.norm(b - a._csr @ x) / b_norm)
 
@@ -166,7 +194,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
-    m_inv = _jacobi_inverse(a) if precond == "jacobi" else np.ones(n)
+    m = _preconditioner(a, precond)
     csr = a._csr
 
     if x0 is None:
@@ -175,7 +203,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
     else:
         x = np.array(x0, dtype=np.float64)
         r = b - csr @ x
-    z = m_inv * r
+    z = m(r)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -185,7 +213,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
             if true_res <= tol:
                 return x, SolveReport(True, iterations, true_res, "converged")
             r = b - csr @ x  # recursive residual drifted; continue from truth
-            z = m_inv * r
+            z = m(r)
             p = z.copy()
             rz = float(r @ z)
         ap = csr @ p
@@ -196,7 +224,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        z = m_inv * r
+        z = m(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
@@ -214,7 +242,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
 _STAGNATION_WINDOW = 500
 
 
-def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m_inv: np.ndarray, tol_abs: float,
+def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float,
                     max_iter: int) -> tuple[np.ndarray, int, str]:
     """One BiCGStab pass from a zero initial guess.
 
@@ -262,7 +290,7 @@ def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m_inv: np.ndarray, tol_ab
                 return best_x, iterations, "breakdown"
         beta = (rho_next / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        p_hat = m_inv * p
+        p_hat = m(p)
         v = csr @ p_hat
         r0v = float(r0 @ v)
         if abs(r0v) <= _BREAKDOWN:
@@ -275,7 +303,7 @@ def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m_inv: np.ndarray, tol_ab
             return x + alpha * p_hat, iterations, "converged"
         if s_norm < best_norm:
             best_x, best_norm, best_at = x + alpha * p_hat, s_norm, iterations
-        s_hat = m_inv * s
+        s_hat = m(s)
         t = csr @ s_hat
         tt = float(t @ t)
         if tt <= _BREAKDOWN:
@@ -298,8 +326,12 @@ _MAX_REFINEMENTS = 12
 
 
 def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
-             precond: str = "jacobi", x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned BiCGStab for general square systems.
+             precond="jacobi", x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Right-preconditioned BiCGStab for general square systems.
+
+    ``precond`` is ``"jacobi"`` (the default), a callable ``r -> M^-1 r``
+    applying an approximate inverse of ``a`` (the stepper passes the
+    fast-diagonalization solve of the heat part), or anything else for none.
 
     Convergence means the recomputed true relative residual is at or below
     ``tol``.  Breakdown inside a sweep restarts once (fresh shadow residual)
@@ -320,7 +352,7 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
-    m_inv = _jacobi_inverse(a) if precond == "jacobi" else np.ones(n)
+    m = _preconditioner(a, precond)
     csr = a._csr
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
@@ -344,7 +376,7 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
         if iterations >= max_iter or refinement == _MAX_REFINEMENTS:
             reason = "max_iter"  # iteration or restart budget spent
             break
-        dx, sweep_iters, reason = _bicgstab_sweep(csr, r, m_inv, tol * b_norm,
+        dx, sweep_iters, reason = _bicgstab_sweep(csr, r, m, tol * b_norm,
                                                   max_iter - iterations)
         iterations += sweep_iters
         x = x + dx
@@ -352,6 +384,89 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
             break
     return best_x, SolveReport(False, iterations, _true_relative_residual(a, b, best_x, b_norm),
                                reason)
+
+
+def _axis_modes(axis) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized eigenpairs ``K V = W V diag(mu)``, ``V^T W V = I``, of one axis.
+
+    ``W = diag(cell_widths)`` and ``K`` is the zero-flux stiffness matrix with
+    couplings ``c = 1 / dual_widths``.  They come from the symmetric
+    tridiagonal ``W^-1/2 K W^-1/2 = Q diag(mu) Q^T`` as ``V = W^-1/2 Q``.
+    """
+    w = axis.cell_widths
+    c = 1.0 / axis.dual_widths
+    k_diag = np.zeros(w.size)
+    k_diag[:-1] += c
+    k_diag[1:] += c
+    r = 1.0 / np.sqrt(w)
+    mu, q = eigh_tridiagonal(k_diag / w, -c * r[:-1] * r[1:])
+    return q * r[:, None], mu
+
+
+class TensorHeatSolver:
+    """Fast-diagonalization solver for the area-weighted heat operator.
+
+    On a tensor-product grid with x axis widths ``Wx = diag(cell_widths)``
+    and zero-flux stiffness ``Kx`` (couplings ``1 / dual_widths``), and
+    likewise in y, the operator is ``s W + theta (Kx (x) Wy + Wx (x) Ky)``:
+    ``W = Wx (x) Wy`` holds the cell areas and the bracket is ``-W L`` for
+    the discrete Laplacian ``L``.  Each axis is diagonalized once by its
+    generalized eigenpairs (``_axis_modes``), shared when both axes have the
+    same widths.  In (nx, ny) array form a solve is then
+
+        X = Vx [(Vx^T B Vy) / (s + theta (mu_x_i + mu_y_j))] Vy^T
+
+    (Lynch, Rice & Thomas 1964): four small matrix products and a pointwise
+    divide, exact up to rounding for any ``s > 0`` and ``theta >= 0``.
+    """
+
+    def __init__(self, x_axis, y_axis):
+        self.shape = (x_axis.n_cells, y_axis.n_cells)
+        self._vx, mu_x = _axis_modes(x_axis)
+        if np.array_equal(x_axis.cell_widths, y_axis.cell_widths):
+            self._vy, mu_y = self._vx, mu_x
+        else:
+            self._vy, mu_y = _axis_modes(y_axis)
+        self._mu_sum = mu_y[:, None] + mu_x[None, :]  # transposed, see solve
+
+    def solve(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
+        """Solve ``(s W + theta (Kx (x) Wy + Wx (x) Ky)) x = b``.
+
+        Vectors flatten cell (i, j) to ``i + nx j``, so ``b`` in C order is
+        the transposed array ``B^T`` of shape (ny, nx), and the solve runs on
+        transposes: ``X^T = Vy [(Vy^T B^T Vx) / D^T] Vx^T``.
+        """
+        nx, ny = self.shape
+        bt = np.reshape(b, (ny, nx))
+        yt = (self._vy.T @ bt @ self._vx) / (s + theta * self._mu_sum)
+        return (self._vy @ yt @ self._vx.T).ravel()
+
+
+def _direct_report(a: SparseMatrix, b: np.ndarray, x: np.ndarray, b_norm: float,
+                   tol: float) -> SolveReport:
+    """A direct solution's report: ``breakdown`` when it misses ``tol``."""
+    res = _true_relative_residual(a, b, x, b_norm)
+    converged = res <= tol
+    return SolveReport(converged, 0, res, "converged" if converged else "breakdown")
+
+
+def fast_diag_solve(a: SparseMatrix, b: np.ndarray, heat: TensorHeatSolver, s: float,
+                    theta: float, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
+    """Direct solve of ``a x = b`` where ``a`` is ``heat``'s operator at (s, theta).
+
+    The residual is recomputed against ``a`` itself, so a matrix that is not
+    that operator shows as a large residual.  Convergence means it is at or
+    below ``tol``; a less accurate solution is reported as ``breakdown``.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    _check_square(a, b)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(a.n_rows), SolveReport(True, 0, 0.0, "converged")
+    x = heat.solve(b, s, theta)
+    return x, _direct_report(a, b, x, b_norm, tol)
 
 
 def sparse_lu_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
@@ -374,9 +489,7 @@ def sparse_lu_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12) -> tuple
         x = spla.splu(a._csr.tocsc()).solve(b)
     except RuntimeError:  # "Factor is exactly singular"
         return np.zeros(n), SolveReport(False, 0, 1.0, "breakdown")
-    res = _true_relative_residual(a, b, x, b_norm)
-    converged = res <= tol
-    return x, SolveReport(converged, 0, res, "converged" if converged else "breakdown")
+    return x, _direct_report(a, b, x, b_norm, tol)
 
 
 def dense_solve(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:

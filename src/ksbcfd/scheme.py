@@ -18,17 +18,22 @@ two adjacent time levels, which keeps every system linear in its single
 unknown level.
 
 Every discrete equation row is scaled by its cell area before assembly.
-This makes the concentration matrix exactly symmetric (solved with CG) and
-gives both operators zero column sums, so the total weighted density is
-conserved up to the linear-solver residual.  The density matrix is
-nonsymmetric whenever the concentration gradient is nonzero and is solved
-with BiCGStab; when BiCGStab does not converge (near the singular time of a
-blow-up run its Jacobi-preconditioned iteration can stall), the same system
-is solved once more by sparse LU (SuperLU), and that solution is accepted if
-its recomputed residual meets the solver tolerance.  The constant
-concentration matrix is assembled once per run;
-density matrices are rebuilt every step because their coefficients depend on
-the current concentration gradient.
+This makes the concentration matrix exactly symmetric and gives both
+operators zero column sums, so the total weighted density is conserved up to
+the linear-solver residual.  On the tensor-product grid the concentration
+matrix (1/tau + 1/2) W - (1/2) W L is an area-weighted heat operator, which
+the fast-diagonalization solver (``linalg.TensorHeatSolver``, built once per
+run) solves directly.  The density matrix adds the chemotaxis term, is
+nonsymmetric whenever the concentration gradient is nonzero, and is solved
+with BiCGStab right-preconditioned by the exact inverse of its heat part
+(1/tau) W - theta W L; when BiCGStab does not converge (near the singular
+time of a blow-up run the iteration can stall), the same system is solved
+once more by sparse LU (SuperLU).  Every solution, direct or iterative, is
+accepted only if its recomputed residual meets the solver tolerance.  The
+constant concentration matrix is assembled once per run, for that residual
+check.  Density matrices change every step with the concentration gradient,
+but their five-point sparsity pattern does not: ``Workspace`` builds the CSR
+structure once and each step fills in only the values.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -37,6 +42,7 @@ predictor).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -59,7 +65,6 @@ from .fields import (
     edge_x_from_function,
     edge_y_from_function,
     grad,
-    inner_m,
     interp_x,
     interp_y,
     norm_m,
@@ -250,22 +255,31 @@ def weighted_laplacian_matrix(grid: StaggeredGrid2D) -> SparseMatrix:
     return linalg.coo_arrays_to_matrix(n, n, rows, cols, vals)
 
 
+def _chemotaxis_coefficients(grid: StaggeredGrid2D, g: GradientPair):
+    """Edge coefficients of the area-weighted chemotaxis divergence.
+
+    Returns (coef_l, coef_r) on the interior x-edges, shape (nx-1, ny), and
+    (coef_b, coef_t) on the interior y-edges, shape (nx, ny-1): the weights
+    of the cell on either side of the edge in its interpolated flux.
+    """
+    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
+    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
+    gx = g.gx.values[1:-1, :]  # interior x-edges
+    coef_l = dyw[None, :] * gx * dxw[1:, None] / (2.0 * dxd[:, None])
+    coef_r = dyw[None, :] * gx * dxw[:-1, None] / (2.0 * dxd[:, None])
+    gy = g.gy.values[:, 1:-1]  # interior y-edges
+    coef_b = dxw[:, None] * gy * dyw[None, 1:] / (2.0 * dyd[None, :])
+    coef_t = dxw[:, None] * gy * dyw[None, :-1] / (2.0 * dyd[None, :])
+    return coef_l, coef_r, coef_b, coef_t
+
+
 def weighted_chemotaxis_matrix(grid: StaggeredGrid2D, g: GradientPair) -> SparseMatrix:
     """Area-weighted divergence of (interpolated cell values) * g."""
     nx, ny = grid.shape
     k = _flat_index(grid)
-    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
-    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-
-    gx = g.gx.values[1:-1, :]  # interior x-edges
-    coef_l = (dyw[None, :] * gx * dxw[1:, None] / (2.0 * dxd[:, None])).ravel()
-    coef_r = (dyw[None, :] * gx * dxw[:-1, None] / (2.0 * dxd[:, None])).ravel()
+    coef_l, coef_r, coef_b, coef_t = (c.ravel() for c in _chemotaxis_coefficients(grid, g))
     kl = k[:-1, :].ravel()
     kr = k[1:, :].ravel()
-
-    gy = g.gy.values[:, 1:-1]  # interior y-edges
-    coef_b = (dxw[:, None] * gy * dyw[None, 1:] / (2.0 * dyd[None, :])).ravel()
-    coef_t = (dxw[:, None] * gy * dyw[None, :-1] / (2.0 * dyd[None, :])).ravel()
     kb = k[:, :-1].ravel()
     kt = k[:, 1:].ravel()
 
@@ -299,8 +313,60 @@ def assemble_u_system(grid: StaggeredGrid2D, tau: float, lam: float, g: Gradient
     return linalg.from_scipy_csr(a.tocsr())
 
 
+# neighbour slots of a five-point row, in CSR (column) order
+_SOUTH, _WEST, _CENTER, _EAST, _NORTH = range(5)
+
+
+class _FivePointPattern:
+    """CSR structure of the five-point stencil, filled in from a band.
+
+    Row k = i + nx j of a five-point matrix holds at most five entries, in
+    column order: cells (i, j-1), (i-1, j), (i, j), (i+1, j) and (i, j+1).
+    A band has shape (nx, ny, 5) and holds them for every cell, zero where
+    the neighbour lies outside the grid; its entries inside the grid, in
+    row order, are the CSR data array.  The index arrays are read-only,
+    since every matrix built on the pattern shares them.
+    """
+
+    def __init__(self, grid: StaggeredGrid2D):
+        nx, ny = grid.shape
+        self.shape = (nx * ny, nx * ny)
+        self._band_shape = (ny, nx, 5)
+        inside = np.ones((nx, ny, 5), dtype=bool)
+        inside[:, 0, _SOUTH] = inside[0, :, _WEST] = False
+        inside[-1, :, _EAST] = inside[:, -1, _NORTH] = False
+        self._inside = inside.transpose(1, 0, 2)  # (ny, nx, 5): C order is row order
+        offsets = np.array([-nx, -1, 0, 1, nx])
+        columns = _flat_index(grid)[:, :, None] + offsets
+        self.indices = columns.transpose(1, 0, 2)[self._inside].astype(np.int32)
+        counts = self._inside.sum(axis=2).ravel()
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
+
+    def band(self) -> np.ndarray:
+        """A zero band, laid out so that row order is memory order."""
+        return np.zeros(self._band_shape).transpose(1, 0, 2)
+
+    def band_of(self, a: SparseMatrix) -> np.ndarray:
+        """The band of a matrix with exactly this pattern."""
+        if not (np.array_equal(a.row_offsets, self.indptr)
+                and np.array_equal(a.col_indices, self.indices)):
+            raise ValueError("matrix is not on the five-point pattern")
+        band = self.band()
+        band.transpose(1, 0, 2)[self._inside] = a.values
+        return band
+
+    def matrix(self, band: np.ndarray) -> SparseMatrix:
+        data = band.transpose(1, 0, 2)[self._inside]
+        return linalg.from_scipy_csr(sp.csr_matrix((data, self.indices, self.indptr),
+                                                   shape=self.shape))
+
+
 class Workspace:
-    """Per-run operator cache: area weights and the constant matrices."""
+    """Per-run operator cache: area weights, the constant matrices, the
+    fast-diagonalization solver of the grid's heat operator, and the
+    five-point pattern the density matrices are filled in on."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
@@ -308,14 +374,36 @@ class Workspace:
         self.areas = grid.cell_areas.ravel(order="F")
         self.weighted_laplacian = weighted_laplacian_matrix(grid)
         self.z_system = assemble_z_system(grid, config.tau)
+        self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
+        self._pattern = _FivePointPattern(grid)
+        # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1,
+        # with the entries of assemble_u_system's scipy sum
+        wl = self._pattern.band_of(self.weighted_laplacian)
+        self._heat_bands = {}
+        for theta in (0.5, 1.0):
+            band = self._pattern.band()
+            band -= theta * wl
+            band[:, :, _CENTER] += grid.cell_areas / config.tau
+            self._heat_bands[theta] = band
 
     def u_system(self, g: GradientPair, backward_euler: bool = False) -> SparseMatrix:
-        w = self.areas
-        tau, lam = self.config.tau, self.config.lam
+        """``assemble_u_system`` on this run's grid, filled in on the fixed
+        five-point pattern instead of assembled from triplets."""
         theta = 1.0 if backward_euler else 0.5
-        wc = weighted_chemotaxis_matrix(self.grid, g)._csr
-        a = sp.diags(w / tau) - theta * self.weighted_laplacian._csr + (theta * lam) * wc
-        return linalg.from_scipy_csr(a.tocsr())
+        s = theta * self.config.lam
+        coef_l, coef_r, coef_b, coef_t = _chemotaxis_coefficients(self.grid, g)
+        wc_diag = np.zeros(self.grid.shape)
+        wc_diag[:-1, :] += coef_l
+        wc_diag[1:, :] -= coef_r
+        wc_diag[:, :-1] += coef_b
+        wc_diag[:, 1:] -= coef_t
+        band = self._heat_bands[theta].copy(order="K")
+        band[:, :, _CENTER] += s * wc_diag
+        band[:-1, :, _EAST] += s * coef_r
+        band[1:, :, _WEST] -= s * coef_l
+        band[:, :-1, _NORTH] += s * coef_t
+        band[:, 1:, _SOUTH] -= s * coef_b
+        return self._pattern.matrix(band)
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +452,36 @@ def init_state(problem: ProblemSpec, grid: StaggeredGrid2D) -> State:
     return State(t=0.0, n=0, u_curr=u0, u_prev=None, z_curr=z0)
 
 
-def _solve(system: SparseMatrix, rhs: np.ndarray, config: SchemeConfig, symmetric: bool,
-           step: int, name: str, warm_start: CellField | None = None) -> tuple[np.ndarray, SolveReport]:
-    """CG for the symmetric system, BiCGStab with a sparse LU fallback otherwise.
+def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.ndarray, SolveReport]:
+    """Direct fast-diagonalization solve of the concentration system.
 
-    The fallback's report keeps the BiCGStab iteration count and carries
-    the residual recomputed from the direct solution.
+    There is no fallback: a solution whose recomputed residual misses the
+    solver tolerance raises ``StepSolveError``.
     """
-    solver = linalg.cg if symmetric else linalg.bicgstab
+    x, report = linalg.fast_diag_solve(ws.z_system, rhs, ws.heat, 1.0 / ws.config.tau + 0.5, 0.5,
+                                       tol=ws.config.solver_tol)
+    if not report.converged:
+        raise StepSolveError(step, "concentration", report)
+    return x, report
+
+
+def _heat_inverse(ws: Workspace, theta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact inverse of a density system's heat part (1/tau) W - theta W L."""
+    return functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
+
+
+def _solve(system: SparseMatrix, rhs: np.ndarray, config: SchemeConfig, step: int, name: str,
+           precond, warm_start: CellField | None = None) -> tuple[np.ndarray, SolveReport]:
+    """BiCGStab for a density system, with a sparse LU fallback.
+
+    ``precond`` is passed to ``linalg.bicgstab``.  The fallback's report
+    keeps the BiCGStab iteration count and carries the residual recomputed
+    from the direct solution.
+    """
     x0 = None if warm_start is None else np.ravel(warm_start.values, order="F")
-    x, report = solver(system, rhs, tol=config.solver_tol, x0=x0)
+    x, report = linalg.bicgstab(system, rhs, tol=config.solver_tol, precond=precond, x0=x0)
     if report.converged:
         return x, report
-    if symmetric:
-        raise StepSolveError(step, name, report)
     x, direct = linalg.sparse_lu_solve(system, rhs, tol=config.solver_tol)
     if not direct.converged:
         raise StepSolveError(step, name, report, fallback=direct)
@@ -395,8 +499,8 @@ def predict_u1(state: State, config: SchemeConfig, problem: ProblemSpec,
     system = ws.u_system(g0, backward_euler=True)
     rhs_vals = state.u_curr.values / config.tau + _forcing_rho(problem, grid, config.tau)
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve(system, rhs, config, symmetric=False, step=1,
-                       name="density predictor", warm_start=state.u_curr)
+    x, report = _solve(system, rhs, config, step=1, name="density predictor",
+                       precond=_heat_inverse(ws, 1.0), warm_start=state.u_curr)
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
@@ -414,8 +518,7 @@ def solve_z_first(state: State, u_bar: CellField, config: SchemeConfig, problem:
         + _forcing_c(problem, grid, 0.5 * tau)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve(ws.z_system, rhs, config, symmetric=True, step=1,
-                       name="concentration", warm_start=state.z_curr)
+    x, report = _solve_concentration(ws, rhs, step=1)
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
@@ -434,18 +537,19 @@ def correct_u1(state: State, z_new: CellField, config: SchemeConfig, problem: Pr
         + _forcing_rho(problem, grid, 0.5 * tau)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve(system, rhs, config, symmetric=False, step=1,
-                       name="density corrector", warm_start=state.u_curr)
+    x, report = _solve(system, rhs, config, step=1, name="density corrector",
+                       precond=_heat_inverse(ws, 0.5), warm_start=state.u_curr)
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
-def _diagnostics(t: float, u: CellField, z: CellField, config: SchemeConfig,
-                 rep_z: SolveReport, rep_u: SolveReport, iters_u: int) -> StepDiagnostics:
-    dz_inf = grad(z).inf_norm()
-    ones = CellField(u.grid, np.ones(u.grid.shape))
+def _diagnostics(t: float, u: CellField, z: CellField, grad_z: GradientPair,
+                 config: SchemeConfig, rep_z: SolveReport, rep_u: SolveReport,
+                 iters_u: int) -> StepDiagnostics:
+    """One step's record; ``grad_z`` is the gradient of ``z`` the step computed."""
+    dz_inf = grad_z.inf_norm()
     return StepDiagnostics(
         t=t,
-        mass=inner_m(u, ones),
+        mass=float(np.sum(u.grid.cell_areas * u.values)),
         u_max=u.max(),
         u_min=u.min(),
         z_max=z.max(),
@@ -474,7 +578,7 @@ def first_step(state: State, config: SchemeConfig, problem: ProblemSpec,
     u1, rep_u = correct_u1(state, z1, config, problem, ws)
     new_state = State(t=config.tau, n=1, u_curr=u1, u_prev=state.u_curr, z_curr=z1)
     diag = _diagnostics(
-        new_state.t, u1, z1, config, rep_z,
+        new_state.t, u1, z1, grad(z1), config, rep_z,
         SolveReport(
             converged=rep_pred.converged and rep_u.converged,
             iterations=rep_pred.iterations + rep_u.iterations,
@@ -507,11 +611,11 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
         + _forcing_c(problem, grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    xz, rep_z = _solve(ws.z_system, rhs, config, symmetric=True, step=state.n + 1,
-                       name="concentration", warm_start=z_n)
+    xz, rep_z = _solve_concentration(ws, rhs, step=state.n + 1)
     z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
 
-    system = ws.u_system(grad(z_next))
+    g_next = grad(z_next)
+    system = ws.u_system(g_next)
     rhs_vals = (
         u_n.values / tau
         + 0.5 * apply_laplacian(u_n).values
@@ -519,13 +623,13 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
         + _forcing_rho(problem, grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    xu, rep_u = _solve(system, rhs, config, symmetric=False, step=state.n + 1, name="density",
-                       warm_start=u_n)
+    xu, rep_u = _solve(system, rhs, config, step=state.n + 1, name="density",
+                       precond=_heat_inverse(ws, 0.5), warm_start=u_n)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=(state.n + 1) * tau, n=state.n + 1, u_curr=u_next, u_prev=u_n,
                       z_curr=z_next)
-    diag = _diagnostics(new_state.t, u_next, z_next, config, rep_z, rep_u,
+    diag = _diagnostics(new_state.t, u_next, z_next, g_next, config, rep_z, rep_u,
                         iters_u=rep_u.iterations)
     _check_blowup(new_state, diag, config)
     return new_state, diag

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 import scipy.io
 
+from ksbcfd.fields import CellField, cell_field, grad
+from ksbcfd.grid import build_corner_refined, build_random_perturbed, make_grid
 from ksbcfd.linalg import (
     _STAGNATION_WINDOW,
     SingularMatrixError,
+    TensorHeatSolver,
     bicgstab,
     cg,
     coo_arrays_to_matrix,
     dense_solve,
+    fast_diag_solve,
     from_triplets,
     matvec,
     sparse_lu_solve,
     write_matrix_market,
 )
+from ksbcfd.scheme import assemble_u_system, assemble_z_system
 
 
 def identity(n):
@@ -222,6 +227,65 @@ class TestSparseLU:
         assert not rep.converged
         assert rep.reason == "breakdown"
         assert np.array_equal(x, np.zeros(3))
+
+
+def rectangular_grid():
+    """13 x 8 cells on two different non-uniform axes, so an x/y mix-up in
+    the flattening of the unknowns cannot cancel out."""
+    return make_grid(build_random_perturbed(0, 1, 13, 0.3, 5), build_corner_refined(8))
+
+
+def relative_residual(a, b, x):
+    return np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+
+
+class TestTensorHeatSolver:
+    tau = 0.01
+
+    def test_z_system_matches_dense_oracle(self):
+        grid = rectangular_grid()
+        a = assemble_z_system(grid, self.tau)
+        b = np.random.default_rng(41).standard_normal(grid.nx * grid.ny)
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        x, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau + 0.5, 0.5)
+        assert rep.converged and rep.iterations == 0
+        assert rep.final_relative_residual == relative_residual(a, b, x) <= 1e-12
+        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
+
+    @pytest.mark.parametrize("backward_euler", [False, True])
+    def test_inverts_heat_part_of_u_system(self, backward_euler):
+        grid = rectangular_grid()
+        zero_g = grad(cell_field(grid, 0.0))
+        a = assemble_u_system(grid, self.tau, 1.0, zero_g, backward_euler=backward_euler)
+        theta = 1.0 if backward_euler else 0.5
+        b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
+        x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, 1.0 / self.tau, theta)
+        assert relative_residual(a, b, x) <= 1e-12
+        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
+
+    def test_wrong_operator_reported_as_breakdown(self):
+        grid = rectangular_grid()
+        a = assemble_z_system(grid, self.tau)
+        b = np.ones(grid.nx * grid.ny)
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        _, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau, 0.5)  # s off by 1/2
+        assert not rep.converged and rep.reason == "breakdown"
+
+    def test_heat_preconditioned_bicgstab(self):
+        # a nonzero gradient makes the density system nonsymmetric; its heat
+        # part as right preconditioner leaves few iterations to Krylov
+        grid = rectangular_grid()
+        xs = grid.x_axis.centers[:, None]
+        ys = grid.y_axis.centers[None, :]
+        z = CellField(grid, np.cos(3 * xs) * np.sin(2 * ys))
+        a = assemble_u_system(grid, self.tau, 1.0, grad(z))
+        b = np.random.default_rng(43).standard_normal(grid.nx * grid.ny)
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        x, rep = bicgstab(a, b, precond=lambda r: heat.solve(r, 1.0 / self.tau, 0.5))
+        _, jacobi = bicgstab(a, b)
+        assert rep.converged and jacobi.converged
+        assert rep.iterations < jacobi.iterations
+        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
 
 
 class TestDenseSolve:

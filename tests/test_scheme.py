@@ -13,6 +13,7 @@ from ksbcfd.scheme import (
     UniquenessConditionWarning,
     _solve,
     Workspace,
+    _solve_concentration,
     apply_chemotaxis,
     apply_laplacian,
     assemble_u_system,
@@ -225,6 +226,21 @@ class TestSystemStructure:
         assembled = assemble_u_system(grid, tau, 0.0, zero_g).to_dense()
         assert np.allclose(assembled, heat, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("backward_euler", [False, True])
+    def test_workspace_u_system_matches_assembly(self, backward_euler):
+        # 9 x 6 cells on two different perturbed axes: the fixed-pattern fill
+        # of Workspace.u_system against assembly from triplets
+        grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
+                         build_random_perturbed(0, 1, 6, 0.3, 22))
+        cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
+        z = cell_field_from_function(grid, lambda x, y: np.cos(3 * x) * np.sin(2 * y + x))
+        g = grad(z)
+        filled = Workspace(grid, cfg).u_system(g, backward_euler=backward_euler).to_dense()
+        assembled = assemble_u_system(grid, cfg.tau, cfg.lam, g,
+                                      backward_euler=backward_euler).to_dense()
+        assert np.allclose(filled, assembled, rtol=1e-14, atol=0.0)
+        assert np.array_equal(filled != 0.0, assembled != 0.0)
+
     def test_weighted_operators_have_zero_column_sums(self):
         grid = perturbed_grid(6, seed=9)
         wl = weighted_laplacian_matrix(grid).to_dense()
@@ -313,7 +329,7 @@ class TestSolveFallback:
         b = np.ones(n)
         _, krylov = bicgstab(a, b, tol=self.cfg.solver_tol)
         assert krylov.reason == "stagnated"
-        x, rep = _solve(a, b, self.cfg, symmetric=False, step=7, name="density")
+        x, rep = _solve(a, b, self.cfg, step=7, name="density", precond="jacobi")
         recomputed = np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
         assert rep.converged and rep.reason == "converged"
         assert rep.final_relative_residual == recomputed <= self.cfg.solver_tol
@@ -322,22 +338,28 @@ class TestSolveFallback:
 
     def test_converged_krylov_solve_skips_fallback(self):
         a, b = advection_diffusion(50, 0.5), np.ones(50)
-        x, rep = _solve(a, b, self.cfg, symmetric=False, step=1, name="density")
+        x, rep = _solve(a, b, self.cfg, step=1, name="density", precond="jacobi")
         assert np.array_equal(x, bicgstab(a, b, tol=self.cfg.solver_tol)[0])
         assert rep.reason == "converged" and rep.iterations > 0
 
     def test_failed_fallback_names_both_causes(self):
         a = from_triplets(3, 3, [(0, 0, 1.0), (1, 1, 1.0)])  # row 2 all zero
         with pytest.raises(StepSolveError, match="breakdown.*direct fallback tried: breakdown") as info:
-            _solve(a, np.ones(3), self.cfg, symmetric=False, step=3, name="density")
+            _solve(a, np.ones(3), self.cfg, step=3, name="density", precond="jacobi")
         assert info.value.report.reason == "breakdown"
         assert info.value.fallback.reason == "breakdown"
 
-    def test_symmetric_failure_has_no_fallback(self):
-        a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, -1.0)])  # indefinite: CG breaks down
-        with pytest.raises(StepSolveError, match="no direct fallback tried") as info:
-            _solve(a, np.array([0.0, 1.0]), self.cfg, symmetric=True, step=2, name="concentration")
+    def test_concentration_residual_miss_has_no_fallback(self):
+        # the direct solve reaches about 1e-15, which misses a 1e-20 tolerance
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01, solver_tol=1e-20)
+        ws = Workspace(perturbed_grid(6), cfg)
+        rhs = np.random.default_rng(4).standard_normal(36)
+        with pytest.raises(StepSolveError, match="concentration solve failed at step 2.*"
+                           "no direct fallback tried") as info:
+            _solve_concentration(ws, rhs, step=2)
         assert info.value.fallback is None
+        assert info.value.report.reason == "breakdown"
+        assert info.value.report.final_relative_residual > cfg.solver_tol
 
 
 class TestRun:
