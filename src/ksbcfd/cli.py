@@ -467,7 +467,6 @@ def _snapshot_steps(config: RunConfig) -> dict[int, float]:
 def _snapshot_writer(config: RunConfig, out_dir: Path):
     wanted = _snapshot_steps(config)
     fmt = config.outputs.snapshot_format
-    write = field_to_csv if fmt == "csv" else field_to_vtk
 
     def on_step(state: State) -> None:
         if state.n in wanted:
@@ -476,12 +475,13 @@ def _snapshot_writer(config: RunConfig, out_dir: Path):
                 if fmt == "vtk":
                     field_to_vtk(f, path, name=name)
                 else:
-                    write(f, path)
+                    field_to_csv(f, path)
 
     return on_step
 
 
-def _execute(config: RunConfig, out_dir: Path) -> RunResult:
+def run_single(config: RunConfig, out_dir: Path) -> RunResult:
+    """March the configured problem, writing snapshots and diagnostics."""
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem(config.problem)
     grid = build_grid(problem, config.grid, config.grid.m)
@@ -491,13 +491,9 @@ def _execute(config: RunConfig, out_dir: Path) -> RunResult:
     return result
 
 
-def run_single(config: RunConfig, out_dir: Path) -> RunResult:
-    return _execute(config, out_dir)
-
-
 def run_blowup(config: RunConfig, out_dir: Path) -> dict:
     """Full diagnostics time series plus a summary record."""
-    result = _execute(config, out_dir)
+    result = run_single(config, out_dir)
     d = result.diagnostics
     peak_idx = max(range(len(d)), key=lambda k: d[k].u_max)
     mass0 = d[0].mass

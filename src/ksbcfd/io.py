@@ -29,6 +29,9 @@ DIAGNOSTIC_COLUMNS = (
     "argmax_j",
     "iters_z",
     "iters_u",
+    "residual_z",
+    "residual_u",
+    "block_cells",
     "dz_inf",
     "uniqueness_ok",
 )
@@ -38,22 +41,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# The field writers format one grid row (fixed j, all i) per ``write``, so a
+# file is never held in memory whole.
+
+
 def field_to_csv(field: CellField, path) -> None:
     """Write one row per cell: i, j, x, y, value."""
-    xs = field.grid.x_axis.centers
-    ys = field.grid.y_axis.centers
+    xs = [_fmt(x) for x in field.grid.x_axis.centers.tolist()]
+    ys = [_fmt(y) for y in field.grid.y_axis.centers.tolist()]
     with open(path, "w", encoding="utf-8") as f:
         f.write("i,j,x,y,value\n")
-        for j in range(field.grid.ny):
-            for i in range(field.grid.nx):
-                f.write(f"{i},{j},{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(field.values[i, j])}\n")
+        for j, y in enumerate(ys):
+            row = zip(xs, field.values[:, j].tolist())
+            f.write("".join([f"{i},{j},{x},{y},{v:.17g}\n" for i, (x, v) in enumerate(row)]))
 
 
 def field_to_vtk(field: CellField, path, name: str = "value") -> None:
     """Legacy ASCII structured-grid VTK with cell centers as point data."""
     grid = field.grid
-    xs = grid.x_axis.centers
-    ys = grid.y_axis.centers
+    xs = [_fmt(x) for x in grid.x_axis.centers.tolist()]
+    ys = grid.y_axis.centers.tolist()
     nx, ny = grid.shape
     with open(path, "w", encoding="utf-8") as f:
         f.write("# vtk DataFile Version 3.0\n")
@@ -62,15 +69,14 @@ def field_to_vtk(field: CellField, path, name: str = "value") -> None:
         f.write("DATASET STRUCTURED_GRID\n")
         f.write(f"DIMENSIONS {nx} {ny} 1\n")
         f.write(f"POINTS {nx * ny} double\n")
-        for j in range(ny):
-            for i in range(nx):
-                f.write(f"{_fmt(xs[i])} {_fmt(ys[j])} 0\n")
+        for y in ys:
+            tail = f" {_fmt(y)} 0\n"
+            f.write("".join([x + tail for x in xs]))
         f.write(f"POINT_DATA {nx * ny}\n")
         f.write(f"SCALARS {name} double 1\n")
         f.write("LOOKUP_TABLE default\n")
         for j in range(ny):
-            for i in range(nx):
-                f.write(f"{_fmt(field.values[i, j])}\n")
+            f.write("".join([f"{v:.17g}\n" for v in field.values[:, j].tolist()]))
 
 
 def diagnostics_row(d: StepDiagnostics) -> str:
@@ -85,6 +91,9 @@ def diagnostics_row(d: StepDiagnostics) -> str:
             str(d.argmax_u[1]),
             str(d.solver_iters_z),
             str(d.solver_iters_u),
+            _fmt(d.residual_z),
+            _fmt(d.residual_u),
+            str(d.block_cells),
             _fmt(d.dz_inf),
             str(int(d.uniqueness_ok)),
         ]

@@ -26,14 +26,19 @@ the fast-diagonalization solver (``linalg.TensorHeatSolver``, built once per
 run) solves directly.  The density matrix adds the chemotaxis term, is
 nonsymmetric whenever the concentration gradient is nonzero, and is solved
 with BiCGStab right-preconditioned by the exact inverse of its heat part
-(1/tau) W - theta W L; when BiCGStab does not converge (near the singular
-time of a blow-up run the iteration can stall), the same system is solved
-once more by sparse LU (SuperLU).  Every solution, direct or iterative, is
-accepted only if its recomputed residual meets the solver tolerance.  The
-constant concentration matrix is assembled once per run, for that residual
-check.  Density matrices change every step with the concentration gradient,
-but their five-point sparsity pattern does not: ``Workspace`` builds the CSR
-structure once and each step fills in only the values.
+(1/tau) W - theta W L.  That inverse ignores the chemotaxis term, which
+matters where it outweighs diffusion: near the singular time of a blow-up
+run, rows at the peak stop being diagonally dominant.  When any row is not,
+the preconditioner also solves the density system exactly on the tensor
+block that bounds those rows (``linalg.block_corrected``, SuperLU); when
+none is, it is the heat inverse alone.  When BiCGStab does not converge,
+the same system is solved once more by sparse LU (SuperLU).  Every
+solution, direct or iterative, is accepted only if its recomputed residual
+meets the solver tolerance.  The constant concentration matrix is assembled
+once per run, for that residual check.  Density matrices change every step
+with the concentration gradient, but their five-point sparsity pattern does
+not: ``Workspace`` builds the CSR structure once and each step fills in only
+the values, and reads the rows' diagonal dominance off the same band.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -191,6 +196,7 @@ class StepDiagnostics:
     solver_iters_u: int
     residual_z: float
     residual_u: float
+    block_cells: int
     dz_inf: float
     uniqueness_ok: bool
 
@@ -363,6 +369,20 @@ class _FivePointPattern:
                                                    shape=self.shape))
 
 
+def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
+    """The (i, j) slices of the tensor block bounding the rows of a band that
+    are not diagonally dominant (``|a_kk| < sum_{j != k} |a_kj|``), or None
+    when every row is."""
+    off = (np.abs(band[:, :, _SOUTH]) + np.abs(band[:, :, _WEST])
+           + np.abs(band[:, :, _EAST]) + np.abs(band[:, :, _NORTH]))
+    weak = np.abs(band[:, :, _CENTER]) < off
+    if not weak.any():
+        return None
+    i = np.flatnonzero(weak.any(axis=1)).tolist()
+    j = np.flatnonzero(weak.any(axis=0)).tolist()
+    return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
+
+
 class Workspace:
     """Per-run operator cache: area weights, the constant matrices, the
     fast-diagonalization solver of the grid's heat operator, and the
@@ -386,9 +406,11 @@ class Workspace:
             band[:, :, _CENTER] += grid.cell_areas / config.tau
             self._heat_bands[theta] = band
 
-    def u_system(self, g: GradientPair, backward_euler: bool = False) -> SparseMatrix:
+    def u_system(self, g: GradientPair, backward_euler: bool = False
+                 ) -> tuple[SparseMatrix, tuple[slice, slice] | None]:
         """``assemble_u_system`` on this run's grid, filled in on the fixed
-        five-point pattern instead of assembled from triplets."""
+        five-point pattern instead of assembled from triplets, and the block
+        of its rows that are not diagonally dominant (``_weak_rows_block``)."""
         theta = 1.0 if backward_euler else 0.5
         s = theta * self.config.lam
         coef_l, coef_r, coef_b, coef_t = _chemotaxis_coefficients(self.grid, g)
@@ -403,7 +425,7 @@ class Workspace:
         band[1:, :, _WEST] -= s * coef_l
         band[:, :-1, _NORTH] += s * coef_t
         band[:, 1:, _SOUTH] -= s * coef_b
-        return self._pattern.matrix(band)
+        return self._pattern.matrix(band), _weak_rows_block(band)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +487,18 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     return x, report
 
 
-def _heat_inverse(ws: Workspace, theta: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact inverse of a density system's heat part (1/tau) W - theta W L."""
-    return functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
+def _density_preconditioner(ws: Workspace, system: SparseMatrix, block: tuple[slice, slice] | None,
+                            theta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The preconditioner of a density system from ``Workspace.u_system``.
+
+    The exact inverse of the system's heat part (1/tau) W - theta W L, and,
+    when ``block`` is not None, an exact solve of ``system`` on the cells of
+    ``block`` after it (``linalg.block_corrected``).
+    """
+    heat = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
+    if block is None:
+        return heat
+    return linalg.block_corrected(system, heat, _flat_index(ws.grid)[block].ravel(order="F"))
 
 
 def _solve(system: SparseMatrix, rhs: np.ndarray, config: SchemeConfig, step: int, name: str,
@@ -488,6 +519,17 @@ def _solve(system: SparseMatrix, rhs: np.ndarray, config: SchemeConfig, step: in
     return x, replace(direct, iterations=report.iterations)
 
 
+def _solve_density(ws: Workspace, system: SparseMatrix, block: tuple[slice, slice] | None,
+                   rhs: np.ndarray, theta: float, step: int, name: str,
+                   warm_start: CellField) -> tuple[np.ndarray, SolveReport]:
+    """``_solve`` with ``_density_preconditioner``; the report's
+    ``block_cells`` is the size of the correction block."""
+    x, report = _solve(system, rhs, ws.config, step, name,
+                       _density_preconditioner(ws, system, block, theta), warm_start)
+    cells = 0 if block is None else _flat_index(ws.grid)[block].size
+    return x, replace(report, block_cells=cells)
+
+
 def predict_u1(state: State, config: SchemeConfig, problem: ProblemSpec,
                ws: Workspace | None = None) -> tuple[CellField, SolveReport]:
     """Backward-Euler density predictor for the first level."""
@@ -496,11 +538,11 @@ def predict_u1(state: State, config: SchemeConfig, problem: ProblemSpec,
     grid = state.u_curr.grid
     ws = ws or Workspace(grid, config)
     g0 = grad(state.z_curr)
-    system = ws.u_system(g0, backward_euler=True)
+    system, block = ws.u_system(g0, backward_euler=True)
     rhs_vals = state.u_curr.values / config.tau + _forcing_rho(problem, grid, config.tau)
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve(system, rhs, config, step=1, name="density predictor",
-                       precond=_heat_inverse(ws, 1.0), warm_start=state.u_curr)
+    x, report = _solve_density(ws, system, block, rhs, 1.0, step=1, name="density predictor",
+                               warm_start=state.u_curr)
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
@@ -529,7 +571,7 @@ def correct_u1(state: State, z_new: CellField, config: SchemeConfig, problem: Pr
     ws = ws or Workspace(grid, config)
     tau, lam = config.tau, config.lam
     u0, z0 = state.u_curr, state.z_curr
-    system = ws.u_system(grad(z_new))
+    system, block = ws.u_system(grad(z_new))
     rhs_vals = (
         u0.values / tau
         + 0.5 * apply_laplacian(u0).values
@@ -537,8 +579,8 @@ def correct_u1(state: State, z_new: CellField, config: SchemeConfig, problem: Pr
         + _forcing_rho(problem, grid, 0.5 * tau)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve(system, rhs, config, step=1, name="density corrector",
-                       precond=_heat_inverse(ws, 0.5), warm_start=state.u_curr)
+    x, report = _solve_density(ws, system, block, rhs, 0.5, step=1, name="density corrector",
+                               warm_start=state.u_curr)
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
@@ -558,6 +600,7 @@ def _diagnostics(t: float, u: CellField, z: CellField, grad_z: GradientPair,
         solver_iters_u=iters_u,
         residual_z=rep_z.final_relative_residual,
         residual_u=rep_u.final_relative_residual,
+        block_cells=rep_u.block_cells,
         dz_inf=dz_inf,
         uniqueness_ok=bool(config.tau < 4.0 / (config.lam**2 * (dz_inf + 1.0) ** 2)),
     )
@@ -585,6 +628,7 @@ def first_step(state: State, config: SchemeConfig, problem: ProblemSpec,
             final_relative_residual=max(rep_pred.final_relative_residual,
                                         rep_u.final_relative_residual),
             reason=rep_u.reason if rep_pred.converged else rep_pred.reason,
+            block_cells=max(rep_pred.block_cells, rep_u.block_cells),
         ),
         iters_u=rep_pred.iterations + rep_u.iterations,
     )
@@ -615,7 +659,7 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
     z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
 
     g_next = grad(z_next)
-    system = ws.u_system(g_next)
+    system, block = ws.u_system(g_next)
     rhs_vals = (
         u_n.values / tau
         + 0.5 * apply_laplacian(u_n).values
@@ -623,8 +667,8 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
         + _forcing_rho(problem, grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    xu, rep_u = _solve(system, rhs, config, step=state.n + 1, name="density",
-                       precond=_heat_inverse(ws, 0.5), warm_start=u_n)
+    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=state.n + 1, name="density",
+                               warm_start=u_n)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=(state.n + 1) * tau, n=state.n + 1, u_curr=u_next, u_prev=u_n,

@@ -13,6 +13,32 @@ def small_field():
     return CellField(g, rng.standard_normal(g.shape))
 
 
+def test_writers_match_per_value_rendering(tmp_path):
+    # 5 x 3 cells on two different perturbed axes, values over many decades
+    g = make_grid(build_random_perturbed(0, 1, 5, 0.3, 2), build_random_perturbed(-1, 2, 3, 0.3, 3))
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300, g.shape)
+    values[0, 0], values[1, 0] = -0.0, 5e-324
+    f = CellField(g, values)
+    xs, ys = g.x_axis.centers, g.y_axis.centers
+    cells = [(i, j) for j in range(g.ny) for i in range(g.nx)]
+
+    field_to_csv(f, tmp_path / "f.csv")
+    expected = "i,j,x,y,value\n" + "".join(
+        f"{i},{j},{xs[i]:.17g},{ys[j]:.17g},{values[i, j]:.17g}\n" for i, j in cells)
+    assert (tmp_path / "f.csv").read_text() == expected
+
+    field_to_vtk(f, tmp_path / "f.vtk", name="rho")
+    expected = (
+        "# vtk DataFile Version 3.0\nrho on a staggered cell-centered grid\nASCII\n"
+        "DATASET STRUCTURED_GRID\nDIMENSIONS 5 3 1\nPOINTS 15 double\n"
+        + "".join(f"{xs[i]:.17g} {ys[j]:.17g} 0\n" for i, j in cells)
+        + "POINT_DATA 15\nSCALARS rho double 1\nLOOKUP_TABLE default\n"
+        + "".join(f"{values[i, j]:.17g}\n" for i, j in cells)
+    )
+    assert (tmp_path / "f.vtk").read_text() == expected
+
+
 def test_field_csv_roundtrip(tmp_path):
     f = small_field()
     path = tmp_path / "f.csv"
@@ -54,6 +80,10 @@ def test_diagnostics_csv_shape(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(DIAGNOSTIC_COLUMNS)
     assert len(lines) == 1 + len(result.diagnostics)
-    first = lines[1].split(",")
-    assert float(first[0]) == result.diagnostics[0].t
-    assert float(first[1]) == result.diagnostics[0].mass
+    for line, d in zip(lines[1:], result.diagnostics):
+        row = dict(zip(DIAGNOSTIC_COLUMNS, line.split(",")))
+        assert float(row["t"]) == d.t
+        assert float(row["mass"]) == d.mass
+        assert float(row["residual_z"]) == d.residual_z
+        assert float(row["residual_u"]) == d.residual_u <= 1e-12
+        assert int(row["block_cells"]) == d.block_cells

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from ksbcfd.scheme import (
     State,
     StepSolveError,
     UniquenessConditionWarning,
+    _density_preconditioner,
     _solve,
     Workspace,
     _solve_concentration,
+    _solve_density,
     apply_chemotaxis,
     apply_laplacian,
     assemble_u_system,
@@ -235,7 +239,7 @@ class TestSystemStructure:
         cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
         z = cell_field_from_function(grid, lambda x, y: np.cos(3 * x) * np.sin(2 * y + x))
         g = grad(z)
-        filled = Workspace(grid, cfg).u_system(g, backward_euler=backward_euler).to_dense()
+        filled = Workspace(grid, cfg).u_system(g, backward_euler=backward_euler)[0].to_dense()
         assembled = assemble_u_system(grid, cfg.tau, cfg.lam, g,
                                       backward_euler=backward_euler).to_dense()
         assert np.allclose(filled, assembled, rtol=1e-14, atol=0.0)
@@ -301,7 +305,7 @@ class TestMarching:
         assert np.max(np.abs(np.ravel(new_state.z_curr.values, order="F") - z_dense)) <= 1e-10
 
         g_new = grad(new_state.z_curr)
-        system = ws.u_system(g_new)
+        system, _ = ws.u_system(g_new)
         rhs_vals = (state.u_curr.values / cfg.tau
                     + 0.5 * apply_laplacian(state.u_curr).values
                     - 0.5 * cfg.lam * apply_chemotaxis(state.u_curr, grad(state.z_curr)).values)
@@ -360,6 +364,76 @@ class TestSolveFallback:
         assert info.value.fallback is None
         assert info.value.report.reason == "breakdown"
         assert info.value.report.final_relative_residual > cfg.solver_tol
+
+
+def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
+    """A density system on a rectangular 11 x 8 perturbed grid under a steep
+    concentration patch near the x = 1 boundary, with its Workspace."""
+    grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
+                     build_random_perturbed(0, 1, 8, 0.3, 32))
+    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
+    z = cell_field_from_function(grid, lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2
+                                                                        + (y - 0.6) ** 2)))
+    system, block = ws.u_system(grad(z), backward_euler=theta == 1.0)
+    return ws, system, block
+
+
+def weak_rows(a, shape):
+    """Rows of a dense matrix that are not diagonally dominant, as an (nx, ny) mask."""
+    diag = np.abs(np.diag(a))
+    off = np.abs(a - np.diag(np.diag(a))).sum(axis=1)
+    return (diag < off).reshape(shape, order="F")
+
+
+class TestBlockCorrection:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_dominant_system_gets_the_heat_inverse(self, theta):
+        ws, system, block = steep_patch_system(0.3, theta=theta)
+        assert block is None
+        assert not weak_rows(system.to_dense(), ws.grid.shape).any()
+        r = np.random.default_rng(5).standard_normal(system.n_rows)
+        precond = _density_preconditioner(ws, system, block, theta)
+        heat = ws.heat.solve(r, s=1.0 / ws.config.tau, theta=theta)
+        assert np.array_equal(precond(r), heat)
+
+    def test_block_bounds_weak_rows_and_speeds_up_bicgstab(self):
+        ws, system, block = steep_patch_system(30.0)
+        a = system.to_dense()
+        weak = weak_rows(a, ws.grid.shape)
+        i, j = np.nonzero(weak)
+        assert block == (slice(i.min(), i.max() + 1), slice(j.min(), j.max() + 1))
+        assert i.max() == ws.grid.nx - 1  # weak rows on the boundary too
+        assert weak[block].sum() == weak.sum() < weak[block].size < weak.size
+
+        b = np.random.default_rng(6).standard_normal(system.n_rows)
+        heat = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=0.5)
+        _, plain = bicgstab(system, b, precond=heat)
+        x, corrected = bicgstab(system, b, precond=_density_preconditioner(ws, system, block, 0.5))
+        assert plain.converged and corrected.converged
+        assert corrected.iterations < plain.iterations
+        assert np.max(np.abs(x - dense_solve(a, b))) <= 1e-10
+
+    def test_every_row_weak_solves(self):
+        # a steep bowl and a long time step: no row is diagonally dominant
+        grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 41),
+                         build_random_perturbed(0, 1, 5, 0.3, 42))
+        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=1.0, t_final=1.0))
+        z = cell_field_from_function(grid, lambda x, y: 400.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
+        system, block = ws.u_system(grad(z))
+        a = system.to_dense()
+        assert weak_rows(a, grid.shape).all()
+        assert block == (slice(0, 7), slice(0, 5))
+        b = np.random.default_rng(7).standard_normal(system.n_rows)
+        x, report = bicgstab(system, b, precond=_density_preconditioner(ws, system, block, 0.5))
+        assert report.converged
+        assert np.max(np.abs(x - dense_solve(a, b))) <= 1e-10
+
+    def test_step_reports_block_cells(self):
+        ws, system, block = steep_patch_system(30.0)
+        rhs = np.random.default_rng(8).standard_normal(system.n_rows)
+        _, report = _solve_density(ws, system, block, rhs, 0.5, step=1, name="density",
+                                   warm_start=None)
+        assert report.converged and report.block_cells == 16
 
 
 class TestRun:
