@@ -62,7 +62,6 @@ __all__ = [
     "inner_x",
     "norm_x",
     "inner_y",
-    "norm_y",
     "norm_tm",
 ]
 
@@ -278,10 +277,6 @@ def inner_y(f: EdgeFieldY, g: EdgeFieldY) -> float:
     gr = f.grid
     w = gr.x_axis.cell_widths[:, None] * gr.y_axis.dual_widths[None, :]
     return float(np.sum(w * (f.values[:, 1:-1] * g.values[:, 1:-1])))
-
-
-def norm_y(f: EdgeFieldY) -> float:
-    return float(np.sqrt(inner_y(f, f)))
 
 
 def norm_tm(pair: GradientPair) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "remap_axis",
     "make_grid",
     "axis_subseeds",
-    "axis_to_csv",
 ]
 
 # Relative tolerance for the telescoping-width consistency check.
@@ -224,11 +223,3 @@ def axis_subseeds(seed: int) -> tuple[int, int]:
     """
     sx, sy = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     return int(sx), int(sy)
-
-
-def axis_to_csv(axis: Axis1D, path) -> None:
-    """Write the primal points as a one-column CSV (header ``primal``)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("primal\n")
-        for x in axis.primal:
-            f.write(f"{x:.17g}\n")

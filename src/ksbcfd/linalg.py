@@ -1,16 +1,16 @@
 """Sparse and tensor-product linear algebra for the per-step systems.
 
-CSR matrices (storage and matvec delegate to scipy.sparse behind this
-module's interface); a fast-diagonalization solver for the area-weighted
-heat operator of a tensor-product grid, which solves the concentration
-system directly and preconditions the density solves; Conjugate Gradient
-for symmetric positive definite systems; BiCGStab for the nonsymmetric
-density systems, with Jacobi or an operator as right preconditioner; a
-block correction that follows such an operator with an exact sparse LU
-solve (scipy's SuperLU) on the rows where it is a poor approximation; a
-sparse LU solve of a whole system, which the stepper falls back on when
-BiCGStab fails on a density system; and a dense partial-pivot solver used
-as an independent oracle in the tests.
+Every solver takes the system as a plain ``scipy.sparse.csr_matrix`` and
+leaves its products to scipy.  There are a fast-diagonalization solver for
+the area-weighted heat operator of a tensor-product grid, which solves the
+concentration system directly and preconditions the density solves;
+Conjugate Gradient for symmetric positive definite systems; BiCGStab for
+the nonsymmetric density systems, with Jacobi or an operator as right
+preconditioner; a block correction that follows such an operator with an
+exact sparse LU solve (scipy's SuperLU) on the rows where it is a poor
+approximation; a sparse LU solve of a whole system, which the stepper falls
+back on when BiCGStab fails on a density system; and a dense partial-pivot
+solver used as an independent oracle in the tests.
 
 Every solve returns a ``SolveReport`` whose ``reason`` says why it
 stopped: ``converged``, ``max_iter`` (iteration budget spent),
@@ -30,7 +30,7 @@ recursive residual of the iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,20 +39,15 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
-    "SparseMatrix",
     "SolveReport",
     "SingularMatrixError",
     "TensorHeatSolver",
     "block_corrected",
-    "from_triplets",
-    "from_scipy_csr",
-    "matvec",
     "cg",
     "bicgstab",
     "fast_diag_solve",
     "sparse_lu_solve",
     "dense_solve",
-    "write_matrix_market",
 ]
 
 # Denominators smaller than this (relative to the surrounding scale) count as
@@ -75,96 +70,14 @@ class SolveReport:
     block_cells: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """CSR matrix: nondecreasing offsets, sorted unique columns per row.
-
-    ``row_offsets``, ``col_indices`` and ``values`` are the arrays of the
-    wrapped scipy matrix itself, not copies.
-    """
-
-    n_rows: int
-    n_cols: int
-    _csr: sp.csr_matrix = field(repr=False)
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def transpose(self) -> "SparseMatrix":
-        return from_scipy_csr(self._csr.transpose().tocsr())
-
-
-def from_scipy_csr(csr: sp.csr_matrix) -> SparseMatrix:
-    """Wrap a scipy CSR matrix, canonicalizing it first."""
-    csr = csr.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    if not np.all(np.isfinite(csr.data)):
-        raise ValueError("matrix entries must be finite")
-    return SparseMatrix(n_rows=csr.shape[0], n_cols=csr.shape[1], _csr=csr)
-
-
-def from_triplets(n_rows: int, n_cols: int, entries) -> SparseMatrix:
-    """Build a CSR matrix from (row, col, value) triplets; duplicates sum."""
-    entries = list(entries)
-    if entries:
-        rows = np.asarray([e[0] for e in entries], dtype=np.int64)
-        cols = np.asarray([e[1] for e in entries], dtype=np.int64)
-        vals = np.asarray([e[2] for e in entries], dtype=np.float64)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.float64)
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError("triplet index out of bounds")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return from_scipy_csr(coo.tocsr())
-
-
-def coo_arrays_to_matrix(n_rows, n_cols, rows, cols, vals) -> SparseMatrix:
-    """Vectorized from_triplets for assembly code (arrays, not tuples)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError("triplet index out of bounds")
-    return from_scipy_csr(sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr())
-
-
-def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.n_cols,):
-        raise ValueError(f"vector length {x.shape} does not match {a.n_cols} columns")
-    return a._csr @ x
-
-
-def _jacobi_inverse(a: SparseMatrix) -> np.ndarray:
+def _jacobi_inverse(a: sp.csr_matrix) -> np.ndarray:
     d = a.diagonal().copy()
     small = np.abs(d) < _BREAKDOWN
     d[small] = 1.0  # fall back to identity on (near-)zero diagonal entries
     return 1.0 / d
 
 
-def _preconditioner(a: SparseMatrix, precond) -> Callable[[np.ndarray], np.ndarray]:
+def _preconditioner(a: sp.csr_matrix, precond) -> Callable[[np.ndarray], np.ndarray]:
     """The map r -> M^-1 r: ``precond`` itself when it is callable, Jacobi for
     ``"jacobi"``, the identity otherwise."""
     if callable(precond):
@@ -175,11 +88,11 @@ def _preconditioner(a: SparseMatrix, precond) -> Callable[[np.ndarray], np.ndarr
     return np.copy
 
 
-def _true_relative_residual(a: SparseMatrix, b: np.ndarray, x: np.ndarray, b_norm: float) -> float:
-    return float(np.linalg.norm(b - a._csr @ x) / b_norm)
+def _true_relative_residual(a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, b_norm: float) -> float:
+    return float(np.linalg.norm(b - a @ x) / b_norm)
 
 
-def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
+def cg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
        precond: str = "jacobi", x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned Conjugate Gradient for SPD systems.
 
@@ -192,7 +105,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
     _check_square(a, b)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = a.n_rows
+    n = a.shape[0]
     if max_iter is None:
         max_iter = 10 * n
 
@@ -201,14 +114,13 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
     m = _preconditioner(a, precond)
-    csr = a._csr
 
     if x0 is None:
         x = np.zeros(n)
         r = b.copy()
     else:
         x = np.array(x0, dtype=np.float64)
-        r = b - csr @ x
+        r = b - a @ x
     z = m(r)
     p = z.copy()
     rz = float(r @ z)
@@ -218,11 +130,11 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
             true_res = _true_relative_residual(a, b, x, b_norm)
             if true_res <= tol:
                 return x, SolveReport(True, iterations, true_res, "converged")
-            r = b - csr @ x  # recursive residual drifted; continue from truth
+            r = b - a @ x  # recursive residual drifted; continue from truth
             z = m(r)
             p = z.copy()
             rz = float(r @ z)
-        ap = csr @ p
+        ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0 or abs(rz) < _BREAKDOWN:
             return x, SolveReport(False, iterations, _true_relative_residual(a, b, x, b_norm),
@@ -248,7 +160,7 @@ def cg(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None 
 _STAGNATION_WINDOW = 500
 
 
-def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float,
+def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float,
                     max_iter: int) -> tuple[np.ndarray, int, str]:
     """One BiCGStab pass from a zero initial guess.
 
@@ -297,7 +209,7 @@ def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: flo
         beta = (rho_next / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         p_hat = m(p)
-        v = csr @ p_hat
+        v = a @ p_hat
         r0v = float(r0 @ v)
         if abs(r0v) <= _BREAKDOWN:
             return best_x, iterations, "breakdown"
@@ -310,7 +222,7 @@ def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: flo
         if s_norm < best_norm:
             best_x, best_norm, best_at = x + alpha * p_hat, s_norm, iterations
         s_hat = m(s)
-        t = csr @ s_hat
+        t = a @ s_hat
         tt = float(t @ t)
         if tt <= _BREAKDOWN:
             return best_x, iterations, "breakdown"
@@ -331,7 +243,7 @@ def _bicgstab_sweep(csr: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: flo
 _MAX_REFINEMENTS = 12
 
 
-def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
+def bicgstab(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
              precond="jacobi", x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Right-preconditioned BiCGStab for general square systems.
 
@@ -351,7 +263,7 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
     _check_square(a, b)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = a.n_rows
+    n = a.shape[0]
     if max_iter is None:
         max_iter = 10 * n
 
@@ -360,7 +272,6 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
     m = _preconditioner(a, precond)
-    csr = a._csr
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     iterations = 0
@@ -368,7 +279,7 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
     best_norm = np.inf
     reason = "max_iter"
     for refinement in range(_MAX_REFINEMENTS + 1):
-        r = b - csr @ x
+        r = b - a @ x
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol * b_norm:
             return x, SolveReport(True, iterations, r_norm / b_norm, "converged")
@@ -383,7 +294,7 @@ def bicgstab(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12, max_iter: int |
         if iterations >= max_iter or refinement == _MAX_REFINEMENTS:
             reason = "max_iter"  # iteration or restart budget spent
             break
-        dx, sweep_iters, reason = _bicgstab_sweep(csr, r, m, tol * b_norm,
+        dx, sweep_iters, reason = _bicgstab_sweep(a, r, m, tol * b_norm,
                                                   max_iter - iterations)
         iterations += sweep_iters
         x = x + dx
@@ -449,7 +360,7 @@ class TensorHeatSolver:
         return (self._vy @ yt @ self._vx.T).ravel()
 
 
-def block_corrected(a: SparseMatrix, precond: Callable[[np.ndarray], np.ndarray],
+def block_corrected(a: sp.csr_matrix, precond: Callable[[np.ndarray], np.ndarray],
                     rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """``precond`` followed by an exact solve of ``a`` on the index set ``rows``.
 
@@ -463,7 +374,7 @@ def block_corrected(a: SparseMatrix, precond: Callable[[np.ndarray], np.ndarray]
     and one triangular solve pair.  ``precond`` must return a new array.
     An exactly singular ``A_SS`` leaves ``precond`` as it is.
     """
-    a_rows = a._csr[rows]
+    a_rows = a[rows]
     try:
         lu = spla.splu(a_rows[:, rows].tocsc())
     except RuntimeError:  # "Factor is exactly singular"
@@ -477,7 +388,7 @@ def block_corrected(a: SparseMatrix, precond: Callable[[np.ndarray], np.ndarray]
     return corrected
 
 
-def _direct_report(a: SparseMatrix, b: np.ndarray, x: np.ndarray, b_norm: float,
+def _direct_report(a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, b_norm: float,
                    tol: float) -> SolveReport:
     """A direct solution's report: ``breakdown`` when it misses ``tol``."""
     res = _true_relative_residual(a, b, x, b_norm)
@@ -485,7 +396,7 @@ def _direct_report(a: SparseMatrix, b: np.ndarray, x: np.ndarray, b_norm: float,
     return SolveReport(converged, 0, res, "converged" if converged else "breakdown")
 
 
-def fast_diag_solve(a: SparseMatrix, b: np.ndarray, heat: TensorHeatSolver, s: float,
+def fast_diag_solve(a: sp.csr_matrix, b: np.ndarray, heat: TensorHeatSolver, s: float,
                     theta: float, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of ``a x = b`` where ``a`` is ``heat``'s operator at (s, theta).
 
@@ -499,12 +410,12 @@ def fast_diag_solve(a: SparseMatrix, b: np.ndarray, heat: TensorHeatSolver, s: f
         raise ValueError("tol must be positive")
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros(a.n_rows), SolveReport(True, 0, 0.0, "converged")
+        return np.zeros(a.shape[0]), SolveReport(True, 0, 0.0, "converged")
     x = heat.solve(b, s, theta)
     return x, _direct_report(a, b, x, b_norm, tol)
 
 
-def sparse_lu_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
+def sparse_lu_solve(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
     """Direct solve by sparse LU factorization (scipy's SuperLU).
 
     Deterministic and single-threaded.  The solution gets one step of
@@ -521,18 +432,18 @@ def sparse_lu_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12) -> tuple
     _check_square(a, b)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = a.n_rows
+    n = a.shape[0]
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
     try:
-        lu = spla.splu(a._csr.tocsc())
+        lu = spla.splu(a.tocsc())
     except RuntimeError:  # "Factor is exactly singular"
         return np.zeros(n), SolveReport(False, 0, 1.0, "breakdown")
     x = lu.solve(b)
-    r = b - a._csr @ x
+    r = b - a @ x
     refined = x + lu.solve(r)
-    if np.linalg.norm(b - a._csr @ refined) < np.linalg.norm(r):
+    if np.linalg.norm(b - a @ refined) < np.linalg.norm(r):
         x = refined
     return x, _direct_report(a, b, x, b_norm, tol)
 
@@ -566,20 +477,11 @@ def dense_solve(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def write_matrix_market(a: SparseMatrix, path) -> None:
-    """Export in MatrixMarket coordinate format (1-based indices)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
-        for i in range(a.n_rows):
-            for k in range(a.row_offsets[i], a.row_offsets[i + 1]):
-                f.write(f"{i + 1} {a.col_indices[k] + 1} {a.values[k]:.17g}\n")
-
-
-def _check_square(a: SparseMatrix, b: np.ndarray) -> None:
-    if a.n_rows != a.n_cols:
+def _check_square(a: sp.csr_matrix, b: np.ndarray) -> None:
+    n_rows, n_cols = a.shape
+    if n_rows != n_cols:
         raise ValueError("solver needs a square matrix")
-    if b.shape != (a.n_rows,):
-        raise ValueError(f"rhs length {b.shape} does not match {a.n_rows} rows")
+    if b.shape != (n_rows,):
+        raise ValueError(f"rhs length {b.shape} does not match {n_rows} rows")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs must be finite")

@@ -34,11 +34,16 @@ block that bounds those rows (``linalg.block_corrected``, SuperLU); when
 none is, it is the heat inverse alone.  When BiCGStab does not converge,
 the same system is solved once more by sparse LU (SuperLU).  Every
 solution, direct or iterative, is accepted only if its recomputed residual
-meets the solver tolerance.  The constant concentration matrix is assembled
+meets the solver tolerance.
+
+Every matrix is a five-point stencil, built one way: its entries are
+written into an (nx, ny, 5) band, which the fixed CSR structure of the grid
+takes as its data array.  The constant concentration matrix is assembled
 once per run, for that residual check.  Density matrices change every step
-with the concentration gradient, but their five-point sparsity pattern does
-not: ``Workspace`` builds the CSR structure once and each step fills in only
-the values, and reads the rows' diagonal dominance off the same band.
+with the concentration gradient, but their sparsity pattern does not:
+``Workspace`` builds the CSR structure and the heat-part bands once, and
+each step adds the chemotaxis term to a copy of a band and reads the rows'
+diagonal dominance off the same band.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -76,7 +81,7 @@ from .fields import (
     norm_tm,
 )
 from .grid import StaggeredGrid2D
-from .linalg import SolveReport, SparseMatrix
+from .linalg import SolveReport
 from .problems import ProblemSpec
 
 __all__ = [
@@ -90,8 +95,6 @@ __all__ = [
     "UniquenessConditionWarning",
     "apply_laplacian",
     "apply_chemotaxis",
-    "weighted_laplacian_matrix",
-    "weighted_chemotaxis_matrix",
     "assemble_z_system",
     "assemble_u_system",
     "init_state",
@@ -238,89 +241,61 @@ def _flat_index(grid: StaggeredGrid2D) -> np.ndarray:
     return np.arange(nx * ny).reshape((nx, ny), order="F")
 
 
-def weighted_laplacian_matrix(grid: StaggeredGrid2D) -> SparseMatrix:
-    """Area-weighted discrete Laplacian; symmetric negative semidefinite."""
-    nx, ny = grid.shape
-    k = _flat_index(grid)
-    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
-    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-
-    # interior x-edges couple (i, j) and (i+1, j)
-    ce = (dyw[None, :] / dxd[:, None]).ravel()
-    kl = k[:-1, :].ravel()
-    kr = k[1:, :].ravel()
-    # interior y-edges couple (i, j) and (i, j+1)
-    cf = (dxw[:, None] / dyd[None, :]).ravel()
-    kb = k[:, :-1].ravel()
-    kt = k[:, 1:].ravel()
-
-    rows = np.concatenate([kl, kl, kr, kr, kb, kb, kt, kt])
-    cols = np.concatenate([kl, kr, kr, kl, kb, kt, kt, kb])
-    vals = np.concatenate([-ce, ce, -ce, ce, -cf, cf, -cf, cf])
-    n = nx * ny
-    return linalg.coo_arrays_to_matrix(n, n, rows, cols, vals)
-
-
-def _chemotaxis_coefficients(grid: StaggeredGrid2D, g: GradientPair):
-    """Edge coefficients of the area-weighted chemotaxis divergence.
-
-    Returns (coef_l, coef_r) on the interior x-edges, shape (nx-1, ny), and
-    (coef_b, coef_t) on the interior y-edges, shape (nx, ny-1): the weights
-    of the cell on either side of the edge in its interpolated flux.
-    """
-    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
-    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-    gx = g.gx.values[1:-1, :]  # interior x-edges
-    coef_l = dyw[None, :] * gx * dxw[1:, None] / (2.0 * dxd[:, None])
-    coef_r = dyw[None, :] * gx * dxw[:-1, None] / (2.0 * dxd[:, None])
-    gy = g.gy.values[:, 1:-1]  # interior y-edges
-    coef_b = dxw[:, None] * gy * dyw[None, 1:] / (2.0 * dyd[None, :])
-    coef_t = dxw[:, None] * gy * dyw[None, :-1] / (2.0 * dyd[None, :])
-    return coef_l, coef_r, coef_b, coef_t
-
-
-def weighted_chemotaxis_matrix(grid: StaggeredGrid2D, g: GradientPair) -> SparseMatrix:
-    """Area-weighted divergence of (interpolated cell values) * g."""
-    nx, ny = grid.shape
-    k = _flat_index(grid)
-    coef_l, coef_r, coef_b, coef_t = (c.ravel() for c in _chemotaxis_coefficients(grid, g))
-    kl = k[:-1, :].ravel()
-    kr = k[1:, :].ravel()
-    kb = k[:, :-1].ravel()
-    kt = k[:, 1:].ravel()
-
-    rows = np.concatenate([kl, kl, kr, kr, kb, kb, kt, kt])
-    cols = np.concatenate([kl, kr, kl, kr, kb, kt, kb, kt])
-    vals = np.concatenate([coef_l, coef_r, -coef_l, -coef_r, coef_b, coef_t, -coef_b, -coef_t])
-    n = nx * ny
-    return linalg.coo_arrays_to_matrix(n, n, rows, cols, vals)
-
-
-def assemble_z_system(grid: StaggeredGrid2D, tau: float) -> SparseMatrix:
-    """Concentration system (1/tau + 1/2) W - (1/2) W L; SPD."""
-    w = grid.cell_areas.ravel(order="F")
-    wl = weighted_laplacian_matrix(grid)._csr
-    a = sp.diags((1.0 / tau + 0.5) * w) - 0.5 * wl
-    return linalg.from_scipy_csr(a.tocsr())
-
-
-def assemble_u_system(grid: StaggeredGrid2D, tau: float, lam: float, g: GradientPair,
-                      backward_euler: bool = False) -> SparseMatrix:
-    """Density system; nonsymmetric whenever g is nonzero.
-
-    Crank-Nicolson form: (1/tau) W - (1/2) W L + (lam/2) W C(g).
-    Backward-Euler (predictor) form: (1/tau) W - W L + lam W C(g).
-    """
-    w = grid.cell_areas.ravel(order="F")
-    wl = weighted_laplacian_matrix(grid)._csr
-    wc = weighted_chemotaxis_matrix(grid, g)._csr
-    theta = 1.0 if backward_euler else 0.5
-    a = sp.diags(w / tau) - theta * wl + (theta * lam) * wc
-    return linalg.from_scipy_csr(a.tocsr())
-
-
 # neighbour slots of a five-point row, in CSR (column) order
 _SOUTH, _WEST, _CENTER, _EAST, _NORTH = range(5)
+
+
+def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray, theta: float) -> np.ndarray:
+    """The band (see ``_FivePointPattern``) of ``D - theta W L``.
+
+    ``D`` is the diagonal matrix of ``diagonal``, shape (nx, ny), and ``W L``
+    the area-weighted discrete Laplacian: an interior edge couples its two
+    cells with the cell width along the edge over the dual width across it,
+    and each center is minus the sum of its row's couplings, taken east,
+    west, north, south: that order sets the last bits of the centers, on
+    which the byte-pinned outputs of a run depend.  The band's layout makes
+    row order memory order.
+    """
+    nx, ny = grid.shape
+    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
+    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
+    band = np.zeros((ny, nx, 5)).transpose(1, 0, 2)
+    band[:-1, :, _EAST] = band[1:, :, _WEST] = dyw[None, :] / dxd[:, None]
+    band[:, :-1, _NORTH] = band[:, 1:, _SOUTH] = dxw[:, None] / dyd[None, :]
+    band[:, :, _CENTER] = -(band[:, :, _EAST] + band[:, :, _WEST]
+                            + band[:, :, _NORTH] + band[:, :, _SOUTH])
+    band *= -theta
+    band[:, :, _CENTER] += diagonal
+    return band
+
+
+def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s: float) -> None:
+    """Add ``s`` times the area-weighted divergence of (interpolated cell
+    values) * g to a band, in place.
+
+    The area-weighted flux across an interior edge is g times the edge
+    length times the interpolated cell value, which weighs the cell on
+    either side by the other cell's width across the edge over twice the
+    dual width.
+    """
+    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
+    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
+    gx = g.gx.values[1:-1, :]  # interior x-edges, (nx-1, ny)
+    coef_l = dyw[None, :] * gx * dxw[1:, None] / (2.0 * dxd[:, None])
+    coef_r = dyw[None, :] * gx * dxw[:-1, None] / (2.0 * dxd[:, None])
+    gy = g.gy.values[:, 1:-1]  # interior y-edges, (nx, ny-1)
+    coef_b = dxw[:, None] * gy * dyw[None, 1:] / (2.0 * dyd[None, :])
+    coef_t = dxw[:, None] * gy * dyw[None, :-1] / (2.0 * dyd[None, :])
+    center = np.zeros(grid.shape)
+    center[:-1, :] += coef_l
+    center[1:, :] -= coef_r
+    center[:, :-1] += coef_b
+    center[:, 1:] -= coef_t
+    band[:, :, _CENTER] += s * center
+    band[:-1, :, _EAST] += s * coef_r
+    band[1:, :, _WEST] -= s * coef_l
+    band[:, :-1, _NORTH] += s * coef_t
+    band[:, 1:, _SOUTH] -= s * coef_b
 
 
 class _FivePointPattern:
@@ -330,14 +305,14 @@ class _FivePointPattern:
     column order: cells (i, j-1), (i-1, j), (i, j), (i+1, j) and (i, j+1).
     A band has shape (nx, ny, 5) and holds them for every cell, zero where
     the neighbour lies outside the grid; its entries inside the grid, in
-    row order, are the CSR data array.  The index arrays are read-only,
-    since every matrix built on the pattern shares them.
+    row order, are the CSR data array.  Every row's columns are therefore
+    sorted and unique.  The index arrays are read-only, since every matrix
+    built on the pattern shares them.
     """
 
     def __init__(self, grid: StaggeredGrid2D):
         nx, ny = grid.shape
         self.shape = (nx * ny, nx * ny)
-        self._band_shape = (ny, nx, 5)
         inside = np.ones((nx, ny, 5), dtype=bool)
         inside[:, 0, _SOUTH] = inside[0, :, _WEST] = False
         inside[-1, :, _EAST] = inside[:, -1, _NORTH] = False
@@ -350,23 +325,30 @@ class _FivePointPattern:
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
 
-    def band(self) -> np.ndarray:
-        """A zero band, laid out so that row order is memory order."""
-        return np.zeros(self._band_shape).transpose(1, 0, 2)
-
-    def band_of(self, a: SparseMatrix) -> np.ndarray:
-        """The band of a matrix with exactly this pattern."""
-        if not (np.array_equal(a.row_offsets, self.indptr)
-                and np.array_equal(a.col_indices, self.indices)):
-            raise ValueError("matrix is not on the five-point pattern")
-        band = self.band()
-        band.transpose(1, 0, 2)[self._inside] = a.values
-        return band
-
-    def matrix(self, band: np.ndarray) -> SparseMatrix:
+    def matrix(self, band: np.ndarray) -> sp.csr_matrix:
         data = band.transpose(1, 0, 2)[self._inside]
-        return linalg.from_scipy_csr(sp.csr_matrix((data, self.indices, self.indptr),
-                                                   shape=self.shape))
+        if not np.all(np.isfinite(data)):
+            raise ValueError("matrix entries must be finite")
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def assemble_z_system(grid: StaggeredGrid2D, tau: float) -> sp.csr_matrix:
+    """Concentration system (1/tau + 1/2) W - (1/2) W L; SPD."""
+    band = _heat_band(grid, (1.0 / tau + 0.5) * grid.cell_areas, 0.5)
+    return _FivePointPattern(grid).matrix(band)
+
+
+def assemble_u_system(grid: StaggeredGrid2D, tau: float, lam: float, g: GradientPair,
+                      backward_euler: bool = False) -> sp.csr_matrix:
+    """Density system; nonsymmetric whenever g is nonzero.
+
+    Crank-Nicolson form: (1/tau) W - (1/2) W L + (lam/2) W C(g).
+    Backward-Euler (predictor) form: (1/tau) W - W L + lam W C(g).
+    """
+    theta = 1.0 if backward_euler else 0.5
+    band = _heat_band(grid, grid.cell_areas / tau, theta)
+    _add_chemotaxis(band, grid, g, theta * lam)
+    return _FivePointPattern(grid).matrix(band)
 
 
 def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
@@ -384,47 +366,30 @@ def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
 
 
 class Workspace:
-    """Per-run operator cache: area weights, the constant matrices, the
+    """Per-run operator cache: area weights, the concentration matrix, the
     fast-diagonalization solver of the grid's heat operator, and the
-    five-point pattern the density matrices are filled in on."""
+    five-point pattern and heat-part bands the density matrices are filled
+    in on."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
-        self.weighted_laplacian = weighted_laplacian_matrix(grid)
         self.z_system = assemble_z_system(grid, config.tau)
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         self._pattern = _FivePointPattern(grid)
-        # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1,
-        # with the entries of assemble_u_system's scipy sum
-        wl = self._pattern.band_of(self.weighted_laplacian)
-        self._heat_bands = {}
-        for theta in (0.5, 1.0):
-            band = self._pattern.band()
-            band -= theta * wl
-            band[:, :, _CENTER] += grid.cell_areas / config.tau
-            self._heat_bands[theta] = band
+        # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1
+        self._heat_bands = {theta: _heat_band(grid, grid.cell_areas / config.tau, theta)
+                            for theta in (0.5, 1.0)}
 
     def u_system(self, g: GradientPair, backward_euler: bool = False
-                 ) -> tuple[SparseMatrix, tuple[slice, slice] | None]:
-        """``assemble_u_system`` on this run's grid, filled in on the fixed
-        five-point pattern instead of assembled from triplets, and the block
-        of its rows that are not diagonally dominant (``_weak_rows_block``)."""
+                 ) -> tuple[sp.csr_matrix, tuple[slice, slice] | None]:
+        """``assemble_u_system`` on this run's grid, filled in on the
+        run's pattern from a copy of its heat band, and the block of its
+        rows that are not diagonally dominant (``_weak_rows_block``)."""
         theta = 1.0 if backward_euler else 0.5
-        s = theta * self.config.lam
-        coef_l, coef_r, coef_b, coef_t = _chemotaxis_coefficients(self.grid, g)
-        wc_diag = np.zeros(self.grid.shape)
-        wc_diag[:-1, :] += coef_l
-        wc_diag[1:, :] -= coef_r
-        wc_diag[:, :-1] += coef_b
-        wc_diag[:, 1:] -= coef_t
         band = self._heat_bands[theta].copy(order="K")
-        band[:, :, _CENTER] += s * wc_diag
-        band[:-1, :, _EAST] += s * coef_r
-        band[1:, :, _WEST] -= s * coef_l
-        band[:, :-1, _NORTH] += s * coef_t
-        band[:, 1:, _SOUTH] -= s * coef_b
+        _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
         return self._pattern.matrix(band), _weak_rows_block(band)
 
 
@@ -487,7 +452,7 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     return x, report
 
 
-def _density_preconditioner(ws: Workspace, system: SparseMatrix, block: tuple[slice, slice] | None,
+def _density_preconditioner(ws: Workspace, system: sp.csr_matrix, block: tuple[slice, slice] | None,
                             theta: float) -> Callable[[np.ndarray], np.ndarray]:
     """The preconditioner of a density system from ``Workspace.u_system``.
 
@@ -501,7 +466,7 @@ def _density_preconditioner(ws: Workspace, system: SparseMatrix, block: tuple[sl
     return linalg.block_corrected(system, heat, _flat_index(ws.grid)[block].ravel(order="F"))
 
 
-def _solve(system: SparseMatrix, rhs: np.ndarray, config: SchemeConfig, step: int, name: str,
+def _solve(system: sp.csr_matrix, rhs: np.ndarray, config: SchemeConfig, step: int, name: str,
            precond, warm_start: CellField | None = None) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab for a density system, with a sparse LU fallback.
 
@@ -519,7 +484,7 @@ def _solve(system: SparseMatrix, rhs: np.ndarray, config: SchemeConfig, step: in
     return x, replace(direct, iterations=report.iterations)
 
 
-def _solve_density(ws: Workspace, system: SparseMatrix, block: tuple[slice, slice] | None,
+def _solve_density(ws: Workspace, system: sp.csr_matrix, block: tuple[slice, slice] | None,
                    rhs: np.ndarray, theta: float, step: int, name: str,
                    warm_start: CellField) -> tuple[np.ndarray, SolveReport]:
     """``_solve`` with ``_density_preconditioner``; the report's
@@ -585,9 +550,11 @@ def correct_u1(state: State, z_new: CellField, config: SchemeConfig, problem: Pr
 
 
 def _diagnostics(t: float, u: CellField, z: CellField, grad_z: GradientPair,
-                 config: SchemeConfig, rep_z: SolveReport, rep_u: SolveReport,
-                 iters_u: int) -> StepDiagnostics:
-    """One step's record; ``grad_z`` is the gradient of ``z`` the step computed."""
+                 config: SchemeConfig, rep_z: SolveReport,
+                 reps_u: tuple[SolveReport, ...]) -> StepDiagnostics:
+    """One step's record; ``grad_z`` is the gradient of ``z`` the step
+    computed, and ``reps_u`` are the reports of its density solves (the
+    predictor's and the corrector's on the first step)."""
     dz_inf = grad_z.inf_norm()
     return StepDiagnostics(
         t=t,
@@ -597,10 +564,10 @@ def _diagnostics(t: float, u: CellField, z: CellField, grad_z: GradientPair,
         z_max=z.max(),
         argmax_u=u.argmax(),
         solver_iters_z=rep_z.iterations,
-        solver_iters_u=iters_u,
+        solver_iters_u=sum(r.iterations for r in reps_u),
         residual_z=rep_z.final_relative_residual,
-        residual_u=rep_u.final_relative_residual,
-        block_cells=rep_u.block_cells,
+        residual_u=max(r.final_relative_residual for r in reps_u),
+        block_cells=max(r.block_cells for r in reps_u),
         dz_inf=dz_inf,
         uniqueness_ok=bool(config.tau < 4.0 / (config.lam**2 * (dz_inf + 1.0) ** 2)),
     )
@@ -620,18 +587,7 @@ def first_step(state: State, config: SchemeConfig, problem: ProblemSpec,
     z1, rep_z = solve_z_first(state, u_bar, config, problem, ws)
     u1, rep_u = correct_u1(state, z1, config, problem, ws)
     new_state = State(t=config.tau, n=1, u_curr=u1, u_prev=state.u_curr, z_curr=z1)
-    diag = _diagnostics(
-        new_state.t, u1, z1, grad(z1), config, rep_z,
-        SolveReport(
-            converged=rep_pred.converged and rep_u.converged,
-            iterations=rep_pred.iterations + rep_u.iterations,
-            final_relative_residual=max(rep_pred.final_relative_residual,
-                                        rep_u.final_relative_residual),
-            reason=rep_u.reason if rep_pred.converged else rep_pred.reason,
-            block_cells=max(rep_pred.block_cells, rep_u.block_cells),
-        ),
-        iters_u=rep_pred.iterations + rep_u.iterations,
-    )
+    diag = _diagnostics(new_state.t, u1, z1, grad(z1), config, rep_z, (rep_pred, rep_u))
     _check_blowup(new_state, diag, config)
     return new_state, diag
 
@@ -673,8 +629,7 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
 
     new_state = State(t=(state.n + 1) * tau, n=state.n + 1, u_curr=u_next, u_prev=u_n,
                       z_curr=z_next)
-    diag = _diagnostics(new_state.t, u_next, z_next, g_next, config, rep_z, rep_u,
-                        iters_u=rep_u.iterations)
+    diag = _diagnostics(new_state.t, u_next, z_next, g_next, config, rep_z, (rep_u,))
     _check_blowup(new_state, diag, config)
     return new_state, diag
 

@@ -221,7 +221,7 @@ def test_criterion_6_solver_oracle_equivalence():
     grid = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
     tau, lam, tol = 0.01, 1.0, 1e-12
     ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau, solver_tol=tol))
-    z_dense = ws.z_system.to_dense()
+    z_dense = ws.z_system.toarray()
     rng = np.random.Generator(np.random.PCG64(SEED))
     worst = 0.0
     ok = True
@@ -242,7 +242,7 @@ def test_criterion_6_solver_oracle_equivalence():
             - 0.5 * lam * apply_chemotaxis(u, grad(z)).values,
             order="F")
         xu, rep_u = bicgstab(u_sys, rhs_u, tol=tol)
-        gap_u = np.max(np.abs(xu - dense_solve(u_sys.to_dense(), rhs_u)))
+        gap_u = np.max(np.abs(xu - dense_solve(u_sys.toarray(), rhs_u)))
         ok &= rep_z.converged and rep_s.converged and rep_u.converged
         ok &= gap_z <= 1e-10 and gap_s <= 1e-10 and gap_u <= 1e-10
         worst = max(worst, gap_z, gap_s, gap_u)

@@ -4,7 +4,6 @@ import pytest
 from ksbcfd.grid import (
     axis_from_primal,
     axis_subseeds,
-    axis_to_csv,
     build_corner_refined,
     build_middle_refined,
     build_random_perturbed,
@@ -154,15 +153,6 @@ def test_axes_are_immutable():
     ax = build_uniform(0, 1, 4)
     with pytest.raises(ValueError):
         ax.primal[0] = 5.0
-
-
-def test_axis_to_csv_roundtrip(tmp_path):
-    ax = build_random_perturbed(0, 1, 9, 0.25, 3)
-    path = tmp_path / "axis.csv"
-    axis_to_csv(ax, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "primal"
-    assert np.array_equal(np.array([float(s) for s in lines[1:]]), ax.primal)
 
 
 def test_axis_from_primal_rejects_nonmonotone():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import scipy.io
+import scipy.sparse as sp
 
 from ksbcfd.fields import CellField, cell_field, grad
 from ksbcfd.grid import build_corner_refined, build_random_perturbed, make_grid
@@ -11,38 +11,31 @@ from ksbcfd.linalg import (
     bicgstab,
     block_corrected,
     cg,
-    coo_arrays_to_matrix,
     dense_solve,
     fast_diag_solve,
-    from_triplets,
-    matvec,
     sparse_lu_solve,
-    write_matrix_market,
 )
 from ksbcfd.scheme import assemble_u_system, assemble_z_system
 
 
+def csr(n, rows, cols, vals):
+    """An n x n CSR matrix from (row, col, value) triplets; duplicates sum."""
+    return sp.csr_matrix((np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n))
+
+
 def identity(n):
-    return from_triplets(n, n, [(i, i, 1.0) for i in range(n)])
+    return csr(n, np.arange(n), np.arange(n), np.ones(n))
 
 
 def random_spd(n, seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((n, n))
     a = q @ q.T + n * np.eye(n)
-    entries = [(i, j, a[i, j]) for i in range(n) for j in range(n)]
-    return from_triplets(n, n, entries), a
+    return sp.csr_matrix(a), a
 
 
 def laplacian_1d(n):
-    entries = []
-    for i in range(n):
-        entries.append((i, i, 2.0))
-        if i > 0:
-            entries.append((i, i - 1, -1.0))
-        if i < n - 1:
-            entries.append((i, i + 1, -1.0))
-    return from_triplets(n, n, entries)
+    return advection_diffusion(n, 0.0)
 
 
 def advection_diffusion(n, peclet):
@@ -57,51 +50,7 @@ def advection_diffusion(n, peclet):
     cols = np.concatenate([i, i[1:] - 1, i[:-1] + 1])
     vals = np.concatenate([np.full(n, 2.0), np.full(n - 1, -1.0 - peclet / 2),
                            np.full(n - 1, -1.0 + peclet / 2)])
-    return coo_arrays_to_matrix(n, n, rows, cols, vals)
-
-
-class TestConstruction:
-    def test_identity_matvec(self):
-        a = identity(2)
-        assert np.array_equal(matvec(a, np.array([3.0, -4.0])), [3.0, -4.0])
-
-    def test_duplicates_summed(self):
-        a = from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)])
-        assert a.nnz == 2
-        assert a.values[0] == 3.0
-
-    def test_empty_is_zero_matrix(self):
-        a = from_triplets(3, 3, [])
-        assert np.array_equal(matvec(a, np.ones(3)), np.zeros(3))
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            from_triplets(2, 2, [(2, 0, 1.0)])
-        with pytest.raises(ValueError):
-            from_triplets(2, 2, [(0, -1, 1.0)])
-
-    def test_csr_invariants(self):
-        a = from_triplets(3, 4, [(2, 3, 1.0), (2, 0, 2.0), (0, 1, 3.0)])
-        assert np.all(np.diff(a.row_offsets) >= 0)
-        for i in range(a.n_rows):
-            cols = a.col_indices[a.row_offsets[i]:a.row_offsets[i + 1]]
-            assert np.all(np.diff(cols) > 0)
-
-
-class TestMatvec:
-    def test_diagonal_scaling(self):
-        a = from_triplets(3, 3, [(i, i, float(i + 1)) for i in range(3)])
-        assert np.array_equal(matvec(a, np.array([1.0, 1.0, 1.0])), [1.0, 2.0, 3.0])
-
-    def test_laplacian_row_hand_sum(self):
-        a = laplacian_1d(5)
-        x = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
-        y = matvec(a, x)
-        assert y[2] == -4.0 + 2.0 * 9.0 - 16.0  # hand evaluation of row 2
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(identity(3), np.ones(4))
+    return csr(n, rows, cols, vals)
 
 
 class TestCG:
@@ -128,16 +77,20 @@ class TestCG:
         a, _ = random_spd(25, 12)
         b = np.random.default_rng(13).standard_normal(25)
         x, rep = cg(a, b)
-        recomputed = np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert rep.converged
         assert abs(recomputed - rep.final_relative_residual) <= 1e-12
 
     def test_breakdown_reported_not_raised(self):
         # indefinite system: zero curvature direction possible
-        a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, -1.0)])
+        a = csr(2, [0, 1], [0, 1], [1.0, -1.0])
         x, rep = cg(a, np.array([0.0, 1.0]), max_iter=50)
         assert not rep.converged
         assert rep.reason == "breakdown"
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            cg(identity(3), np.ones(4))
 
     def test_reasons_converged_and_max_iter(self):
         _, rep = cg(laplacian_1d(50), np.ones(50))
@@ -157,16 +110,16 @@ class TestBiCGStab:
         rng = np.random.default_rng(9)
         n = 40
         ad = 5 * np.eye(n) + 0.5 * rng.standard_normal((n, n))
-        a = from_triplets(n, n, [(i, j, ad[i, j]) for i in range(n) for j in range(n)])
+        a = sp.csr_matrix(ad)
         b = rng.standard_normal(n)
         x, rep = bicgstab(a, b, tol=1e-13)
         assert rep.converged
         assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-10
-        recomputed = np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert abs(recomputed - rep.final_relative_residual) <= 1e-12
 
     def test_singular_row_reports_failure(self):
-        a = from_triplets(3, 3, [(0, 0, 1.0), (1, 1, 1.0)])  # row 2 all zero
+        a = csr(3, [0, 1], [0, 1], [1.0, 1.0])  # row 2 all zero
         x, rep = bicgstab(a, np.array([1.0, 1.0, 1.0]), max_iter=100)
         assert not rep.converged
         assert rep.final_relative_residual >= 0.0
@@ -185,7 +138,7 @@ class TestBiCGStab:
         assert not rep.converged
         assert rep.reason == "stagnated"
         assert rep.iterations <= 2 * _STAGNATION_WINDOW < 10 * n
-        recomputed = np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert rep.final_relative_residual == pytest.approx(recomputed, rel=1e-12)
 
     def test_zero_rhs(self):
@@ -219,7 +172,7 @@ class TestSparseLU:
         b = np.ones(n)
         x, rep = sparse_lu_solve(a, b, tol=1e-12)
         assert rep.converged and rep.reason == "converged"
-        recomputed = np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert rep.final_relative_residual == recomputed <= 1e-12
 
     def test_refinement_step_lowers_the_residual(self):
@@ -229,10 +182,10 @@ class TestSparseLU:
         b = np.ones(n)
         x, rep = sparse_lu_solve(a, b, tol=1e-13)
         assert rep.converged
-        assert rep.final_relative_residual == np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+        assert rep.final_relative_residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
 
     def test_singular_factor_reports_breakdown(self):
-        a = from_triplets(3, 3, [(0, 0, 1.0), (1, 1, 1.0)])  # row 2 all zero
+        a = csr(3, [0, 1], [0, 1], [1.0, 1.0])  # row 2 all zero
         x, rep = sparse_lu_solve(a, np.array([1.0, 1.0, 1.0]))
         assert not rep.converged
         assert rep.reason == "breakdown"
@@ -247,12 +200,12 @@ class TestBlockCorrected:
         rows = np.arange(10, 25)
         r = np.random.default_rng(2).standard_normal(n)
         x = block_corrected(a, np.copy, rows)(r)
-        assert np.max(np.abs((r - matvec(a, x))[rows])) <= 1e-13 * np.max(np.abs(r))
+        assert np.max(np.abs((r - a @ x)[rows])) <= 1e-13 * np.max(np.abs(r))
         outside = np.setdiff1d(np.arange(n), rows)
         assert np.array_equal(x[outside], r[outside])
 
     def test_singular_block_keeps_the_preconditioner(self):
-        a = from_triplets(3, 3, [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)])
+        a = csr(3, [0, 1, 1, 2], [1, 0, 1, 2], [1.0, 1.0, 1.0, 1.0])
         assert block_corrected(a, np.copy, np.array([0])) is np.copy  # a_00 = 0
 
 
@@ -263,7 +216,7 @@ def rectangular_grid():
 
 
 def relative_residual(a, b, x):
-    return np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+    return np.linalg.norm(b - a @ x) / np.linalg.norm(b)
 
 
 class TestTensorHeatSolver:
@@ -277,7 +230,7 @@ class TestTensorHeatSolver:
         x, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau + 0.5, 0.5)
         assert rep.converged and rep.iterations == 0
         assert rep.final_relative_residual == relative_residual(a, b, x) <= 1e-12
-        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
+        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
 
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_inverts_heat_part_of_u_system(self, backward_euler):
@@ -288,7 +241,7 @@ class TestTensorHeatSolver:
         b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
         x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, 1.0 / self.tau, theta)
         assert relative_residual(a, b, x) <= 1e-12
-        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
+        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
 
     def test_wrong_operator_reported_as_breakdown(self):
         grid = rectangular_grid()
@@ -312,7 +265,7 @@ class TestTensorHeatSolver:
         _, jacobi = bicgstab(a, b)
         assert rep.converged and jacobi.converged
         assert rep.iterations < jacobi.iterations
-        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
+        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
 
 
 class TestDenseSolve:
@@ -335,11 +288,3 @@ class TestDenseSolve:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
-
-
-def test_matrix_market_export(tmp_path):
-    a = from_triplets(3, 3, [(0, 0, 1.5), (2, 1, -2.0), (1, 2, 0.25)])
-    path = tmp_path / "a.mtx"
-    write_matrix_market(a, path)
-    loaded = scipy.io.mmread(path).toarray()
-    assert np.array_equal(loaded, a.to_dense())

@@ -2,10 +2,11 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ksbcfd.fields import CellField, cell_field, cell_field_from_function, grad, inner_m, norm_m
 from ksbcfd.grid import build_uniform, build_random_perturbed, make_grid
-from ksbcfd.linalg import bicgstab, coo_arrays_to_matrix, dense_solve, from_triplets, matvec
+from ksbcfd.linalg import bicgstab, dense_solve
 from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     BlowUpDetected,
@@ -30,8 +31,6 @@ from ksbcfd.scheme import (
     run,
     solve_z_first,
     step_cn,
-    weighted_chemotaxis_matrix,
-    weighted_laplacian_matrix,
 )
 
 
@@ -149,7 +148,7 @@ class TestFirstStep:
         state = init_state(problem, grid)
         g0 = grad(state.z_curr)
         assert g0.inf_norm() > 0.0
-        a = assemble_u_system(grid, cfg.tau, cfg.lam, g0, backward_euler=True).to_dense()
+        a = assemble_u_system(grid, cfg.tau, cfg.lam, g0, backward_euler=True).toarray()
         assert not np.array_equal(a, a.T)
 
     def test_mass_preserved_through_first_step(self):
@@ -186,16 +185,16 @@ class TestSystemStructure:
     def test_z_system_exactly_symmetric(self):
         for grid in (unit_grid(6), perturbed_grid(6)):
             a = assemble_z_system(grid, 0.05)
-            dense = a.to_dense()
+            dense = a.toarray()
             assert np.array_equal(dense, dense.T)
 
     def test_u_system_symmetric_iff_gradient_vanishes(self):
         grid = perturbed_grid(5)
         zero_g = grad(cell_field(grid, 1.0))
-        a0 = assemble_u_system(grid, 0.05, 1.0, zero_g).to_dense()
+        a0 = assemble_u_system(grid, 0.05, 1.0, zero_g).toarray()
         assert np.array_equal(a0, a0.T)
         state = init_state(get_problem("global_existence"), grid)
-        a1 = assemble_u_system(grid, 0.05, 1.0, grad(state.z_curr)).to_dense()
+        a1 = assemble_u_system(grid, 0.05, 1.0, grad(state.z_curr)).toarray()
         assert not np.array_equal(a1, a1.T)
 
     def test_zero_sensitivity_matches_loop_assembled_heat_matrix(self):
@@ -205,53 +204,86 @@ class TestSystemStructure:
         dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
         dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
         n = nx * ny
-        heat = np.zeros((n, n))
-        for j in range(ny):
-            for i in range(nx):
-                row = i + nx * j
-                heat[row, row] += dxw[i] * dyw[j] / tau
-                if i + 1 < nx:
-                    c = dyw[j] / dxd[i]
-                    heat[row, row] += 0.5 * c
-                    heat[row, row + 1] -= 0.5 * c
-                if i > 0:
-                    c = dyw[j] / dxd[i - 1]
-                    heat[row, row] += 0.5 * c
-                    heat[row, row - 1] -= 0.5 * c
-                if j + 1 < ny:
-                    c = dxw[i] / dyd[j]
-                    heat[row, row] += 0.5 * c
-                    heat[row, row + nx] -= 0.5 * c
-                if j > 0:
-                    c = dxw[i] / dyd[j - 1]
-                    heat[row, row] += 0.5 * c
-                    heat[row, row - nx] -= 0.5 * c
         zero_g = grad(cell_field(grid, 0.0))
-        assembled = assemble_u_system(grid, tau, 0.0, zero_g).to_dense()
-        assert np.allclose(assembled, heat, rtol=1e-15, atol=0.0)
+        # the density system's heat part, and the concentration system
+        for assembled, weight in ((assemble_u_system(grid, tau, 0.0, zero_g), 1.0 / tau),
+                                  (assemble_z_system(grid, tau), 1.0 / tau + 0.5)):
+            heat = np.zeros((n, n))
+            for j in range(ny):
+                for i in range(nx):
+                    row = i + nx * j
+                    heat[row, row] += dxw[i] * dyw[j] * weight
+                    if i + 1 < nx:
+                        c = dyw[j] / dxd[i]
+                        heat[row, row] += 0.5 * c
+                        heat[row, row + 1] -= 0.5 * c
+                    if i > 0:
+                        c = dyw[j] / dxd[i - 1]
+                        heat[row, row] += 0.5 * c
+                        heat[row, row - 1] -= 0.5 * c
+                    if j + 1 < ny:
+                        c = dxw[i] / dyd[j]
+                        heat[row, row] += 0.5 * c
+                        heat[row, row + nx] -= 0.5 * c
+                    if j > 0:
+                        c = dxw[i] / dyd[j - 1]
+                        heat[row, row] += 0.5 * c
+                        heat[row, row - nx] -= 0.5 * c
+            assert np.allclose(assembled.toarray(), heat, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_workspace_u_system_matches_assembly(self, backward_euler):
-        # 9 x 6 cells on two different perturbed axes: the fixed-pattern fill
-        # of Workspace.u_system against assembly from triplets
+        # 9 x 6 cells on two different perturbed axes: the band-filled density
+        # matrices against the matrix-free stencils, applied column by column
         grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
                          build_random_perturbed(0, 1, 6, 0.3, 22))
         cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
+        theta = 1.0 if backward_euler else 0.5
         z = cell_field_from_function(grid, lambda x, y: np.cos(3 * x) * np.sin(2 * y + x))
         g = grad(z)
-        filled = Workspace(grid, cfg).u_system(g, backward_euler=backward_euler)[0].to_dense()
+        n = grid.nx * grid.ny
+        stencil = np.zeros((n, n))
+        for k in range(n):
+            v = CellField(grid, np.eye(n)[k].reshape(grid.shape, order="F"))
+            column = (v.values / cfg.tau - theta * apply_laplacian(v).values
+                      + theta * cfg.lam * apply_chemotaxis(v, g).values)
+            stencil[:, k] = np.ravel(grid.cell_areas * column, order="F")
+        filled = Workspace(grid, cfg).u_system(g, backward_euler=backward_euler)[0].toarray()
         assembled = assemble_u_system(grid, cfg.tau, cfg.lam, g,
-                                      backward_euler=backward_euler).to_dense()
-        assert np.allclose(filled, assembled, rtol=1e-14, atol=0.0)
-        assert np.array_equal(filled != 0.0, assembled != 0.0)
+                                      backward_euler=backward_euler).toarray()
+        for a in (filled, assembled):
+            assert np.allclose(a, stencil, rtol=1e-14, atol=0.0)
+            assert np.array_equal(a != 0.0, stencil != 0.0)
 
     def test_weighted_operators_have_zero_column_sums(self):
+        # 1^T W L = 0 and 1^T W C(g) = 0, so the column sums of the systems
+        # are their diagonal weights
         grid = perturbed_grid(6, seed=9)
-        wl = weighted_laplacian_matrix(grid).to_dense()
-        assert np.max(np.abs(wl.sum(axis=0))) <= 1e-14
+        tau = 0.05
+        a_z = assemble_z_system(grid, tau)
+        weight = np.ravel((1.0 / tau + 0.5) * grid.cell_areas, order="F")
+        assert np.max(np.abs(a_z.sum(axis=0).A1 - weight)) <= 1e-14
         state = init_state(get_problem("global_existence"), grid)
-        wc = weighted_chemotaxis_matrix(grid, grad(state.z_curr)).to_dense()
-        assert np.max(np.abs(wc.sum(axis=0))) <= 1e-12 * np.max(np.abs(wc))
+        g = grad(state.z_curr)
+        assert g.inf_norm() > 0.0
+        a_u = assemble_u_system(grid, tau, 1.0, g)
+        weight = np.ravel(grid.cell_areas / tau, order="F")
+        assert np.max(np.abs(a_u.sum(axis=0).A1 - weight)) <= 1e-12 * abs(a_u).max()
+
+    def test_five_point_matrices_are_canonical_csr(self):
+        # nondecreasing row offsets and strictly increasing columns per row,
+        # which the five-point pattern gives by construction
+        grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 51),
+                         build_random_perturbed(0, 1, 4, 0.3, 52))
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        g = grad(init_state(get_problem("global_existence"), grid).z_curr)
+        for a in (assemble_z_system(grid, cfg.tau), assemble_u_system(grid, cfg.tau, 1.0, g),
+                  Workspace(grid, cfg).u_system(g)[0]):
+            assert a.shape == (28, 28)
+            assert a.indptr[0] == 0 and a.indptr[-1] == a.data.size
+            assert np.all(np.diff(a.indptr) >= 0)
+            for i in range(a.shape[0]):
+                assert np.all(np.diff(a.indices[a.indptr[i]:a.indptr[i + 1]]) > 0)
 
 
 class TestMarching:
@@ -299,7 +331,7 @@ class TestMarching:
         rhs_vals = ((1.0 / cfg.tau - 0.5) * state.z_curr.values
                     + 0.5 * apply_laplacian(state.z_curr).values + u_star)
         rhs = ws.areas * np.ravel(rhs_vals, order="F")
-        z_dense = dense_solve(ws.z_system.to_dense(), rhs)
+        z_dense = dense_solve(ws.z_system.toarray(), rhs)
 
         new_state, _ = step_cn(state, cfg, problem, ws)
         assert np.max(np.abs(np.ravel(new_state.z_curr.values, order="F") - z_dense)) <= 1e-10
@@ -310,7 +342,7 @@ class TestMarching:
                     + 0.5 * apply_laplacian(state.u_curr).values
                     - 0.5 * cfg.lam * apply_chemotaxis(state.u_curr, grad(state.z_curr)).values)
         rhs = ws.areas * np.ravel(rhs_vals, order="F")
-        u_dense = dense_solve(system.to_dense(), rhs)
+        u_dense = dense_solve(system.toarray(), rhs)
         assert np.max(np.abs(np.ravel(new_state.u_curr.values, order="F") - u_dense)) <= 1e-10
 
 
@@ -321,7 +353,7 @@ def advection_diffusion(n, peclet):
     cols = np.concatenate([i, i[1:] - 1, i[:-1] + 1])
     vals = np.concatenate([np.full(n, 2.0), np.full(n - 1, -1.0 - peclet / 2),
                            np.full(n - 1, -1.0 + peclet / 2)])
-    return coo_arrays_to_matrix(n, n, rows, cols, vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 class TestSolveFallback:
@@ -334,11 +366,11 @@ class TestSolveFallback:
         _, krylov = bicgstab(a, b, tol=self.cfg.solver_tol)
         assert krylov.reason == "stagnated"
         x, rep = _solve(a, b, self.cfg, step=7, name="density", precond="jacobi")
-        recomputed = np.linalg.norm(b - matvec(a, x)) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert rep.converged and rep.reason == "converged"
         assert rep.final_relative_residual == recomputed <= self.cfg.solver_tol
         assert rep.iterations == krylov.iterations
-        assert np.max(np.abs(x - dense_solve(a.to_dense(), b))) <= 1e-10
+        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
 
     def test_converged_krylov_solve_skips_fallback(self):
         a, b = advection_diffusion(50, 0.5), np.ones(50)
@@ -347,7 +379,7 @@ class TestSolveFallback:
         assert rep.reason == "converged" and rep.iterations > 0
 
     def test_failed_fallback_names_both_causes(self):
-        a = from_triplets(3, 3, [(0, 0, 1.0), (1, 1, 1.0)])  # row 2 all zero
+        a = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))  # row 2 all zero
         with pytest.raises(StepSolveError, match="breakdown.*direct fallback tried: breakdown") as info:
             _solve(a, np.ones(3), self.cfg, step=3, name="density", precond="jacobi")
         assert info.value.report.reason == "breakdown"
@@ -390,22 +422,22 @@ class TestBlockCorrection:
     def test_dominant_system_gets_the_heat_inverse(self, theta):
         ws, system, block = steep_patch_system(0.3, theta=theta)
         assert block is None
-        assert not weak_rows(system.to_dense(), ws.grid.shape).any()
-        r = np.random.default_rng(5).standard_normal(system.n_rows)
+        assert not weak_rows(system.toarray(), ws.grid.shape).any()
+        r = np.random.default_rng(5).standard_normal(system.shape[0])
         precond = _density_preconditioner(ws, system, block, theta)
         heat = ws.heat.solve(r, s=1.0 / ws.config.tau, theta=theta)
         assert np.array_equal(precond(r), heat)
 
     def test_block_bounds_weak_rows_and_speeds_up_bicgstab(self):
         ws, system, block = steep_patch_system(30.0)
-        a = system.to_dense()
+        a = system.toarray()
         weak = weak_rows(a, ws.grid.shape)
         i, j = np.nonzero(weak)
         assert block == (slice(i.min(), i.max() + 1), slice(j.min(), j.max() + 1))
         assert i.max() == ws.grid.nx - 1  # weak rows on the boundary too
         assert weak[block].sum() == weak.sum() < weak[block].size < weak.size
 
-        b = np.random.default_rng(6).standard_normal(system.n_rows)
+        b = np.random.default_rng(6).standard_normal(system.shape[0])
         heat = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=0.5)
         _, plain = bicgstab(system, b, precond=heat)
         x, corrected = bicgstab(system, b, precond=_density_preconditioner(ws, system, block, 0.5))
@@ -420,17 +452,17 @@ class TestBlockCorrection:
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=1.0, t_final=1.0))
         z = cell_field_from_function(grid, lambda x, y: 400.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
         system, block = ws.u_system(grad(z))
-        a = system.to_dense()
+        a = system.toarray()
         assert weak_rows(a, grid.shape).all()
         assert block == (slice(0, 7), slice(0, 5))
-        b = np.random.default_rng(7).standard_normal(system.n_rows)
+        b = np.random.default_rng(7).standard_normal(system.shape[0])
         x, report = bicgstab(system, b, precond=_density_preconditioner(ws, system, block, 0.5))
         assert report.converged
         assert np.max(np.abs(x - dense_solve(a, b))) <= 1e-10
 
     def test_step_reports_block_cells(self):
         ws, system, block = steep_patch_system(30.0)
-        rhs = np.random.default_rng(8).standard_normal(system.n_rows)
+        rhs = np.random.default_rng(8).standard_normal(system.shape[0])
         _, report = _solve_density(ws, system, block, rhs, 0.5, step=1, name="density",
                                    warm_start=None)
         assert report.converged and report.block_cells == 16
