@@ -22,7 +22,7 @@ messages).  Schema:
         "diagnostics": "diagnostics.csv",
         "table": "convergence.csv",
         "summary": "summary.json",
-        "snapshot_times": [],
+        "snapshot_times": [],    # each on a step in [0, t_final]
         "snapshot_format": "csv" | "vtk"
       }
     }
@@ -261,12 +261,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("tau", "convergence mode derives tau from the grid spacing")
     elif tau is None:
         raise ConfigError("tau", "missing required key")
-    elif tau <= 0.0:
-        raise ConfigError("tau", "must be positive")
+    elif not 0.0 < tau < math.inf:
+        raise ConfigError("tau", "must be positive and finite")
 
     t_final = _get(raw, "", "t_final", float, required=True)
-    if t_final <= 0.0:
-        raise ConfigError("t_final", "must be positive")
+    if not 0.0 < t_final < math.inf:
+        raise ConfigError("t_final", "must be positive and finite")
     solver_tol = _get(raw, "", "solver_tol", float, default=1e-12)
     if solver_tol <= 0.0:
         raise ConfigError("solver_tol", "must be positive")
@@ -275,6 +275,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("blowup_threshold", "must be positive")
     uniqueness_monitor = _get(raw, "", "uniqueness_monitor", bool, default=True)
     outputs = _parse_outputs(raw.get("outputs"))
+    if mode != "convergence":
+        n_steps = round(t_final / tau)
+        for t in outputs.snapshot_times:
+            if not (math.isfinite(t / tau) and 0 <= round(t / tau) <= n_steps):
+                raise ConfigError("outputs.snapshot_times",
+                                  f"time {t} is not on a step in [0, t_final]")
     return RunConfig(
         problem=problem,
         mode=mode,
@@ -348,15 +354,7 @@ def run_convergence(config: RunConfig) -> list[ConvergenceRow]:
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for m in config.grid.m_values:
-        tau = (x_hi - x_lo) / m  # tau tied to the uniform spacing
-        scheme_cfg = SchemeConfig(
-            lam=problem.lam,
-            tau=tau,
-            t_final=config.t_final,
-            solver_tol=config.solver_tol,
-            blowup_threshold=config.blowup_threshold,
-            uniqueness_monitor=config.uniqueness_monitor,
-        )
+        scheme_cfg = _scheme_config(config, problem, (x_hi - x_lo) / m)  # tau tied to the spacing
         grid = build_grid(problem, config.grid, m)
         try:
             result = run(problem, grid, scheme_cfg)
@@ -446,10 +444,10 @@ def rows_from_csv(text: str) -> list[ConvergenceRow]:
 # single runs and blow-up studies
 
 
-def _scheme_config(config: RunConfig, problem: ProblemSpec) -> SchemeConfig:
+def _scheme_config(config: RunConfig, problem: ProblemSpec, tau: float) -> SchemeConfig:
     return SchemeConfig(
         lam=problem.lam,
-        tau=config.tau,
+        tau=tau,
         t_final=config.t_final,
         solver_tol=config.solver_tol,
         blowup_threshold=config.blowup_threshold,
@@ -485,7 +483,7 @@ def run_single(config: RunConfig, out_dir: Path) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem(config.problem)
     grid = build_grid(problem, config.grid, config.grid.m)
-    result = run(problem, grid, _scheme_config(config, problem),
+    result = run(problem, grid, _scheme_config(config, problem, config.tau),
                  on_step=_snapshot_writer(config, out_dir))
     diagnostics_to_csv(result.diagnostics, out_dir / config.outputs.diagnostics)
     return result

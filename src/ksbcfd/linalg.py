@@ -4,13 +4,16 @@ Every solver takes the system as a plain ``scipy.sparse.csr_matrix`` and
 leaves its products to scipy.  There are a fast-diagonalization solver for
 the area-weighted heat operator of a tensor-product grid, which solves the
 concentration system directly and preconditions the density solves;
-Conjugate Gradient for symmetric positive definite systems; BiCGStab for
-the nonsymmetric density systems, with Jacobi or an operator as right
-preconditioner; a block correction that follows such an operator with an
-exact sparse LU solve (scipy's SuperLU) on the rows where it is a poor
+BiCGStab for the nonsymmetric density systems, right-preconditioned by an
+operator; a block correction that follows such an operator with an exact
+sparse LU solve (scipy's SuperLU) on the rows where it is a poor
 approximation; a sparse LU solve of a whole system, which the stepper falls
 back on when BiCGStab fails on a density system; and a dense partial-pivot
-solver used as an independent oracle in the tests.
+solver used as an independent oracle in the tests.  The Krylov solvers
+take the preconditioner as a callable ``r -> M^-1 r``; there is no built-in
+one.  Conjugate Gradient for symmetric positive definite systems is not
+used by the stepper: it is kept, tested against the dense oracle, as a
+solver whose calls the benchmark's ``linalg.cg`` span counts.
 
 Every solve returns a ``SolveReport`` whose ``reason`` says why it
 stopped: ``converged``, ``max_iter`` (iteration budget spent),
@@ -70,36 +73,19 @@ class SolveReport:
     block_cells: int = 0
 
 
-def _jacobi_inverse(a: sp.csr_matrix) -> np.ndarray:
-    d = a.diagonal().copy()
-    small = np.abs(d) < _BREAKDOWN
-    d[small] = 1.0  # fall back to identity on (near-)zero diagonal entries
-    return 1.0 / d
-
-
-def _preconditioner(a: sp.csr_matrix, precond) -> Callable[[np.ndarray], np.ndarray]:
-    """The map r -> M^-1 r: ``precond`` itself when it is callable, Jacobi for
-    ``"jacobi"``, the identity otherwise."""
-    if callable(precond):
-        return precond
-    if precond == "jacobi":
-        m_inv = _jacobi_inverse(a)
-        return lambda r: m_inv * r
-    return np.copy
-
-
 def _true_relative_residual(a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, b_norm: float) -> float:
     return float(np.linalg.norm(b - a @ x) / b_norm)
 
 
-def cg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
-       precond: str = "jacobi", x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+def cg(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+       tol: float = 1e-12, max_iter: int | None = None,
+       x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned Conjugate Gradient for SPD systems.
 
-    The caller asserts symmetry.  Zero-curvature breakdown is reported as
-    non-convergence.  Convergence means the recomputed relative residual
-    ``|b - A x|_2 / |b|_2`` is at or below ``tol``.  ``x0`` warm-starts the
-    iteration (time steppers pass the previous level).
+    ``precond`` applies ``r -> M^-1 r`` for an SPD ``M``.  The caller asserts
+    symmetry.  Zero-curvature breakdown is reported as non-convergence.
+    Convergence means the recomputed relative residual ``|b - A x|_2 / |b|_2``
+    is at or below ``tol``.  ``x0`` warm-starts the iteration.
     """
     b = np.asarray(b, dtype=np.float64)
     _check_square(a, b)
@@ -113,15 +99,13 @@ def cg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
-    m = _preconditioner(a, precond)
-
     if x0 is None:
         x = np.zeros(n)
         r = b.copy()
     else:
         x = np.array(x0, dtype=np.float64)
         r = b - a @ x
-    z = m(r)
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -131,7 +115,7 @@ def cg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None
             if true_res <= tol:
                 return x, SolveReport(True, iterations, true_res, "converged")
             r = b - a @ x  # recursive residual drifted; continue from truth
-            z = m(r)
+            z = precond(r)
             p = z.copy()
             rz = float(r @ z)
         ap = a @ p
@@ -142,7 +126,7 @@ def cg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        z = m(r)
+        z = precond(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
@@ -243,14 +227,15 @@ def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float
 _MAX_REFINEMENTS = 12
 
 
-def bicgstab(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
-             precond="jacobi", x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+             tol: float = 1e-12, max_iter: int | None = None,
+             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Right-preconditioned BiCGStab for general square systems.
 
-    ``precond`` is ``"jacobi"`` (the default), a callable ``r -> M^-1 r``
-    applying an approximate inverse of ``a`` (the stepper passes the
-    fast-diagonalization solve of the heat part, block-corrected where the
-    density matrix is not diagonally dominant), or anything else for none.
+    ``precond`` applies ``r -> M^-1 r`` for an approximate inverse ``M^-1``
+    of ``a`` (the stepper passes the fast-diagonalization solve of the heat
+    part, block-corrected where the density matrix is not diagonally
+    dominant).
 
     Convergence means the recomputed true relative residual is at or below
     ``tol``.  Breakdown inside a sweep restarts once (fresh shadow residual)
@@ -270,8 +255,6 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
-
-    m = _preconditioner(a, precond)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     iterations = 0
@@ -294,7 +277,7 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int 
         if iterations >= max_iter or refinement == _MAX_REFINEMENTS:
             reason = "max_iter"  # iteration or restart budget spent
             break
-        dx, sweep_iters, reason = _bicgstab_sweep(a, r, m, tol * b_norm,
+        dx, sweep_iters, reason = _bicgstab_sweep(a, r, precond, tol * b_norm,
                                                   max_iter - iterations)
         iterations += sweep_iters
         x = x + dx

@@ -4,12 +4,15 @@ State variables live at cell centers: ``u`` approximates the cell density
 and ``z`` the chemoattractant concentration.  One run consists of
 
 1. a prediction-correction start-up step producing second-order accurate
-   first-level values: a backward-Euler predictor for the density, a
-   semi-implicit Crank-Nicolson solve for the concentration, then a fully
-   implicit Crank-Nicolson corrector for the density;
-2. Crank-Nicolson marching for all later steps, where the concentration
-   solve is decoupled from the density solve through the explicit
-   second-order extrapolation  u* = (3 u^n - u^{n-1}) / 2.
+   first-level values: a backward-Euler predictor ubar for the density,
+   then the Crank-Nicolson stage below with  u* = (ubar + u^0) / 2;
+2. Crank-Nicolson marching for all later steps, each one run of the same
+   stage with the explicit second-order extrapolation
+   u* = (3 u^n - u^{n-1}) / 2.
+
+The stage solves the concentration first, with u* standing in for the
+half-level density, which decouples it from the density solve; the density
+solve that follows is fully implicit in the new concentration gradient.
 
 The nonlinear cross-diffusion flux uses cell values interpolated to edge
 points times the staggered concentration gradient; a product carrying the
@@ -38,12 +41,13 @@ meets the solver tolerance.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into an (nx, ny, 5) band, which the fixed CSR structure of the grid
-takes as its data array.  The constant concentration matrix is assembled
-once per run, for that residual check.  Density matrices change every step
-with the concentration gradient, but their sparsity pattern does not:
-``Workspace`` builds the CSR structure and the heat-part bands once, and
-each step adds the chemotaxis term to a copy of a band and reads the rows'
-diagonal dominance off the same band.
+takes as its data array.  ``Workspace`` builds that structure once per
+run and assembles the constant concentration matrix on it, for that
+residual check.  Density matrices change every step with the
+concentration gradient, but their sparsity pattern does not: ``Workspace``
+also builds the heat-part bands once, and each step adds the chemotaxis
+term to a copy of a band and reads the rows' diagonal dominance off the
+same band.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -95,12 +99,8 @@ __all__ = [
     "UniquenessConditionWarning",
     "apply_laplacian",
     "apply_chemotaxis",
-    "assemble_z_system",
-    "assemble_u_system",
     "init_state",
     "predict_u1",
-    "solve_z_first",
-    "correct_u1",
     "first_step",
     "step_cn",
     "run",
@@ -332,25 +332,6 @@ class _FivePointPattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def assemble_z_system(grid: StaggeredGrid2D, tau: float) -> sp.csr_matrix:
-    """Concentration system (1/tau + 1/2) W - (1/2) W L; SPD."""
-    band = _heat_band(grid, (1.0 / tau + 0.5) * grid.cell_areas, 0.5)
-    return _FivePointPattern(grid).matrix(band)
-
-
-def assemble_u_system(grid: StaggeredGrid2D, tau: float, lam: float, g: GradientPair,
-                      backward_euler: bool = False) -> sp.csr_matrix:
-    """Density system; nonsymmetric whenever g is nonzero.
-
-    Crank-Nicolson form: (1/tau) W - (1/2) W L + (lam/2) W C(g).
-    Backward-Euler (predictor) form: (1/tau) W - W L + lam W C(g).
-    """
-    theta = 1.0 if backward_euler else 0.5
-    band = _heat_band(grid, grid.cell_areas / tau, theta)
-    _add_chemotaxis(band, grid, g, theta * lam)
-    return _FivePointPattern(grid).matrix(band)
-
-
 def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
     """The (i, j) slices of the tensor block bounding the rows of a band that
     are not diagonally dominant (``|a_kk| < sum_{j != k} |a_kj|``), or None
@@ -375,18 +356,25 @@ class Workspace:
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
-        self.z_system = assemble_z_system(grid, config.tau)
-        self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         self._pattern = _FivePointPattern(grid)
+        # (1/tau + 1/2) W - (1/2) W L; SPD
+        self.z_system = self._pattern.matrix(
+            _heat_band(grid, (1.0 / config.tau + 0.5) * grid.cell_areas, 0.5))
+        self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1
         self._heat_bands = {theta: _heat_band(grid, grid.cell_areas / config.tau, theta)
                             for theta in (0.5, 1.0)}
 
     def u_system(self, g: GradientPair, backward_euler: bool = False
                  ) -> tuple[sp.csr_matrix, tuple[slice, slice] | None]:
-        """``assemble_u_system`` on this run's grid, filled in on the
-        run's pattern from a copy of its heat band, and the block of its
-        rows that are not diagonally dominant (``_weak_rows_block``)."""
+        """The density system, nonsymmetric whenever g is nonzero, and the
+        block of its rows that are not diagonally dominant
+        (``_weak_rows_block``).
+
+        Crank-Nicolson form: (1/tau) W - (1/2) W L + (lam/2) W C(g).
+        Backward-Euler (predictor) form: (1/tau) W - W L + lam W C(g).
+        It is filled in on the run's pattern from a copy of a heat band.
+        """
         theta = 1.0 if backward_euler else 0.5
         band = self._heat_bands[theta].copy(order="K")
         _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
@@ -452,112 +440,59 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     return x, report
 
 
-def _density_preconditioner(ws: Workspace, system: sp.csr_matrix, block: tuple[slice, slice] | None,
-                            theta: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The preconditioner of a density system from ``Workspace.u_system``.
-
-    The exact inverse of the system's heat part (1/tau) W - theta W L, and,
-    when ``block`` is not None, an exact solve of ``system`` on the cells of
-    ``block`` after it (``linalg.block_corrected``).
-    """
-    heat = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
-    if block is None:
-        return heat
-    return linalg.block_corrected(system, heat, _flat_index(ws.grid)[block].ravel(order="F"))
-
-
-def _solve(system: sp.csr_matrix, rhs: np.ndarray, config: SchemeConfig, step: int, name: str,
-           precond, warm_start: CellField | None = None) -> tuple[np.ndarray, SolveReport]:
-    """BiCGStab for a density system, with a sparse LU fallback.
-
-    ``precond`` is passed to ``linalg.bicgstab``.  The fallback's report
-    keeps the BiCGStab iteration count and carries the residual recomputed
-    from the direct solution.
-    """
-    x0 = None if warm_start is None else np.ravel(warm_start.values, order="F")
-    x, report = linalg.bicgstab(system, rhs, tol=config.solver_tol, precond=precond, x0=x0)
-    if report.converged:
-        return x, report
-    x, direct = linalg.sparse_lu_solve(system, rhs, tol=config.solver_tol)
-    if not direct.converged:
-        raise StepSolveError(step, name, report, fallback=direct)
-    return x, replace(direct, iterations=report.iterations)
-
-
 def _solve_density(ws: Workspace, system: sp.csr_matrix, block: tuple[slice, slice] | None,
                    rhs: np.ndarray, theta: float, step: int, name: str,
                    warm_start: CellField) -> tuple[np.ndarray, SolveReport]:
-    """``_solve`` with ``_density_preconditioner``; the report's
-    ``block_cells`` is the size of the correction block."""
-    x, report = _solve(system, rhs, ws.config, step, name,
-                       _density_preconditioner(ws, system, block, theta), warm_start)
-    cells = 0 if block is None else _flat_index(ws.grid)[block].size
+    """BiCGStab for a density system from ``Workspace.u_system``, with a
+    sparse LU fallback.
+
+    The right preconditioner is the exact inverse of the system's heat part
+    (1/tau) W - theta W L, followed, when ``block`` is not None, by an exact
+    solve of ``system`` on the cells of ``block`` (``linalg.block_corrected``).
+    The fallback's report keeps the BiCGStab iteration count and carries the
+    residual recomputed from the direct solution; a fallback that misses the
+    solver tolerance raises ``StepSolveError``.  The report's
+    ``block_cells`` is the size of the correction block.
+    """
+    tol = ws.config.solver_tol
+    precond = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
+    cells = 0
+    if block is not None:
+        rows = _flat_index(ws.grid)[block].ravel(order="F")
+        precond = linalg.block_corrected(system, precond, rows)
+        cells = rows.size
+    x, report = linalg.bicgstab(system, rhs, precond, tol=tol,
+                                x0=np.ravel(warm_start.values, order="F"))
+    if not report.converged:
+        x, direct = linalg.sparse_lu_solve(system, rhs, tol=tol)
+        if not direct.converged:
+            raise StepSolveError(step, name, report, fallback=direct)
+        report = replace(direct, iterations=report.iterations)
     return x, replace(report, block_cells=cells)
 
 
-def predict_u1(state: State, config: SchemeConfig, problem: ProblemSpec,
-               ws: Workspace | None = None) -> tuple[CellField, SolveReport]:
+def predict_u1(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[CellField, SolveReport]:
     """Backward-Euler density predictor for the first level."""
     if state.n != 0:
         raise ValueError("the predictor runs from the initial level only")
-    grid = state.u_curr.grid
-    ws = ws or Workspace(grid, config)
-    g0 = grad(state.z_curr)
-    system, block = ws.u_system(g0, backward_euler=True)
-    rhs_vals = state.u_curr.values / config.tau + _forcing_rho(problem, grid, config.tau)
+    grid, tau = ws.grid, ws.config.tau
+    system, block = ws.u_system(grad(state.z_curr), backward_euler=True)
+    rhs_vals = state.u_curr.values / tau + _forcing_rho(problem, grid, tau)
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
     x, report = _solve_density(ws, system, block, rhs, 1.0, step=1, name="density predictor",
                                warm_start=state.u_curr)
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
-def solve_z_first(state: State, u_bar: CellField, config: SchemeConfig, problem: ProblemSpec,
-                  ws: Workspace | None = None) -> tuple[CellField, SolveReport]:
-    """Crank-Nicolson concentration solve on the first step."""
-    grid = state.u_curr.grid
-    ws = ws or Workspace(grid, config)
-    tau = config.tau
-    z0 = state.z_curr
-    rhs_vals = (
-        (1.0 / tau - 0.5) * z0.values
-        + 0.5 * apply_laplacian(z0).values
-        + 0.5 * (u_bar.values + state.u_curr.values)
-        + _forcing_c(problem, grid, 0.5 * tau)
-    )
-    rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve_concentration(ws, rhs, step=1)
-    return CellField(grid, x.reshape(grid.shape, order="F")), report
-
-
-def correct_u1(state: State, z_new: CellField, config: SchemeConfig, problem: ProblemSpec,
-               ws: Workspace | None = None) -> tuple[CellField, SolveReport]:
-    """Fully implicit Crank-Nicolson density corrector for the first level."""
-    grid = state.u_curr.grid
-    ws = ws or Workspace(grid, config)
-    tau, lam = config.tau, config.lam
-    u0, z0 = state.u_curr, state.z_curr
-    system, block = ws.u_system(grad(z_new))
-    rhs_vals = (
-        u0.values / tau
-        + 0.5 * apply_laplacian(u0).values
-        - 0.5 * lam * apply_chemotaxis(u0, grad(z0)).values
-        + _forcing_rho(problem, grid, 0.5 * tau)
-    )
-    rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve_density(ws, system, block, rhs, 0.5, step=1, name="density corrector",
-                               warm_start=state.u_curr)
-    return CellField(grid, x.reshape(grid.shape, order="F")), report
-
-
-def _diagnostics(t: float, u: CellField, z: CellField, grad_z: GradientPair,
-                 config: SchemeConfig, rep_z: SolveReport,
+def _diagnostics(state: State, grad_z: GradientPair, config: SchemeConfig, rep_z: SolveReport,
                  reps_u: tuple[SolveReport, ...]) -> StepDiagnostics:
-    """One step's record; ``grad_z`` is the gradient of ``z`` the step
-    computed, and ``reps_u`` are the reports of its density solves (the
-    predictor's and the corrector's on the first step)."""
+    """One step's record; ``grad_z`` is the gradient of the concentration
+    the step computed, and ``reps_u`` are the reports of its density solves
+    (the predictor's and the corrector's on the first step)."""
+    u, z = state.u_curr, state.z_curr
     dz_inf = grad_z.inf_norm()
     return StepDiagnostics(
-        t=t,
+        t=state.t,
         mass=float(np.sum(u.grid.cell_areas * u.values)),
         u_max=u.max(),
         u_min=u.min(),
@@ -579,31 +514,21 @@ def _check_blowup(state: State, diag: StepDiagnostics, config: SchemeConfig) -> 
         raise BlowUpDetected(state.t, state.n, state, diag)
 
 
-def first_step(state: State, config: SchemeConfig, problem: ProblemSpec,
-               ws: Workspace | None = None) -> tuple[State, StepDiagnostics]:
-    """Prediction, concentration solve, and correction for level one."""
-    ws = ws or Workspace(state.u_curr.grid, config)
-    u_bar, rep_pred = predict_u1(state, config, problem, ws)
-    z1, rep_z = solve_z_first(state, u_bar, config, problem, ws)
-    u1, rep_u = correct_u1(state, z1, config, problem, ws)
-    new_state = State(t=config.tau, n=1, u_curr=u1, u_prev=state.u_curr, z_curr=z1)
-    diag = _diagnostics(new_state.t, u1, z1, grad(z1), config, rep_z, (rep_pred, rep_u))
-    _check_blowup(new_state, diag, config)
-    return new_state, diag
+def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemSpec,
+              name: str) -> tuple[State, GradientPair, SolveReport, SolveReport]:
+    """One Crank-Nicolson stage from ``state``: the concentration solve with
+    ``u_star`` as the half-level density, then the density solve in the new
+    concentration gradient.
 
-
-def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
-            ws: Workspace | None = None) -> tuple[State, StepDiagnostics]:
-    """One Crank-Nicolson step: concentration first, then density."""
-    if state.n < 1 or state.u_prev is None:
-        raise ValueError("Crank-Nicolson marching needs two density levels; run the first step")
-    grid = state.u_curr.grid
-    ws = ws or Workspace(grid, config)
-    tau, lam = config.tau, config.lam
+    Returns the new state, the gradient of its concentration, and the
+    reports of the concentration and density solves; ``name`` names the
+    density system in a ``StepSolveError``.
+    """
+    grid, tau, lam = ws.grid, ws.config.tau, ws.config.lam
+    step = state.n + 1
     t_half = (state.n + 0.5) * tau
     u_n, z_n = state.u_curr, state.z_curr
 
-    u_star = 1.5 * u_n.values - 0.5 * state.u_prev.values
     rhs_vals = (
         (1.0 / tau - 0.5) * z_n.values
         + 0.5 * apply_laplacian(z_n).values
@@ -611,7 +536,7 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
         + _forcing_c(problem, grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    xz, rep_z = _solve_concentration(ws, rhs, step=state.n + 1)
+    xz, rep_z = _solve_concentration(ws, rhs, step=step)
     z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
 
     g_next = grad(z_next)
@@ -623,14 +548,31 @@ def step_cn(state: State, config: SchemeConfig, problem: ProblemSpec,
         + _forcing_rho(problem, grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=state.n + 1, name="density",
-                               warm_start=u_n)
+    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=u_n)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
-    new_state = State(t=(state.n + 1) * tau, n=state.n + 1, u_curr=u_next, u_prev=u_n,
-                      z_curr=z_next)
-    diag = _diagnostics(new_state.t, u_next, z_next, g_next, config, rep_z, (rep_u,))
-    _check_blowup(new_state, diag, config)
+    new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next)
+    return new_state, g_next, rep_z, rep_u
+
+
+def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
+    """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2."""
+    u_bar, rep_pred = predict_u1(state, problem, ws)
+    u_star = 0.5 * (u_bar.values + state.u_curr.values)
+    new_state, g1, rep_z, rep_u = _cn_stage(ws, state, u_star, problem, "density corrector")
+    diag = _diagnostics(new_state, g1, ws.config, rep_z, (rep_pred, rep_u))
+    _check_blowup(new_state, diag, ws.config)
+    return new_state, diag
+
+
+def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
+    """One Crank-Nicolson step, with u* = (3 u^n - u^{n-1}) / 2."""
+    if state.n < 1 or state.u_prev is None:
+        raise ValueError("Crank-Nicolson marching needs two density levels; run the first step")
+    u_star = 1.5 * state.u_curr.values - 0.5 * state.u_prev.values
+    new_state, g_next, rep_z, rep_u = _cn_stage(ws, state, u_star, problem, "density")
+    diag = _diagnostics(new_state, g_next, ws.config, rep_z, (rep_u,))
+    _check_blowup(new_state, diag, ws.config)
     return new_state, diag
 
 
@@ -663,12 +605,12 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
             warned = True
 
     try:
-        state, diag = first_step(state, config, problem, ws)
+        state, diag = first_step(state, problem, ws)
         record(diag)
         if on_step is not None:
             on_step(state)
         while state.n < config.n_steps:
-            state, diag = step_cn(state, config, problem, ws)
+            state, diag = step_cn(state, problem, ws)
             record(diag)
             if on_step is not None:
                 on_step(state)

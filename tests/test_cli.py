@@ -66,6 +66,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="even"):
             parse_config(cfg_text(grid={"family": "middle", "m": 9}))
 
+    def test_time_parameters_positive_and_finite(self):
+        for key in ("tau", "t_final"):
+            for bad in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match=key):
+                    parse_config(cfg_text(**{key: bad}))
+
+    def test_snapshot_times_must_lie_on_a_step_of_the_run(self):
+        # tau = 0.01 and t_final = 0.02: the steps are 0, 1 and 2
+        for bad in ([-0.02, 0.01], [0.01, 0.5], [0.03], [float("nan")]):
+            with pytest.raises(ConfigError, match="outputs.snapshot_times"):
+                parse_config(cfg_text(outputs={"snapshot_times": bad}))
+        # judged on the step index: -0.004 and 0.024 round to steps 0 and 2
+        cfg = parse_config(cfg_text(outputs={"snapshot_times": [-0.004, 0.0, 0.024]}))
+        assert cfg.outputs.snapshot_times == (-0.004, 0.0, 0.024)
+
     def test_convergence_mode_shape(self):
         text = json.dumps({
             "problem": "mms_accuracy",
@@ -196,6 +211,14 @@ class TestMainCommand:
         assert (out / "snapshot_rho_000000.csv").exists()
         assert (out / "snapshot_c_000002.csv").exists()
         assert "finished" in capsys.readouterr().out
+
+    def test_out_of_range_snapshot_time_exits_2(self, tmp_path, capsys):
+        doc = dict(MINIMAL_RUN, mode="blowup", outputs={"snapshot_times": [0.01, 0.5]})
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(self.write(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 2
+        assert "outputs.snapshot_times" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vtk_snapshot_header(self, tmp_path):
         doc = dict(MINIMAL_RUN)

@@ -15,7 +15,7 @@ from ksbcfd.linalg import (
     fast_diag_solve,
     sparse_lu_solve,
 )
-from ksbcfd.scheme import assemble_u_system, assemble_z_system
+from ksbcfd.scheme import SchemeConfig, Workspace
 
 
 def csr(n, rows, cols, vals):
@@ -25,6 +25,12 @@ def csr(n, rows, cols, vals):
 
 def identity(n):
     return csr(n, np.arange(n), np.arange(n), np.ones(n))
+
+
+def jacobi(a):
+    """The Jacobi preconditioner ``r -> D^-1 r`` of a matrix with no zero on its diagonal."""
+    d = a.diagonal()
+    return lambda r: r / d
 
 
 def random_spd(n, seed):
@@ -56,12 +62,12 @@ def advection_diffusion(n, peclet):
 class TestCG:
     def test_identity_single_iteration(self):
         b = np.array([1.0, -2.0, 3.0])
-        x, rep = cg(identity(3), b)
+        x, rep = cg(identity(3), b, jacobi(identity(3)))
         assert rep.converged and rep.iterations <= 1
         assert np.allclose(x, b, rtol=0, atol=1e-15)
 
     def test_zero_rhs(self):
-        x, rep = cg(laplacian_1d(4), np.zeros(4))
+        x, rep = cg(laplacian_1d(4), np.zeros(4), jacobi(laplacian_1d(4)))
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(x, np.zeros(4))
         assert rep.final_relative_residual == 0.0
@@ -69,14 +75,14 @@ class TestCG:
     def test_matches_dense_oracle(self):
         a, ad = random_spd(30, 7)
         b = np.random.default_rng(8).standard_normal(30)
-        x, rep = cg(a, b, tol=1e-13)
+        x, rep = cg(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
         assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-10
 
     def test_report_matches_recomputed_residual(self):
         a, _ = random_spd(25, 12)
         b = np.random.default_rng(13).standard_normal(25)
-        x, rep = cg(a, b)
+        x, rep = cg(a, b, jacobi(a))
         recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert rep.converged
         assert abs(recomputed - rep.final_relative_residual) <= 1e-12
@@ -84,25 +90,25 @@ class TestCG:
     def test_breakdown_reported_not_raised(self):
         # indefinite system: zero curvature direction possible
         a = csr(2, [0, 1], [0, 1], [1.0, -1.0])
-        x, rep = cg(a, np.array([0.0, 1.0]), max_iter=50)
+        x, rep = cg(a, np.array([0.0, 1.0]), jacobi(a), max_iter=50)
         assert not rep.converged
         assert rep.reason == "breakdown"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            cg(identity(3), np.ones(4))
+            cg(identity(3), np.ones(4), np.copy)
 
     def test_reasons_converged_and_max_iter(self):
-        _, rep = cg(laplacian_1d(50), np.ones(50))
+        _, rep = cg(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)))
         assert rep.converged and rep.reason == "converged"
-        _, rep = cg(laplacian_1d(50), np.ones(50), max_iter=3)
+        _, rep = cg(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)), max_iter=3)
         assert not rep.converged and rep.reason == "max_iter" and rep.iterations == 3
 
 
 class TestBiCGStab:
     def test_identity(self):
         b = np.array([2.0, 0.5])
-        x, rep = bicgstab(identity(2), b)
+        x, rep = bicgstab(identity(2), b, jacobi(identity(2)))
         assert rep.converged
         assert np.allclose(x, b, rtol=0, atol=1e-14)
 
@@ -112,7 +118,7 @@ class TestBiCGStab:
         ad = 5 * np.eye(n) + 0.5 * rng.standard_normal((n, n))
         a = sp.csr_matrix(ad)
         b = rng.standard_normal(n)
-        x, rep = bicgstab(a, b, tol=1e-13)
+        x, rep = bicgstab(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
         assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-10
         recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
@@ -120,21 +126,21 @@ class TestBiCGStab:
 
     def test_singular_row_reports_failure(self):
         a = csr(3, [0, 1], [0, 1], [1.0, 1.0])  # row 2 all zero
-        x, rep = bicgstab(a, np.array([1.0, 1.0, 1.0]), max_iter=100)
+        x, rep = bicgstab(a, np.array([1.0, 1.0, 1.0]), np.copy, max_iter=100)
         assert not rep.converged
         assert rep.final_relative_residual >= 0.0
 
     def test_reasons_converged_and_max_iter(self):
-        _, rep = bicgstab(laplacian_1d(50), np.ones(50))
+        _, rep = bicgstab(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)))
         assert rep.converged and rep.reason == "converged"
-        _, rep = bicgstab(laplacian_1d(50), np.ones(50), max_iter=3)
+        _, rep = bicgstab(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)), max_iter=3)
         assert not rep.converged and rep.reason == "max_iter" and rep.iterations == 3
 
     def test_stagnation_exits_within_window(self):
         n = 1000
         a = advection_diffusion(n, 100.0)
         b = np.ones(n)
-        x, rep = bicgstab(a, b)
+        x, rep = bicgstab(a, b, jacobi(a))
         assert not rep.converged
         assert rep.reason == "stagnated"
         assert rep.iterations <= 2 * _STAGNATION_WINDOW < 10 * n
@@ -142,26 +148,26 @@ class TestBiCGStab:
         assert rep.final_relative_residual == pytest.approx(recomputed, rel=1e-12)
 
     def test_zero_rhs(self):
-        x, rep = bicgstab(laplacian_1d(6), np.zeros(6))
+        x, rep = bicgstab(laplacian_1d(6), np.zeros(6), jacobi(laplacian_1d(6)))
         assert rep.converged and rep.iterations == 0
 
     def test_agrees_with_cg_on_spd(self):
         for n, seed in ((50, 1), (200, 2), (400, 3)):
             a, _ = random_spd(n, seed)
             b = np.random.default_rng(seed + 100).standard_normal(n)
-            x1, r1 = cg(a, b, tol=1e-12)
-            x2, r2 = bicgstab(a, b, tol=1e-12)
+            x1, r1 = cg(a, b, jacobi(a), tol=1e-12)
+            x2, r2 = bicgstab(a, b, jacobi(a), tol=1e-12)
             assert r1.converged and r2.converged
             assert np.max(np.abs(x1 - x2)) <= 1e-8
 
     def test_bit_deterministic(self):
         a, _ = random_spd(60, 21)
         b = np.random.default_rng(22).standard_normal(60)
-        x1, _ = bicgstab(a, b)
-        x2, _ = bicgstab(a, b)
+        x1, _ = bicgstab(a, b, jacobi(a))
+        x2, _ = bicgstab(a, b, jacobi(a))
         assert np.array_equal(x1, x2)
-        y1, _ = cg(a, b)
-        y2, _ = cg(a, b)
+        y1, _ = cg(a, b, jacobi(a))
+        y2, _ = cg(a, b, jacobi(a))
         assert np.array_equal(y1, y2)
 
 
@@ -222,9 +228,12 @@ def relative_residual(a, b, x):
 class TestTensorHeatSolver:
     tau = 0.01
 
+    def workspace(self, grid):
+        return Workspace(grid, SchemeConfig(lam=1.0, tau=self.tau, t_final=self.tau))
+
     def test_z_system_matches_dense_oracle(self):
         grid = rectangular_grid()
-        a = assemble_z_system(grid, self.tau)
+        a = self.workspace(grid).z_system
         b = np.random.default_rng(41).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         x, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau + 0.5, 0.5)
@@ -236,7 +245,7 @@ class TestTensorHeatSolver:
     def test_inverts_heat_part_of_u_system(self, backward_euler):
         grid = rectangular_grid()
         zero_g = grad(cell_field(grid, 0.0))
-        a = assemble_u_system(grid, self.tau, 1.0, zero_g, backward_euler=backward_euler)
+        a = self.workspace(grid).u_system(zero_g, backward_euler=backward_euler)[0]
         theta = 1.0 if backward_euler else 0.5
         b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
         x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, 1.0 / self.tau, theta)
@@ -245,7 +254,7 @@ class TestTensorHeatSolver:
 
     def test_wrong_operator_reported_as_breakdown(self):
         grid = rectangular_grid()
-        a = assemble_z_system(grid, self.tau)
+        a = self.workspace(grid).z_system
         b = np.ones(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         _, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau, 0.5)  # s off by 1/2
@@ -258,13 +267,13 @@ class TestTensorHeatSolver:
         xs = grid.x_axis.centers[:, None]
         ys = grid.y_axis.centers[None, :]
         z = CellField(grid, np.cos(3 * xs) * np.sin(2 * ys))
-        a = assemble_u_system(grid, self.tau, 1.0, grad(z))
+        a = self.workspace(grid).u_system(grad(z))[0]
         b = np.random.default_rng(43).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
-        x, rep = bicgstab(a, b, precond=lambda r: heat.solve(r, 1.0 / self.tau, 0.5))
-        _, jacobi = bicgstab(a, b)
-        assert rep.converged and jacobi.converged
-        assert rep.iterations < jacobi.iterations
+        x, rep = bicgstab(a, b, lambda r: heat.solve(r, 1.0 / self.tau, 0.5))
+        _, plain = bicgstab(a, b, jacobi(a))
+        assert rep.converged and plain.converged
+        assert rep.iterations < plain.iterations
         assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
 
 
@@ -281,7 +290,7 @@ class TestDenseSolve:
     def test_cross_check_with_cg(self):
         a, ad = random_spd(20, 31)
         b = np.random.default_rng(32).standard_normal(20)
-        x_cg, rep = cg(a, b, tol=1e-13)
+        x_cg, rep = cg(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
         assert np.max(np.abs(dense_solve(ad, b) - x_cg)) <= 1e-10
 

@@ -2,8 +2,8 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+import ksbcfd.linalg
 from ksbcfd.fields import CellField, cell_field, cell_field_from_function, grad, inner_m, norm_m
 from ksbcfd.grid import build_uniform, build_random_perturbed, make_grid
 from ksbcfd.linalg import bicgstab, dense_solve
@@ -14,22 +14,16 @@ from ksbcfd.scheme import (
     State,
     StepSolveError,
     UniquenessConditionWarning,
-    _density_preconditioner,
-    _solve,
     Workspace,
     _solve_concentration,
     _solve_density,
     apply_chemotaxis,
     apply_laplacian,
-    assemble_u_system,
-    assemble_z_system,
-    correct_u1,
     error_norms,
     first_step,
     init_state,
     predict_u1,
     run,
-    solve_z_first,
     step_cn,
 )
 
@@ -54,6 +48,10 @@ def constant_problem(value=3.0):
 
 def mass(f):
     return inner_m(f, cell_field(f.grid, 1.0))
+
+
+def workspace(grid, tau=0.05):
+    return Workspace(grid, SchemeConfig(lam=1.0, tau=tau, t_final=tau))
 
 
 class TestConfig:
@@ -110,13 +108,13 @@ class TestFirstStep:
         problem = constant_problem(3.0)
         grid = perturbed_grid(7)
         cfg = SchemeConfig(lam=1.0, tau=0.05, t_final=0.05)
+        ws = Workspace(grid, cfg)
         state = init_state(problem, grid)
-        u_bar, _ = predict_u1(state, cfg, problem)
+        u_bar, _ = predict_u1(state, problem, ws)
         assert np.max(np.abs(u_bar.values - 3.0)) <= 1e-12
-        z1, _ = solve_z_first(state, u_bar, cfg, problem)
-        assert np.max(np.abs(z1.values - 3.0)) <= 1e-12
-        u1, _ = correct_u1(state, z1, cfg, problem)
-        assert np.max(np.abs(u1.values - 3.0)) <= 1e-12
+        new_state, _ = first_step(state, problem, ws)
+        assert np.max(np.abs(new_state.z_curr.values - 3.0)) <= 1e-12
+        assert np.max(np.abs(new_state.u_curr.values - 3.0)) <= 1e-12
 
     def test_concentration_pure_decay_recurrence(self):
         # zero density: the constant concentration decays by the CN factor
@@ -128,18 +126,19 @@ class TestFirstStep:
         grid = unit_grid(6)
         tau = 0.02
         cfg = SchemeConfig(lam=1.0, tau=tau, t_final=tau)
-        state = init_state(problem, grid)
-        z1, _ = solve_z_first(state, cell_field(grid, 0.0), cfg, problem)
+        state, _ = first_step(init_state(problem, grid), problem, Workspace(grid, cfg))
+        assert np.all(state.u_curr.values == 0.0)
         expected = zbar * (1.0 / tau - 0.5) / (1.0 / tau + 0.5)
-        assert np.max(np.abs(z1.values - expected)) <= 1e-12
+        assert np.max(np.abs(state.z_curr.values - expected)) <= 1e-12
 
     def test_predictor_requires_initial_level(self):
         problem = constant_problem()
         grid = unit_grid(4)
         cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.2)
-        state, _ = first_step(init_state(problem, grid), cfg, problem)
+        ws = Workspace(grid, cfg)
+        state, _ = first_step(init_state(problem, grid), problem, ws)
         with pytest.raises(ValueError, match="initial level"):
-            predict_u1(state, cfg, problem)
+            predict_u1(state, problem, ws)
 
     def test_predictor_system_nonsymmetric_with_gradient(self):
         problem = get_problem("global_existence")
@@ -148,7 +147,7 @@ class TestFirstStep:
         state = init_state(problem, grid)
         g0 = grad(state.z_curr)
         assert g0.inf_norm() > 0.0
-        a = assemble_u_system(grid, cfg.tau, cfg.lam, g0, backward_euler=True).toarray()
+        a = Workspace(grid, cfg).u_system(g0, backward_euler=True)[0].toarray()
         assert not np.array_equal(a, a.T)
 
     def test_mass_preserved_through_first_step(self):
@@ -157,7 +156,7 @@ class TestFirstStep:
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         state = init_state(problem, grid)
         m0 = mass(state.u_curr)
-        new_state, diag = first_step(state, cfg, problem)
+        new_state, diag = first_step(state, problem, Workspace(grid, cfg))
         scale = 10.0 * cfg.solver_tol * abs(m0)
         assert abs(mass(new_state.u_curr) - m0) <= scale
         assert diag.t == cfg.tau
@@ -167,7 +166,7 @@ class TestFirstStep:
         grid = perturbed_grid(9)
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         state = init_state(problem, grid)
-        u_bar, report = predict_u1(state, cfg, problem)
+        u_bar, report = predict_u1(state, problem, Workspace(grid, cfg))
         assert report.converged
         g0 = grad(state.z_curr)
         lhs = (
@@ -184,17 +183,18 @@ class TestFirstStep:
 class TestSystemStructure:
     def test_z_system_exactly_symmetric(self):
         for grid in (unit_grid(6), perturbed_grid(6)):
-            a = assemble_z_system(grid, 0.05)
+            a = workspace(grid).z_system
             dense = a.toarray()
             assert np.array_equal(dense, dense.T)
 
     def test_u_system_symmetric_iff_gradient_vanishes(self):
         grid = perturbed_grid(5)
         zero_g = grad(cell_field(grid, 1.0))
-        a0 = assemble_u_system(grid, 0.05, 1.0, zero_g).toarray()
+        ws = workspace(grid)
+        a0 = ws.u_system(zero_g)[0].toarray()
         assert np.array_equal(a0, a0.T)
         state = init_state(get_problem("global_existence"), grid)
-        a1 = assemble_u_system(grid, 0.05, 1.0, grad(state.z_curr)).toarray()
+        a1 = ws.u_system(grad(state.z_curr))[0].toarray()
         assert not np.array_equal(a1, a1.T)
 
     def test_zero_sensitivity_matches_loop_assembled_heat_matrix(self):
@@ -205,9 +205,10 @@ class TestSystemStructure:
         dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
         n = nx * ny
         zero_g = grad(cell_field(grid, 0.0))
+        ws = workspace(grid, tau)
         # the density system's heat part, and the concentration system
-        for assembled, weight in ((assemble_u_system(grid, tau, 0.0, zero_g), 1.0 / tau),
-                                  (assemble_z_system(grid, tau), 1.0 / tau + 0.5)):
+        for assembled, weight in ((ws.u_system(zero_g)[0], 1.0 / tau),
+                                  (ws.z_system, 1.0 / tau + 0.5)):
             heat = np.zeros((n, n))
             for j in range(ny):
                 for i in range(nx):
@@ -249,24 +250,22 @@ class TestSystemStructure:
                       + theta * cfg.lam * apply_chemotaxis(v, g).values)
             stencil[:, k] = np.ravel(grid.cell_areas * column, order="F")
         filled = Workspace(grid, cfg).u_system(g, backward_euler=backward_euler)[0].toarray()
-        assembled = assemble_u_system(grid, cfg.tau, cfg.lam, g,
-                                      backward_euler=backward_euler).toarray()
-        for a in (filled, assembled):
-            assert np.allclose(a, stencil, rtol=1e-14, atol=0.0)
-            assert np.array_equal(a != 0.0, stencil != 0.0)
+        assert np.allclose(filled, stencil, rtol=1e-14, atol=0.0)
+        assert np.array_equal(filled != 0.0, stencil != 0.0)
 
     def test_weighted_operators_have_zero_column_sums(self):
         # 1^T W L = 0 and 1^T W C(g) = 0, so the column sums of the systems
         # are their diagonal weights
         grid = perturbed_grid(6, seed=9)
         tau = 0.05
-        a_z = assemble_z_system(grid, tau)
+        ws = workspace(grid, tau)
+        a_z = ws.z_system
         weight = np.ravel((1.0 / tau + 0.5) * grid.cell_areas, order="F")
         assert np.max(np.abs(a_z.sum(axis=0).A1 - weight)) <= 1e-14
         state = init_state(get_problem("global_existence"), grid)
         g = grad(state.z_curr)
         assert g.inf_norm() > 0.0
-        a_u = assemble_u_system(grid, tau, 1.0, g)
+        a_u = ws.u_system(g)[0]
         weight = np.ravel(grid.cell_areas / tau, order="F")
         assert np.max(np.abs(a_u.sum(axis=0).A1 - weight)) <= 1e-12 * abs(a_u).max()
 
@@ -277,8 +276,8 @@ class TestSystemStructure:
                          build_random_perturbed(0, 1, 4, 0.3, 52))
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         g = grad(init_state(get_problem("global_existence"), grid).z_curr)
-        for a in (assemble_z_system(grid, cfg.tau), assemble_u_system(grid, cfg.tau, 1.0, g),
-                  Workspace(grid, cfg).u_system(g)[0]):
+        ws = Workspace(grid, cfg)
+        for a in (ws.z_system, ws.u_system(g)[0], ws.u_system(g, backward_euler=True)[0]):
             assert a.shape == (28, 28)
             assert a.indptr[0] == 0 and a.indptr[-1] == a.data.size
             assert np.all(np.diff(a.indptr) >= 0)
@@ -316,73 +315,99 @@ class TestMarching:
         state = init_state(problem, unit_grid(4))
         cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.3)
         with pytest.raises(ValueError, match="two density levels"):
-            step_cn(state, cfg, problem)
+            step_cn(state, problem, Workspace(state.u_curr.grid, cfg))
 
     def test_solutions_match_dense_oracle_on_coarse_grid(self):
-        # one full CN step on an 8x8 grid cross-checked against dense solves
+        # the first step and one full CN step on an 8x8 grid cross-checked
+        # against dense solves, each with its half-level density u*
         problem = get_problem("global_existence")
         grid = unit_grid(8)
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.03, uniqueness_monitor=False)
         ws = Workspace(grid, cfg)
-        state = init_state(problem, grid)
-        state, _ = first_step(state, cfg, problem, ws)
 
-        u_star = 1.5 * state.u_curr.values - 0.5 * state.u_prev.values
-        rhs_vals = ((1.0 / cfg.tau - 0.5) * state.z_curr.values
-                    + 0.5 * apply_laplacian(state.z_curr).values + u_star)
-        rhs = ws.areas * np.ravel(rhs_vals, order="F")
-        z_dense = dense_solve(ws.z_system.toarray(), rhs)
+        def check(prev, new, u_star):
+            rhs_vals = ((1.0 / cfg.tau - 0.5) * prev.z_curr.values
+                        + 0.5 * apply_laplacian(prev.z_curr).values + u_star)
+            z_dense = dense_solve(ws.z_system.toarray(), ws.areas * np.ravel(rhs_vals, order="F"))
+            assert np.max(np.abs(np.ravel(new.z_curr.values, order="F") - z_dense)) <= 1e-10
+            system, _ = ws.u_system(grad(new.z_curr))
+            rhs_vals = (prev.u_curr.values / cfg.tau
+                        + 0.5 * apply_laplacian(prev.u_curr).values
+                        - 0.5 * cfg.lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values)
+            u_dense = dense_solve(system.toarray(), ws.areas * np.ravel(rhs_vals, order="F"))
+            assert np.max(np.abs(np.ravel(new.u_curr.values, order="F") - u_dense)) <= 1e-10
 
-        new_state, _ = step_cn(state, cfg, problem, ws)
-        assert np.max(np.abs(np.ravel(new_state.z_curr.values, order="F") - z_dense)) <= 1e-10
-
-        g_new = grad(new_state.z_curr)
-        system, _ = ws.u_system(g_new)
-        rhs_vals = (state.u_curr.values / cfg.tau
-                    + 0.5 * apply_laplacian(state.u_curr).values
-                    - 0.5 * cfg.lam * apply_chemotaxis(state.u_curr, grad(state.z_curr)).values)
-        rhs = ws.areas * np.ravel(rhs_vals, order="F")
-        u_dense = dense_solve(system.toarray(), rhs)
-        assert np.max(np.abs(np.ravel(new_state.u_curr.values, order="F") - u_dense)) <= 1e-10
+        state0 = init_state(problem, grid)
+        u_bar, _ = predict_u1(state0, problem, ws)
+        state1, _ = first_step(state0, problem, ws)
+        check(state0, state1, 0.5 * (u_bar.values + state0.u_curr.values))
+        state2, _ = step_cn(state1, problem, ws)
+        check(state1, state2, 1.5 * state1.u_curr.values - 0.5 * state0.u_curr.values)
 
 
-def advection_diffusion(n, peclet):
-    """Centred 1D advection-diffusion stencil on which Jacobi-BiCGStab stalls."""
-    i = np.arange(n)
-    rows = np.concatenate([i, i[1:], i[:-1]])
-    cols = np.concatenate([i, i[1:] - 1, i[:-1] + 1])
-    vals = np.concatenate([np.full(n, 2.0), np.full(n - 1, -1.0 - peclet / 2),
-                           np.full(n - 1, -1.0 + peclet / 2)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
+    """A density system on a rectangular 11 x 8 perturbed grid under a steep
+    concentration patch near the x = 1 boundary, with its Workspace."""
+    grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
+                     build_random_perturbed(0, 1, 8, 0.3, 32))
+    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
+    z = cell_field_from_function(grid, lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2
+                                                                        + (y - 0.6) ** 2)))
+    system, block = ws.u_system(grad(z), backward_euler=theta == 1.0)
+    return ws, system, block
+
+
+def heat_inverse(ws, theta=0.5):
+    return functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
+
+
+def solve_density(ws, system, block, rhs, theta=0.5, step=1):
+    """``_solve_density`` from a zero warm start."""
+    return _solve_density(ws, system, block, rhs, theta, step=step, name="density",
+                          warm_start=cell_field(ws.grid, 0.0))
+
+
+def one_iteration_bicgstab(monkeypatch):
+    """Give the stepper's BiCGStab a budget of one iteration, which forces the
+    direct fallback on any system it does not solve in one."""
+    monkeypatch.setattr(ksbcfd.linalg, "bicgstab", functools.partial(bicgstab, max_iter=1))
 
 
 class TestSolveFallback:
-    cfg = SchemeConfig(lam=1.0, tau=1.0, t_final=1.0)
-
-    def test_direct_fallback_when_bicgstab_stagnates(self):
-        n = 1000
-        a = advection_diffusion(n, 100.0)
-        b = np.ones(n)
-        _, krylov = bicgstab(a, b, tol=self.cfg.solver_tol)
-        assert krylov.reason == "stagnated"
-        x, rep = _solve(a, b, self.cfg, step=7, name="density", precond="jacobi")
-        recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+    def test_direct_fallback_when_bicgstab_stagnates(self, monkeypatch):
+        # a one-iteration budget stands in for a stalled BiCGStab
+        ws, system, block = steep_patch_system(0.3)
+        assert block is None
+        b = np.random.default_rng(3).standard_normal(system.shape[0])
+        tol = ws.config.solver_tol
+        _, krylov = bicgstab(system, b, heat_inverse(ws), tol=tol, max_iter=1)
+        assert not krylov.converged
+        one_iteration_bicgstab(monkeypatch)
+        x, rep = solve_density(ws, system, block, b, step=7)
+        recomputed = np.linalg.norm(b - system @ x) / np.linalg.norm(b)
         assert rep.converged and rep.reason == "converged"
-        assert rep.final_relative_residual == recomputed <= self.cfg.solver_tol
+        assert rep.final_relative_residual == recomputed <= tol
         assert rep.iterations == krylov.iterations
-        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - dense_solve(system.toarray(), b))) <= 1e-10
 
-    def test_converged_krylov_solve_skips_fallback(self):
-        a, b = advection_diffusion(50, 0.5), np.ones(50)
-        x, rep = _solve(a, b, self.cfg, step=1, name="density", precond="jacobi")
-        assert np.array_equal(x, bicgstab(a, b, tol=self.cfg.solver_tol)[0])
+    def test_converged_krylov_solve_skips_fallback(self, monkeypatch):
+        ws, system, block = steep_patch_system(0.3)
+        b = np.random.default_rng(4).standard_normal(system.shape[0])
+        monkeypatch.setattr(ksbcfd.linalg, "sparse_lu_solve", None)  # any call would fail
+        x, rep = solve_density(ws, system, block, b)
+        assert np.array_equal(x, bicgstab(system, b, heat_inverse(ws), tol=ws.config.solver_tol)[0])
         assert rep.reason == "converged" and rep.iterations > 0
 
-    def test_failed_fallback_names_both_causes(self):
-        a = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))  # row 2 all zero
-        with pytest.raises(StepSolveError, match="breakdown.*direct fallback tried: breakdown") as info:
-            _solve(a, np.ones(3), self.cfg, step=3, name="density", precond="jacobi")
-        assert info.value.report.reason == "breakdown"
+    def test_failed_fallback_names_both_causes(self, monkeypatch):
+        ws, system, _ = steep_patch_system(0.3)
+        system = system.tolil()
+        system[5, :] = 0.0  # an all-zero row: SuperLU finds the factor exactly singular
+        system = system.tocsr()
+        one_iteration_bicgstab(monkeypatch)
+        with pytest.raises(StepSolveError, match="density solve failed at step 3: max_iter.*"
+                           "direct fallback tried: breakdown") as info:
+            solve_density(ws, system, None, np.ones(system.shape[0]), step=3)
+        assert info.value.report.reason == "max_iter"
         assert info.value.fallback.reason == "breakdown"
 
     def test_concentration_residual_miss_has_no_fallback(self):
@@ -398,18 +423,6 @@ class TestSolveFallback:
         assert info.value.report.final_relative_residual > cfg.solver_tol
 
 
-def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
-    """A density system on a rectangular 11 x 8 perturbed grid under a steep
-    concentration patch near the x = 1 boundary, with its Workspace."""
-    grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
-                     build_random_perturbed(0, 1, 8, 0.3, 32))
-    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
-    z = cell_field_from_function(grid, lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2
-                                                                        + (y - 0.6) ** 2)))
-    system, block = ws.u_system(grad(z), backward_euler=theta == 1.0)
-    return ws, system, block
-
-
 def weak_rows(a, shape):
     """Rows of a dense matrix that are not diagonally dominant, as an (nx, ny) mask."""
     diag = np.abs(np.diag(a))
@@ -423,10 +436,11 @@ class TestBlockCorrection:
         ws, system, block = steep_patch_system(0.3, theta=theta)
         assert block is None
         assert not weak_rows(system.toarray(), ws.grid.shape).any()
-        r = np.random.default_rng(5).standard_normal(system.shape[0])
-        precond = _density_preconditioner(ws, system, block, theta)
-        heat = ws.heat.solve(r, s=1.0 / ws.config.tau, theta=theta)
-        assert np.array_equal(precond(r), heat)
+        b = np.random.default_rng(5).standard_normal(system.shape[0])
+        x, report = solve_density(ws, system, block, b, theta=theta)
+        plain = bicgstab(system, b, heat_inverse(ws, theta), tol=ws.config.solver_tol)[0]
+        assert np.array_equal(x, plain)
+        assert report.block_cells == 0
 
     def test_block_bounds_weak_rows_and_speeds_up_bicgstab(self):
         ws, system, block = steep_patch_system(30.0)
@@ -438,9 +452,8 @@ class TestBlockCorrection:
         assert weak[block].sum() == weak.sum() < weak[block].size < weak.size
 
         b = np.random.default_rng(6).standard_normal(system.shape[0])
-        heat = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=0.5)
-        _, plain = bicgstab(system, b, precond=heat)
-        x, corrected = bicgstab(system, b, precond=_density_preconditioner(ws, system, block, 0.5))
+        _, plain = bicgstab(system, b, heat_inverse(ws))
+        x, corrected = solve_density(ws, system, block, b)
         assert plain.converged and corrected.converged
         assert corrected.iterations < plain.iterations
         assert np.max(np.abs(x - dense_solve(a, b))) <= 1e-10
@@ -456,15 +469,14 @@ class TestBlockCorrection:
         assert weak_rows(a, grid.shape).all()
         assert block == (slice(0, 7), slice(0, 5))
         b = np.random.default_rng(7).standard_normal(system.shape[0])
-        x, report = bicgstab(system, b, precond=_density_preconditioner(ws, system, block, 0.5))
+        x, report = solve_density(ws, system, block, b)
         assert report.converged
         assert np.max(np.abs(x - dense_solve(a, b))) <= 1e-10
 
     def test_step_reports_block_cells(self):
         ws, system, block = steep_patch_system(30.0)
         rhs = np.random.default_rng(8).standard_normal(system.shape[0])
-        _, report = _solve_density(ws, system, block, rhs, 0.5, step=1, name="density",
-                                   warm_start=None)
+        _, report = solve_density(ws, system, block, rhs)
         assert report.converged and report.block_cells == 16
 
 
