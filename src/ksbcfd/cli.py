@@ -18,12 +18,12 @@ messages).  Schema:
       "solver_tol": 1e-12,       # default
       "blowup_threshold": 1e12,  # default
       "uniqueness_monitor": true,# default
-      "outputs": {
-        "diagnostics": "diagnostics.csv",
-        "table": "convergence.csv",
-        "summary": "summary.json",
-        "snapshot_times": [],    # each on a step in [0, t_final]
-        "snapshot_format": "csv" | "vtk"
+      "outputs": {               # only the keys the mode reads:
+        "diagnostics": "diagnostics.csv",   # run/blowup modes
+        "snapshot_times": [],    # run/blowup modes; each on a step in [0, t_final]
+        "snapshot_format": "csv" | "vtk",   # run/blowup modes
+        "summary": "summary.json",          # blowup mode
+        "table": "convergence.csv"          # convergence mode
       }
     }
 
@@ -209,12 +209,20 @@ def _check_m(family: str, m: int, path: str) -> None:
         raise ConfigError(path, f"middle refinement needs even m, got {m}")
 
 
-def _parse_outputs(raw) -> OutputConfig:
+# the outputs keys each mode reads
+_RUN_OUTPUTS = {"diagnostics", "snapshot_times", "snapshot_format"}
+_OUTPUT_KEYS = {"convergence": {"table"}, "run": _RUN_OUTPUTS, "blowup": _RUN_OUTPUTS | {"summary"}}
+
+
+def _parse_outputs(raw, mode: str) -> OutputConfig:
     if raw is None:
         return OutputConfig()
     if not isinstance(raw, dict):
         raise ConfigError("outputs", "expected an object")
-    _expect(raw, "outputs", {"diagnostics", "table", "summary", "snapshot_times", "snapshot_format"})
+    _expect(raw, "outputs", set().union(*_OUTPUT_KEYS.values()))
+    for key in raw:
+        if key not in _OUTPUT_KEYS[mode]:
+            raise ConfigError(f"outputs.{key}", f"not read in {mode} mode")
     times = raw.get("snapshot_times", [])
     if not isinstance(times, list) or not all(
         isinstance(t, (int, float)) and not isinstance(t, bool) for t in times
@@ -274,7 +282,7 @@ def parse_config(text: str) -> RunConfig:
     if blowup_threshold <= 0.0:
         raise ConfigError("blowup_threshold", "must be positive")
     uniqueness_monitor = _get(raw, "", "uniqueness_monitor", bool, default=True)
-    outputs = _parse_outputs(raw.get("outputs"))
+    outputs = _parse_outputs(raw.get("outputs"), mode)
     if mode != "convergence":
         n_steps = round(t_final / tau)
         for t in outputs.snapshot_times:
@@ -506,8 +514,8 @@ def run_blowup(config: RunConfig, out_dir: Path) -> dict:
         "t_peak": d[peak_idx].t,
         "u_min_overall": min(x.u_min for x in d),
         "max_relative_mass_drift": drift,
-        "argmax_first": list(d[0].argmax_u),
-        "argmax_last": list(d[-1].argmax_u),
+        "argmax_first": [d[0].argmax_i, d[0].argmax_j],
+        "argmax_last": [d[-1].argmax_i, d[-1].argmax_j],
     }
     with open(out_dir / config.outputs.summary, "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

@@ -2,12 +2,15 @@
 
 Floats are written with repr-grade precision (%.17g) so reruns with
 identical inputs produce byte-identical files and values round-trip exactly.
-Cell indices in field CSVs are 0-based.
+Cell indices in field CSVs are 0-based.  The columns of a diagnostics CSV
+are the fields of ``StepDiagnostics``, in order: a float field is written
+at %.17g, an int or bool field as an integer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import fields
+from typing import Iterable, get_type_hints
 
 from .fields import CellField
 from .scheme import StepDiagnostics
@@ -19,22 +22,11 @@ __all__ = [
     "DIAGNOSTIC_COLUMNS",
 ]
 
-DIAGNOSTIC_COLUMNS = (
-    "t",
-    "mass",
-    "u_max",
-    "u_min",
-    "z_max",
-    "argmax_i",
-    "argmax_j",
-    "iters_z",
-    "iters_u",
-    "residual_z",
-    "residual_u",
-    "block_cells",
-    "dz_inf",
-    "uniqueness_ok",
-)
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(StepDiagnostics))
+
+_TYPES = get_type_hints(StepDiagnostics)
+_DIAGNOSTIC_ROW = ",".join("{:.17g}" if _TYPES[name] is float else "{:d}"
+                           for name in DIAGNOSTIC_COLUMNS) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -79,29 +71,8 @@ def field_to_vtk(field: CellField, path, name: str = "value") -> None:
             f.write("".join([f"{v:.17g}\n" for v in field.values[:, j].tolist()]))
 
 
-def diagnostics_row(d: StepDiagnostics) -> str:
-    return ",".join(
-        [
-            _fmt(d.t),
-            _fmt(d.mass),
-            _fmt(d.u_max),
-            _fmt(d.u_min),
-            _fmt(d.z_max),
-            str(d.argmax_u[0]),
-            str(d.argmax_u[1]),
-            str(d.solver_iters_z),
-            str(d.solver_iters_u),
-            _fmt(d.residual_z),
-            _fmt(d.residual_u),
-            str(d.block_cells),
-            _fmt(d.dz_inf),
-            str(int(d.uniqueness_ok)),
-        ]
-    )
-
-
 def diagnostics_to_csv(diagnostics: Iterable[StepDiagnostics], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
         for d in diagnostics:
-            f.write(diagnostics_row(d) + "\n")
+            f.write(_DIAGNOSTIC_ROW.format(*[getattr(d, name) for name in DIAGNOSTIC_COLUMNS]))

@@ -7,20 +7,22 @@ concentration system directly and preconditions the density solves;
 BiCGStab for the nonsymmetric density systems, right-preconditioned by an
 operator; a block correction that follows such an operator with an exact
 sparse LU solve (scipy's SuperLU) on the rows where it is a poor
-approximation; a sparse LU solve of a whole system, which the stepper falls
-back on when BiCGStab fails on a density system; and a dense partial-pivot
-solver used as an independent oracle in the tests.  The Krylov solvers
-take the preconditioner as a callable ``r -> M^-1 r``; there is no built-in
-one.  Conjugate Gradient for symmetric positive definite systems is not
-used by the stepper: it is kept, tested against the dense oracle, as a
-solver whose calls the benchmark's ``linalg.cg`` span counts.
+approximation; one direct solve by a given inverse, refined once on a
+miss, which solves the concentration system by the heat inverse and, by
+SuperLU (``sparse_lu_solve``), a density system on which BiCGStab fails;
+and a dense partial-pivot solver used as an independent oracle in the
+tests.  The Krylov solvers take the preconditioner as a callable
+``r -> M^-1 r``; there is no built-in one.  Conjugate Gradient for
+symmetric positive definite systems is not used by the stepper: it is kept,
+tested against the dense oracle, as a solver whose calls the benchmark's
+``linalg.cg`` span counts.
 
 Every solve returns a ``SolveReport`` whose ``reason`` says why it
 stopped: ``converged``, ``max_iter`` (iteration budget spent),
 ``stagnated`` (BiCGStab went ``_STAGNATION_WINDOW`` iterations without a new
 best residual, or a refinement restart made no progress) or ``breakdown``
 (a vanishing denominator, an exactly singular LU factor, or a direct
-solution that misses the tolerance).
+solution that misses the tolerance even after its refinement step).
 
 Identical inputs give bit-identical outputs at a fixed BLAS thread count.
 numpy's dot products and norms on long vectors, and the matrix products of
@@ -48,7 +50,7 @@ __all__ = [
     "block_corrected",
     "cg",
     "bicgstab",
-    "fast_diag_solve",
+    "direct_solve",
     "sparse_lu_solve",
     "dense_solve",
 ]
@@ -87,15 +89,10 @@ def cg(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarr
     Convergence means the recomputed relative residual ``|b - A x|_2 / |b|_2``
     is at or below ``tol``.  ``x0`` warm-starts the iteration.
     """
-    b = np.asarray(b, dtype=np.float64)
-    _check_square(a, b)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    b, b_norm = _checked_rhs(a, b, tol)
     n = a.shape[0]
     if max_iter is None:
         max_iter = 10 * n
-
-    b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
@@ -244,15 +241,10 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np
     ends the solve as ``stagnated`` instead of spending ``max_iter``.
     ``x0`` warm-starts the iteration.
     """
-    b = np.asarray(b, dtype=np.float64)
-    _check_square(a, b)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    b, b_norm = _checked_rhs(a, b, tol)
     n = a.shape[0]
     if max_iter is None:
         max_iter = 10 * n
-
-    b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
@@ -371,64 +363,46 @@ def block_corrected(a: sp.csr_matrix, precond: Callable[[np.ndarray], np.ndarray
     return corrected
 
 
-def _direct_report(a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, b_norm: float,
-                   tol: float) -> SolveReport:
-    """A direct solution's report: ``breakdown`` when it misses ``tol``."""
-    res = _true_relative_residual(a, b, x, b_norm)
-    converged = res <= tol
-    return SolveReport(converged, 0, res, "converged" if converged else "breakdown")
+def direct_solve(a: sp.csr_matrix, b: np.ndarray, inverse: Callable[[np.ndarray], np.ndarray],
+                 tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
+    """Direct solve of ``a x = b`` by ``inverse``, a map ``r -> A^-1 r``.
 
-
-def fast_diag_solve(a: sp.csr_matrix, b: np.ndarray, heat: TensorHeatSolver, s: float,
-                    theta: float, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
-    """Direct solve of ``a x = b`` where ``a`` is ``heat``'s operator at (s, theta).
-
-    The residual is recomputed against ``a`` itself, so a matrix that is not
-    that operator shows as a large residual.  Convergence means it is at or
-    below ``tol``; a less accurate solution is reported as ``breakdown``.
+    The residual is recomputed against ``a`` itself, so an ``inverse`` of
+    another operator shows as a large residual.  Only when it misses ``tol``
+    does the solution get one step of fixed-precision iterative refinement,
+    ``x += A^-1 (b - A x)`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 12), kept if it lowers the residual: near the singular
+    time of a blow-up run a plain solution can miss ``tol`` narrowly and the
+    refined one meet it.  A solution that misses ``tol`` is ``breakdown``.
     """
-    b = np.asarray(b, dtype=np.float64)
-    _check_square(a, b)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    b_norm = float(np.linalg.norm(b))
+    b, b_norm = _checked_rhs(a, b, tol)
     if b_norm == 0.0:
         return np.zeros(a.shape[0]), SolveReport(True, 0, 0.0, "converged")
-    x = heat.solve(b, s, theta)
-    return x, _direct_report(a, b, x, b_norm, tol)
+    x = inverse(b)
+    r = b - a @ x
+    res = float(np.linalg.norm(r) / b_norm)
+    if res > tol:
+        refined = x + inverse(r)
+        refined_res = _true_relative_residual(a, b, refined, b_norm)
+        if refined_res < res:
+            x, res = refined, refined_res
+    converged = res <= tol
+    return x, SolveReport(converged, 0, res, "converged" if converged else "breakdown")
 
 
 def sparse_lu_solve(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
-    """Direct solve by sparse LU factorization (scipy's SuperLU).
+    """``direct_solve`` by sparse LU factorization (scipy's SuperLU).
 
-    Deterministic and single-threaded.  The solution gets one step of
-    iterative refinement with the same factors, ``x += LU^-1 (b - A x)``,
-    kept when it lowers the residual: on a density system just past the
-    singular time of a blow-up run, the plain solve's residual can sit just
-    above the solver tolerance and the refined one below it.  Convergence
-    means the recomputed relative residual is at or below ``tol``; a less
-    accurate solution is reported as ``breakdown``.  An exactly singular
-    factor is reported the same way (with the zero vector and residual 1)
-    rather than raised.
+    Deterministic and single-threaded.  An exactly singular factor is
+    reported as ``breakdown`` (with the zero vector and residual 1) rather
+    than raised.
     """
-    b = np.asarray(b, dtype=np.float64)
-    _check_square(a, b)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = a.shape[0]
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
+    _checked_rhs(a, b, tol)
     try:
         lu = spla.splu(a.tocsc())
     except RuntimeError:  # "Factor is exactly singular"
-        return np.zeros(n), SolveReport(False, 0, 1.0, "breakdown")
-    x = lu.solve(b)
-    r = b - a @ x
-    refined = x + lu.solve(r)
-    if np.linalg.norm(b - a @ refined) < np.linalg.norm(r):
-        x = refined
-    return x, _direct_report(a, b, x, b_norm, tol)
+        return np.zeros(a.shape[0]), SolveReport(False, 0, 1.0, "breakdown")
+    return direct_solve(a, b, lu.solve, tol)
 
 
 def dense_solve(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,7 +434,10 @@ def dense_solve(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_square(a: sp.csr_matrix, b: np.ndarray) -> None:
+def _checked_rhs(a: sp.csr_matrix, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """``b`` as float64 and its 2-norm, once ``a`` is square, ``b`` a finite
+    vector of matching length and ``tol`` positive."""
+    b = np.asarray(b, dtype=np.float64)
     n_rows, n_cols = a.shape
     if n_rows != n_cols:
         raise ValueError("solver needs a square matrix")
@@ -468,3 +445,6 @@ def _check_square(a: sp.csr_matrix, b: np.ndarray) -> None:
         raise ValueError(f"rhs length {b.shape} does not match {n_rows} rows")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs must be finite")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    return b, float(np.linalg.norm(b))

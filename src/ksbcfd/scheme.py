@@ -37,7 +37,8 @@ block that bounds those rows (``linalg.block_corrected``, SuperLU); when
 none is, it is the heat inverse alone.  When BiCGStab does not converge,
 the same system is solved once more by sparse LU (SuperLU).  Every
 solution, direct or iterative, is accepted only if its recomputed residual
-meets the solver tolerance.
+meets the solver tolerance; both direct solves (``linalg.direct_solve``)
+take one step of iterative refinement when their first solution misses it.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into an (nx, ny, 5) band, which the fixed CSR structure of the grid
@@ -189,14 +190,17 @@ class State:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """One step's record; its fields, in order, are the diagnostics.csv columns."""
+
     t: float
     mass: float
     u_max: float
     u_min: float
     z_max: float
-    argmax_u: tuple[int, int]
-    solver_iters_z: int
-    solver_iters_u: int
+    argmax_i: int  # cell (i, j) of u_max
+    argmax_j: int
+    iters_z: int
+    iters_u: int
     residual_z: float
     residual_u: float
     block_cells: int
@@ -347,20 +351,21 @@ def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
 
 
 class Workspace:
-    """Per-run operator cache: area weights, the concentration matrix, the
-    fast-diagonalization solver of the grid's heat operator, and the
-    five-point pattern and heat-part bands the density matrices are filled
-    in on."""
+    """Per-run operator cache: area weights, the fast-diagonalization solver
+    of the grid's heat operator, the concentration matrix and its inverse by
+    that solver, and the five-point pattern and heat-part bands the density
+    matrices are filled in on."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
         self._pattern = _FivePointPattern(grid)
-        # (1/tau + 1/2) W - (1/2) W L; SPD
-        self.z_system = self._pattern.matrix(
-            _heat_band(grid, (1.0 / config.tau + 0.5) * grid.cell_areas, 0.5))
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
+        # s W - theta W L at s = 1/tau + 1/2, theta = 1/2; SPD, and its inverse
+        s, theta = 1.0 / config.tau + 0.5, 0.5
+        self.z_system = self._pattern.matrix(_heat_band(grid, s * grid.cell_areas, theta))
+        self.z_inverse = functools.partial(self.heat.solve, s=s, theta=theta)
         # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1
         self._heat_bands = {theta: _heat_band(grid, grid.cell_areas / config.tau, theta)
                             for theta in (0.5, 1.0)}
@@ -385,20 +390,13 @@ class Workspace:
 # forcing helpers
 
 
-def _sample_forcing(fn: Callable | None, grid: StaggeredGrid2D, t: float):
-    if fn is None:
+def _forcing(problem: ProblemSpec, name: str, grid: StaggeredGrid2D, t: float):
+    """The forcing ``name`` (``f_rho`` or ``f_c``) at the cell centers, 0.0 when none."""
+    if problem.forcing is None:
         return 0.0
     xs = grid.x_axis.centers[:, None]
     ys = grid.y_axis.centers[None, :]
-    return np.broadcast_to(fn(xs, ys, t), grid.shape)
-
-
-def _forcing_rho(problem: ProblemSpec, grid: StaggeredGrid2D, t: float):
-    return _sample_forcing(problem.forcing.f_rho if problem.forcing else None, grid, t)
-
-
-def _forcing_c(problem: ProblemSpec, grid: StaggeredGrid2D, t: float):
-    return _sample_forcing(problem.forcing.f_c if problem.forcing else None, grid, t)
+    return np.broadcast_to(getattr(problem.forcing, name)(xs, ys, t), grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +429,10 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     """Direct fast-diagonalization solve of the concentration system.
 
     There is no fallback: a solution whose recomputed residual misses the
-    solver tolerance raises ``StepSolveError``.
+    solver tolerance after ``linalg.direct_solve``'s refinement raises
+    ``StepSolveError``.
     """
-    x, report = linalg.fast_diag_solve(ws.z_system, rhs, ws.heat, 1.0 / ws.config.tau + 0.5, 0.5,
-                                       tol=ws.config.solver_tol)
+    x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse, tol=ws.config.solver_tol)
     if not report.converged:
         raise StepSolveError(step, "concentration", report)
     return x, report
@@ -477,7 +475,7 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[CellF
         raise ValueError("the predictor runs from the initial level only")
     grid, tau = ws.grid, ws.config.tau
     system, block = ws.u_system(grad(state.z_curr), backward_euler=True)
-    rhs_vals = state.u_curr.values / tau + _forcing_rho(problem, grid, tau)
+    rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
     x, report = _solve_density(ws, system, block, rhs, 1.0, step=1, name="density predictor",
                                warm_start=state.u_curr)
@@ -491,15 +489,17 @@ def _diagnostics(state: State, grad_z: GradientPair, config: SchemeConfig, rep_z
     (the predictor's and the corrector's on the first step)."""
     u, z = state.u_curr, state.z_curr
     dz_inf = grad_z.inf_norm()
+    argmax_i, argmax_j = u.argmax()
     return StepDiagnostics(
         t=state.t,
         mass=float(np.sum(u.grid.cell_areas * u.values)),
         u_max=u.max(),
         u_min=u.min(),
         z_max=z.max(),
-        argmax_u=u.argmax(),
-        solver_iters_z=rep_z.iterations,
-        solver_iters_u=sum(r.iterations for r in reps_u),
+        argmax_i=argmax_i,
+        argmax_j=argmax_j,
+        iters_z=rep_z.iterations,
+        iters_u=sum(r.iterations for r in reps_u),
         residual_z=rep_z.final_relative_residual,
         residual_u=max(r.final_relative_residual for r in reps_u),
         block_cells=max(r.block_cells for r in reps_u),
@@ -533,7 +533,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
         (1.0 / tau - 0.5) * z_n.values
         + 0.5 * apply_laplacian(z_n).values
         + u_star
-        + _forcing_c(problem, grid, t_half)
+        + _forcing(problem, "f_c", grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
     xz, rep_z = _solve_concentration(ws, rhs, step=step)
@@ -545,7 +545,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
         u_n.values / tau
         + 0.5 * apply_laplacian(u_n).values
         - 0.5 * lam * apply_chemotaxis(u_n, grad(z_n)).values
-        + _forcing_rho(problem, grid, t_half)
+        + _forcing(problem, "f_rho", grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
     xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=u_n)

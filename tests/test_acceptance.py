@@ -300,11 +300,11 @@ def test_criterion_8b_corner_blowup():
     d = result.diagnostics
     crossing = [x.t for x in d if x.u_max > 1e4]
     ok = result.blew_up and bool(crossing) and 0.13 <= crossing[0] <= 0.18
-    i, j = d[-1].argmax_u
+    i, j = d[-1].argmax_i, d[-1].argmax_j
     ok &= i >= grid.nx - 3 and j >= grid.ny - 3  # within 2 cells of the corner
     report("8b corner blow-up", ok,
            f"u_max>1e4 at t={crossing[0] if crossing else None}, halt t={d[-1].t:.4f}, "
-           f"argmax {d[-1].argmax_u} of {grid.shape}, blew_up={result.blew_up}")
+           f"argmax {(i, j)} of {grid.shape}, blew_up={result.blew_up}")
 
 
 def test_criterion_8c_subcritical_profile(subcritical_result):

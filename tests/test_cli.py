@@ -27,6 +27,14 @@ MINIMAL_RUN = {
 }
 
 
+MINIMAL_SWEEP = {
+    "problem": "mms_accuracy",
+    "mode": "convergence",
+    "grid": {"family": "uniform", "m_values": [4, 8]},
+    "t_final": 0.5,
+}
+
+
 def cfg_text(**overrides):
     doc = dict(MINIMAL_RUN)
     doc.update(overrides)
@@ -80,6 +88,27 @@ class TestParseConfig:
         # judged on the step index: -0.004 and 0.024 round to steps 0 and 2
         cfg = parse_config(cfg_text(outputs={"snapshot_times": [-0.004, 0.0, 0.024]}))
         assert cfg.outputs.snapshot_times == (-0.004, 0.0, 0.024)
+
+    def test_outputs_keys_the_mode_does_not_read_rejected(self):
+        values = {"diagnostics": "d.csv", "snapshot_times": [0.0], "snapshot_format": "vtk",
+                  "summary": "s.json", "table": "t.csv"}
+        cases = [(MINIMAL_SWEEP, k) for k in ("snapshot_times", "snapshot_format",
+                                              "diagnostics", "summary")]
+        cases += [(MINIMAL_RUN, "table"), (MINIMAL_RUN, "summary"),
+                  (dict(MINIMAL_RUN, mode="blowup"), "table")]
+        for doc, key in cases:
+            with pytest.raises(ConfigError, match=f"outputs.{key}: not read in {doc['mode']} mode"):
+                parse_config(json.dumps(dict(doc, outputs={key: values[key]})))
+
+    def test_outputs_keys_each_mode_reads_accepted(self):
+        run_keys = {"diagnostics": "d.csv", "snapshot_times": [0.0], "snapshot_format": "vtk"}
+        cfg = parse_config(json.dumps(dict(MINIMAL_RUN, outputs=run_keys)))
+        assert cfg.outputs.snapshot_format == "vtk"
+        cfg = parse_config(json.dumps(dict(MINIMAL_RUN, mode="blowup",
+                                           outputs=dict(run_keys, summary="s.json"))))
+        assert cfg.outputs.summary == "s.json"
+        cfg = parse_config(json.dumps(dict(MINIMAL_SWEEP, outputs={"table": "t.csv"})))
+        assert cfg.outputs.table == "t.csv"
 
     def test_convergence_mode_shape(self):
         text = json.dumps({
@@ -218,6 +247,14 @@ class TestMainCommand:
         assert main(["blowup", "--config", str(self.write(tmp_path, doc)),
                      "--out-dir", str(out)]) == 2
         assert "outputs.snapshot_times" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_times_in_a_sweep_exit_2(self, tmp_path, capsys):
+        doc = dict(MINIMAL_SWEEP, outputs={"snapshot_times": [0.25, 7.0]})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(self.write(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 2
+        assert "outputs.snapshot_times: not read in convergence mode" in capsys.readouterr().err
         assert not out.exists()
 
     def test_vtk_snapshot_header(self, tmp_path):

@@ -12,7 +12,7 @@ from ksbcfd.linalg import (
     block_corrected,
     cg,
     dense_solve,
-    fast_diag_solve,
+    direct_solve,
     sparse_lu_solve,
 )
 from ksbcfd.scheme import SchemeConfig, Workspace
@@ -236,8 +236,14 @@ class TestTensorHeatSolver:
         a = self.workspace(grid).z_system
         b = np.random.default_rng(41).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
-        x, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau + 0.5, 0.5)
-        assert rep.converged and rep.iterations == 0
+        calls = []
+
+        def inverse(r):  # a solution that meets tol is not refined
+            calls.append(r)
+            return heat.solve(r, 1.0 / self.tau + 0.5, 0.5)
+
+        x, rep = direct_solve(a, b, inverse)
+        assert rep.converged and rep.iterations == 0 and len(calls) == 1
         assert rep.final_relative_residual == relative_residual(a, b, x) <= 1e-12
         assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
 
@@ -257,8 +263,32 @@ class TestTensorHeatSolver:
         a = self.workspace(grid).z_system
         b = np.ones(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
-        _, rep = fast_diag_solve(a, b, heat, 1.0 / self.tau, 0.5)  # s off by 1/2
+        _, rep = direct_solve(a, b, lambda r: heat.solve(r, 1.0 / self.tau, 0.5))  # s off by 1/2
         assert not rep.converged and rep.reason == "breakdown"
+
+    @pytest.mark.parametrize("eps, converged", [(1e-6, True), (1e-5, False)])
+    def test_refines_once_on_a_miss(self, eps, converged):
+        # the heat inverse at s (1 + eps) leaves a plain residual of 4.5 eps
+        # on the z system, and one refinement step scales it by about eps again
+        grid = rectangular_grid()
+        a = self.workspace(grid).z_system
+        b = np.random.default_rng(41).standard_normal(grid.nx * grid.ny)
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        calls = []
+
+        def inverse(r):
+            calls.append(r)
+            return heat.solve(r, (1.0 / self.tau + 0.5) * (1.0 + eps), 0.5)
+
+        plain = relative_residual(a, b, inverse(b))
+        assert plain >= 1e-7
+        calls.clear()
+        x, rep = direct_solve(a, b, inverse)
+        assert len(calls) == 2
+        assert rep.final_relative_residual == relative_residual(a, b, x) < 1e-4 * plain
+        assert rep.converged is converged
+        assert rep.reason == ("converged" if converged else "breakdown")
+        assert (rep.final_relative_residual <= 1e-12) is converged
 
     def test_heat_preconditioned_bicgstab(self):
         # a nonzero gradient makes the density system nonsymmetric; its heat
