@@ -3,19 +3,20 @@
 Every solver takes the system as a plain ``scipy.sparse.csr_matrix`` and
 leaves its products to scipy.  There are a fast-diagonalization solver for
 the area-weighted heat operator of a tensor-product grid, which solves the
-concentration system directly and preconditions the density solves;
-BiCGStab for the nonsymmetric density systems, right-preconditioned by an
-operator; a block correction that follows such an operator with an exact
-sparse LU solve (scipy's SuperLU) on the rows where it is a poor
-approximation; one direct solve by a given inverse, refined once on a
-miss, which solves the concentration system by the heat inverse and, by
-SuperLU (``sparse_lu_solve``), a density system on which BiCGStab fails;
-and a dense partial-pivot solver used as an independent oracle in the
-tests.  The Krylov solvers take the preconditioner as a callable
-``r -> M^-1 r``; there is no built-in one.  Conjugate Gradient for
-symmetric positive definite systems is not used by the stepper: it is kept,
-tested against the dense oracle, as a solver whose calls the benchmark's
-``linalg.cg`` span counts.
+concentration system directly and preconditions the density solves, with a
+single-precision variant used only as a preconditioner; BiCGStab for the
+nonsymmetric density systems, right-preconditioned by an operator; a block
+correction that follows such an operator with an exact sparse LU solve
+(scipy's SuperLU) on the rows where it is a poor approximation; one direct
+solve by a given inverse, refined once on a miss, which solves the
+concentration system by the heat inverse and, by SuperLU
+(``sparse_lu_solve``), a density system on which BiCGStab fails; and a
+dense partial-pivot solver used as an independent oracle in the tests.
+The Krylov solvers take the preconditioner as a callable ``r -> M^-1 r``;
+there is no built-in one.  Conjugate Gradient for symmetric positive
+definite systems is not used by the stepper: it is kept, tested against the
+dense oracle, as a solver whose calls the benchmark's ``linalg.cg`` span
+counts.
 
 Every solve returns a ``SolveReport`` whose ``reason`` says why it
 stopped: ``converged``, ``max_iter`` (iteration budget spent),
@@ -223,6 +224,11 @@ def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float
 # tolerances on badly conditioned systems (e.g. near blow-up).
 _MAX_REFINEMENTS = 12
 
+# A restart sweep aims this factor below the solve's target ``tol |b|``.  A
+# restart begins just above that target, so a sweep aimed at it stops after
+# one iteration with the true residual still on the wrong side.
+_RESTART_TARGET = 0.1
+
 
 def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
              tol: float = 1e-12, max_iter: int | None = None,
@@ -231,11 +237,13 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np
 
     ``precond`` applies ``r -> M^-1 r`` for an approximate inverse ``M^-1``
     of ``a`` (the stepper passes the fast-diagonalization solve of the heat
-    part, block-corrected where the density matrix is not diagonally
-    dominant).
+    part: in float64 and block-corrected where the density matrix is not
+    diagonally dominant, in float32 otherwise).
 
     Convergence means the recomputed true relative residual is at or below
-    ``tol``.  Breakdown inside a sweep restarts once (fresh shadow residual)
+    ``tol``.  The first sweep stops when its recursive residual reaches
+    ``tol |b|``, a refinement restart's sweep at ``_RESTART_TARGET`` times
+    that.  Breakdown inside a sweep restarts once (fresh shadow residual)
     and is otherwise reported as non-convergence, never as a crash.  A sweep
     that goes ``_STAGNATION_WINDOW`` iterations without a new best residual
     ends the solve as ``stagnated`` instead of spending ``max_iter``.
@@ -269,8 +277,8 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np
         if iterations >= max_iter or refinement == _MAX_REFINEMENTS:
             reason = "max_iter"  # iteration or restart budget spent
             break
-        dx, sweep_iters, reason = _bicgstab_sweep(a, r, precond, tol * b_norm,
-                                                  max_iter - iterations)
+        target = tol * b_norm if refinement == 0 else _RESTART_TARGET * tol * b_norm
+        dx, sweep_iters, reason = _bicgstab_sweep(a, r, precond, target, max_iter - iterations)
         iterations += sweep_iters
         x = x + dx
         if reason == "breakdown" and sweep_iters == 0:
@@ -294,6 +302,19 @@ def _axis_modes(axis) -> tuple[np.ndarray, np.ndarray]:
     r = 1.0 / np.sqrt(w)
     mu, q = eigh_tridiagonal(k_diag / w, -c * r[:-1] * r[1:])
     return q * r[:, None], mu
+
+
+# Relative threshold below which ``TensorHeatSolver.solve_fp32`` zeroes an
+# entry.  It keeps the float32 products clear of subnormals (below 2^-126)
+# and drops nothing a float32 result could show.
+_FLUSH = 2.0**-60
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """``a`` with every entry below ``_FLUSH`` times its largest magnitude set to zero, in place."""
+    mag = np.abs(a)
+    a[mag < _FLUSH * mag.max()] = 0.0
+    return a
 
 
 class TensorHeatSolver:
@@ -321,6 +342,9 @@ class TensorHeatSolver:
         else:
             self._vy, mu_y = _axis_modes(y_axis)
         self._mu_sum = mu_y[:, None] + mu_x[None, :]  # transposed, see solve
+        self._vx32 = _flushed(self._vx.astype(np.float32))
+        self._vy32 = self._vx32 if self._vy is self._vx else _flushed(self._vy.astype(np.float32))
+        self._mu_sum32 = self._mu_sum.astype(np.float32)
 
     def solve(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
         """Solve ``(s W + theta (Kx (x) Wy + Wx (x) Ky)) x = b``.
@@ -333,6 +357,30 @@ class TensorHeatSolver:
         bt = np.reshape(b, (ny, nx))
         yt = (self._vy.T @ bt @ self._vx) / (s + theta * self._mu_sum)
         return (self._vy @ yt @ self._vx.T).ravel()
+
+    def solve_fp32(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
+        """``solve`` in single precision, for use as a preconditioner.
+
+        ``b`` is scaled by the power of two ``2^-e`` that puts ``max|b|`` in
+        [1/2, 1), which is exact, and the float64 result is scaled back, so
+        ``solve_fp32(c b)`` is bit-identical to ``c solve_fp32(b)`` for any
+        power of two ``c`` that neither overflows nor underflows.  The scaled
+        input, the mode coefficients and (once, in ``__init__``) the float32
+        eigenvector matrices are flushed to zero below ``_FLUSH`` times their
+        largest magnitude: a tail of tiny entries would otherwise reach the
+        matrix products as subnormal float32 values, on which the BLAS runs
+        slower than in float64 (late residuals of a blow-up run span 20 and
+        more decades).
+        """
+        nx, ny = self.shape
+        peak = max(float(b.max()), -float(b.min()))
+        if peak == 0.0:
+            return np.zeros(nx * ny)
+        e = int(np.frexp(peak)[1])
+        bt = _flushed(np.ldexp(np.reshape(b, (ny, nx)), -e).astype(np.float32))
+        yt = (self._vy32.T @ bt @ self._vx32) / (np.float32(s) + np.float32(theta) * self._mu_sum32)
+        x = self._vy32 @ _flushed(yt) @ self._vx32.T
+        return np.ldexp(x.ravel().astype(np.float64), e)
 
 
 def block_corrected(a: sp.csr_matrix, precond: Callable[[np.ndarray], np.ndarray],

@@ -28,14 +28,18 @@ matrix (1/tau + 1/2) W - (1/2) W L is an area-weighted heat operator, which
 the fast-diagonalization solver (``linalg.TensorHeatSolver``, built once per
 run) solves directly.  The density matrix adds the chemotaxis term, is
 nonsymmetric whenever the concentration gradient is nonzero, and is solved
-with BiCGStab right-preconditioned by the exact inverse of its heat part
-(1/tau) W - theta W L.  That inverse ignores the chemotaxis term, which
-matters where it outweighs diffusion: near the singular time of a blow-up
-run, rows at the peak stop being diagonally dominant.  When any row is not,
-the preconditioner also solves the density system exactly on the tensor
-block that bounds those rows (``linalg.block_corrected``, SuperLU); when
-none is, it is the heat inverse alone.  When BiCGStab does not converge,
-the same system is solved once more by sparse LU (SuperLU).  Every
+with BiCGStab right-preconditioned by the inverse of its heat part
+(1/tau) W - theta W L, warm-started from the extrapolation 2 u^n - u^{n-1}
+(from u^n on the first step).  That inverse ignores the chemotaxis term,
+which matters where it outweighs diffusion: near the singular time of a
+blow-up run, rows at the peak stop being diagonally dominant.  When any row
+is not, the preconditioner is the float64 heat inverse followed by an exact
+solve of the density system on the tensor block that bounds those rows
+(``linalg.block_corrected``, SuperLU); when none is, it is the heat inverse
+alone in single precision (``TensorHeatSolver.solve_fp32``), which costs
+less per application and barely changes the iteration counts.  Residuals
+and acceptance stay in float64.  When BiCGStab does not converge, the same
+system is solved once more by sparse LU (SuperLU).  Every
 solution, direct or iterative, is accepted only if its recomputed residual
 meets the solver tolerance; both direct solves (``linalg.direct_solve``)
 take one step of iterative refinement when their first solution misses it.
@@ -206,6 +210,7 @@ class StepDiagnostics:
     block_cells: int
     dz_inf: float
     uniqueness_ok: bool
+    neg_cells: int  # cells with u < 0; recorded, never a halt reason
 
 
 @dataclass
@@ -444,21 +449,24 @@ def _solve_density(ws: Workspace, system: sp.csr_matrix, block: tuple[slice, sli
     """BiCGStab for a density system from ``Workspace.u_system``, with a
     sparse LU fallback.
 
-    The right preconditioner is the exact inverse of the system's heat part
-    (1/tau) W - theta W L, followed, when ``block`` is not None, by an exact
-    solve of ``system`` on the cells of ``block`` (``linalg.block_corrected``).
-    The fallback's report keeps the BiCGStab iteration count and carries the
-    residual recomputed from the direct solution; a fallback that misses the
-    solver tolerance raises ``StepSolveError``.  The report's
-    ``block_cells`` is the size of the correction block.
+    The right preconditioner is the inverse of the system's heat part
+    (1/tau) W - theta W L: in single precision when ``block`` is None, and
+    otherwise in float64 followed by an exact solve of ``system`` on the
+    cells of ``block`` (``linalg.block_corrected``).  The fallback's report
+    keeps the BiCGStab iteration count and carries the residual recomputed
+    from the direct solution; a fallback that misses the solver tolerance
+    raises ``StepSolveError``.  The report's ``block_cells`` is the size of
+    the correction block, 0 when there is none or its matrix is exactly
+    singular.
     """
-    tol = ws.config.solver_tol
-    precond = functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
-    cells = 0
-    if block is not None:
+    tol, s = ws.config.solver_tol, 1.0 / ws.config.tau
+    if block is None:
+        precond, cells = functools.partial(ws.heat.solve_fp32, s=s, theta=theta), 0
+    else:
+        heat = functools.partial(ws.heat.solve, s=s, theta=theta)
         rows = _flat_index(ws.grid)[block].ravel(order="F")
-        precond = linalg.block_corrected(system, precond, rows)
-        cells = rows.size
+        precond = linalg.block_corrected(system, heat, rows)
+        cells = 0 if precond is heat else rows.size  # 0: A_SS exactly singular
     x, report = linalg.bicgstab(system, rhs, precond, tol=tol,
                                 x0=np.ravel(warm_start.values, order="F"))
     if not report.converged:
@@ -505,6 +513,7 @@ def _diagnostics(state: State, grad_z: GradientPair, config: SchemeConfig, rep_z
         block_cells=max(r.block_cells for r in reps_u),
         dz_inf=dz_inf,
         uniqueness_ok=bool(config.tau < 4.0 / (config.lam**2 * (dz_inf + 1.0) ** 2)),
+        neg_cells=int(np.count_nonzero(u.values < 0.0)),
     )
 
 
@@ -518,7 +527,8 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
               name: str) -> tuple[State, GradientPair, SolveReport, SolveReport]:
     """One Crank-Nicolson stage from ``state``: the concentration solve with
     ``u_star`` as the half-level density, then the density solve in the new
-    concentration gradient.
+    concentration gradient, warm-started from 2 u^n - u^{n-1} (from u^n when
+    there is no u^{n-1}).
 
     Returns the new state, the gradient of its concentration, and the
     reports of the concentration and density solves; ``name`` names the
@@ -548,7 +558,8 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
         + _forcing(problem, "f_rho", grid, t_half)
     )
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=u_n)
+    warm = u_n if state.u_prev is None else CellField(grid, 2.0 * u_n.values - state.u_prev.values)
+    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=warm)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next)

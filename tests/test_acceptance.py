@@ -289,14 +289,19 @@ def test_criterion_8a_center_blowup_grid_comparison():
            f"middle M=60 peak {peak_mid:.3e} > uniform M=120 peak {peak_uni:.3e}")
 
 
-def test_criterion_8b_corner_blowup():
+@pytest.fixture(scope="module")
+def corner_result():
     problem = get_problem("blowup_corner")
     grid = make_grid(build_corner_refined(200), build_corner_refined(200))
     # past the singular time the discrete dynamics oscillate unphysically, so
     # the study halts at 1e4 x the initial peak rather than the 1e12 default
     cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.18, blowup_threshold=1e7,
                        uniqueness_monitor=False)
-    result = run(problem, grid, cfg)
+    return run(problem, grid, cfg), grid
+
+
+def test_criterion_8b_corner_blowup(corner_result):
+    result, grid = corner_result
     d = result.diagnostics
     crossing = [x.t for x in d if x.u_max > 1e4]
     ok = result.blew_up and bool(crossing) and 0.13 <= crossing[0] <= 0.18
@@ -305,6 +310,15 @@ def test_criterion_8b_corner_blowup():
     report("8b corner blow-up", ok,
            f"u_max>1e4 at t={crossing[0] if crossing else None}, halt t={d[-1].t:.4f}, "
            f"argmax {(i, j)} of {grid.shape}, blew_up={result.blew_up}")
+
+
+def test_positivity_loss_is_recorded(corner_result, subcritical_result):
+    # the corner run loses positivity before its halt; the subcritical run never does
+    corner = corner_result[0].diagnostics
+    subcritical = subcritical_result[0].diagnostics
+    assert corner[-1].neg_cells > 0 and corner[-1].u_min < 0.0
+    assert all(d.neg_cells == 0 for d in subcritical)
+    assert min(d.u_min for d in subcritical) >= 0.0
 
 
 def test_criterion_8c_subcritical_profile(subcritical_result):

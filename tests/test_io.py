@@ -81,7 +81,7 @@ def test_diagnostics_csv_shape(tmp_path):
     diagnostics_to_csv(result.diagnostics, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("t,mass,u_max,u_min,z_max,argmax_i,argmax_j,iters_z,iters_u,"
-                        "residual_z,residual_u,block_cells,dz_inf,uniqueness_ok")
+                        "residual_z,residual_u,block_cells,dz_inf,uniqueness_ok,neg_cells")
     assert lines[0] == ",".join(DIAGNOSTIC_COLUMNS)
     assert len(lines) == 1 + len(result.diagnostics)
     for line, d in zip(lines[1:], result.diagnostics):
@@ -91,15 +91,17 @@ def test_diagnostics_csv_shape(tmp_path):
         assert float(row["residual_z"]) == d.residual_z
         assert float(row["residual_u"]) == d.residual_u <= 1e-12
         assert int(row["block_cells"]) == d.block_cells
+        assert int(row["neg_cells"]) == d.neg_cells
 
 
 def test_diagnostics_row_formats_each_field_by_type(tmp_path):
     d = StepDiagnostics(t=0.1, mass=1.0, u_max=2.0 / 3.0, u_min=-1e-300, z_max=3.0,
                         argmax_i=7, argmax_j=0, iters_z=0, iters_u=12, residual_z=0.0,
-                        residual_u=5e-13, block_cells=36, dz_inf=1e20, uniqueness_ok=False)
+                        residual_u=5e-13, block_cells=36, dz_inf=1e20, uniqueness_ok=False,
+                        neg_cells=5)
     path = tmp_path / "d.csv"
     diagnostics_to_csv([d, replace(d, uniqueness_ok=True)], path)
     rows = path.read_text().splitlines()[1:]
     assert rows[0] == ("0.10000000000000001,1,0.66666666666666663,-1e-300,3,"
-                       "7,0,0,12,0,4.9999999999999999e-13,36,1e+20,0")
-    assert rows[1].endswith(",1e+20,1")
+                       "7,0,0,12,0,4.9999999999999999e-13,36,1e+20,0,5")
+    assert rows[1].endswith(",1e+20,1,5")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import ksbcfd.linalg
 from ksbcfd.fields import CellField, cell_field, grad
 from ksbcfd.grid import build_corner_refined, build_random_perturbed, make_grid
 from ksbcfd.linalg import (
@@ -151,6 +152,24 @@ class TestBiCGStab:
         x, rep = bicgstab(laplacian_1d(6), np.zeros(6), jacobi(laplacian_1d(6)))
         assert rep.converged and rep.iterations == 0
 
+    def test_restart_sweeps_aim_below_the_target(self, monkeypatch):
+        # a first sweep stopped 1e6 above the target forces a restart
+        sweep = ksbcfd.linalg._bicgstab_sweep
+        targets = []
+
+        def recorded(a, b, m, tol_abs, max_iter):
+            targets.append(tol_abs)
+            return sweep(a, b, m, tol_abs * (1e6 if len(targets) == 1 else 1.0), max_iter)
+
+        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", recorded)
+        a, b, tol = laplacian_1d(50), np.ones(50), 1e-12
+        x, rep = bicgstab(a, b, jacobi(a), tol=tol)
+        b_norm = np.linalg.norm(b)
+        assert rep.converged and len(targets) >= 2
+        assert targets[0] == tol * b_norm
+        assert targets[1:] == [0.1 * tol * b_norm] * (len(targets) - 1)
+        assert rep.final_relative_residual == np.linalg.norm(b - a @ x) / b_norm <= tol
+
     def test_agrees_with_cg_on_spd(self):
         for n, seed in ((50, 1), (200, 2), (400, 3)):
             a, _ = random_spd(n, seed)
@@ -289,6 +308,65 @@ class TestTensorHeatSolver:
         assert rep.converged is converged
         assert rep.reason == ("converged" if converged else "breakdown")
         assert (rep.final_relative_residual <= 1e-12) is converged
+
+    def heat_rhs(self, grid, seed):
+        """A right-hand side whose entries span 30 decades, like a late residual."""
+        rng = np.random.default_rng(seed)
+        n = grid.nx * grid.ny
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-30, 1, n)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_fp32_solve_agrees_with_fp64(self, theta):
+        grid = rectangular_grid()
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        for seed in (44, 45):
+            b = self.heat_rhs(grid, seed)
+            x64 = heat.solve(b, 1.0 / self.tau, theta)
+            x32 = heat.solve_fp32(b, 1.0 / self.tau, theta)
+            assert x32.dtype == np.float64
+            assert np.linalg.norm(x32 - x64) <= 1e-6 * np.linalg.norm(x64)
+
+    def test_fp32_solve_commutes_with_powers_of_two(self):
+        # beyond 2^-130 and 2^100 an unscaled float32 solve would underflow
+        # or overflow
+        grid = rectangular_grid()
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        b = self.heat_rhs(grid, 46)
+        x = heat.solve_fp32(b, 1.0 / self.tau, 0.5)
+        for k in range(-200, 101):
+            c = 2.0**k
+            assert np.array_equal(heat.solve_fp32(c * b, 1.0 / self.tau, 0.5), c * x)
+
+    def test_fp32_solve_flushes_its_matrix_product_operands(self, monkeypatch):
+        # every operand of the float32 products keeps no entry below 2^-60 of
+        # its largest, so none reaches the BLAS as a subnormal; the modes of
+        # corner-refined axes have such entries
+        grid = make_grid(build_corner_refined(40), build_corner_refined(30))
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        for raw in (np.abs(heat._vx), np.abs(heat._vy)):
+            assert np.any(raw < 2.0**-60 * raw.max())
+        flushed = ksbcfd.linalg._flushed
+        operands = [heat._vx32, heat._vy32]
+
+        def recorded(a):
+            operands.append(flushed(a))
+            return operands[-1]
+
+        monkeypatch.setattr(ksbcfd.linalg, "_flushed", recorded)
+        heat.solve_fp32(1e-9 * self.heat_rhs(grid, 47), 1.0 / self.tau, 0.5)
+        assert len(operands) == 4  # the modes, the scaled input, the mode coefficients
+        assert 0.5 <= np.max(np.abs(operands[2])) <= 1.0
+        for a in operands:
+            assert a.dtype == np.float32
+            mag = np.abs(a[a != 0.0])
+            assert mag.min() >= 2.0**-60 * mag.max()
+
+    def test_fp32_solve_of_zero_is_zero(self):
+        grid = rectangular_grid()
+        x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve_fp32(
+            np.zeros(grid.nx * grid.ny), 1.0 / self.tau, 0.5)
+        assert x.dtype == np.float64 and x.shape == (grid.nx * grid.ny,)
+        assert np.array_equal(x, np.zeros(grid.nx * grid.ny))
 
     def test_heat_preconditioned_bicgstab(self):
         # a nonzero gradient makes the density system nonsymmetric; its heat

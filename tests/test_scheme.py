@@ -6,7 +6,7 @@ import pytest
 import ksbcfd.linalg
 from ksbcfd.fields import CellField, cell_field, cell_field_from_function, grad, inner_m, norm_m
 from ksbcfd.grid import build_uniform, build_random_perturbed, make_grid
-from ksbcfd.linalg import bicgstab, dense_solve
+from ksbcfd.linalg import bicgstab, block_corrected, dense_solve
 from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     BlowUpDetected,
@@ -317,6 +317,27 @@ class TestMarching:
         with pytest.raises(ValueError, match="two density levels"):
             step_cn(state, problem, Workspace(state.u_curr.grid, cfg))
 
+    def test_density_solves_start_from_the_extrapolated_level(self, monkeypatch):
+        # u^0 for both solves of the first step, 2 u^n - u^{n-1} after it
+        problem = get_problem("global_existence")
+        grid = unit_grid(8)
+        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.03))
+        starts = []
+
+        def recorded(a, b, precond, tol, x0):
+            starts.append(x0.copy())
+            return bicgstab(a, b, precond, tol=tol, x0=x0)
+
+        monkeypatch.setattr(ksbcfd.linalg, "bicgstab", recorded)
+        state0 = init_state(problem, grid)
+        state1, _ = first_step(state0, problem, ws)
+        step_cn(state1, problem, ws)
+        flat = lambda v: np.ravel(v, order="F")
+        assert len(starts) == 3
+        assert np.array_equal(starts[0], flat(state0.u_curr.values))
+        assert np.array_equal(starts[1], flat(state0.u_curr.values))
+        assert np.array_equal(starts[2], flat(2.0 * state1.u_curr.values - state0.u_curr.values))
+
     def test_solutions_match_dense_oracle_on_coarse_grid(self):
         # the first step and one full CN step on an 8x8 grid cross-checked
         # against dense solves, each with its half-level density u*
@@ -361,6 +382,16 @@ def heat_inverse(ws, theta=0.5):
     return functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
 
 
+def fp32_heat_inverse(ws, theta=0.5):
+    """The preconditioner of a density solve whose rows are all diagonally dominant."""
+    return functools.partial(ws.heat.solve_fp32, s=1.0 / ws.config.tau, theta=theta)
+
+
+def block_rows(grid, block):
+    """Flat indices of the cells of an (i, j) block."""
+    return np.arange(grid.nx * grid.ny).reshape(grid.shape, order="F")[block].ravel(order="F")
+
+
 def solve_density(ws, system, block, rhs, theta=0.5, step=1):
     """``_solve_density`` from a zero warm start."""
     return _solve_density(ws, system, block, rhs, theta, step=step, name="density",
@@ -395,7 +426,8 @@ class TestSolveFallback:
         b = np.random.default_rng(4).standard_normal(system.shape[0])
         monkeypatch.setattr(ksbcfd.linalg, "sparse_lu_solve", None)  # any call would fail
         x, rep = solve_density(ws, system, block, b)
-        assert np.array_equal(x, bicgstab(system, b, heat_inverse(ws), tol=ws.config.solver_tol)[0])
+        reference = bicgstab(system, b, fp32_heat_inverse(ws), tol=ws.config.solver_tol)[0]
+        assert np.array_equal(x, reference)
         assert rep.reason == "converged" and rep.iterations > 0
 
     def test_failed_fallback_names_both_causes(self, monkeypatch):
@@ -438,9 +470,28 @@ class TestBlockCorrection:
         assert not weak_rows(system.toarray(), ws.grid.shape).any()
         b = np.random.default_rng(5).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, block, b, theta=theta)
-        plain = bicgstab(system, b, heat_inverse(ws, theta), tol=ws.config.solver_tol)[0]
+        plain = bicgstab(system, b, fp32_heat_inverse(ws, theta), tol=ws.config.solver_tol)[0]
         assert np.array_equal(x, plain)
         assert report.block_cells == 0
+
+    def test_block_step_keeps_the_fp64_heat_inverse(self):
+        ws, system, block = steep_patch_system(30.0)
+        b = np.random.default_rng(6).standard_normal(system.shape[0])
+        x, report = solve_density(ws, system, block, b)
+        precond = block_corrected(system, heat_inverse(ws), block_rows(ws.grid, block))
+        assert np.array_equal(x, bicgstab(system, b, precond, tol=ws.config.solver_tol)[0])
+        assert report.converged
+
+    def test_singular_block_reports_no_block_cells(self):
+        # a zero diagonal at cell (0, 0) makes the one-cell block A_SS = [0]
+        # exactly singular, so the solve runs on the heat inverse alone
+        ws, system, _ = steep_patch_system(0.3)
+        system = system.copy()
+        system[0, 0] = 0.0
+        b = np.random.default_rng(9).standard_normal(system.shape[0])
+        x, report = solve_density(ws, system, (slice(0, 1), slice(0, 1)), b)
+        assert report.converged and report.block_cells == 0
+        assert np.max(np.abs(x - dense_solve(system.toarray(), b))) <= 1e-10
 
     def test_block_bounds_weak_rows_and_speeds_up_bicgstab(self):
         ws, system, block = steep_patch_system(30.0)
