@@ -487,12 +487,17 @@ def _snapshot_writer(config: RunConfig, out_dir: Path):
 
 
 def run_single(config: RunConfig, out_dir: Path) -> RunResult:
-    """March the configured problem, writing snapshots and diagnostics."""
+    """March the configured problem, writing snapshots and diagnostics (of
+    the steps before the failure when a solve fails)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem(config.problem)
     grid = build_grid(problem, config.grid, config.grid.m)
-    result = run(problem, grid, _scheme_config(config, problem, config.tau),
-                 on_step=_snapshot_writer(config, out_dir))
+    try:
+        result = run(problem, grid, _scheme_config(config, problem, config.tau),
+                     on_step=_snapshot_writer(config, out_dir))
+    except StepSolveError as failure:
+        diagnostics_to_csv(failure.diagnostics, out_dir / config.outputs.diagnostics)
+        raise
     diagnostics_to_csv(result.diagnostics, out_dir / config.outputs.diagnostics)
     return result
 

@@ -18,12 +18,13 @@ definite systems is not used by the stepper: it is kept, tested against the
 dense oracle, as a solver whose calls the benchmark's ``linalg.cg`` span
 counts.
 
-Every solve returns a ``SolveReport`` whose ``reason`` says why it
-stopped: ``converged``, ``max_iter`` (iteration budget spent),
-``stagnated`` (BiCGStab went ``_STAGNATION_WINDOW`` iterations without a new
-best residual, or a refinement restart made no progress) or ``breakdown``
-(a vanishing denominator, an exactly singular LU factor, or a direct
-solution that misses the tolerance even after its refinement step).
+Every solve takes a first solution, at most one refinement when that
+misses the tolerance, and one verdict (``_verdict``).  Its ``SolveReport``'s
+``reason`` says why it stopped: ``converged``, ``max_iter`` (iteration
+budget spent), ``stagnated`` (a BiCGStab sweep went ``_STAGNATION_WINDOW``
+iterations without a new best residual, or its refinement still missed) or
+``breakdown`` (a vanishing denominator, an exactly singular LU factor, or a
+direct solution that misses even after its refinement step).
 
 Identical inputs give bit-identical outputs at a fixed BLAS thread count.
 numpy's dot products and norms on long vectors, and the matrix products of
@@ -76,8 +77,23 @@ class SolveReport:
     block_cells: int = 0
 
 
-def _true_relative_residual(a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, b_norm: float) -> float:
-    return float(np.linalg.norm(b - a @ x) / b_norm)
+# A bound on the componentwise backward error, in units of roundoff.
+_BACKWARD_ULPS = 16
+
+
+def _verdict(a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm: float,
+             tol: float, iterations: int, reason: str) -> SolveReport:
+    """The report of a solve that returns ``x``, with residual ``r = b - A x``.
+
+    ``x`` converges when ``|r| / |b| <= tol`` or, on a miss, when every row
+    has ``|r| <= _BACKWARD_ULPS eps (|A| |x| + |b|)``: a componentwise
+    backward error (Oettli & Prager 1964) that float64 can meet where
+    ``|A| |x|`` far outweighs ``|b|``.  Otherwise it carries ``reason``.
+    """
+    res = float(np.linalg.norm(r) / b_norm)
+    converged = res <= tol or bool(np.all(
+        np.abs(r) <= _BACKWARD_ULPS * np.finfo(np.float64).eps * (abs(a) @ np.abs(x) + np.abs(b))))
+    return SolveReport(converged, iterations, res, "converged" if converged else reason)
 
 
 def cg(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
@@ -87,8 +103,9 @@ def cg(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarr
 
     ``precond`` applies ``r -> M^-1 r`` for an SPD ``M``.  The caller asserts
     symmetry.  Zero-curvature breakdown is reported as non-convergence.
-    Convergence means the recomputed relative residual ``|b - A x|_2 / |b|_2``
-    is at or below ``tol``.  ``x0`` warm-starts the iteration.
+    The iteration stops when the recomputed relative residual
+    ``|b - A x|_2 / |b|_2`` is at or below ``tol``; ``_verdict`` decides
+    convergence.  ``x0`` warm-starts the iteration.
     """
     b, b_norm = _checked_rhs(a, b, tol)
     n = a.shape[0]
@@ -97,30 +114,26 @@ def cg(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarr
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = b - a @ x
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - a @ x
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
-    for _ in range(max_iter):
+    reason = "max_iter"
+    while iterations < max_iter:
         if np.linalg.norm(r) <= tol * b_norm:
-            true_res = _true_relative_residual(a, b, x, b_norm)
-            if true_res <= tol:
-                return x, SolveReport(True, iterations, true_res, "converged")
-            r = b - a @ x  # recursive residual drifted; continue from truth
+            r = b - a @ x  # stop on the true residual, or continue from it
+            if np.linalg.norm(r) / b_norm <= tol:
+                break
             z = precond(r)
             p = z.copy()
             rz = float(r @ z)
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0 or abs(rz) < _BREAKDOWN:
-            return x, SolveReport(False, iterations, _true_relative_residual(a, b, x, b_norm),
-                                  "breakdown")
+            reason = "breakdown"
+            break
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
@@ -129,9 +142,7 @@ def cg(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarr
         p = z + (rz_next / rz) * p
         rz = rz_next
         iterations += 1
-    true_res = _true_relative_residual(a, b, x, b_norm)
-    converged = true_res <= tol
-    return x, SolveReport(converged, iterations, true_res, "converged" if converged else "max_iter")
+    return x, _verdict(a, b, x, b - a @ x, b_norm, tol, iterations, reason)
 
 
 # A BiCGStab sweep that goes this many iterations without a new best
@@ -146,12 +157,11 @@ def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float
                     max_iter: int) -> tuple[np.ndarray, int, str]:
     """One BiCGStab pass from a zero initial guess.
 
-    Stops on the recursive residual reaching ``tol_abs``, on breakdown, or
-    after ``_STAGNATION_WINDOW`` iterations without a new best residual.
-    A rho-breakdown (residual orthogonal to the shadow residual) restarts the
-    recursion once with a fresh shadow residual; a second occurrence, or any
-    other breakdown, ends the sweep.  Returns (iterate, iterations, reason)
-    with a ``SolveReport`` reason.
+    Stops on the recursive residual reaching ``tol_abs``, on breakdown (a
+    vanishing denominator, among them a residual orthogonal to the shadow
+    residual), or after ``_STAGNATION_WINDOW`` iterations without a new best
+    residual.  Returns (iterate, iterations, reason) with a ``SolveReport``
+    reason.
     """
     n = b.shape[0]
     x = np.zeros(n)
@@ -160,7 +170,6 @@ def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float
     rho = alpha = omega = 1.0
     v = np.zeros(n)
     p = np.zeros(n)
-    restarted = False
     iterations = 0
     # best iterate by recursive residual; returned when the recursion breaks
     # down or wanders off instead of the (possibly worse) final iterate
@@ -178,16 +187,7 @@ def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float
         rho_next = float(r0 @ r)
         scale = float(np.linalg.norm(r0) * r_norm)
         if abs(rho_next) <= _BREAKDOWN * max(scale, 1.0):
-            if restarted:
-                return best_x, iterations, "breakdown"
-            restarted = True
-            r0 = r.copy()
-            rho = alpha = omega = 1.0
-            v[:] = 0.0
-            p[:] = 0.0
-            rho_next = float(r0 @ r)
-            if abs(rho_next) <= _BREAKDOWN:
-                return best_x, iterations, "breakdown"
+            return best_x, iterations, "breakdown"
         beta = (rho_next / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         p_hat = m(p)
@@ -217,16 +217,9 @@ def _bicgstab_sweep(a: sp.csr_matrix, b: np.ndarray, m: Callable, tol_abs: float
     return best_x, iterations, "max_iter"
 
 
-# Outer iterative-refinement restarts around the BiCGStab sweep.  A single
-# sweep's recursive residual drifts away from the true residual once it
-# approaches the rounding floor of the recursion; restarting on the true
-# residual lets each sweep work at its own scale, which reaches tight
-# tolerances on badly conditioned systems (e.g. near blow-up).
-_MAX_REFINEMENTS = 12
-
-# A restart sweep aims this factor below the solve's target ``tol |b|``.  A
-# restart begins just above that target, so a sweep aimed at it stops after
-# one iteration with the true residual still on the wrong side.
+# The refinement sweep aims this factor below the target ``tol |b|``: it
+# begins just above that target, and a sweep aimed at it would stop after one
+# iteration with the true residual still on the wrong side.
 _RESTART_TARGET = 0.1
 
 
@@ -240,14 +233,15 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np
     part: in float64 and block-corrected where the density matrix is not
     diagonally dominant, in float32 otherwise).
 
-    Convergence means the recomputed true relative residual is at or below
-    ``tol``.  The first sweep stops when its recursive residual reaches
-    ``tol |b|``, a refinement restart's sweep at ``_RESTART_TARGET`` times
-    that.  Breakdown inside a sweep restarts once (fresh shadow residual)
-    and is otherwise reported as non-convergence, never as a crash.  A sweep
-    that goes ``_STAGNATION_WINDOW`` iterations without a new best residual
-    ends the solve as ``stagnated`` instead of spending ``max_iter``.
-    ``x0`` warm-starts the iteration.
+    ``direct_solve``'s rule with a BiCGStab sweep as the solve: a sweep
+    from ``x0`` (zero by default) stops when its recursive residual reaches
+    ``tol |b|``.  That residual drifts from the true one near the rounding
+    floor, so when the true residual misses ``tol`` after a sweep that
+    converged or broke down, one refinement sweep, with a fresh shadow
+    residual, runs on it aimed at ``_RESTART_TARGET`` times that target, and
+    is kept if it lowers the true residual.  A sweep that stagnated or spent
+    ``max_iter`` ends the solve with that reason; a refinement that still
+    misses is ``stagnated``.
     """
     b, b_norm = _checked_rhs(a, b, tol)
     n = a.shape[0]
@@ -257,34 +251,22 @@ def bicgstab(a: sp.csr_matrix, b: np.ndarray, precond: Callable[[np.ndarray], np
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - a @ x
+    res = float(np.linalg.norm(r) / b_norm)
     iterations = 0
-    best_x = x
-    best_norm = np.inf
-    reason = "max_iter"
-    for refinement in range(_MAX_REFINEMENTS + 1):
-        r = b - a @ x
-        r_norm = float(np.linalg.norm(r))
-        if r_norm <= tol * b_norm:
-            return x, SolveReport(True, iterations, r_norm / b_norm, "converged")
-        if not r_norm < best_norm:
-            # no progress beyond the best point; a retry would repeat it
-            if reason == "converged":  # only the recursive residual converged
-                reason = "stagnated"
+    reason = "converged"
+    for target in (tol * b_norm, _RESTART_TARGET * tol * b_norm):
+        if res <= tol or reason not in ("converged", "breakdown"):
             break
-        best_x, best_norm = x, r_norm
-        if reason == "stagnated":
-            break  # the Krylov recursion stalled for a whole window
-        if iterations >= max_iter or refinement == _MAX_REFINEMENTS:
-            reason = "max_iter"  # iteration or restart budget spent
-            break
-        target = tol * b_norm if refinement == 0 else _RESTART_TARGET * tol * b_norm
         dx, sweep_iters, reason = _bicgstab_sweep(a, r, precond, target, max_iter - iterations)
         iterations += sweep_iters
-        x = x + dx
-        if reason == "breakdown" and sweep_iters == 0:
-            break
-    return best_x, SolveReport(False, iterations, _true_relative_residual(a, b, best_x, b_norm),
-                               reason)
+        swept = x + dx
+        swept_r = b - a @ swept
+        swept_res = float(np.linalg.norm(swept_r) / b_norm)
+        if swept_res < res:
+            x, r, res = swept, swept_r, swept_res
+    return x, _verdict(a, b, x, r, b_norm, tol, iterations,
+                       "stagnated" if reason == "converged" else reason)
 
 
 def _axis_modes(axis) -> tuple[np.ndarray, np.ndarray]:
@@ -419,9 +401,8 @@ def direct_solve(a: sp.csr_matrix, b: np.ndarray, inverse: Callable[[np.ndarray]
     another operator shows as a large residual.  Only when it misses ``tol``
     does the solution get one step of fixed-precision iterative refinement,
     ``x += A^-1 (b - A x)`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 12), kept if it lowers the residual: near the singular
-    time of a blow-up run a plain solution can miss ``tol`` narrowly and the
-    refined one meet it.  A solution that misses ``tol`` is ``breakdown``.
+    Algorithms*, ch. 12), kept if it lowers the residual.  ``_verdict``
+    decides convergence; a solution it rejects is ``breakdown``.
     """
     b, b_norm = _checked_rhs(a, b, tol)
     if b_norm == 0.0:
@@ -431,11 +412,10 @@ def direct_solve(a: sp.csr_matrix, b: np.ndarray, inverse: Callable[[np.ndarray]
     res = float(np.linalg.norm(r) / b_norm)
     if res > tol:
         refined = x + inverse(r)
-        refined_res = _true_relative_residual(a, b, refined, b_norm)
-        if refined_res < res:
-            x, res = refined, refined_res
-    converged = res <= tol
-    return x, SolveReport(converged, 0, res, "converged" if converged else "breakdown")
+        refined_r = b - a @ refined
+        if np.linalg.norm(refined_r) / b_norm < res:
+            x, r = refined, refined_r
+    return x, _verdict(a, b, x, r, b_norm, tol, 0, "breakdown")
 
 
 def sparse_lu_solve(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:

@@ -39,10 +39,10 @@ solve of the density system on the tensor block that bounds those rows
 alone in single precision (``TensorHeatSolver.solve_fp32``), which costs
 less per application and barely changes the iteration counts.  Residuals
 and acceptance stay in float64.  When BiCGStab does not converge, the same
-system is solved once more by sparse LU (SuperLU).  Every
-solution, direct or iterative, is accepted only if its recomputed residual
-meets the solver tolerance; both direct solves (``linalg.direct_solve``)
-take one step of iterative refinement when their first solution misses it.
+system is solved once more by sparse LU (SuperLU).  Every solve, direct or
+iterative, refines its solution once when the recomputed residual misses
+the solver tolerance, and accepts it when the residual meets the tolerance
+or its componentwise backward error is at most 16 units of roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into an (nx, ny, 5) band, which the fixed CSR structure of the grid
@@ -128,7 +128,8 @@ class StepSolveError(RuntimeError):
     """A linear solve failed to converge.
 
     ``report`` is the iterative solve's report; ``fallback`` the direct
-    solve's, or None when no direct fallback was tried.
+    solve's, or None when no direct fallback was tried.  ``run`` sets
+    ``diagnostics`` to the records of the steps before the failure.
     """
 
     def __init__(self, step: int, system: str, report: SolveReport,
@@ -147,6 +148,7 @@ class StepSolveError(RuntimeError):
         self.system = system
         self.report = report
         self.fallback = fallback
+        self.diagnostics: list[StepDiagnostics] = []
 
 
 class UniquenessConditionWarning(UserWarning):
@@ -631,6 +633,9 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
             on_step(blow.state)
         return RunResult(state=blow.state, diagnostics=diagnostics, blew_up=True,
                          blow_up_time=blow.t)
+    except StepSolveError as failure:
+        failure.diagnostics = diagnostics
+        raise
     return RunResult(state=state, diagnostics=diagnostics)
 
 

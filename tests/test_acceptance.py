@@ -312,6 +312,18 @@ def test_criterion_8b_corner_blowup(corner_result):
            f"argmax {(i, j)} of {grid.shape}, blew_up={result.blew_up}")
 
 
+def test_corner_blowup_halts_on_its_threshold_off_the_benchmark_grid():
+    # at 80 x 80 the step-164 density solve cannot meet the 1e-12 residual
+    # tolerance in float64; its solution is accepted by backward error
+    grid = make_grid(build_corner_refined(80), build_corner_refined(80))
+    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.18, blowup_threshold=1e7,
+                       uniqueness_monitor=False)
+    result = run(get_problem("blowup_corner"), grid, cfg)
+    assert result.blew_up and len(result.diagnostics) == 164
+    assert result.diagnostics[-1].u_max > 1e7
+    assert max(d.residual_u for d in result.diagnostics) > cfg.solver_tol
+
+
 def test_positivity_loss_is_recorded(corner_result, subcritical_result):
     # the corner run loses positivity before its halt; the subcritical run never does
     corner = corner_result[0].diagnostics

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ksbcfd import scheme
 from ksbcfd.cli import (
     ConfigError,
     ConvergenceRow,
@@ -15,7 +16,9 @@ from ksbcfd.cli import (
     rows_to_csv,
     run_convergence,
 )
+from ksbcfd.linalg import SolveReport
 from ksbcfd.problems import get_problem
+from ksbcfd.scheme import StepSolveError
 
 MINIMAL_RUN = {
     "problem": "global_existence",
@@ -275,6 +278,24 @@ class TestMainCommand:
         assert main(["run", "--config", str(cfg), "--out-dir", str(out2), "--quiet"]) == 0
         assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
         assert (out1 / "meta.json").read_bytes() == (out2 / "meta.json").read_bytes()
+
+    def test_failed_run_keeps_its_diagnostics(self, tmp_path, monkeypatch, capsys):
+        cfg = self.write(tmp_path, dict(MINIMAL_RUN, t_final=0.05))
+        whole, failed = tmp_path / "whole", tmp_path / "failed"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(whole), "--quiet"]) == 0
+        solve = scheme._solve_density
+
+        def failing_at_step_4(*args, step, **kwargs):
+            if step == 4:
+                raise StepSolveError(step, "density", SolveReport(False, 0, 1.0, "breakdown"))
+            return solve(*args, step=step, **kwargs)
+
+        monkeypatch.setattr(scheme, "_solve_density", failing_at_step_4)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(failed), "--quiet"]) == 1
+        assert "density solve failed at step 4" in capsys.readouterr().err
+        rows = (failed / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3
+        assert rows == (whole / "diagnostics.csv").read_text().splitlines()[:4]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, dict(MINIMAL_RUN, bogus=1))

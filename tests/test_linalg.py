@@ -170,6 +170,43 @@ class TestBiCGStab:
         assert targets[1:] == [0.1 * tol * b_norm] * (len(targets) - 1)
         assert rep.final_relative_residual == np.linalg.norm(b - a @ x) / b_norm <= tol
 
+    def test_one_refinement_sweep_at_most(self, monkeypatch):
+        # both sweeps stopped 1e6 above their targets leave a residual miss
+        sweep = ksbcfd.linalg._bicgstab_sweep
+        calls = []
+
+        def early(a, b, m, tol_abs, max_iter):
+            calls.append(tol_abs)
+            return sweep(a, b, m, 1e6 * tol_abs, max_iter)
+
+        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", early)
+        rng = np.random.default_rng(9)
+        a = sp.csr_matrix(5 * np.eye(40) + 0.5 * rng.standard_normal((40, 40)))
+        b = rng.standard_normal(40)
+        _, rep = bicgstab(a, b, jacobi(a), tol=1e-12)
+        assert len(calls) == 2
+        assert not rep.converged and rep.reason == "stagnated"
+        assert rep.final_relative_residual > 1e-12
+
+    def test_rho_breakdown_ends_the_sweep_and_the_refinement_restarts(self, monkeypatch):
+        # the first iteration leaves r = (0, 2, -3) / 13, orthogonal to the
+        # shadow residual e1: rho vanishes exactly
+        sweep = ksbcfd.linalg._bicgstab_sweep
+        sweeps = []
+
+        def recorded(*args):
+            dx, iterations, reason = sweep(*args)
+            sweeps.append((reason, iterations))
+            return dx, iterations, reason
+
+        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", recorded)
+        ad = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 1.0], [1.0, -1.0, 3.0]])
+        b = np.array([1.0, 0.0, 0.0])
+        x, rep = bicgstab(sp.csr_matrix(ad), b, np.copy)
+        assert sweeps == [("breakdown", 1), ("converged", 2)]
+        assert rep.converged and rep.iterations == 3
+        assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-14
+
     def test_agrees_with_cg_on_spd(self):
         for n, seed in ((50, 1), (200, 2), (400, 3)):
             a, _ = random_spd(n, seed)
@@ -215,6 +252,36 @@ class TestSparseLU:
         assert not rep.converged
         assert rep.reason == "breakdown"
         assert np.array_equal(x, np.zeros(3))
+
+
+def backward_error(a, b, x):
+    """The componentwise backward error ``max_i |b - A x|_i / (|A| |x| + |b|)_i``."""
+    return np.max(np.abs(b - a @ x) / (abs(a) @ np.abs(x) + np.abs(b)))
+
+
+class TestBackwardErrorAcceptance:
+    # the 1D Laplacian of 1000 cells with b = 1 has |A| |x| about 1e6 |b|, so a
+    # float64 solution's residual can sit far above a 1e-12 tolerance
+    tol = 1e-12
+
+    def system(self):
+        return laplacian_1d(1000), np.ones(1000)
+
+    def test_backward_stable_solution_is_accepted(self):
+        a, b = self.system()
+        x, rep = sparse_lu_solve(a, b, tol=self.tol)
+        assert rep.converged and rep.reason == "converged"
+        assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
+        assert backward_error(a, b, x) <= np.finfo(np.float64).eps
+
+    def test_perturbed_solution_is_rejected(self):
+        a, b = self.system()
+        x = sparse_lu_solve(a, b, tol=self.tol)[0]
+        x *= 1.0 + 1e-10 * (-1.0) ** np.arange(x.size)
+        assert backward_error(a, b, x) == pytest.approx(1e-10, rel=1e-3)
+        rep = ksbcfd.linalg._verdict(a, b, x, b - a @ x, np.linalg.norm(b), self.tol, 0, "breakdown")
+        assert not rep.converged and rep.reason == "breakdown"
+        assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
 
 
 class TestBlockCorrected:

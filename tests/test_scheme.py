@@ -443,9 +443,10 @@ class TestSolveFallback:
         assert info.value.fallback.reason == "breakdown"
 
     def test_concentration_residual_miss_has_no_fallback(self):
-        # the direct solve reaches about 1e-15, which misses a 1e-20 tolerance
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01, solver_tol=1e-20)
+        # the heat inverse at s off by 1/2 misses the tolerance even after refinement
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         ws = Workspace(perturbed_grid(6), cfg)
+        ws.z_inverse = functools.partial(ws.heat.solve, s=1.0 / cfg.tau, theta=0.5)
         rhs = np.random.default_rng(4).standard_normal(36)
         with pytest.raises(StepSolveError, match="concentration solve failed at step 2.*"
                            "no direct fallback tried") as info:
