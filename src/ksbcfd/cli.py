@@ -1,36 +1,29 @@
 """Experiment orchestration: single runs, convergence sweeps, blow-up studies.
 
-Configuration is strict JSON (unknown keys are rejected with path-addressed
-messages).  Schema:
+A configuration is one strict JSON object.  Its keys are the fields of
+``RunConfig``, its ``grid`` object's those of ``GridConfig`` and its
+``outputs`` object's those of ``OutputConfig``; a key left out takes the
+field's default, and any other key is rejected with a path-addressed
+message.  A corner blow-up study, for example:
 
     {
-      "problem": "mms_accuracy",            # one of the built-in problems
-      "mode": "run" | "convergence" | "blowup",
-      "grid": {
-        "family": "uniform" | "random" | "middle" | "corner",
-        "m": 40,                 # run/blowup modes
-        "m_values": [10, 20],    # convergence mode (tau is derived as h_fix)
-        "beta": 0.2,             # random family only; 0 <= beta <= 0.5
-        "seed": 0                # random family only; default 0
-      },
-      "tau": 0.025,              # run/blowup modes (forbidden in convergence)
-      "t_final": 1.0,
-      "solver_tol": 1e-12,       # default
-      "blowup_threshold": 1e12,  # default
-      "uniqueness_monitor": true,# default
-      "outputs": {               # only the keys the mode reads:
-        "diagnostics": "diagnostics.csv",   # run/blowup modes
-        "snapshot_times": [],    # run/blowup modes; each on a step in [0, t_final]
-        "snapshot_format": "csv" | "vtk",   # run/blowup modes
-        "summary": "summary.json",          # blowup mode
-        "table": "convergence.csv"          # convergence mode
-      }
+      "problem": "blowup_corner",
+      "mode": "blowup",
+      "grid": {"family": "corner", "m": 200},
+      "tau": 1e-3,
+      "t_final": 0.18,
+      "blowup_threshold": 1e7,
+      "outputs": {"snapshot_times": [0.0, 0.15], "snapshot_format": "vtk"}
     }
 
+``parse_config`` also builds the ``SchemeConfig`` of every grid run the
+document implies, so every configuration error is found before a run starts
+or a file is written.
+
 Relative output paths resolve against --out-dir (or $KSBCFD_OUT_DIR when the
-flag is absent).  Every invocation also writes ``meta.json`` recording the
-effective configuration, including the PRNG seed and the per-axis sub-seeds
-of random grids.  The paper's largest jitter, beta = 0.5, sits on the open
+flag is absent).  Every invocation also writes ``meta.json``: the parsed
+configuration without its output names, plus the per-axis sub-seeds of
+random grids.  The paper's largest jitter, beta = 0.5, sits on the open
 boundary of the admissible interval; it is accepted and evaluated at the
 largest representable value below 0.5 (recorded as ``beta_effective``).
 
@@ -42,11 +35,14 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +76,6 @@ __all__ = [
     "run_blowup",
     "emit_table",
     "rows_to_csv",
-    "rows_from_csv",
     "main",
 ]
 
@@ -99,11 +94,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    family: str
-    m: int | None = None
-    m_values: tuple[int, ...] | None = None
-    beta: float | None = None
-    seed: int = 0
+    family: str                              # one of GRID_FAMILIES
+    m: int | None = None                     # run and blowup modes: cells per axis
+    m_values: tuple[int, ...] | None = None  # convergence mode: distinct sizes
+    beta: float | None = None                # random family only; 0 <= beta <= 0.5
+    seed: int | None = 0                     # random family only; None off it
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """The grid size of each grid run."""
+        return self.m_values or (self.m,)
 
     @property
     def beta_effective(self) -> float | None:
@@ -115,191 +115,161 @@ class GridConfig:
         return float(np.nextafter(0.5, 0.0)) if self.beta == 0.5 else self.beta
 
 
+_MARCHING = ("run", "blowup")
+
+
 @dataclass(frozen=True)
 class OutputConfig:
-    diagnostics: str = "diagnostics.csv"
-    table: str = "convergence.csv"
-    summary: str = "summary.json"
-    snapshot_times: tuple[float, ...] = ()
-    snapshot_format: str = "csv"
+    """Output names and snapshot settings.  The ``modes`` metadata of each
+    field names the modes that read it; a config for any other mode that
+    sets the key is rejected."""
+
+    diagnostics: str = field(default="diagnostics.csv", metadata={"modes": _MARCHING})
+    table: str = field(default="convergence.csv", metadata={"modes": ("convergence",)})
+    summary: str = field(default="summary.json", metadata={"modes": ("blowup",)})
+    # each a time on a step in [0, t_final]
+    snapshot_times: tuple[float, ...] = field(default=(), metadata={"modes": _MARCHING})
+    snapshot_format: str = field(default="csv", metadata={"modes": _MARCHING})  # csv or vtk
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem: str
-    mode: str
+    problem: str                             # a name in problems.PROBLEMS
+    mode: str                                # one of MODES
     grid: GridConfig
     t_final: float
-    tau: float | None = None
-    solver_tol: float = 1e-12
-    blowup_threshold: float = 1e12
-    uniqueness_monitor: bool = True
+    tau: float | None = None                 # run and blowup modes; a sweep takes its spacing
+    solver_tol: float = SchemeConfig.solver_tol
+    blowup_threshold: float = SchemeConfig.blowup_threshold
+    uniqueness_monitor: bool = SchemeConfig.uniqueness_monitor
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _expect(mapping: dict, path: str, allowed: dict) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+# the field types of a config dataclass, evaluated once from their annotation strings
+_field_types = functools.cache(typing.get_type_hints)
 
 
-def _get(mapping: dict, path: str, key: str, types, required=False, default=None):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-        return default
-    value = mapping[key]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if isinstance(value, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {types.__name__}")
-    if not isinstance(value, types):
-        name = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {name}, got {type(value).__name__}")
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _typed(value, hint, path: str):
+    """value as the field type hint: an int is taken as a float, a list as a tuple."""
+    if isinstance(hint, types.UnionType):  # T | None, where None is a default, not a JSON value
+        hint = typing.get_args(hint)[0]
+    if is_dataclass(hint):
+        return _parse(hint, value, path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {type(value).__name__}")
+        return tuple(_typed(item, typing.get_args(hint)[0], path) for item in value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(path, f"expected {hint.__name__}, got {type(value).__name__}")
     return value
 
 
-def _parse_grid(raw, mode: str) -> GridConfig:
+def _parse(cls, raw, path: str = ""):
+    """The config dataclass cls from a JSON object: the fields of cls are the
+    keys it accepts, and their defaults fill in the keys it leaves out."""
     if not isinstance(raw, dict):
-        raise ConfigError("grid", "expected an object")
-    _expect(raw, "grid", {"family", "m", "m_values", "beta", "seed"})
-    family = _get(raw, "grid", "family", str, required=True)
-    if family not in GRID_FAMILIES:
-        raise ConfigError("grid.family", f"must be one of {GRID_FAMILIES}")
-
-    m = _get(raw, "grid", "m", int)
-    m_values = raw.get("m_values")
-    if mode == "convergence":
-        if m is not None:
-            raise ConfigError("grid.m", "convergence mode takes grid.m_values, not grid.m")
-        if not isinstance(m_values, list) or not m_values or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in m_values
-        ):
-            raise ConfigError("grid.m_values", "expected a nonempty list of integers")
-        m_values = tuple(m_values)
-        for v in m_values:
-            _check_m(family, v, "grid.m_values")
-    else:
-        if m_values is not None:
-            raise ConfigError("grid.m_values", f"{mode} mode takes grid.m, not grid.m_values")
-        if m is None:
-            raise ConfigError("grid.m", "missing required key")
-        _check_m(family, m, "grid.m")
-        m_values = None
-
-    beta = _get(raw, "grid", "beta", float)
-    seed = _get(raw, "grid", "seed", int, default=0)
-    if family == "random":
-        if beta is None:
-            raise ConfigError("grid.beta", "random grids need a jitter amplitude beta")
-        if not 0.0 <= beta <= 0.5:
-            raise ConfigError("grid.beta", f"must lie in [0, 0.5], got {beta}")
-    else:
-        if beta is not None:
-            raise ConfigError("grid.beta", "only allowed with grid.family 'random'")
-        if "seed" in raw:
-            raise ConfigError("grid.seed", "only allowed with grid.family 'random'")
-    return GridConfig(family=family, m=m, m_values=m_values, beta=beta, seed=seed)
-
-
-def _check_m(family: str, m: int, path: str) -> None:
-    if m < 4:
-        raise ConfigError(path, f"need m >= 4, got {m}")
-    if family == "middle" and m % 2 != 0:
-        raise ConfigError(path, f"middle refinement needs even m, got {m}")
-
-
-# the outputs keys each mode reads
-_RUN_OUTPUTS = {"diagnostics", "snapshot_times", "snapshot_format"}
-_OUTPUT_KEYS = {"convergence": {"table"}, "run": _RUN_OUTPUTS, "blowup": _RUN_OUTPUTS | {"summary"}}
-
-
-def _parse_outputs(raw, mode: str) -> OutputConfig:
-    if raw is None:
-        return OutputConfig()
-    if not isinstance(raw, dict):
-        raise ConfigError("outputs", "expected an object")
-    _expect(raw, "outputs", set().union(*_OUTPUT_KEYS.values()))
+        raise ConfigError(path or "<document>", "expected a JSON object")
+    hints = _field_types(cls)
     for key in raw:
-        if key not in _OUTPUT_KEYS[mode]:
-            raise ConfigError(f"outputs.{key}", f"not read in {mode} mode")
-    times = raw.get("snapshot_times", [])
-    if not isinstance(times, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in times
-    ):
-        raise ConfigError("outputs.snapshot_times", "expected a list of numbers")
-    fmt = _get(raw, "outputs", "snapshot_format", str, default="csv")
-    if fmt not in ("csv", "vtk"):
-        raise ConfigError("outputs.snapshot_format", "must be 'csv' or 'vtk'")
-    return OutputConfig(
-        diagnostics=_get(raw, "outputs", "diagnostics", str, default="diagnostics.csv"),
-        table=_get(raw, "outputs", "table", str, default="convergence.csv"),
-        summary=_get(raw, "outputs", "summary", str, default="summary.json"),
-        snapshot_times=tuple(float(t) for t in times),
-        snapshot_format=fmt,
-    )
+        if key not in hints:
+            raise ConfigError(_at(path, key), "unknown key")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(_at(path, f.name), "missing required key")
+    return cls(**{key: _typed(value, hints[key], _at(path, key)) for key, value in raw.items()})
+
+
+def _checked_grid(grid: GridConfig, raw: dict, mode: str) -> GridConfig:
+    """grid after the rules between its keys and the mode, with seed None off
+    the random family."""
+    if grid.family not in GRID_FAMILIES:
+        raise ConfigError("grid.family", f"must be one of {GRID_FAMILIES}")
+    if mode == "convergence":
+        path = "grid.m_values"
+        if grid.m is not None:
+            raise ConfigError("grid.m", "convergence mode takes grid.m_values, not grid.m")
+        if not grid.m_values:
+            raise ConfigError(path, "expected a nonempty list of integers")
+        if len(set(grid.m_values)) < len(grid.m_values):
+            raise ConfigError(path, "the grid sizes must be distinct")
+    else:
+        path = "grid.m"
+        if grid.m_values is not None:
+            raise ConfigError("grid.m_values", f"{mode} mode takes grid.m, not grid.m_values")
+        if grid.m is None:
+            raise ConfigError(path, "missing required key")
+    for m in grid.sizes:
+        if m < 4:
+            raise ConfigError(path, f"need m >= 4, got {m}")
+        if grid.family == "middle" and m % 2 != 0:
+            raise ConfigError(path, f"middle refinement needs even m, got {m}")
+
+    if grid.family == "random":
+        if grid.beta is None:
+            raise ConfigError("grid.beta", "random grids need a jitter amplitude beta")
+        if not 0.0 <= grid.beta <= 0.5:
+            raise ConfigError("grid.beta", f"must lie in [0, 0.5], got {grid.beta}")
+        if grid.seed < 0:
+            raise ConfigError("grid.seed", f"must be >= 0, got {grid.seed}")
+        return grid
+    if grid.beta is not None:
+        raise ConfigError("grid.beta", "only allowed with grid.family 'random'")
+    if "seed" in raw:
+        raise ConfigError("grid.seed", "only allowed with grid.family 'random'")
+    return replace(grid, seed=None)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
+    """Parse and validate a JSON configuration document, including the
+    ``SchemeConfig`` of each grid run it implies."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("<document>", "expected a JSON object")
-    _expect(raw, "", {
-        "problem", "mode", "grid", "tau", "t_final", "solver_tol",
-        "blowup_threshold", "uniqueness_monitor", "outputs",
-    })
-    problem = _get(raw, "", "problem", str, required=True)
-    spec = get_problem(problem)  # validates the name
-    mode = _get(raw, "", "mode", str, required=True)
+    config = _parse(RunConfig, raw)
+    mode = config.mode
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}")
-    if mode == "convergence" and spec.exact is None:
-        raise ConfigError("problem", f"{problem!r} has no exact solution for a convergence sweep")
-    grid = _parse_grid(raw.get("grid"), mode) if "grid" in raw else None
-    if grid is None:
-        raise ConfigError("grid", "missing required key")
+    try:
+        problem = get_problem(config.problem)
+    except ValueError as exc:
+        raise ConfigError("problem", str(exc)) from None
+    if mode == "convergence" and problem.exact is None:
+        raise ConfigError("problem", f"{config.problem!r} has no exact solution "
+                                     "for a convergence sweep")
+    config = replace(config, grid=_checked_grid(config.grid, raw["grid"], mode))
 
-    tau = _get(raw, "", "tau", float)
     if mode == "convergence":
-        if tau is not None:
+        if config.tau is not None:
             raise ConfigError("tau", "convergence mode derives tau from the grid spacing")
-    elif tau is None:
+    elif config.tau is None:
         raise ConfigError("tau", "missing required key")
-    elif not 0.0 < tau < math.inf:
-        raise ConfigError("tau", "must be positive and finite")
+    read = {f.name for f in fields(OutputConfig) if mode in f.metadata["modes"]}
+    for key in raw.get("outputs", {}):
+        if key not in read:
+            raise ConfigError(f"outputs.{key}", f"not read in {mode} mode")
+    if config.outputs.snapshot_format not in ("csv", "vtk"):
+        raise ConfigError("outputs.snapshot_format", "must be 'csv' or 'vtk'")
 
-    t_final = _get(raw, "", "t_final", float, required=True)
-    if not 0.0 < t_final < math.inf:
-        raise ConfigError("t_final", "must be positive and finite")
-    solver_tol = _get(raw, "", "solver_tol", float, default=1e-12)
-    if solver_tol <= 0.0:
-        raise ConfigError("solver_tol", "must be positive")
-    blowup_threshold = _get(raw, "", "blowup_threshold", float, default=1e12)
-    if blowup_threshold <= 0.0:
-        raise ConfigError("blowup_threshold", "must be positive")
-    uniqueness_monitor = _get(raw, "", "uniqueness_monitor", bool, default=True)
-    outputs = _parse_outputs(raw.get("outputs"), mode)
-    if mode != "convergence":
-        n_steps = round(t_final / tau)
-        for t in outputs.snapshot_times:
-            if not (math.isfinite(t / tau) and 0 <= round(t / tau) <= n_steps):
-                raise ConfigError("outputs.snapshot_times",
-                                  f"time {t} is not on a step in [0, t_final]")
-    return RunConfig(
-        problem=problem,
-        mode=mode,
-        grid=grid,
-        t_final=t_final,
-        tau=tau,
-        solver_tol=solver_tol,
-        blowup_threshold=blowup_threshold,
-        uniqueness_monitor=uniqueness_monitor,
-        outputs=outputs,
-    )
+    for m in config.grid.sizes:
+        try:
+            scheme = _scheme_config(config, problem, m)
+        except ValueError as exc:
+            key, _, reason = str(exc).partition(" ")  # the message starts with the field's name
+            where = f" on the grid of size {m}" if mode == "convergence" else ""
+            raise ConfigError(key, reason + where) from None
+    # a sweep has no snapshot times; a run has one grid
+    for t in config.outputs.snapshot_times:
+        if not (math.isfinite(t / scheme.tau) and 0 <= round(t / scheme.tau) <= scheme.n_steps):
+            raise ConfigError("outputs.snapshot_times",
+                              f"time {t} is not on a step in [0, t_final]")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +326,12 @@ def _observed_order(e_prev: float, e_curr: float, m_prev: int, m_curr: int) -> f
 def run_convergence(config: RunConfig) -> list[ConvergenceRow]:
     """One solver run per grid size, with orders between consecutive rows."""
     problem = get_problem(config.problem)
-    if problem.exact is None:
-        raise ConfigError("problem", f"{config.problem!r} has no exact solution for a convergence sweep")
-    x_lo, x_hi = problem.domain[0], problem.domain[1]
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for m in config.grid.m_values:
-        scheme_cfg = _scheme_config(config, problem, (x_hi - x_lo) / m)  # tau tied to the spacing
         grid = build_grid(problem, config.grid, m)
         try:
-            result = run(problem, grid, scheme_cfg)
+            result = run(problem, grid, _scheme_config(config, problem, m))
             e_rho, e_c, e_gradc = error_norms(result.state, problem)
         except StepSolveError:
             rows.append(ConvergenceRow(m=m, e_rho=math.nan, e_c=math.nan, e_gradc=math.nan,
@@ -425,34 +391,14 @@ def rows_to_csv(rows: list[ConvergenceRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def rows_from_csv(text: str) -> list[ConvergenceRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "M,e_rho,order_rho,e_c,order_c,e_gradc,order_gradc,failed":
-        raise ValueError("unrecognized convergence CSV header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 8:
-            raise ValueError(f"malformed convergence CSV row: {ln!r}")
-        opt = lambda s: None if s == "" else float(s)
-        rows.append(ConvergenceRow(
-            m=int(cells[0]),
-            e_rho=float(cells[1]),
-            order_rho=opt(cells[2]),
-            e_c=float(cells[3]),
-            order_c=opt(cells[4]),
-            e_gradc=float(cells[5]),
-            order_gradc=opt(cells[6]),
-            failed=bool(int(cells[7])),
-        ))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # single runs and blow-up studies
 
 
-def _scheme_config(config: RunConfig, problem: ProblemSpec, tau: float) -> SchemeConfig:
+def _scheme_config(config: RunConfig, problem: ProblemSpec, m: int) -> SchemeConfig:
+    """The scheme settings of the grid run of size m; a sweep ties tau to the spacing."""
+    x_lo, x_hi = problem.domain[:2]
+    tau = config.tau if config.mode != "convergence" else (x_hi - x_lo) / m
     return SchemeConfig(
         lam=problem.lam,
         tau=tau,
@@ -493,7 +439,7 @@ def run_single(config: RunConfig, out_dir: Path) -> RunResult:
     problem = get_problem(config.problem)
     grid = build_grid(problem, config.grid, config.grid.m)
     try:
-        result = run(problem, grid, _scheme_config(config, problem, config.tau),
+        result = run(problem, grid, _scheme_config(config, problem, config.grid.m),
                      on_step=_snapshot_writer(config, out_dir))
     except StepSolveError as failure:
         diagnostics_to_csv(failure.diagnostics, out_dir / config.outputs.diagnostics)
@@ -529,31 +475,15 @@ def run_blowup(config: RunConfig, out_dir: Path) -> dict:
 
 
 def _write_meta(config: RunConfig, out_dir: Path) -> None:
-    grid_meta: dict = {"family": config.grid.family}
-    if config.grid.m is not None:
-        grid_meta["m"] = config.grid.m
-    if config.grid.m_values is not None:
-        grid_meta["m_values"] = list(config.grid.m_values)
+    """meta.json: the parsed configuration without its output names and the
+    grid keys it leaves unset, plus the sub-seeds a random grid draws from."""
+    meta = asdict(config)
+    del meta["outputs"]
+    grid = {key: value for key, value in meta["grid"].items() if value is not None}
     if config.grid.family == "random":
-        sx, sy = axis_subseeds(config.grid.seed)
-        grid_meta.update(
-            beta=config.grid.beta,
-            beta_effective=config.grid.beta_effective,
-            seed=config.grid.seed,
-            subseed_x=sx,
-            subseed_y=sy,
-        )
-    meta = {
-        "version": __version__,
-        "problem": config.problem,
-        "mode": config.mode,
-        "grid": grid_meta,
-        "tau": config.tau,
-        "t_final": config.t_final,
-        "solver_tol": config.solver_tol,
-        "blowup_threshold": config.blowup_threshold,
-        "uniqueness_monitor": config.uniqueness_monitor,
-    }
+        grid["subseed_x"], grid["subseed_y"] = axis_subseeds(config.grid.seed)
+        grid["beta_effective"] = config.grid.beta_effective
+    meta.update(version=__version__, grid=grid)
     with open(out_dir / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -637,7 +567,7 @@ def main(argv=None) -> int:
             print(f"finished at t={last.t:.6g}: mass={last.mass:.9g} "
                   f"u_max={last.u_max:.6g} blew_up={result.blew_up}")
         return 0
-    except (StepSolveError, ConfigError, ValueError) as exc:
+    except (StepSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,11 +26,15 @@ iterations without a new best residual, or its refinement still missed) or
 ``breakdown`` (a vanishing denominator, an exactly singular LU factor, or a
 direct solution that misses even after its refinement step).
 
-Identical inputs give bit-identical outputs at a fixed BLAS thread count.
-numpy's dot products and norms on long vectors, and the matrix products of
-the tensor solver, run in the BLAS library, whose threads split the sums;
-a different thread count can change the last bits of a result (and with
-them a Krylov iteration count).  Reported residuals are always recomputed
+A rerun of the same program with identical inputs gives bit-identical
+outputs at a fixed BLAS thread count.  numpy's dot products and norms on
+long vectors, and the matrix products of the tensor solver, run in the BLAS
+library, whose threads split the sums; a different thread count can change
+the last bits of a result (and with them a Krylov iteration count).  So can
+a different program around the same solve: an in-process run whose solver
+functions are wrapped, as a profiler or tracer does, has been seen to
+differ from the ``ksbcfd`` command in the last bits of its first step and
+in the sweep count of a few solves.  Reported residuals are always recomputed
 from the returned iterate (``|b - A x| / |b|``), never taken from the
 recursive residual of the iteration.
 """

@@ -62,6 +62,7 @@ predictor).
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -170,13 +171,15 @@ class SchemeConfig:
     uniqueness_monitor: bool = True
 
     def __post_init__(self):
+        # each message starts with the name of the field at fault
         for name in ("lam", "tau", "t_final", "solver_tol", "blowup_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         ratio = self.t_final / self.tau
-        n = round(ratio)
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(ratio - n) > _STEP_COUNT_ULPS * np.spacing(max(1.0, float(n))):
-            raise ValueError(f"t_final/tau = {ratio!r} is not an integer step count")
+            raise ValueError(f"t_final must be an integer step count of tau, "
+                             f"got t_final/tau = {ratio!r}")
 
     @property
     def n_steps(self) -> int:

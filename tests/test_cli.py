@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -12,7 +14,6 @@ from ksbcfd.cli import (
     emit_table,
     main,
     parse_config,
-    rows_from_csv,
     rows_to_csv,
     run_convergence,
 )
@@ -36,6 +37,16 @@ MINIMAL_SWEEP = {
     "grid": {"family": "uniform", "m_values": [4, 8]},
     "t_final": 0.5,
 }
+
+
+def read_table(text):
+    """The rows of a convergence CSV; an empty order cell reads as None."""
+    rows = []
+    for record in csv.DictReader(io.StringIO(text)):
+        m, failed = int(record.pop("M")), record.pop("failed") == "1"
+        rows.append(ConvergenceRow(m=m, failed=failed,
+                                   **{k: None if v == "" else float(v) for k, v in record.items()}))
+    return rows
 
 
 def cfg_text(**overrides):
@@ -205,7 +216,7 @@ class TestOrdersAndTables:
             ConvergenceRow(m=160, e_rho=1.30e-6, e_c=1.31e-6, e_gradc=1.86e-7,
                            order_rho=2.00, order_c=2.00, order_gradc=2.00),
         ]
-        assert rows_from_csv(rows_to_csv(rows)) == rows
+        assert read_table(rows_to_csv(rows)) == rows
 
     def test_single_m_sweep_has_no_orders(self):
         cfg = parse_config(json.dumps({
@@ -297,6 +308,22 @@ class TestMainCommand:
         assert len(rows) == 1 + 3
         assert rows == (whole / "diagnostics.csv").read_text().splitlines()[:4]
 
+    @pytest.mark.parametrize("doc, key", [
+        (dict(MINIMAL_RUN, problem="nope"), "problem"),
+        (dict(MINIMAL_RUN, grid={"family": "random", "m": 8, "beta": 0.2, "seed": -1}),
+         "grid.seed"),
+        (dict(MINIMAL_RUN, tau=0.03, t_final=0.1), "t_final"),  # 3.33 steps
+        (dict(MINIMAL_SWEEP, t_final=0.3), "t_final"),  # 1.2 steps of tau = 1/4
+        (dict(MINIMAL_SWEEP, grid={"family": "uniform", "m_values": [4, 4]}), "grid.m_values"),
+    ], ids=["unknown_problem", "negative_seed", "run_step_count", "sweep_step_count",
+            "repeated_size"])
+    def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, doc, key):
+        out = tmp_path / "out"
+        assert main([doc["mode"], "--config", str(self.write(tmp_path, doc)),
+                     "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, dict(MINIMAL_RUN, bogus=1))
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
@@ -346,7 +373,7 @@ class TestMainCommand:
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["convergence", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        rows = rows_from_csv((out / "convergence.csv").read_text())
+        rows = read_table((out / "convergence.csv").read_text())
         assert [r.m for r in rows] == [10, 20]
         assert rows[1].order_rho == pytest.approx(2.0, abs=0.1)
         assert "rho_error" in capsys.readouterr().out

@@ -66,6 +66,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SchemeConfig(lam=1.0, tau=-0.1, t_final=1.0)
 
+    @pytest.mark.parametrize("name", ["tau", "t_final", "solver_tol", "blowup_threshold"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_parameters(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            SchemeConfig(**{"lam": 1.0, "tau": 1e-3, "t_final": 1.0, name: bad})
+
 
 class TestInitState:
     def test_constant_data(self):
