@@ -45,14 +45,13 @@ the solver tolerance, and accepts it when the residual meets the tolerance
 or its componentwise backward error is at most 16 units of roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
-written into an (nx, ny, 5) band, which the fixed CSR structure of the grid
-takes as its data array.  ``Workspace`` builds that structure once per
-run and assembles the constant concentration matrix on it, for that
-residual check.  Density matrices change every step with the
-concentration gradient, but their sparsity pattern does not: ``Workspace``
-also builds the heat-part bands once, and each step adds the chemotaxis
-term to a copy of a band and reads the rows' diagonal dominance off the
-same band.
+written into a diagonal-major band, one row-ordered array per neighbour,
+whose five diagonals a scipy DIA matrix stores as they are (``_five_point``).
+``Workspace`` assembles the constant concentration matrix once per run, for
+that residual check.  Density matrices change every step with the
+concentration gradient: ``Workspace`` builds the heat-part bands once, and
+each step adds the chemotaxis term to a copy of a band and reads the rows'
+diagonal dominance off the same band.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -255,31 +254,29 @@ def _flat_index(grid: StaggeredGrid2D) -> np.ndarray:
     return np.arange(nx * ny).reshape((nx, ny), order="F")
 
 
-# neighbour slots of a five-point row, in CSR (column) order
+# neighbour slots of a five-point row, in column order
 _SOUTH, _WEST, _CENTER, _EAST, _NORTH = range(5)
 
 
 def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray, theta: float) -> np.ndarray:
-    """The band (see ``_FivePointPattern``) of ``D - theta W L``.
+    """The band (see ``_five_point``) of ``D - theta W L``.
 
     ``D`` is the diagonal matrix of ``diagonal``, shape (nx, ny), and ``W L``
     the area-weighted discrete Laplacian: an interior edge couples its two
     cells with the cell width along the edge over the dual width across it,
     and each center is minus the sum of its row's couplings, taken east,
     west, north, south: that order sets the last bits of the centers, on
-    which the byte-pinned outputs of a run depend.  The band's layout makes
-    row order memory order.
+    which the byte-pinned outputs of a run depend.
     """
     nx, ny = grid.shape
     dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
     dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-    band = np.zeros((ny, nx, 5)).transpose(1, 0, 2)
-    band[:-1, :, _EAST] = band[1:, :, _WEST] = dyw[None, :] / dxd[:, None]
-    band[:, :-1, _NORTH] = band[:, 1:, _SOUTH] = dxw[:, None] / dyd[None, :]
-    band[:, :, _CENTER] = -(band[:, :, _EAST] + band[:, :, _WEST]
-                            + band[:, :, _NORTH] + band[:, :, _SOUTH])
+    band = np.zeros((5, ny, nx)).transpose(0, 2, 1)
+    band[_EAST, :-1, :] = band[_WEST, 1:, :] = dyw[None, :] / dxd[:, None]
+    band[_NORTH, :, :-1] = band[_SOUTH, :, 1:] = dxw[:, None] / dyd[None, :]
+    band[_CENTER] = -(band[_EAST] + band[_WEST] + band[_NORTH] + band[_SOUTH])
     band *= -theta
-    band[:, :, _CENTER] += diagonal
+    band[_CENTER] += diagonal
     return band
 
 
@@ -305,54 +302,42 @@ def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s:
     center[1:, :] -= coef_r
     center[:, :-1] += coef_b
     center[:, 1:] -= coef_t
-    band[:, :, _CENTER] += s * center
-    band[:-1, :, _EAST] += s * coef_r
-    band[1:, :, _WEST] -= s * coef_l
-    band[:, :-1, _NORTH] += s * coef_t
-    band[:, 1:, _SOUTH] -= s * coef_b
+    band[_CENTER] += s * center
+    band[_EAST, :-1, :] += s * coef_r
+    band[_WEST, 1:, :] -= s * coef_l
+    band[_NORTH, :, :-1] += s * coef_t
+    band[_SOUTH, :, 1:] -= s * coef_b
 
 
-class _FivePointPattern:
-    """CSR structure of the five-point stencil, filled in from a band.
+def _five_point(band: np.ndarray) -> sp.dia_matrix:
+    """The five-point matrix of a band.
 
-    Row k = i + nx j of a five-point matrix holds at most five entries, in
-    column order: cells (i, j-1), (i-1, j), (i, j), (i+1, j) and (i, j+1).
-    A band has shape (nx, ny, 5) and holds them for every cell, zero where
-    the neighbour lies outside the grid; its entries inside the grid, in
-    row order, are the CSR data array.  Every row's columns are therefore
-    sorted and unique.  The index arrays are read-only, since every matrix
-    built on the pattern shares them.
+    Row k = i + nx j of a five-point matrix couples cell (i, j) with cells
+    (i, j-1), (i-1, j), (i, j), (i+1, j) and (i, j+1): diagonals -nx, -1, 0,
+    1 and nx.  A band is a (5, nx, ny) view over memory (5, ny, nx) that
+    holds them for every cell, zero where the neighbour lies outside the
+    grid, so each slot read in F order is its diagonal in row order.  In
+    ascending order of the offsets, scipy's DIA product sums each row in
+    column order, as a CSR product does.
     """
-
-    def __init__(self, grid: StaggeredGrid2D):
-        nx, ny = grid.shape
-        self.shape = (nx * ny, nx * ny)
-        inside = np.ones((nx, ny, 5), dtype=bool)
-        inside[:, 0, _SOUTH] = inside[0, :, _WEST] = False
-        inside[-1, :, _EAST] = inside[:, -1, _NORTH] = False
-        self._inside = inside.transpose(1, 0, 2)  # (ny, nx, 5): C order is row order
-        offsets = np.array([-nx, -1, 0, 1, nx])
-        columns = _flat_index(grid)[:, :, None] + offsets
-        self.indices = columns.transpose(1, 0, 2)[self._inside].astype(np.int32)
-        counts = self._inside.sum(axis=2).ravel()
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self.indices.flags.writeable = False
-        self.indptr.flags.writeable = False
-
-    def matrix(self, band: np.ndarray) -> sp.csr_matrix:
-        data = band.transpose(1, 0, 2)[self._inside]
-        if not np.all(np.isfinite(data)):
-            raise ValueError("matrix entries must be finite")
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    _, nx, ny = band.shape
+    rows = band.transpose(0, 2, 1).reshape(5, nx * ny)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("matrix entries must be finite")
+    offsets = (-nx, -1, 0, 1, nx)
+    # DIA stores entry (k, k + offset) at column k + offset; what rolls round
+    # lies outside the matrix or is a zero outside the grid
+    data = np.stack([np.roll(diagonal, offset) for diagonal, offset in zip(rows, offsets)])
+    return sp.dia_matrix((data, offsets), shape=(nx * ny, nx * ny))
 
 
 def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
     """The (i, j) slices of the tensor block bounding the rows of a band that
     are not diagonally dominant (``|a_kk| < sum_{j != k} |a_kj|``), or None
     when every row is."""
-    off = (np.abs(band[:, :, _SOUTH]) + np.abs(band[:, :, _WEST])
-           + np.abs(band[:, :, _EAST]) + np.abs(band[:, :, _NORTH]))
-    weak = np.abs(band[:, :, _CENTER]) < off
+    off = (np.abs(band[_SOUTH]) + np.abs(band[_WEST])
+           + np.abs(band[_EAST]) + np.abs(band[_NORTH]))
+    weak = np.abs(band[_CENTER]) < off
     if not weak.any():
         return None
     i = np.flatnonzero(weak.any(axis=1)).tolist()
@@ -363,37 +348,36 @@ def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
 class Workspace:
     """Per-run operator cache: area weights, the fast-diagonalization solver
     of the grid's heat operator, the concentration matrix and its inverse by
-    that solver, and the five-point pattern and heat-part bands the density
-    matrices are filled in on."""
+    that solver, and the heat-part bands the density matrices are filled in
+    on."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
-        self._pattern = _FivePointPattern(grid)
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         # s W - theta W L at s = 1/tau + 1/2, theta = 1/2; SPD, and its inverse
         s, theta = 1.0 / config.tau + 0.5, 0.5
-        self.z_system = self._pattern.matrix(_heat_band(grid, s * grid.cell_areas, theta))
+        self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas, theta))
         self.z_inverse = functools.partial(self.heat.solve, s=s, theta=theta)
         # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1
         self._heat_bands = {theta: _heat_band(grid, grid.cell_areas / config.tau, theta)
                             for theta in (0.5, 1.0)}
 
     def u_system(self, g: GradientPair, backward_euler: bool = False
-                 ) -> tuple[sp.csr_matrix, tuple[slice, slice] | None]:
+                 ) -> tuple[sp.dia_matrix, tuple[slice, slice] | None]:
         """The density system, nonsymmetric whenever g is nonzero, and the
         block of its rows that are not diagonally dominant
         (``_weak_rows_block``).
 
         Crank-Nicolson form: (1/tau) W - (1/2) W L + (lam/2) W C(g).
         Backward-Euler (predictor) form: (1/tau) W - W L + lam W C(g).
-        It is filled in on the run's pattern from a copy of a heat band.
+        It is built from a copy of a heat band.
         """
         theta = 1.0 if backward_euler else 0.5
         band = self._heat_bands[theta].copy(order="K")
         _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
-        return self._pattern.matrix(band), _weak_rows_block(band)
+        return _five_point(band), _weak_rows_block(band)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +432,7 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     return x, report
 
 
-def _solve_density(ws: Workspace, system: sp.csr_matrix, block: tuple[slice, slice] | None,
+def _solve_density(ws: Workspace, system: sp.dia_matrix, block: tuple[slice, slice] | None,
                    rhs: np.ndarray, theta: float, step: int, name: str,
                    warm_start: CellField) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab for a density system from ``Workspace.u_system``, with a

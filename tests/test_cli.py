@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ksbcfd import scheme
+from ksbcfd import linalg, scheme
 from ksbcfd.cli import (
     ConfigError,
     ConvergenceRow,
@@ -17,6 +17,7 @@ from ksbcfd.cli import (
     rows_to_csv,
     run_convergence,
 )
+from ksbcfd.io import diagnostics_to_csv
 from ksbcfd.linalg import SolveReport
 from ksbcfd.problems import get_problem
 from ksbcfd.scheme import StepSolveError
@@ -289,6 +290,29 @@ class TestMainCommand:
         assert main(["run", "--config", str(cfg), "--out-dir", str(out2), "--quiet"]) == 0
         assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
         assert (out1 / "meta.json").read_bytes() == (out2 / "meta.json").read_bytes()
+
+    def test_wrapped_solvers_in_a_script_match_the_command(self, tmp_path, monkeypatch):
+        # a short corner blow-up through the command, then through scheme.run
+        # with the solvers wrapped in counters, as a profiler or tracer wraps
+        # them: the two diagnostics files are byte-equal at any one BLAS
+        # thread count, which both flows share in one process
+        doc = {"problem": "blowup_corner", "mode": "blowup",
+               "grid": {"family": "corner", "m": 40}, "tau": 1e-3, "t_final": 0.03}
+        out = tmp_path / "command"
+        assert main(["blowup", "--config", str(self.write(tmp_path, doc)),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        calls = dict.fromkeys(("bicgstab", "_bicgstab_sweep"), 0)
+        for name in calls:
+            def counted(*args, _solver=getattr(linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+            monkeypatch.setattr(linalg, name, counted)
+        problem = get_problem(doc["problem"])
+        grid = build_grid(problem, parse_config(json.dumps(doc)).grid, 40)
+        config = scheme.SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.03)
+        diagnostics_to_csv(scheme.run(problem, grid, config).diagnostics, tmp_path / "script.csv")
+        assert calls["bicgstab"] == 31 and calls["_bicgstab_sweep"] >= 31  # predictor + 30 steps
+        assert (tmp_path / "script.csv").read_bytes() == (out / "diagnostics.csv").read_bytes()
 
     def test_failed_run_keeps_its_diagnostics(self, tmp_path, monkeypatch, capsys):
         cfg = self.write(tmp_path, dict(MINIMAL_RUN, t_final=0.05))
