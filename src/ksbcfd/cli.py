@@ -449,11 +449,12 @@ def run_single(config: RunConfig, out_dir: Path) -> RunResult:
 
 
 def run_blowup(config: RunConfig, out_dir: Path) -> dict:
-    """Full diagnostics time series plus a summary record."""
+    """Full diagnostics time series plus a summary record; the mass drift is
+    measured from the level-0 mass."""
     result = run_single(config, out_dir)
     d = result.diagnostics
     peak_idx = max(range(len(d)), key=lambda k: d[k].u_max)
-    mass0 = d[0].mass
+    mass0 = result.initial_mass
     drift = max(abs(x.mass - mass0) for x in d) / abs(mass0) if mass0 else 0.0
     summary = {
         "problem": config.problem,
@@ -500,11 +501,12 @@ def _retain_freed_heap() -> None:
     Each step allocates and frees megabytes of numpy temporaries.  Under
     glibc's default, adaptive thresholds the top of the heap goes back to
     the kernel once more than twice the largest block freed so far is free
-    there, so a run can fault its temporaries in anew every step: about
-    1 300 page faults a step, 0.7 s of system time in 13 s, on the 180 x 180
-    corner blow-up.  Fixed thresholds (blocks up to 32 MB from the heap,
-    trimmed above 64 MB free) keep those pages mapped.  Elsewhere this does
-    nothing.
+    there, so a run can fault its temporaries in anew every step.  Fixed
+    thresholds (blocks up to 32 MB from the heap, trimmed above 64 MB free)
+    keep those pages mapped: on the 180 x 180 corner blow-up (164 steps, one
+    command process, one BLAS thread, a 2-core Xeon) they cut minor page
+    faults from 65 000-72 000 to about 15 700 and system time from
+    0.17-0.24 s to 0.06-0.08 s.  Elsewhere this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -47,11 +47,14 @@ or its componentwise backward error is at most 16 units of roundoff.
 Every matrix is a five-point stencil, built one way: its entries are
 written into a diagonal-major band, one row-ordered array per neighbour,
 whose five diagonals a scipy DIA matrix stores as they are (``_five_point``).
-``Workspace`` assembles the constant concentration matrix once per run, for
-that residual check.  Density matrices change every step with the
-concentration gradient: ``Workspace`` builds the heat-part bands once, and
-each step adds the chemotaxis term to a copy of a band and reads the rows'
-diagonal dominance off the same band.
+``Workspace`` assembles the constant concentration matrix once per run.
+Density matrices change every step with the concentration gradient:
+``Workspace`` builds the heat-part bands once, and each step adds the
+chemotaxis term to a copy of a band and reads the rows' diagonal dominance
+off the same band.  A Crank-Nicolson equation A x^{n+1} = (2/tau) W x^n -
+A x^n + W f builds its right-hand side as a product with its own A, the
+concentration matrix or the density matrix ``State`` carries from the
+previous stage; the matrix-free stencils are the tests' oracle of both.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -187,13 +190,14 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class State:
-    """Discrete solution at one time level (u_prev kept for extrapolation)."""
+    """One time level, with u^{n-1} for extrapolation and A(grad z^n) (None at n = 0)."""
 
     t: float
     n: int
     u_curr: CellField
     u_prev: CellField | None
     z_curr: CellField
+    a_curr: sp.dia_matrix | None = None
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,13 @@ class StepDiagnostics:
 class RunResult:
     state: State
     diagnostics: list[StepDiagnostics]
+    initial_mass: float  # sum(W u^0), which no diagnostics row holds
     blew_up: bool = False
     blow_up_time: float | None = None
 
 
 # ---------------------------------------------------------------------------
-# stencil application (used for right-hand sides and residual checks)
+# matrix-free stencils: the tests' oracle of the assembled matrices
 
 
 def apply_laplacian(p: CellField) -> CellField:
@@ -347,9 +352,9 @@ def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
 
 class Workspace:
     """Per-run operator cache: area weights, the fast-diagonalization solver
-    of the grid's heat operator, the concentration matrix and its inverse by
-    that solver, and the heat-part bands the density matrices are filled in
-    on."""
+    of the grid's heat operator, the concentration matrix (which both sides
+    of its equation use) and its inverse by that solver, and the heat-part
+    bands the density matrices are filled in on."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
@@ -517,41 +522,34 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
     """One Crank-Nicolson stage from ``state``: the concentration solve with
     ``u_star`` as the half-level density, then the density solve in the new
     concentration gradient, warm-started from 2 u^n - u^{n-1} (from u^n when
-    there is no u^{n-1}).
+    there is no u^{n-1}).  The right-hand sides multiply ``ws.z_system``
+    and ``state.a_curr``.
 
     Returns the new state, the gradient of its concentration, and the
     reports of the concentration and density solves; ``name`` names the
     density system in a ``StepSolveError``.
     """
-    grid, tau, lam = ws.grid, ws.config.tau, ws.config.lam
+    grid, tau, w = ws.grid, ws.config.tau, ws.areas
     step = state.n + 1
     t_half = (state.n + 0.5) * tau
     u_n, z_n = state.u_curr, state.z_curr
+    u_flat, z_flat = np.ravel(u_n.values, order="F"), np.ravel(z_n.values, order="F")
 
-    rhs_vals = (
-        (1.0 / tau - 0.5) * z_n.values
-        + 0.5 * apply_laplacian(z_n).values
-        + u_star
-        + _forcing(problem, "f_c", grid, t_half)
-    )
-    rhs = ws.areas * np.ravel(rhs_vals, order="F")
+    source = np.ravel(u_star + _forcing(problem, "f_c", grid, t_half), order="F")
+    rhs = 2.0 / tau * w * z_flat - ws.z_system @ z_flat + w * source
     xz, rep_z = _solve_concentration(ws, rhs, step=step)
     z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
 
     g_next = grad(z_next)
     system, block = ws.u_system(g_next)
-    rhs_vals = (
-        u_n.values / tau
-        + 0.5 * apply_laplacian(u_n).values
-        - 0.5 * lam * apply_chemotaxis(u_n, grad(z_n)).values
-        + _forcing(problem, "f_rho", grid, t_half)
-    )
-    rhs = ws.areas * np.ravel(rhs_vals, order="F")
+    source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
+    rhs = 2.0 / tau * w * u_flat - state.a_curr @ u_flat + w * source
     warm = u_n if state.u_prev is None else CellField(grid, 2.0 * u_n.values - state.u_prev.values)
     xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=warm)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
-    new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next)
+    new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next,
+                      a_curr=system)
     return new_state, g_next, rep_z, rep_u
 
 
@@ -559,6 +557,7 @@ def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State
     """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2."""
     u_bar, rep_pred = predict_u1(state, problem, ws)
     u_star = 0.5 * (u_bar.values + state.u_curr.values)
+    state = replace(state, a_curr=ws.u_system(grad(state.z_curr))[0])
     new_state, g1, rep_z, rep_u = _cn_stage(ws, state, u_star, problem, "density corrector")
     diag = _diagnostics(new_state, g1, ws.config, rep_z, (rep_pred, rep_u))
     _check_blowup(new_state, diag, ws.config)
@@ -567,8 +566,9 @@ def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State
 
 def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
     """One Crank-Nicolson step, with u* = (3 u^n - u^{n-1}) / 2."""
-    if state.n < 1 or state.u_prev is None:
-        raise ValueError("Crank-Nicolson marching needs two density levels; run the first step")
+    if state.n < 1 or state.u_prev is None or state.a_curr is None:
+        raise ValueError("Crank-Nicolson marching needs two density levels and a_curr; "
+                         "run the first step")
     u_star = 1.5 * state.u_curr.values - 0.5 * state.u_prev.values
     new_state, g_next, rep_z, rep_u = _cn_stage(ws, state, u_star, problem, "density")
     diag = _diagnostics(new_state, g_next, ws.config, rep_z, (rep_u,))
@@ -586,6 +586,7 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
     per run and are recorded per step.
     """
     state = init_state(problem, grid)
+    initial_mass = float(np.sum(grid.cell_areas * state.u_curr.values))
     ws = Workspace(grid, config)
     if on_step is not None:
         on_step(state)
@@ -618,12 +619,11 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
         record(blow.diagnostics)
         if on_step is not None:
             on_step(blow.state)
-        return RunResult(state=blow.state, diagnostics=diagnostics, blew_up=True,
-                         blow_up_time=blow.t)
+        return RunResult(blow.state, diagnostics, initial_mass, blew_up=True, blow_up_time=blow.t)
     except StepSolveError as failure:
         failure.diagnostics = diagnostics
         raise
-    return RunResult(state=state, diagnostics=diagnostics)
+    return RunResult(state, diagnostics, initial_mass)
 
 
 def error_norms(state: State, problem: ProblemSpec) -> tuple[float, float, float]:

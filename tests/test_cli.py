@@ -387,6 +387,31 @@ class TestMainCommand:
         assert summary["t_halt"] == summary["blow_up_time"]
         assert (out / "diagnostics.csv").exists()
 
+    def test_blowup_mass_drift_counts_the_first_step(self, tmp_path):
+        # one step: the only drift is the first step's, from the level-0
+        # mass sum(W u^0), which no diagnostics row holds
+        doc = {
+            "problem": "global_existence",
+            "mode": "blowup",
+            "grid": {"family": "uniform", "m": 8},
+            "tau": 0.01,
+            "t_final": 0.01,
+            "solver_tol": 1e-6,
+            "uniqueness_monitor": False,
+        }
+        cfg = self.write(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rows = list(csv.DictReader(io.StringIO((out / "diagnostics.csv").read_text())))
+        assert summary["steps"] == len(rows) == 1
+        problem = get_problem("global_existence")
+        u0 = scheme.init_state(problem, build_grid(problem, parse_config(json.dumps(doc)).grid,
+                                                   8)).u_curr
+        mass0 = float(np.sum(u0.grid.cell_areas * u0.values))
+        drift = abs(float(rows[0]["mass"]) - mass0) / mass0
+        assert summary["max_relative_mass_drift"] == drift > 0.0
+
     def test_convergence_command_table(self, tmp_path, capsys):
         doc = {
             "problem": "mms_accuracy",

@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 import ksbcfd.linalg
+import ksbcfd.scheme
 from ksbcfd.fields import CellField, cell_field, cell_field_from_function, grad, inner_m, norm_m
 from ksbcfd.grid import build_uniform, build_random_perturbed, make_grid
 from ksbcfd.linalg import bicgstab, block_corrected, dense_solve
@@ -325,8 +327,12 @@ class TestMarching:
         problem = constant_problem()
         state = init_state(problem, unit_grid(4))
         cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.3)
+        ws = Workspace(state.u_curr.grid, cfg)
         with pytest.raises(ValueError, match="two density levels"):
-            step_cn(state, problem, Workspace(state.u_curr.grid, cfg))
+            step_cn(state, problem, ws)
+        state1, _ = first_step(state, problem, ws)
+        with pytest.raises(ValueError, match="two density levels and a_curr"):
+            step_cn(dataclasses.replace(state1, a_curr=None), problem, ws)
 
     def test_density_solves_start_from_the_extrapolated_level(self, monkeypatch):
         # u^0 for both solves of the first step, 2 u^n - u^{n-1} after it
@@ -349,23 +355,31 @@ class TestMarching:
         assert np.array_equal(starts[1], flat(state0.u_curr.values))
         assert np.array_equal(starts[2], flat(2.0 * state1.u_curr.values - state0.u_curr.values))
 
-    def test_solutions_match_dense_oracle_on_coarse_grid(self):
-        # the first step and one full CN step on an 8x8 grid cross-checked
-        # against dense solves, each with its half-level density u*
-        problem = get_problem("global_existence")
-        grid = unit_grid(8)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.03, uniqueness_monitor=False)
+    @staticmethod
+    def check_against_dense_oracle(problem, grid):
+        """The first step and one full CN step cross-checked against dense
+        solves, each with its half-level density u*; the stencil-form
+        right-hand sides, forcing at t_{n+1/2} included, check the stepper's
+        matrix products."""
+        cfg = SchemeConfig(lam=problem.lam, tau=0.01, t_final=0.03, uniqueness_monitor=False)
         ws = Workspace(grid, cfg)
+        xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
+
+        def forcing(f, t):
+            return 0.0 if problem.forcing is None else getattr(problem.forcing, f)(xs, ys, t)
 
         def check(prev, new, u_star):
+            t_half = (prev.n + 0.5) * cfg.tau
             rhs_vals = ((1.0 / cfg.tau - 0.5) * prev.z_curr.values
-                        + 0.5 * apply_laplacian(prev.z_curr).values + u_star)
+                        + 0.5 * apply_laplacian(prev.z_curr).values + u_star
+                        + forcing("f_c", t_half))
             z_dense = dense_solve(ws.z_system.toarray(), ws.areas * np.ravel(rhs_vals, order="F"))
             assert np.max(np.abs(np.ravel(new.z_curr.values, order="F") - z_dense)) <= 1e-10
             system, _ = ws.u_system(grad(new.z_curr))
             rhs_vals = (prev.u_curr.values / cfg.tau
                         + 0.5 * apply_laplacian(prev.u_curr).values
-                        - 0.5 * cfg.lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values)
+                        - 0.5 * cfg.lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values
+                        + forcing("f_rho", t_half))
             u_dense = dense_solve(system.toarray(), ws.areas * np.ravel(rhs_vals, order="F"))
             assert np.max(np.abs(np.ravel(new.u_curr.values, order="F") - u_dense)) <= 1e-10
 
@@ -375,6 +389,46 @@ class TestMarching:
         check(state0, state1, 0.5 * (u_bar.values + state0.u_curr.values))
         state2, _ = step_cn(state1, problem, ws)
         check(state1, state2, 1.5 * state1.u_curr.values - 0.5 * state0.u_curr.values)
+
+    def test_solutions_match_dense_oracle_on_coarse_grid(self):
+        # 8 x 8 cells: unforced on the uniform grid, and forced on a random
+        # grid (beta 0.3), which checks the products' forcing and weights
+        self.check_against_dense_oracle(get_problem("global_existence"), unit_grid(8))
+        self.check_against_dense_oracle(get_problem("mms_accuracy"), perturbed_grid(8))
+
+    def test_each_step_assembles_one_density_matrix(self, monkeypatch):
+        # the predictor's, A(grad z^0) for the first stage's right-hand side,
+        # and one per stage, which the next stage's right-hand side reuses
+        problem = get_problem("global_existence")
+        grid = perturbed_grid(8)
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05, uniqueness_monitor=False)
+        counts = {"u_system": 0, "grad": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Workspace, "u_system", counted("u_system", Workspace.u_system))
+        monkeypatch.setattr(ksbcfd.scheme, "grad", counted("grad", ksbcfd.scheme.grad))
+        result = run(problem, grid, cfg)
+        steps = len(result.diagnostics)
+        assert steps == cfg.n_steps == 5
+        assert counts["u_system"] == steps + 2
+        assert counts["grad"] <= steps + 2
+
+    def test_state_carries_the_density_matrix_of_its_concentration(self):
+        problem = get_problem("global_existence")
+        grid = perturbed_grid(8)
+        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.02))
+        state0 = init_state(problem, grid)
+        assert state0.a_curr is None
+        state1, _ = first_step(state0, problem, ws)
+        state2, _ = step_cn(state1, problem, ws)
+        rebuilt = ws.u_system(grad(state2.z_curr))[0]
+        assert state2.a_curr.offsets.tolist() == rebuilt.offsets.tolist()
+        assert np.array_equal(state2.a_curr.data, rebuilt.data)
 
 
 def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
