@@ -16,9 +16,10 @@ message.  A corner blow-up study, for example:
       "outputs": {"snapshot_times": [0.0, 0.15], "snapshot_format": "vtk"}
     }
 
-``parse_config`` also builds the ``SchemeConfig`` of every grid run the
-document implies, so every configuration error is found before a run starts
-or a file is written.
+Each snapshot time must lie on a step: a whole multiple of tau in
+[0, t_final].  ``parse_config`` also builds the ``SchemeConfig`` of every
+grid run the document implies, so every configuration error is found before
+a run starts or a file is written.
 
 Relative output paths resolve against --out-dir (or $KSBCFD_OUT_DIR when the
 flag is absent).  Every invocation also writes ``meta.json``: the parsed
@@ -61,7 +62,7 @@ from .grid import (
 )
 from .io import diagnostics_to_csv, field_to_csv, field_to_vtk
 from .problems import ProblemSpec, get_problem
-from .scheme import RunResult, SchemeConfig, State, StepSolveError, error_norms, run
+from .scheme import RunResult, SchemeConfig, State, StepSolveError, error_norms, run, step_of
 
 __all__ = [
     "ConfigError",
@@ -141,7 +142,6 @@ class RunConfig:
     tau: float | None = None                 # run and blowup modes; a sweep takes its spacing
     solver_tol: float = SchemeConfig.solver_tol
     blowup_threshold: float = SchemeConfig.blowup_threshold
-    uniqueness_monitor: bool = SchemeConfig.uniqueness_monitor
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
 
@@ -266,7 +266,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(key, reason + where) from None
     # a sweep has no snapshot times; a run has one grid
     for t in config.outputs.snapshot_times:
-        if not (math.isfinite(t / scheme.tau) and 0 <= round(t / scheme.tau) <= scheme.n_steps):
+        n = step_of(t, scheme.tau)
+        if n is None or not 0 <= n <= scheme.n_steps:
             raise ConfigError("outputs.snapshot_times",
                               f"time {t} is not on a step in [0, t_final]")
     return config
@@ -405,15 +406,11 @@ def _scheme_config(config: RunConfig, problem: ProblemSpec, m: int) -> SchemeCon
         t_final=config.t_final,
         solver_tol=config.solver_tol,
         blowup_threshold=config.blowup_threshold,
-        uniqueness_monitor=config.uniqueness_monitor,
     )
 
 
 def _snapshot_steps(config: RunConfig) -> dict[int, float]:
-    steps = {}
-    for t in config.outputs.snapshot_times:
-        steps[round(t / config.tau)] = t
-    return steps
+    return {step_of(t, config.tau): t for t in config.outputs.snapshot_times}
 
 
 def _snapshot_writer(config: RunConfig, out_dir: Path):

@@ -181,15 +181,10 @@ def remap_axis(axis: Axis1D, lo: float, hi: float) -> Axis1D:
 
 @dataclass(frozen=True)
 class StaggeredGrid2D:
-    """Tensor product of two axes plus precomputed cell-area weights.
-
-    ``regularity_ratio`` is sigma = h / (smallest cell width) with
-    h the largest cell width over both axes; 1 for uniform grids.
-    """
+    """Tensor product of two axes plus precomputed cell-area weights."""
 
     x_axis: Axis1D
     y_axis: Axis1D
-    regularity_ratio: float
     cell_areas: np.ndarray = field(repr=False)  # (nx, ny), dx_i * dy_j
 
     @property
@@ -206,12 +201,8 @@ class StaggeredGrid2D:
 
 
 def make_grid(x_axis: Axis1D, y_axis: Axis1D) -> StaggeredGrid2D:
-    h = max(x_axis.cell_widths.max(), y_axis.cell_widths.max())
-    sigma = max(h / x_axis.cell_widths.min(), h / y_axis.cell_widths.min())
-    if not np.isfinite(sigma) or sigma < 1.0:
-        raise ValueError(f"bad regularity ratio {sigma}")
     areas = _frozen(np.outer(x_axis.cell_widths, y_axis.cell_widths))
-    return StaggeredGrid2D(x_axis=x_axis, y_axis=y_axis, regularity_ratio=sigma, cell_areas=areas)
+    return StaggeredGrid2D(x_axis=x_axis, y_axis=y_axis, cell_areas=areas)
 
 
 def axis_subseeds(seed: int) -> tuple[int, int]:

@@ -168,8 +168,7 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
     """
     n = b.shape[0]
     x = np.zeros(n)
-    r = b.copy()
-    r0 = r.copy()
+    r = r0 = b  # neither is written in place
     rho = alpha = omega = 1.0
     v = np.zeros(n)
     p = np.zeros(n)
@@ -177,7 +176,7 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
     # best iterate by recursive residual; returned when the recursion breaks
     # down or wanders off instead of the (possibly worse) final iterate
     best_x = x
-    best_norm = float(np.linalg.norm(r))
+    best_norm = r0_norm = float(np.linalg.norm(r))
     best_at = 0
     while iterations < max_iter:
         r_norm = float(np.linalg.norm(r))
@@ -188,7 +187,7 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
         if iterations - best_at >= _STAGNATION_WINDOW:
             return best_x, iterations, "stagnated"
         rho_next = float(r0 @ r)
-        scale = float(np.linalg.norm(r0) * r_norm)
+        scale = r0_norm * r_norm
         if abs(rho_next) <= _BREAKDOWN * max(scale, 1.0):
             return best_x, iterations, "breakdown"
         beta = (rho_next / rho) * (alpha / omega)

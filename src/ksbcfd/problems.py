@@ -73,6 +73,10 @@ class ProblemSpec:
             raise ValueError("a manufactured exact solution requires its forcing pair")
 
 
+def _zero(x, y):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
 # --- manufactured accuracy problem ------------------------------------------
 
 
@@ -114,15 +118,14 @@ def mms_accuracy() -> ProblemSpec:
         a, b = _poly(x), _poly(y)
         return a * b - t * (_poly_d2(x) * b + a * _poly_d2(y))
 
-    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     return ProblemSpec(
         name="mms_accuracy",
         domain=(0.0, 1.0, 0.0, 1.0),
         lam=lam,
-        rho0=zero,
-        c0=zero,
-        c0_xx=zero,
-        c0_yy=zero,
+        rho0=_zero,
+        c0=_zero,
+        c0_xx=_zero,
+        c0_yy=_zero,
         exact=ExactSolution(rho=rho, c=rho, c_x=c_x, c_y=c_y),
         forcing=Forcing(f_rho=f_rho, f_c=f_c),
     )
@@ -138,73 +141,49 @@ def _gaussian(amp, k, x0, y0):
     return f
 
 
-def _gaussian_xx(amp, k, x0, y0):
+def _gaussian_dd(amp, k, x0, y0, axis):
+    """The second derivative of ``_gaussian`` along axis 0 (x) or 1 (y)."""
     def f(x, y):
         r2 = (x - x0) ** 2 + (y - y0) ** 2
-        return amp * np.exp(-k * r2) * (4.0 * k * k * (x - x0) ** 2 - 2.0 * k)
+        d = x - x0 if axis == 0 else y - y0
+        return amp * np.exp(-k * r2) * (4.0 * k * k * d ** 2 - 2.0 * k)
 
     return f
 
 
-def _gaussian_yy(amp, k, x0, y0):
-    def f(x, y):
-        r2 = (x - x0) ** 2 + (y - y0) ** 2
-        return amp * np.exp(-k * r2) * (4.0 * k * k * (y - y0) ** 2 - 2.0 * k)
-
-    return f
+def _gaussian_problem(name, domain, rho, c=None) -> ProblemSpec:
+    """lam = 1 and Gaussian initial data, each (amp, k, x0, y0); the
+    concentration is zero when ``c`` is None."""
+    if c is None:
+        c0 = c0_xx = c0_yy = _zero
+    else:
+        c0, c0_xx, c0_yy = _gaussian(*c), _gaussian_dd(*c, axis=0), _gaussian_dd(*c, axis=1)
+    return ProblemSpec(name=name, domain=domain, lam=1.0, rho0=_gaussian(*rho),
+                       c0=c0, c0_xx=c0_xx, c0_yy=c0_yy)
 
 
 def global_existence() -> ProblemSpec:
     """Subcritical Gaussian (total cell mass ~24.67 < 8 pi): global solution."""
-    return ProblemSpec(
-        name="global_existence",
-        domain=(0.0, 1.0, 0.0, 1.0),
-        lam=1.0,
-        rho0=_gaussian(50.0, 5.0, 0.5, 0.5),
-        c0=_gaussian(25.0, 2.5, 0.5, 0.5),
-        c0_xx=_gaussian_xx(25.0, 2.5, 0.5, 0.5),
-        c0_yy=_gaussian_yy(25.0, 2.5, 0.5, 0.5),
-    )
+    return _gaussian_problem("global_existence", (0.0, 1.0, 0.0, 1.0),
+                             rho=(50.0, 5.0, 0.5, 0.5), c=(25.0, 2.5, 0.5, 0.5))
 
 
 def blowup_supercritical() -> ProblemSpec:
     """Supercritical Gaussian (total cell mass ~27.23 > 8 pi) on (-1,1)^2."""
-    return ProblemSpec(
-        name="blowup_supercritical",
-        domain=(-1.0, 1.0, -1.0, 1.0),
-        lam=1.0,
-        rho0=_gaussian(130.0, 15.0, 0.0, 0.0),
-        c0=_gaussian(13.0, 2.0, 0.0, 0.0),
-        c0_xx=_gaussian_xx(13.0, 2.0, 0.0, 0.0),
-        c0_yy=_gaussian_yy(13.0, 2.0, 0.0, 0.0),
-    )
+    return _gaussian_problem("blowup_supercritical", (-1.0, 1.0, -1.0, 1.0),
+                             rho=(130.0, 15.0, 0.0, 0.0), c=(13.0, 2.0, 0.0, 0.0))
 
 
 def blowup_center() -> ProblemSpec:
     """Concentrated Gaussian blowing up at the center of the unit square."""
-    return ProblemSpec(
-        name="blowup_center",
-        domain=(0.0, 1.0, 0.0, 1.0),
-        lam=1.0,
-        rho0=_gaussian(1000.0, 100.0, 0.5, 0.5),
-        c0=_gaussian(500.0, 50.0, 0.5, 0.5),
-        c0_xx=_gaussian_xx(500.0, 50.0, 0.5, 0.5),
-        c0_yy=_gaussian_yy(500.0, 50.0, 0.5, 0.5),
-    )
+    return _gaussian_problem("blowup_center", (0.0, 1.0, 0.0, 1.0),
+                             rho=(1000.0, 100.0, 0.5, 0.5), c=(500.0, 50.0, 0.5, 0.5))
 
 
 def blowup_corner() -> ProblemSpec:
     """Off-center Gaussian on (-0.5,0.5)^2 that blows up at the corner."""
-    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    return ProblemSpec(
-        name="blowup_corner",
-        domain=(-0.5, 0.5, -0.5, 0.5),
-        lam=1.0,
-        rho0=_gaussian(1000.0, 100.0, 0.15, 0.15),
-        c0=zero,
-        c0_xx=zero,
-        c0_yy=zero,
-    )
+    return _gaussian_problem("blowup_corner", (-0.5, 0.5, -0.5, 0.5),
+                             rho=(1000.0, 100.0, 0.15, 0.15))
 
 
 PROBLEMS: dict[str, Callable[[], ProblemSpec]] = {

@@ -105,6 +105,7 @@ __all__ = [
     "BlowUpDetected",
     "StepSolveError",
     "UniquenessConditionWarning",
+    "step_of",
     "apply_laplacian",
     "apply_chemotaxis",
     "init_state",
@@ -119,10 +120,8 @@ __all__ = [
 class BlowUpDetected(RuntimeError):
     """The density exceeded the blow-up threshold or went non-finite."""
 
-    def __init__(self, t: float, step: int, state: "State", diagnostics: "StepDiagnostics"):
-        super().__init__(f"blow-up detected at t={t} (step {step})")
-        self.t = t
-        self.step = step
+    def __init__(self, state: "State", diagnostics: "StepDiagnostics"):
+        super().__init__(f"blow-up detected at t={state.t} (step {state.n})")
         self.state = state
         self.diagnostics = diagnostics
 
@@ -163,6 +162,16 @@ class UniquenessConditionWarning(UserWarning):
 _STEP_COUNT_ULPS = 64
 
 
+def step_of(t: float, tau: float) -> int | None:
+    """The n with n tau = t, to ``_STEP_COUNT_ULPS`` units in the last place
+    of n, or None when t lies between steps."""
+    ratio = t / tau
+    if not math.isfinite(ratio):
+        return None
+    n = round(ratio)
+    return n if abs(ratio - n) <= _STEP_COUNT_ULPS * np.spacing(max(1.0, float(n))) else None
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     lam: float
@@ -170,22 +179,20 @@ class SchemeConfig:
     t_final: float
     solver_tol: float = 1e-12
     blowup_threshold: float = 1e12
-    uniqueness_monitor: bool = True
 
     def __post_init__(self):
         # each message starts with the name of the field at fault
         for name in ("lam", "tau", "t_final", "solver_tol", "blowup_threshold"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        ratio = self.t_final / self.tau
-        n = round(ratio) if math.isfinite(ratio) else 0
-        if n < 1 or abs(ratio - n) > _STEP_COUNT_ULPS * np.spacing(max(1.0, float(n))):
+        n = step_of(self.t_final, self.tau)
+        if n is None or n < 1:
             raise ValueError(f"t_final must be an integer step count of tau, "
-                             f"got t_final/tau = {ratio!r}")
+                             f"got t_final/tau = {self.t_final / self.tau!r}")
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_final / self.tau)
+        return step_of(self.t_final, self.tau)
 
 
 @dataclass(frozen=True)
@@ -514,20 +521,21 @@ def _diagnostics(state: State, grad_z: GradientPair, config: SchemeConfig, rep_z
 def _check_blowup(state: State, diag: StepDiagnostics, config: SchemeConfig) -> None:
     u, z = state.u_curr, state.z_curr
     if u.max_abs() > config.blowup_threshold or not u.is_finite() or not z.is_finite():
-        raise BlowUpDetected(state.t, state.n, state, diag)
+        raise BlowUpDetected(state, diag)
 
 
 def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemSpec,
-              name: str) -> tuple[State, GradientPair, SolveReport, SolveReport]:
+              name: str, reps_before: tuple[SolveReport, ...] = ()) -> tuple[State, StepDiagnostics]:
     """One Crank-Nicolson stage from ``state``: the concentration solve with
     ``u_star`` as the half-level density, then the density solve in the new
     concentration gradient, warm-started from 2 u^n - u^{n-1} (from u^n when
     there is no u^{n-1}).  The right-hand sides multiply ``ws.z_system``
     and ``state.a_curr``.
 
-    Returns the new state, the gradient of its concentration, and the
-    reports of the concentration and density solves; ``name`` names the
-    density system in a ``StepSolveError``.
+    Returns the new state and its step's record, whose density columns
+    also count ``reps_before``, the reports of the step's earlier density
+    solves; raises ``BlowUpDetected`` when the new state crosses the
+    threshold.  ``name`` names the density system in a ``StepSolveError``.
     """
     grid, tau, w = ws.grid, ws.config.tau, ws.areas
     step = state.n + 1
@@ -550,7 +558,9 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
 
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next,
                       a_curr=system)
-    return new_state, g_next, rep_z, rep_u
+    diag = _diagnostics(new_state, g_next, ws.config, rep_z, (*reps_before, rep_u))
+    _check_blowup(new_state, diag, ws.config)
+    return new_state, diag
 
 
 def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
@@ -558,10 +568,7 @@ def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State
     u_bar, rep_pred = predict_u1(state, problem, ws)
     u_star = 0.5 * (u_bar.values + state.u_curr.values)
     state = replace(state, a_curr=ws.u_system(grad(state.z_curr))[0])
-    new_state, g1, rep_z, rep_u = _cn_stage(ws, state, u_star, problem, "density corrector")
-    diag = _diagnostics(new_state, g1, ws.config, rep_z, (rep_pred, rep_u))
-    _check_blowup(new_state, diag, ws.config)
-    return new_state, diag
+    return _cn_stage(ws, state, u_star, problem, "density corrector", reps_before=(rep_pred,))
 
 
 def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
@@ -570,60 +577,49 @@ def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, S
         raise ValueError("Crank-Nicolson marching needs two density levels and a_curr; "
                          "run the first step")
     u_star = 1.5 * state.u_curr.values - 0.5 * state.u_prev.values
-    new_state, g_next, rep_z, rep_u = _cn_stage(ws, state, u_star, problem, "density")
-    diag = _diagnostics(new_state, g_next, ws.config, rep_z, (rep_u,))
-    _check_blowup(new_state, diag, ws.config)
-    return new_state, diag
+    return _cn_stage(ws, state, u_star, problem, "density")
 
 
 def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
         on_step: Callable[[State], None] | None = None) -> RunResult:
-    """March from the initial data to t_final or until blow-up halts the run.
+    """March from the initial data to t_final or until blow-up halts the run,
+    taking ``first_step`` and then ``step_cn``; ``on_step`` sees every level,
+    the initial one and the halting one included.
 
     The advisory solvability monitor compares the time step against
     4 / (lam^2 (|dZ|_inf + 1)^2), substituting the observed concentration
-    gradient bound for the unobservable continuous one; violations warn once
-    per run and are recorded per step.
+    gradient bound for the unobservable continuous one; violations are
+    recorded per step and warn once per run with a
+    ``UniquenessConditionWarning``, which the ``warnings`` filters silence.
     """
     state = init_state(problem, grid)
     initial_mass = float(np.sum(grid.cell_areas * state.u_curr.values))
     ws = Workspace(grid, config)
-    if on_step is not None:
-        on_step(state)
     diagnostics: list[StepDiagnostics] = []
-    warned = False
-
-    def record(d: StepDiagnostics) -> None:
-        nonlocal warned
-        diagnostics.append(d)
-        if config.uniqueness_monitor and not d.uniqueness_ok and not warned:
+    blew_up = warned = False
+    while True:
+        if on_step is not None:
+            on_step(state)
+        if blew_up or state.n == config.n_steps:
+            return RunResult(state, diagnostics, initial_mass, blew_up,
+                             blow_up_time=state.t if blew_up else None)
+        step = first_step if state.n == 0 else step_cn
+        try:
+            state, diag = step(state, problem, ws)
+        except BlowUpDetected as blow:
+            state, diag, blew_up = blow.state, blow.diagnostics, True
+        except StepSolveError as failure:
+            failure.diagnostics = diagnostics
+            raise
+        diagnostics.append(diag)
+        if not (diag.uniqueness_ok or warned):
             warnings.warn(
                 f"time step {config.tau} exceeds the advisory solvability bound "
-                f"4/(lam^2 (|dZ|_inf + 1)^2) at t={d.t}",
+                f"4/(lam^2 (|dZ|_inf + 1)^2) at t={diag.t}",
                 UniquenessConditionWarning,
                 stacklevel=2,
             )
             warned = True
-
-    try:
-        state, diag = first_step(state, problem, ws)
-        record(diag)
-        if on_step is not None:
-            on_step(state)
-        while state.n < config.n_steps:
-            state, diag = step_cn(state, problem, ws)
-            record(diag)
-            if on_step is not None:
-                on_step(state)
-    except BlowUpDetected as blow:
-        record(blow.diagnostics)
-        if on_step is not None:
-            on_step(blow.state)
-        return RunResult(blow.state, diagnostics, initial_mass, blew_up=True, blow_up_time=blow.t)
-    except StepSolveError as failure:
-        failure.diagnostics = diagnostics
-        raise
-    return RunResult(state, diagnostics, initial_mass)
 
 
 def error_norms(state: State, problem: ProblemSpec) -> tuple[float, float, float]:

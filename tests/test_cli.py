@@ -28,7 +28,6 @@ MINIMAL_RUN = {
     "grid": {"family": "uniform", "m": 8},
     "tau": 0.01,
     "t_final": 0.02,
-    "uniqueness_monitor": False,
 }
 
 
@@ -58,11 +57,9 @@ def cfg_text(**overrides):
 
 class TestParseConfig:
     def test_minimal_defaults(self):
-        doc = {k: v for k, v in MINIMAL_RUN.items() if k != "uniqueness_monitor"}
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(json.dumps(MINIMAL_RUN))
         assert cfg.solver_tol == 1e-12
         assert cfg.blowup_threshold == 1e12
-        assert cfg.uniqueness_monitor is True
         assert cfg.outputs.diagnostics == "diagnostics.csv"
         assert cfg.outputs.snapshot_times == ()
 
@@ -97,12 +94,13 @@ class TestParseConfig:
 
     def test_snapshot_times_must_lie_on_a_step_of_the_run(self):
         # tau = 0.01 and t_final = 0.02: the steps are 0, 1 and 2
-        for bad in ([-0.02, 0.01], [0.01, 0.5], [0.03], [float("nan")]):
+        for bad in ([-0.02, 0.01], [0.01, 0.5], [0.03], [float("nan")], [-0.004], [0.024],
+                    [0.0149, 0.006, 0.01]):  # between steps, though each rounds to one
             with pytest.raises(ConfigError, match="outputs.snapshot_times"):
                 parse_config(cfg_text(outputs={"snapshot_times": bad}))
-        # judged on the step index: -0.004 and 0.024 round to steps 0 and 2
-        cfg = parse_config(cfg_text(outputs={"snapshot_times": [-0.004, 0.0, 0.024]}))
-        assert cfg.outputs.snapshot_times == (-0.004, 0.0, 0.024)
+        # judged as t_final is: 0.07 - 0.06 is step 1 up to division noise
+        cfg = parse_config(cfg_text(outputs={"snapshot_times": [0.0, 0.07 - 0.06, 0.02]}))
+        assert cfg.outputs.snapshot_times == (0.0, 0.07 - 0.06, 0.02)
 
     def test_outputs_keys_the_mode_does_not_read_rejected(self):
         values = {"diagnostics": "d.csv", "snapshot_times": [0.0], "snapshot_format": "vtk",
@@ -244,6 +242,7 @@ class TestMainCommand:
         p.write_text(json.dumps(doc))
         return p
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_run_success_and_outputs(self, tmp_path, capsys):
         doc = dict(MINIMAL_RUN)
         doc["outputs"] = {"snapshot_times": [0.0, 0.02], "snapshot_format": "csv"}
@@ -272,6 +271,7 @@ class TestMainCommand:
         assert "outputs.snapshot_times: not read in convergence mode" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_vtk_snapshot_header(self, tmp_path):
         doc = dict(MINIMAL_RUN)
         doc["outputs"] = {"snapshot_times": [0.01], "snapshot_format": "vtk"}
@@ -283,6 +283,7 @@ class TestMainCommand:
         assert "DATASET STRUCTURED_GRID" in text
         assert "DIMENSIONS 8 8 1" in text
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_reruns_byte_identical(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL_RUN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -314,6 +315,7 @@ class TestMainCommand:
         assert calls["bicgstab"] == 31 and calls["_bicgstab_sweep"] >= 31  # predictor + 30 steps
         assert (tmp_path / "script.csv").read_bytes() == (out / "diagnostics.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_failed_run_keeps_its_diagnostics(self, tmp_path, monkeypatch, capsys):
         cfg = self.write(tmp_path, dict(MINIMAL_RUN, t_final=0.05))
         whole, failed = tmp_path / "whole", tmp_path / "failed"
@@ -339,8 +341,11 @@ class TestMainCommand:
         (dict(MINIMAL_RUN, tau=0.03, t_final=0.1), "t_final"),  # 3.33 steps
         (dict(MINIMAL_SWEEP, t_final=0.3), "t_final"),  # 1.2 steps of tau = 1/4
         (dict(MINIMAL_SWEEP, grid={"family": "uniform", "m_values": [4, 4]}), "grid.m_values"),
+        (dict(MINIMAL_RUN, outputs={"snapshot_times": [0.0149, 0.006, 0.01]}),
+         "outputs.snapshot_times"),  # between steps 1 and 2, and 0 and 1
+        (dict(MINIMAL_RUN, uniqueness_monitor=False), "uniqueness_monitor"),  # no such key
     ], ids=["unknown_problem", "negative_seed", "run_step_count", "sweep_step_count",
-            "repeated_size"])
+            "repeated_size", "snapshot_between_steps", "monitor_switch"])
     def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, doc, key):
         out = tmp_path / "out"
         assert main([doc["mode"], "--config", str(self.write(tmp_path, doc)),
@@ -360,6 +365,7 @@ class TestMainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--quiet"]) == 2
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = self.write(tmp_path, MINIMAL_RUN)
         target = tmp_path / "env_out"
@@ -367,6 +373,7 @@ class TestMainCommand:
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0
         assert (target / "diagnostics.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_summary_and_exit_zero(self, tmp_path):
         doc = {
             "problem": "blowup_center",
@@ -375,8 +382,7 @@ class TestMainCommand:
             "tau": 1e-5,
             "t_final": 2e-3,
             "blowup_threshold": 2e3,
-            "uniqueness_monitor": False,
-        }
+                }
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"
         # a detected blow-up is a normal terminal outcome, not a failure
@@ -387,6 +393,7 @@ class TestMainCommand:
         assert summary["t_halt"] == summary["blow_up_time"]
         assert (out / "diagnostics.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_mass_drift_counts_the_first_step(self, tmp_path):
         # one step: the only drift is the first step's, from the level-0
         # mass sum(W u^0), which no diagnostics row holds
@@ -397,8 +404,7 @@ class TestMainCommand:
             "tau": 0.01,
             "t_final": 0.01,
             "solver_tol": 1e-6,
-            "uniqueness_monitor": False,
-        }
+                }
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["blowup", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
@@ -427,6 +433,7 @@ class TestMainCommand:
         assert rows[1].order_rho == pytest.approx(2.0, abs=0.1)
         assert "rho_error" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_random_grid_meta_records_seeds(self, tmp_path):
         doc = dict(MINIMAL_RUN)
         doc["grid"] = {"family": "random", "m": 8, "beta": 0.5, "seed": 11}

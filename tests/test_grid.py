@@ -46,10 +46,6 @@ class TestUniform:
         with pytest.raises(ValueError):
             build_uniform(2.0, 1.0, 4)
 
-    def test_unit_regularity_ratio(self):
-        g = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
-        assert abs(g.regularity_ratio - 1.0) <= 1e-15
-
 
 class TestRandomPerturbed:
     def test_zero_beta_matches_uniform(self):
@@ -136,11 +132,6 @@ class TestCornerRefined:
         w = ax.cell_widths
         assert np.all(np.diff(w) < 0)  # monotone shrinking toward +0.5
         assert w[-1] == w.min()
-
-    def test_regularity_ratio_grows_with_n(self):
-        g20 = make_grid(build_corner_refined(20), build_corner_refined(20))
-        g40 = make_grid(build_corner_refined(40), build_corner_refined(40))
-        assert g40.regularity_ratio > g20.regularity_ratio > 1.0
 
 
 def test_remap_axis_affine():

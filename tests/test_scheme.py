@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -308,14 +309,15 @@ class TestMarching:
         assert np.max(np.abs(result.state.u_curr.values - 3.0)) <= 1e-12
         assert np.max(np.abs(result.state.z_curr.values - 3.0)) <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_mass_drift_bounded_per_step(self):
-        # time step inside the solvability bound 4/(lam^2 (|dZ|+1)^2)
+        # the time step breaks the advisory bound 4/(lam^2 (|dZ|+1)^2) here
         problem = get_problem("global_existence")
         grid = make_grid(
             build_random_perturbed(0, 1, 16, 0.2, 5),
             build_random_perturbed(0, 1, 16, 0.2, 6),
         )
-        cfg = SchemeConfig(lam=1.0, tau=0.001, t_final=0.02, uniqueness_monitor=False)
+        cfg = SchemeConfig(lam=1.0, tau=0.001, t_final=0.02)
         state = init_state(problem, grid)
         m0 = mass(state.u_curr)
         result = run(problem, grid, cfg)
@@ -361,7 +363,7 @@ class TestMarching:
         solves, each with its half-level density u*; the stencil-form
         right-hand sides, forcing at t_{n+1/2} included, check the stepper's
         matrix products."""
-        cfg = SchemeConfig(lam=problem.lam, tau=0.01, t_final=0.03, uniqueness_monitor=False)
+        cfg = SchemeConfig(lam=problem.lam, tau=0.01, t_final=0.03)
         ws = Workspace(grid, cfg)
         xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
 
@@ -396,12 +398,13 @@ class TestMarching:
         self.check_against_dense_oracle(get_problem("global_existence"), unit_grid(8))
         self.check_against_dense_oracle(get_problem("mms_accuracy"), perturbed_grid(8))
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_each_step_assembles_one_density_matrix(self, monkeypatch):
         # the predictor's, A(grad z^0) for the first stage's right-hand side,
         # and one per stage, which the next stage's right-hand side reuses
         problem = get_problem("global_existence")
         grid = perturbed_grid(8)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05, uniqueness_monitor=False)
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05)
         counts = {"u_system": 0, "grad": 0}
 
         def counted(name, fn):
@@ -605,42 +608,59 @@ class TestRun:
         assert len(result.diagnostics) == 1
         assert result.state.n == 1 and not result.blew_up
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_deterministic_diagnostics(self):
         problem = get_problem("global_existence")
         grid = perturbed_grid(10, seed=77)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05, uniqueness_monitor=False)
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05)
         r1 = run(problem, grid, cfg)
         r2 = run(problem, grid, cfg)
         assert r1.diagnostics == r2.diagnostics
         assert np.array_equal(r1.state.u_curr.values, r2.state.u_curr.values)
 
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_halts_cleanly_with_diagnostics(self):
         problem = get_problem("blowup_center")
         grid = unit_grid(16)
-        cfg = SchemeConfig(lam=1.0, tau=1e-5, t_final=1e-3, blowup_threshold=900.0,
-                           uniqueness_monitor=False)
+        cfg = SchemeConfig(lam=1.0, tau=1e-5, t_final=1e-3, blowup_threshold=900.0)
         result = run(problem, grid, cfg)
         assert result.blew_up
         assert result.blow_up_time == result.diagnostics[-1].t
         assert result.diagnostics[-1].u_max > 900.0 or not result.state.u_curr.is_finite()
 
     def test_uniqueness_monitor_warns_once(self):
+        # once per run: two runs in one process warn twice, however many
+        # steps break the bound
         problem = get_problem("blowup_center")
         grid = unit_grid(12)
-        cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=5e-3, uniqueness_monitor=True)
-        with pytest.warns(UniquenessConditionWarning):
-            result = run(problem, grid, cfg)
-        assert any(not d.uniqueness_ok for d in result.diagnostics)
+        cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=5e-3)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run(problem, grid, cfg)
+            assert sum(not d.uniqueness_ok for d in result.diagnostics) > 1
+            assert [w.category for w in caught] == [UniquenessConditionWarning]
 
-    def test_monitor_silent_when_disabled(self):
-        problem = get_problem("blowup_center")
-        grid = unit_grid(12)
-        cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=5e-3, uniqueness_monitor=False)
-        import warnings as _warnings
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
+    def test_one_step_call_per_record(self, monkeypatch):
+        # the halting step included: a benchmark counts steps by wrapping
+        # the two step functions, which run looks up at every step
+        calls = {"first_step": 0, "step_cn": 0}
 
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", UniquenessConditionWarning)
-            run(problem, grid, cfg)
+        def counted(name):
+            fn = getattr(ksbcfd.scheme, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ksbcfd.scheme, name, counted(name))
+        cfg = SchemeConfig(lam=1.0, tau=1e-5, t_final=1e-3, blowup_threshold=900.0)
+        result = run(get_problem("blowup_center"), unit_grid(16), cfg)
+        assert result.blew_up and len(result.diagnostics) < cfg.n_steps
+        assert calls == {"first_step": 1, "step_cn": len(result.diagnostics) - 1}
 
 
 class TestErrorNorms:
