@@ -140,7 +140,6 @@ class RunConfig:
     grid: GridConfig
     t_final: float
     tau: float | None = None                 # run and blowup modes; a sweep takes its spacing
-    solver_tol: float = SchemeConfig.solver_tol
     blowup_threshold: float = SchemeConfig.blowup_threshold
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
@@ -339,14 +338,12 @@ def run_convergence(config: RunConfig) -> list[ConvergenceRow]:
                                        failed=True))
             prev = None
             continue
-        row = ConvergenceRow(m=m, e_rho=e_rho, e_c=e_c, e_gradc=e_gradc)
-        if prev is not None:
-            row = ConvergenceRow(
-                m=m, e_rho=e_rho, e_c=e_c, e_gradc=e_gradc,
-                order_rho=_observed_order(prev.e_rho, e_rho, prev.m, m),
-                order_c=_observed_order(prev.e_c, e_c, prev.m, m),
-                order_gradc=_observed_order(prev.e_gradc, e_gradc, prev.m, m),
-            )
+        orders = {} if prev is None else {
+            "order_rho": _observed_order(prev.e_rho, e_rho, prev.m, m),
+            "order_c": _observed_order(prev.e_c, e_c, prev.m, m),
+            "order_gradc": _observed_order(prev.e_gradc, e_gradc, prev.m, m),
+        }
+        row = ConvergenceRow(m=m, e_rho=e_rho, e_c=e_c, e_gradc=e_gradc, **orders)
         rows.append(row)
         prev = row
     return rows
@@ -404,7 +401,6 @@ def _scheme_config(config: RunConfig, problem: ProblemSpec, m: int) -> SchemeCon
         lam=problem.lam,
         tau=tau,
         t_final=config.t_final,
-        solver_tol=config.solver_tol,
         blowup_threshold=config.blowup_threshold,
     )
 
@@ -456,7 +452,7 @@ def run_blowup(config: RunConfig, out_dir: Path) -> dict:
     summary = {
         "problem": config.problem,
         "blew_up": result.blew_up,
-        "blow_up_time": result.blow_up_time,
+        "blow_up_time": result.state.t if result.blew_up else None,
         "t_halt": d[-1].t,
         "steps": len(d),
         "peak_u_max": d[peak_idx].u_max,

@@ -45,7 +45,6 @@ __all__ = [
     "EdgeFieldX",
     "EdgeFieldY",
     "GradientPair",
-    "cell_field",
     "cell_field_from_function",
     "edge_x_from_function",
     "edge_y_from_function",
@@ -60,7 +59,6 @@ __all__ = [
     "inner_m",
     "norm_m",
     "inner_x",
-    "norm_x",
     "inner_y",
     "norm_tm",
 ]
@@ -147,10 +145,6 @@ class GradientPair:
     def inf_norm(self) -> float:
         """Max-abs of the x component plus max-abs of the y component."""
         return self.gx.max_abs() + self.gy.max_abs()
-
-
-def cell_field(grid: StaggeredGrid2D, fill: float = 0.0) -> CellField:
-    return CellField(grid, np.full(grid.shape, float(fill)))
 
 
 def cell_field_from_function(grid: StaggeredGrid2D, fn: Callable) -> CellField:
@@ -266,10 +260,6 @@ def inner_x(f: EdgeFieldX, g: EdgeFieldX) -> float:
     gr = f.grid
     w = gr.x_axis.dual_widths[:, None] * gr.y_axis.cell_widths[None, :]
     return float(np.sum(w * (f.values[1:-1, :] * g.values[1:-1, :])))
-
-
-def norm_x(f: EdgeFieldX) -> float:
-    return float(np.sqrt(inner_x(f, f)))
 
 
 def inner_y(f: EdgeFieldY, g: EdgeFieldY) -> float:

@@ -86,10 +86,15 @@ def axis_from_primal(primal, lo=None, hi=None) -> Axis1D:
     hi = float(primal[-1]) if hi is None else float(hi)
     if primal[0] != lo or primal[-1] != hi:
         raise ValueError("primal endpoints must equal the domain endpoints")
+    if not np.isfinite(hi - lo):
+        raise ValueError("axis length must be finite")
 
-    centers = (primal[:-1] + primal[1:]) / 2.0
-    cell_widths = np.diff(primal)
-    dual_widths = (cell_widths[:-1] + cell_widths[1:]) / 2.0
+    with np.errstate(over="ignore"):
+        centers = (primal[:-1] + primal[1:]) / 2.0
+        cell_widths = np.diff(primal)
+        dual_widths = (cell_widths[:-1] + cell_widths[1:]) / 2.0
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(dual_widths))):
+        raise ValueError("cell centers and dual widths must be finite")
     if abs(cell_widths.sum() - (hi - lo)) > _WIDTH_SUM_RTOL * (hi - lo):
         raise ValueError("cell widths do not sum to the domain length")
     return Axis1D(
@@ -201,7 +206,10 @@ class StaggeredGrid2D:
 
 
 def make_grid(x_axis: Axis1D, y_axis: Axis1D) -> StaggeredGrid2D:
-    areas = _frozen(np.outer(x_axis.cell_widths, y_axis.cell_widths))
+    with np.errstate(over="ignore"):
+        areas = _frozen(np.outer(x_axis.cell_widths, y_axis.cell_widths))
+    if not np.all(np.isfinite(areas)):
+        raise ValueError("cell areas must be finite")
     return StaggeredGrid2D(x_axis=x_axis, y_axis=y_axis, cell_areas=areas)
 
 

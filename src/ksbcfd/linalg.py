@@ -8,15 +8,14 @@ solves, with a single-precision variant used only as a preconditioner;
 BiCGStab for the nonsymmetric density systems, right-preconditioned by an
 operator; a block correction that follows such an operator with an exact
 sparse LU solve (scipy's SuperLU) on the rows where it is a poor
-approximation; one direct solve by a given inverse, refined once on a miss,
-which solves the concentration system by the heat inverse and, by SuperLU
-(``sparse_lu_solve``), a density system on which BiCGStab fails; and a
-dense partial-pivot solver used as an independent oracle in the tests.
+approximation; and one direct solve by a given inverse, refined once on a
+miss, which solves the concentration system by the heat inverse and, by
+SuperLU (``sparse_lu_solve``), a density system on which BiCGStab fails.
 The Krylov solvers take the preconditioner as a callable ``r -> M^-1 r``;
 there is no built-in one.  Conjugate Gradient for symmetric positive
-definite systems is not used by the stepper: it is kept, tested against the
-dense oracle, as a solver whose calls the benchmark's ``linalg.cg`` span
-counts.
+definite systems is not used by the stepper: it is kept, tested against
+numpy's dense solve, as a solver whose calls the benchmark's ``linalg.cg``
+span counts.
 
 Every solve takes a first solution, at most one refinement when that
 misses the tolerance, and one verdict (``_verdict``).  Its ``SolveReport``'s
@@ -50,23 +49,17 @@ from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SolveReport",
-    "SingularMatrixError",
     "TensorHeatSolver",
     "block_corrected",
     "cg",
     "bicgstab",
     "direct_solve",
     "sparse_lu_solve",
-    "dense_solve",
 ]
 
 # Denominators smaller than this (relative to the surrounding scale) count as
 # algorithmic breakdown.
 _BREAKDOWN = 1e-300
-
-
-class SingularMatrixError(ValueError):
-    """Raised by dense_solve when a pivot falls below the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -437,35 +430,6 @@ def sparse_lu_solve(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[
     except RuntimeError:  # "Factor is exactly singular"
         return np.zeros(a.shape[0]), SolveReport(False, 0, 1.0, "breakdown")
     return direct_solve(a, b, lu.solve, tol)
-
-
-def dense_solve(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting (test oracle).
-
-    Raises SingularMatrixError if any pivot magnitude drops below 1e-14
-    relative to the largest initial entry.
-    """
-    a = np.array(a_dense, dtype=np.float64)
-    x = np.array(b, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or x.shape != (n,):
-        raise ValueError("dense_solve needs a square matrix and matching vector")
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) < 1e-14 * scale:
-            raise SingularMatrixError(f"pivot {a[piv, k]!r} below tolerance at column {k}")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= factors[:, None] * a[k, k:]
-        x[k + 1:] -= factors * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
 
 
 def _checked_rhs(a: sp.spmatrix, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:

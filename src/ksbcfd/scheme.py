@@ -41,8 +41,8 @@ less per application and barely changes the iteration counts.  Residuals
 and acceptance stay in float64.  When BiCGStab does not converge, the same
 system is solved once more by sparse LU (SuperLU).  Every solve, direct or
 iterative, refines its solution once when the recomputed residual misses
-the solver tolerance, and accepts it when the residual meets the tolerance
-or its componentwise backward error is at most 16 units of roundoff.
+the solver tolerance 1e-12, and accepts it when the residual meets it or
+its componentwise backward error is at most 16 units of roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into a diagonal-major band, one row-ordered array per neighbour,
@@ -177,12 +177,11 @@ class SchemeConfig:
     lam: float
     tau: float
     t_final: float
-    solver_tol: float = 1e-12
     blowup_threshold: float = 1e12
 
     def __post_init__(self):
         # each message starts with the name of the field at fault
-        for name in ("lam", "tau", "t_final", "solver_tol", "blowup_threshold"):
+        for name in ("lam", "tau", "t_final", "blowup_threshold"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         n = step_of(self.t_final, self.tau)
@@ -234,7 +233,6 @@ class RunResult:
     diagnostics: list[StepDiagnostics]
     initial_mass: float  # sum(W u^0), which no diagnostics row holds
     blew_up: bool = False
-    blow_up_time: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +257,6 @@ def apply_chemotaxis(p: CellField, g: GradientPair) -> CellField:
 # Unknown vectors flatten cell (i, j) to k = i + nx * j (the x index varies
 # fastest); this order is fixed so assembled matrices are comparable across
 # runs and against golden values.
-
-
-def _flat_index(grid: StaggeredGrid2D) -> np.ndarray:
-    nx, ny = grid.shape
-    return np.arange(nx * ny).reshape((nx, ny), order="F")
 
 
 # neighbour slots of a five-point row, in column order
@@ -343,18 +336,18 @@ def _five_point(band: np.ndarray) -> sp.dia_matrix:
     return sp.dia_matrix((data, offsets), shape=(nx * ny, nx * ny))
 
 
-def _weak_rows_block(band: np.ndarray) -> tuple[slice, slice] | None:
-    """The (i, j) slices of the tensor block bounding the rows of a band that
-    are not diagonally dominant (``|a_kk| < sum_{j != k} |a_kj|``), or None
-    when every row is."""
+def _weak_rows_block(band: np.ndarray) -> np.ndarray | None:
+    """The rows k = i + nx j, ascending, of the tensor block bounding the
+    rows of a band that are not diagonally dominant
+    (``|a_kk| < sum_{j != k} |a_kj|``), or None when every row is."""
     off = (np.abs(band[_SOUTH]) + np.abs(band[_WEST])
            + np.abs(band[_EAST]) + np.abs(band[_NORTH]))
     weak = np.abs(band[_CENTER]) < off
     if not weak.any():
         return None
-    i = np.flatnonzero(weak.any(axis=1)).tolist()
-    j = np.flatnonzero(weak.any(axis=0)).tolist()
-    return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
+    i, j = np.flatnonzero(weak.any(axis=1)), np.flatnonzero(weak.any(axis=0))
+    rows = np.arange(i[0], i[-1] + 1)[:, None] + band.shape[1] * np.arange(j[0], j[-1] + 1)
+    return rows.ravel(order="F")
 
 
 class Workspace:
@@ -376,17 +369,13 @@ class Workspace:
         self._heat_bands = {theta: _heat_band(grid, grid.cell_areas / config.tau, theta)
                             for theta in (0.5, 1.0)}
 
-    def u_system(self, g: GradientPair, backward_euler: bool = False
-                 ) -> tuple[sp.dia_matrix, tuple[slice, slice] | None]:
-        """The density system, nonsymmetric whenever g is nonzero, and the
-        block of its rows that are not diagonally dominant
-        (``_weak_rows_block``).
-
-        Crank-Nicolson form: (1/tau) W - (1/2) W L + (lam/2) W C(g).
-        Backward-Euler (predictor) form: (1/tau) W - W L + lam W C(g).
-        It is built from a copy of a heat band.
+    def u_system(self, g: GradientPair, theta: float = 0.5
+                 ) -> tuple[sp.dia_matrix, np.ndarray | None]:
+        """The density system (1/tau) W - theta W L + theta lam W C(g), for
+        theta 1/2 (Crank-Nicolson) or 1 (the backward-Euler predictor), and
+        the block bounding its rows that are not diagonally dominant
+        (``_weak_rows_block``).  It is built from a copy of a heat band.
         """
-        theta = 1.0 if backward_euler else 0.5
         band = self._heat_bands[theta].copy(order="K")
         _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
         return _five_point(band), _weak_rows_block(band)
@@ -438,13 +427,13 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     solver tolerance after ``linalg.direct_solve``'s refinement raises
     ``StepSolveError``.
     """
-    x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse, tol=ws.config.solver_tol)
+    x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse)
     if not report.converged:
         raise StepSolveError(step, "concentration", report)
     return x, report
 
 
-def _solve_density(ws: Workspace, system: sp.dia_matrix, block: tuple[slice, slice] | None,
+def _solve_density(ws: Workspace, system: sp.dia_matrix, block: np.ndarray | None,
                    rhs: np.ndarray, theta: float, step: int, name: str,
                    warm_start: CellField) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab for a density system from ``Workspace.u_system``, with a
@@ -453,25 +442,23 @@ def _solve_density(ws: Workspace, system: sp.dia_matrix, block: tuple[slice, sli
     The right preconditioner is the inverse of the system's heat part
     (1/tau) W - theta W L: in single precision when ``block`` is None, and
     otherwise in float64 followed by an exact solve of ``system`` on the
-    cells of ``block`` (``linalg.block_corrected``).  The fallback's report
+    rows ``block`` (``linalg.block_corrected``).  The fallback's report
     keeps the BiCGStab iteration count and carries the residual recomputed
     from the direct solution; a fallback that misses the solver tolerance
     raises ``StepSolveError``.  The report's ``block_cells`` is the size of
     the correction block, 0 when there is none or its matrix is exactly
     singular.
     """
-    tol, s = ws.config.solver_tol, 1.0 / ws.config.tau
+    s = 1.0 / ws.config.tau
     if block is None:
         precond, cells = functools.partial(ws.heat.solve_fp32, s=s, theta=theta), 0
     else:
         heat = functools.partial(ws.heat.solve, s=s, theta=theta)
-        rows = _flat_index(ws.grid)[block].ravel(order="F")
-        precond = linalg.block_corrected(system, heat, rows)
-        cells = 0 if precond is heat else rows.size  # 0: A_SS exactly singular
-    x, report = linalg.bicgstab(system, rhs, precond, tol=tol,
-                                x0=np.ravel(warm_start.values, order="F"))
+        precond = linalg.block_corrected(system, heat, block)
+        cells = 0 if precond is heat else block.size  # 0: A_SS exactly singular
+    x, report = linalg.bicgstab(system, rhs, precond, x0=np.ravel(warm_start.values, order="F"))
     if not report.converged:
-        x, direct = linalg.sparse_lu_solve(system, rhs, tol=tol)
+        x, direct = linalg.sparse_lu_solve(system, rhs)
         if not direct.converged:
             raise StepSolveError(step, name, report, fallback=direct)
         report = replace(direct, iterations=report.iterations)
@@ -483,7 +470,7 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[CellF
     if state.n != 0:
         raise ValueError("the predictor runs from the initial level only")
     grid, tau = ws.grid, ws.config.tau
-    system, block = ws.u_system(grad(state.z_curr), backward_euler=True)
+    system, block = ws.u_system(grad(state.z_curr), 1.0)
     rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
     x, report = _solve_density(ws, system, block, rhs, 1.0, step=1, name="density predictor",
@@ -601,8 +588,7 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
         if on_step is not None:
             on_step(state)
         if blew_up or state.n == config.n_steps:
-            return RunResult(state, diagnostics, initial_mass, blew_up,
-                             blow_up_time=state.t if blew_up else None)
+            return RunResult(state, diagnostics, initial_mass, blew_up)
         step = first_step if state.n == 0 else step_cn
         try:
             state, diag = step(state, problem, ws)

@@ -25,7 +25,6 @@ from ksbcfd.fields import (
     EdgeFieldY,
     Dx,
     Dy,
-    cell_field,
     cell_field_from_function,
     delta_correction,
     dx,
@@ -36,7 +35,6 @@ from ksbcfd.fields import (
     inner_x,
     inner_y,
     norm_m,
-    norm_x,
 )
 from ksbcfd.grid import (
     axis_subseeds,
@@ -47,7 +45,6 @@ from ksbcfd.grid import (
     make_grid,
 )
 from ksbcfd.io import diagnostics_to_csv
-from ksbcfd.linalg import dense_solve
 from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     SchemeConfig,
@@ -113,9 +110,9 @@ def subcritical_result():
     # the canonical mass-conservation run: uniform 80^2 cells, 1000 steps
     problem = get_problem("global_existence")
     grid = make_grid(build_uniform(0, 1, 80), build_uniform(0, 1, 80))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1.0, solver_tol=1e-12)
+    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1.0)
     state0 = init_state(problem, grid)
-    mass0 = inner_m(state0.u_curr, cell_field(grid, 1.0))
+    mass0 = inner_m(state0.u_curr, CellField(grid, np.ones(grid.shape)))
     return run(problem, grid, cfg), mass0
 
 
@@ -184,7 +181,7 @@ def test_criterion_4_summation_by_parts():
         vv[0, :] = vv[-1, :] = 0.0
         v = EdgeFieldX(g, vv)
         gap_x = abs(inner_m(q, Dx(v)) + inner_x(dx(q), v))
-        bound_x = 1e-12 * (1.0 + norm_m(q) * norm_x(v))
+        bound_x = 1e-12 * (1.0 + norm_m(q) * np.sqrt(inner_x(v, v)))
         ww = rng.standard_normal((g.nx, g.ny + 1))
         ww[:, 0] = ww[:, -1] = 0.0
         w = EdgeFieldY(g, ww)
@@ -209,7 +206,7 @@ def test_criterion_5_correction_order():
                                 cell_field_from_function(g, p_dd))
         corrected = CellField(g, pf.values - corr.values)
         diff = EdgeFieldX(g, edge_x_from_function(g, p_x).values - dx(corrected).values)
-        errs.append(norm_x(diff))
+        errs.append(np.sqrt(inner_x(diff, diff)))
     orders = [np.log(errs[k - 1] / errs[k]) / np.log(2) for k in (1, 2, 3)]
     ok = min(orders) >= 1.8
     report("5 correction order", ok,
@@ -222,8 +219,8 @@ def test_criterion_6_solver_oracle_equivalence():
     # (block-corrected where rows are not diagonally dominant) and with the
     # heat inverse alone
     grid = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
-    tau, lam, tol = 0.01, 1.0, 1e-12
-    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau, solver_tol=tol))
+    tau, lam = 0.01, 1.0
+    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
     z_dense = ws.z_system.toarray()
     rng = np.random.Generator(np.random.PCG64(SEED))
     worst = 0.0
@@ -236,7 +233,7 @@ def test_criterion_6_solver_oracle_equivalence():
             (1.0 / tau - 0.5) * z.values + 0.5 * apply_laplacian(z).values + u.values,
             order="F")
         xz, rep_z = _solve_concentration(ws, rhs_z, step=1)
-        gaps = [np.max(np.abs(xz - dense_solve(z_dense, rhs_z)))]
+        gaps = [np.max(np.abs(xz - np.linalg.solve(z_dense, rhs_z)))]
         ok &= rep_z.converged
         u_sys, block = ws.u_system(grad(z))
         blocks += block is not None
@@ -244,7 +241,7 @@ def test_criterion_6_solver_oracle_equivalence():
             u.values / tau + 0.5 * apply_laplacian(u).values
             - 0.5 * lam * apply_chemotaxis(u, grad(z)).values,
             order="F")
-        u_oracle = dense_solve(u_sys.toarray(), rhs_u)
+        u_oracle = np.linalg.solve(u_sys.toarray(), rhs_u)
         for b in (block, None):
             xu, rep_u = _solve_density(ws, u_sys, b, rhs_u, 0.5, step=1, name="density",
                                        warm_start=u)
@@ -322,7 +319,7 @@ def test_corner_blowup_halts_on_its_threshold_off_the_benchmark_grid():
     result = run(get_problem("blowup_corner"), grid, cfg)
     assert result.blew_up and len(result.diagnostics) == 164
     assert result.diagnostics[-1].u_max > 1e7
-    assert max(d.residual_u for d in result.diagnostics) > cfg.solver_tol
+    assert max(d.residual_u for d in result.diagnostics) > 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
@@ -357,7 +354,7 @@ def test_criterion_9_determinism(uniform_rows, subcritical_result, tmp_path):
     result, _ = subcritical_result
     problem = get_problem("global_existence")
     grid = make_grid(build_uniform(0, 1, 80), build_uniform(0, 1, 80))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1.0, solver_tol=1e-12)
+    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1.0)
     rerun = run(problem, grid, cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     diagnostics_to_csv(result.diagnostics, p1)

@@ -58,7 +58,6 @@ def cfg_text(**overrides):
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL_RUN))
-        assert cfg.solver_tol == 1e-12
         assert cfg.blowup_threshold == 1e12
         assert cfg.outputs.diagnostics == "diagnostics.csv"
         assert cfg.outputs.snapshot_times == ()
@@ -344,8 +343,9 @@ class TestMainCommand:
         (dict(MINIMAL_RUN, outputs={"snapshot_times": [0.0149, 0.006, 0.01]}),
          "outputs.snapshot_times"),  # between steps 1 and 2, and 0 and 1
         (dict(MINIMAL_RUN, uniqueness_monitor=False), "uniqueness_monitor"),  # no such key
+        (dict(MINIMAL_RUN, solver_tol=1e-6), "solver_tol"),  # no such key
     ], ids=["unknown_problem", "negative_seed", "run_step_count", "sweep_step_count",
-            "repeated_size", "snapshot_between_steps", "monitor_switch"])
+            "repeated_size", "snapshot_between_steps", "monitor_switch", "solver_tol"])
     def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, doc, key):
         out = tmp_path / "out"
         assert main([doc["mode"], "--config", str(self.write(tmp_path, doc)),
@@ -403,7 +403,6 @@ class TestMainCommand:
             "grid": {"family": "uniform", "m": 8},
             "tau": 0.01,
             "t_final": 0.01,
-            "solver_tol": 1e-6,
                 }
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"

@@ -3,16 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 import ksbcfd.linalg
-from ksbcfd.fields import CellField, cell_field, grad
+from ksbcfd.fields import CellField, grad
 from ksbcfd.grid import build_corner_refined, build_random_perturbed, make_grid
 from ksbcfd.linalg import (
     _STAGNATION_WINDOW,
-    SingularMatrixError,
     TensorHeatSolver,
     bicgstab,
     block_corrected,
     cg,
-    dense_solve,
     direct_solve,
     sparse_lu_solve,
 )
@@ -78,7 +76,7 @@ class TestCG:
         b = np.random.default_rng(8).standard_normal(30)
         x, rep = cg(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
-        assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-10
 
     def test_report_matches_recomputed_residual(self):
         a, _ = random_spd(25, 12)
@@ -121,7 +119,7 @@ class TestBiCGStab:
         b = rng.standard_normal(n)
         x, rep = bicgstab(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
-        assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-10
         recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert abs(recomputed - rep.final_relative_residual) <= 1e-12
 
@@ -205,7 +203,7 @@ class TestBiCGStab:
         x, rep = bicgstab(sp.csr_matrix(ad), b, np.copy)
         assert sweeps == [("breakdown", 1), ("converged", 2)]
         assert rep.converged and rep.iterations == 3
-        assert np.max(np.abs(x - dense_solve(ad, b))) <= 1e-14
+        assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-14
 
     def test_agrees_with_cg_on_spd(self):
         for n, seed in ((50, 1), (200, 2), (400, 3)):
@@ -331,18 +329,18 @@ class TestTensorHeatSolver:
         x, rep = direct_solve(a, b, inverse)
         assert rep.converged and rep.iterations == 0 and len(calls) == 1
         assert rep.final_relative_residual == relative_residual(a, b, x) <= 1e-12
-        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(a.toarray(), b))) <= 1e-10
 
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_inverts_heat_part_of_u_system(self, backward_euler):
         grid = rectangular_grid()
-        zero_g = grad(cell_field(grid, 0.0))
-        a = self.workspace(grid).u_system(zero_g, backward_euler=backward_euler)[0]
+        zero_g = grad(CellField(grid, np.zeros(grid.shape)))
         theta = 1.0 if backward_euler else 0.5
+        a = self.workspace(grid).u_system(zero_g, theta)[0]
         b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
         x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, 1.0 / self.tau, theta)
         assert relative_residual(a, b, x) <= 1e-12
-        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(a.toarray(), b))) <= 1e-10
 
     def test_wrong_operator_reported_as_breakdown(self):
         grid = rectangular_grid()
@@ -449,26 +447,13 @@ class TestTensorHeatSolver:
         _, plain = bicgstab(a, b, jacobi(a))
         assert rep.converged and plain.converged
         assert rep.iterations < plain.iterations
-        assert np.max(np.abs(x - dense_solve(a.toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(a.toarray(), b))) <= 1e-10
 
 
 class TestDenseSolve:
-    def test_identity(self):
-        b = np.array([4.0, 5.0])
-        assert np.array_equal(dense_solve(np.eye(2), b), b)
-
-    def test_two_by_two_hand_case(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        x = dense_solve(a, np.array([5.0, 10.0]))
-        assert np.allclose(x, [1.0, 3.0], rtol=1e-14)
-
     def test_cross_check_with_cg(self):
         a, ad = random_spd(20, 31)
         b = np.random.default_rng(32).standard_normal(20)
         x_cg, rep = cg(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
-        assert np.max(np.abs(dense_solve(ad, b) - x_cg)) <= 1e-10
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+        assert np.max(np.abs(np.linalg.solve(ad, b) - x_cg)) <= 1e-10
