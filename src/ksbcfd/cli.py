@@ -533,13 +533,12 @@ def main(argv=None) -> int:
         if config.mode != args.command:
             raise ConfigError("mode", f"config says {config.mode!r} but the "
                               f"{args.command!r} command was invoked")
-    except (OSError, ConfigError) as exc:
+        out_dir = Path(args.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_meta(config, out_dir)
+    except (OSError, ConfigError) as exc:  # exit 1 is a solver failure's
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = Path(args.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_meta(config, out_dir)
     _retain_freed_heap()
 
     try:

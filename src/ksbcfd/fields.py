@@ -2,8 +2,10 @@
 
 Cell fields hold one value per cell center (i, j); edge fields hold values
 at the x-edge points (x_{i+1/2}, y_j) or y-edge points (x_i, y_{j+1/2}),
-boundary edges included.  Values are stored as (nx, ny) / (nx+1, ny) /
-(nx, ny+1) float arrays indexed [i, j].
+boundary edges included.  Values are (nx, ny) / (nx+1, ny) / (nx, ny+1)
+float arrays indexed [i, j].  The gradient's edge arrays (``dx``, ``dy``)
+are stored x fastest, the memory order of the solver's flat vectors, so
+the transposes the density matrix is assembled from are contiguous.
 
 The operators:
 
@@ -176,14 +178,14 @@ def edge_y_from_function(grid: StaggeredGrid2D, fn: Callable) -> EdgeFieldY:
 def dx(p: CellField) -> EdgeFieldX:
     """Center-to-edge difference in x; boundary edges are zero (Neumann)."""
     g = p.grid
-    out = np.zeros((g.nx + 1, g.ny))
+    out = np.zeros((g.ny, g.nx + 1)).T
     out[1:-1, :] = np.diff(p.values, axis=0) / g.x_axis.dual_widths[:, None]
     return EdgeFieldX(g, out)
 
 
 def dy(p: CellField) -> EdgeFieldY:
     g = p.grid
-    out = np.zeros((g.nx, g.ny + 1))
+    out = np.zeros((g.ny + 1, g.nx)).T
     out[:, 1:-1] = np.diff(p.values, axis=1) / g.y_axis.dual_widths[None, :]
     return EdgeFieldY(g, out)
 

@@ -157,24 +157,24 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
     vanishing denominator, among them a residual orthogonal to the shadow
     residual), or after ``_STAGNATION_WINDOW`` iterations without a new best
     residual.  Returns (iterate, iterations, reason) with a ``SolveReport``
-    reason.
+    reason.  Vectors are updated in place, in each expression's order, and
+    neither ``b`` (the shadow residual) nor a preconditioner output is written.
     """
     n = b.shape[0]
     x = np.zeros(n)
-    r = r0 = b  # neither is written in place
+    r0, r = b, b.copy()  # r holds s from the middle of an iteration on
     rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
+    v, p, tmp = np.zeros(n), np.zeros(n), np.empty(n)  # tmp: the scratch vector
     iterations = 0
     # best iterate by recursive residual; returned when the recursion breaks
     # down or wanders off instead of the (possibly worse) final iterate
-    best_x = x
+    best_x = np.zeros(n)
     best_norm = r0_norm = float(np.linalg.norm(r))
     best_at = 0
     while iterations < max_iter:
         r_norm = float(np.linalg.norm(r))
         if r_norm < best_norm:
-            best_x, best_norm, best_at = x, r_norm, iterations
+            best_x[:], best_norm, best_at = x, r_norm, iterations
         if r_norm <= tol_abs:
             return x, iterations, "converged"
         if iterations - best_at >= _STAGNATION_WINDOW:
@@ -184,20 +184,25 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
         if abs(rho_next) <= _BREAKDOWN * max(scale, 1.0):
             return best_x, iterations, "breakdown"
         beta = (rho_next / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
+        # p = r + beta (p - omega v)
+        np.subtract(p, np.multiply(omega, v, out=tmp), out=p)
+        np.add(r, np.multiply(beta, p, out=p), out=p)
         p_hat = m(p)
         v = a @ p_hat
         r0v = float(r0 @ v)
         if abs(r0v) <= _BREAKDOWN:
             return best_x, iterations, "breakdown"
         alpha = rho_next / r0v
-        s = r - alpha * v
+        s = np.subtract(r, np.multiply(alpha, v, out=tmp), out=r)
+        # x + alpha p_hat, the half-step iterate whose residual is s
+        np.add(x, np.multiply(alpha, p_hat, out=tmp), out=x)
+        del p_hat  # dead vectors go before the next preconditioner call
         iterations += 1
         s_norm = float(np.linalg.norm(s))
         if s_norm <= tol_abs:
-            return x + alpha * p_hat, iterations, "converged"
+            return x, iterations, "converged"
         if s_norm < best_norm:
-            best_x, best_norm, best_at = x + alpha * p_hat, s_norm, iterations
+            best_x[:], best_norm, best_at = x, s_norm, iterations
         s_hat = m(s)
         t = a @ s_hat
         tt = float(t @ t)
@@ -206,8 +211,9 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
         omega = float(t @ s) / tt
         if abs(omega) <= _BREAKDOWN:
             return best_x, iterations, "breakdown"
-        x = x + alpha * p_hat + omega * s_hat
-        r = s - omega * t
+        np.add(x, np.multiply(omega, s_hat, out=tmp), out=x)
+        np.subtract(s, np.multiply(omega, t, out=tmp), out=r)
+        del s_hat, t
         rho = rho_next
     return best_x, iterations, "max_iter"
 

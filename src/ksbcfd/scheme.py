@@ -45,16 +45,18 @@ the solver tolerance 1e-12, and accepts it when the residual meets it or
 its componentwise backward error is at most 16 units of roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
-written into a diagonal-major band, one row-ordered array per neighbour,
-whose five diagonals a scipy DIA matrix stores as they are (``_five_point``).
+written into a band that a scipy DIA matrix takes as its data, one row per
+neighbour in the flat order of the unknowns (``_five_point``).
 ``Workspace`` assembles the constant concentration matrix once per run.
 Density matrices change every step with the concentration gradient:
 ``Workspace`` builds the heat-part bands once, and each step adds the
 chemotaxis term to a copy of a band and reads the rows' diagonal dominance
-off the same band.  A Crank-Nicolson equation A x^{n+1} = (2/tau) W x^n -
-A x^n + W f builds its right-hand side as a product with its own A, the
-concentration matrix or the density matrix ``State`` carries from the
-previous stage; the matrix-free stencils are the tests' oracle of both.
+off the same copy.  The gradient's edge arrays and the sampled forcing are
+stored in that flat order too, so a step makes no layout copies.  A
+Crank-Nicolson equation A x^{n+1} = (2/tau) W x^n - A x^n + W f builds its
+right-hand side as a product with its own A, the concentration matrix or
+the density matrix ``State`` carries from the previous stage; the
+matrix-free stencils are the tests' oracle of both.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -276,13 +278,18 @@ def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray, theta: float) -> np.
     nx, ny = grid.shape
     dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
     dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-    band = np.zeros((5, ny, nx)).transpose(0, 2, 1)
-    band[_EAST, :-1, :] = band[_WEST, 1:, :] = dyw[None, :] / dxd[:, None]
-    band[_NORTH, :, :-1] = band[_SOUTH, :, 1:] = dxw[:, None] / dyd[None, :]
-    band[_CENTER] = -(band[_EAST] + band[_WEST] + band[_NORTH] + band[_SOUTH])
+    band = np.zeros((5, ny, nx))
+    south, west, center, east, north = band
+    # an edge couples its two cells' rows at the column of the cell across it
+    east[:, 1:] = west[:, :-1] = center[:, :-1] = dyw[:, None] / dxd[None, :]
+    north[1:, :] = south[:-1, :] = dxw[None, :] / dyd[:, None]
+    center[:, 1:] += west[:, :-1]
+    center[:-1, :] += north[1:, :]
+    center[1:, :] += south[:-1, :]
+    np.negative(center, out=center)
     band *= -theta
-    band[_CENTER] += diagonal
-    return band
+    center += diagonal.T
+    return band.reshape(5, nx * ny)
 
 
 def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s: float) -> None:
@@ -292,78 +299,78 @@ def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s:
     The area-weighted flux across an interior edge is g times the edge
     length times the interpolated cell value, which weighs the cell on
     either side by the other cell's width across the edge over twice the
-    dual width.
+    dual width.  Every array here is (ny, nx), x fastest, as the band is.
     """
     dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
     dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-    gx = g.gx.values[1:-1, :]  # interior x-edges, (nx-1, ny)
-    coef_l = dyw[None, :] * gx * dxw[1:, None] / (2.0 * dxd[:, None])
-    coef_r = dyw[None, :] * gx * dxw[:-1, None] / (2.0 * dxd[:, None])
-    gy = g.gy.values[:, 1:-1]  # interior y-edges, (nx, ny-1)
-    coef_b = dxw[:, None] * gy * dyw[None, 1:] / (2.0 * dyd[None, :])
-    coef_t = dxw[:, None] * gy * dyw[None, :-1] / (2.0 * dyd[None, :])
-    center = np.zeros(grid.shape)
-    center[:-1, :] += coef_l
-    center[1:, :] -= coef_r
-    center[:, :-1] += coef_b
-    center[:, 1:] -= coef_t
-    band[_CENTER] += s * center
-    band[_EAST, :-1, :] += s * coef_r
-    band[_WEST, 1:, :] -= s * coef_l
-    band[_NORTH, :, :-1] += s * coef_t
-    band[_SOUTH, :, 1:] -= s * coef_b
+    flux_x = dyw[:, None] * g.gx.values.T[:, 1:-1]  # interior x-edges, (ny, nx-1)
+    coef_l = flux_x * dxw[None, 1:] / (2.0 * dxd[None, :])
+    coef_r = flux_x * dxw[None, :-1] / (2.0 * dxd[None, :])
+    flux_y = dxw[None, :] * g.gy.values.T[1:-1, :]  # interior y-edges, (ny-1, nx)
+    coef_b = flux_y * dyw[1:, None] / (2.0 * dyd[:, None])
+    coef_t = flux_y * dyw[:-1, None] / (2.0 * dyd[:, None])
+    center = np.zeros(grid.shape[::-1])
+    center[:, :-1] += coef_l
+    center[:, 1:] -= coef_r
+    center[:-1, :] += coef_b
+    center[1:, :] -= coef_t
+    # a cell's entry in the slot of offset o lies o places on in the row
+    south, west, middle, east, north = band.reshape(5, *center.shape)
+    middle += s * center
+    east[:, 1:] += s * coef_r
+    west[:, :-1] -= s * coef_l
+    north[1:, :] += s * coef_t
+    south[:-1, :] -= s * coef_b
 
 
-def _five_point(band: np.ndarray) -> sp.dia_matrix:
+def _five_point(band: np.ndarray, nx: int) -> sp.dia_matrix:
     """The five-point matrix of a band.
 
     Row k = i + nx j of a five-point matrix couples cell (i, j) with cells
     (i, j-1), (i-1, j), (i, j), (i+1, j) and (i, j+1): diagonals -nx, -1, 0,
-    1 and nx.  A band is a (5, nx, ny) view over memory (5, ny, nx) that
-    holds them for every cell, zero where the neighbour lies outside the
-    grid, so each slot read in F order is its diagonal in row order.  In
-    ascending order of the offsets, scipy's DIA product sums each row in
-    column order, as a CSR product does.
+    1 and nx.  A band is the matrix's DIA data, shape (5, nx ny): row o of
+    it holds the diagonal of offset o, entry (k, k + o) at column k + o,
+    zero where the neighbour lies outside the grid.  In ascending order of
+    the offsets, scipy's DIA product sums each row in column order, as a
+    CSR product does.
     """
-    _, nx, ny = band.shape
-    rows = band.transpose(0, 2, 1).reshape(5, nx * ny)
-    if not np.all(np.isfinite(rows)):
+    if not np.all(np.isfinite(band)):
         raise ValueError("matrix entries must be finite")
-    offsets = (-nx, -1, 0, 1, nx)
-    # DIA stores entry (k, k + offset) at column k + offset; what rolls round
-    # lies outside the matrix or is a zero outside the grid
-    data = np.stack([np.roll(diagonal, offset) for diagonal, offset in zip(rows, offsets)])
-    return sp.dia_matrix((data, offsets), shape=(nx * ny, nx * ny))
+    n = band.shape[1]
+    return sp.dia_matrix((band, (-nx, -1, 0, 1, nx)), shape=(n, n))
 
 
-def _weak_rows_block(band: np.ndarray) -> np.ndarray | None:
+def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
     """The rows k = i + nx j, ascending, of the tensor block bounding the
     rows of a band that are not diagonally dominant
     (``|a_kk| < sum_{j != k} |a_kj|``), or None when every row is."""
-    off = (np.abs(band[_SOUTH]) + np.abs(band[_WEST])
-           + np.abs(band[_EAST]) + np.abs(band[_NORTH]))
-    weak = np.abs(band[_CENTER]) < off
+    off = np.zeros(band.shape[1])
+    off[nx:] = np.abs(band[_SOUTH, :-nx])
+    off[1:] += np.abs(band[_WEST, :-1])
+    off[:-1] += np.abs(band[_EAST, 1:])
+    off[:-nx] += np.abs(band[_NORTH, nx:])
+    weak = (np.abs(band[_CENTER]) < off).reshape(-1, nx)
     if not weak.any():
         return None
-    i, j = np.flatnonzero(weak.any(axis=1)), np.flatnonzero(weak.any(axis=0))
-    rows = np.arange(i[0], i[-1] + 1)[:, None] + band.shape[1] * np.arange(j[0], j[-1] + 1)
-    return rows.ravel(order="F")
+    i, j = np.flatnonzero(weak.any(axis=0)), np.flatnonzero(weak.any(axis=1))
+    return (np.arange(i[0], i[-1] + 1) + nx * np.arange(j[0], j[-1] + 1)[:, None]).ravel()
 
 
 class Workspace:
-    """Per-run operator cache: area weights, the fast-diagonalization solver
-    of the grid's heat operator, the concentration matrix (which both sides
-    of its equation use) and its inverse by that solver, and the heat-part
-    bands the density matrices are filled in on."""
+    """Per-run operator cache: area weights (and 2/tau times them), the
+    grid's fast-diagonalization heat solver, the concentration matrix (which
+    both sides of its equation use) and its inverse by that solver, and the
+    heat-part bands the density matrices are filled in on."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
+        self.areas_2_tau = 2.0 / config.tau * self.areas
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         # s W - theta W L at s = 1/tau + 1/2, theta = 1/2; SPD, and its inverse
         s, theta = 1.0 / config.tau + 0.5, 0.5
-        self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas, theta))
+        self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas, theta), grid.nx)
         self.z_inverse = functools.partial(self.heat.solve, s=s, theta=theta)
         # bands of the heat part (1/tau) W - theta W L, for theta = 1/2 and 1
         self._heat_bands = {theta: _heat_band(grid, grid.cell_areas / config.tau, theta)
@@ -374,11 +381,11 @@ class Workspace:
         """The density system (1/tau) W - theta W L + theta lam W C(g), for
         theta 1/2 (Crank-Nicolson) or 1 (the backward-Euler predictor), and
         the block bounding its rows that are not diagonally dominant
-        (``_weak_rows_block``).  It is built from a copy of a heat band.
+        (``_weak_rows_block``).  The matrix's data is a copy of a heat band.
         """
-        band = self._heat_bands[theta].copy(order="K")
+        band = self._heat_bands[theta].copy()
         _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
-        return _five_point(band), _weak_rows_block(band)
+        return _five_point(band, self.grid.nx), _weak_rows_block(band, self.grid.nx)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +393,12 @@ class Workspace:
 
 
 def _forcing(problem: ProblemSpec, name: str, grid: StaggeredGrid2D, t: float):
-    """The forcing ``name`` (``f_rho`` or ``f_c``) at the cell centers, 0.0 when none."""
+    """The forcing ``name`` (``f_rho`` or ``f_c``) at the cell centers, x fastest; 0.0 if none."""
     if problem.forcing is None:
         return 0.0
-    xs = grid.x_axis.centers[:, None]
-    ys = grid.y_axis.centers[None, :]
-    return np.broadcast_to(getattr(problem.forcing, name)(xs, ys, t), grid.shape)
+    xs = grid.x_axis.centers[None, :]
+    ys = grid.y_axis.centers[:, None]
+    return np.broadcast_to(getattr(problem.forcing, name)(xs, ys, t), grid.shape[::-1]).T
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +538,14 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
     u_flat, z_flat = np.ravel(u_n.values, order="F"), np.ravel(z_n.values, order="F")
 
     source = np.ravel(u_star + _forcing(problem, "f_c", grid, t_half), order="F")
-    rhs = 2.0 / tau * w * z_flat - ws.z_system @ z_flat + w * source
+    rhs = ws.areas_2_tau * z_flat - ws.z_system @ z_flat + w * source
     xz, rep_z = _solve_concentration(ws, rhs, step=step)
     z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
 
     g_next = grad(z_next)
     system, block = ws.u_system(g_next)
     source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
-    rhs = 2.0 / tau * w * u_flat - state.a_curr @ u_flat + w * source
+    rhs = ws.areas_2_tau * u_flat - state.a_curr @ u_flat + w * source
     warm = u_n if state.u_prev is None else CellField(grid, 2.0 * u_n.values - state.u_prev.values)
     xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=warm)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))

@@ -365,6 +365,14 @@ class TestMainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--quiet"]) == 2
 
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys):
+        # a path under a regular file can be neither created nor written
+        cfg = self.write(tmp_path, MINIMAL_RUN)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(cfg / "sub"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
+
     @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = self.write(tmp_path, MINIMAL_RUN)

@@ -225,6 +225,66 @@ class TestBiCGStab:
         assert np.array_equal(y1, y2)
 
 
+class TestSweepInputs:
+    """BiCGStab updates its vectors in place; the caller's ``b`` and ``x0``,
+    each sweep's right-hand side (its shadow residual) and every
+    preconditioner output stay as they were."""
+
+    def system(self):
+        # a steep patch leaves rows that are not diagonally dominant
+        grid = rectangular_grid()
+        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.01))
+        xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
+        z = CellField(grid, 30.0 * np.exp(-30 * ((xs - 0.9) ** 2 + (ys - 0.6) ** 2)))
+        a, block = ws.u_system(grad(z))
+        assert block is not None
+        return ws, a, block
+
+    def recorded(self, precond, outputs):
+        def m(r):
+            x = precond(r)
+            outputs.append((x, x.copy()))
+            return x
+        return m
+
+    def solve_and_check(self, a, precond, monkeypatch, early_first_sweep=False):
+        sweep = ksbcfd.linalg._bicgstab_sweep
+        rhs = []
+
+        def recorded_sweep(a, b, m, tol_abs, max_iter):
+            rhs.append((b, b.copy()))
+            stop = 1e6 if early_first_sweep and len(rhs) == 1 else 1.0
+            return sweep(a, b, m, stop * tol_abs, max_iter)
+
+        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", recorded_sweep)
+        rng = np.random.default_rng(61)
+        b, x0 = rng.standard_normal(a.shape[0]), rng.standard_normal(a.shape[0])
+        b_before, x0_before = b.copy(), x0.copy()
+        outputs = []
+        _, rep = bicgstab(a, b, self.recorded(precond, outputs), x0=x0)
+        assert rep.converged and rep.iterations > 1
+        assert b.tobytes() == b_before.tobytes() and x0.tobytes() == x0_before.tobytes()
+        assert all(v.tobytes() == kept.tobytes() for v, kept in rhs + outputs)
+        return len(rhs)
+
+    def test_fp32_preconditioner(self, monkeypatch):
+        ws, a, _ = self.system()
+        precond = lambda r: ws.heat.solve_fp32(r, 1.0 / ws.config.tau, 0.5)
+        self.solve_and_check(a, precond, monkeypatch)
+
+    def test_block_corrected_preconditioner(self, monkeypatch):
+        ws, a, block = self.system()
+        heat = lambda r: ws.heat.solve(r, 1.0 / ws.config.tau, 0.5)
+        self.solve_and_check(a, block_corrected(a, heat, block), monkeypatch)
+
+    def test_refinement_sweep(self, monkeypatch):
+        ws, a, block = self.system()
+        heat = lambda r: ws.heat.solve(r, 1.0 / ws.config.tau, 0.5)
+        sweeps = self.solve_and_check(a, block_corrected(a, heat, block), monkeypatch,
+                                      early_first_sweep=True)
+        assert sweeps == 2
+
+
 class TestSparseLU:
     def test_solves_system_on_which_bicgstab_stagnates(self):
         n = 1000

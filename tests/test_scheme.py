@@ -303,6 +303,121 @@ class TestSystemStructure:
             assert np.array_equal(a @ x, a.tocsr() @ x)
 
 
+# The band path the density matrices were assembled on before the heat
+# bands were kept as DIA data: a (5, nx, ny) view over (5, ny, nx) memory,
+# the chemotaxis term added through strided (nx, ny) slices, and the DIA
+# data rolled out of it.  It is the bit-for-bit oracle of ``u_system``.
+S, W, C, E, N = range(5)
+
+
+def reference_heat_band(grid, diagonal, theta):
+    nx, ny = grid.shape
+    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
+    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
+    band = np.zeros((5, ny, nx)).transpose(0, 2, 1)
+    band[E, :-1, :] = band[W, 1:, :] = dyw[None, :] / dxd[:, None]
+    band[N, :, :-1] = band[S, :, 1:] = dxw[:, None] / dyd[None, :]
+    band[C] = -(band[E] + band[W] + band[N] + band[S])
+    band *= -theta
+    band[C] += diagonal
+    return band
+
+
+def reference_add_chemotaxis(band, grid, g, s):
+    dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
+    dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
+    gx = g.gx.values[1:-1, :]
+    coef_l = dyw[None, :] * gx * dxw[1:, None] / (2.0 * dxd[:, None])
+    coef_r = dyw[None, :] * gx * dxw[:-1, None] / (2.0 * dxd[:, None])
+    gy = g.gy.values[:, 1:-1]
+    coef_b = dxw[:, None] * gy * dyw[None, 1:] / (2.0 * dyd[None, :])
+    coef_t = dxw[:, None] * gy * dyw[None, :-1] / (2.0 * dyd[None, :])
+    center = np.zeros(grid.shape)
+    center[:-1, :] += coef_l
+    center[1:, :] -= coef_r
+    center[:, :-1] += coef_b
+    center[:, 1:] -= coef_t
+    band[C] += s * center
+    band[E, :-1, :] += s * coef_r
+    band[W, 1:, :] -= s * coef_l
+    band[N, :, :-1] += s * coef_t
+    band[S, :, 1:] -= s * coef_b
+
+
+def reference_five_point(band):
+    _, nx, ny = band.shape
+    rows = band.transpose(0, 2, 1).reshape(5, nx * ny)
+    offsets = (-nx, -1, 0, 1, nx)
+    data = np.stack([np.roll(diagonal, offset) for diagonal, offset in zip(rows, offsets)])
+    return data, offsets
+
+
+def reference_weak_rows_block(band):
+    off = np.abs(band[S]) + np.abs(band[W]) + np.abs(band[E]) + np.abs(band[N])
+    weak = np.abs(band[C]) < off
+    if not weak.any():
+        return None
+    i, j = np.flatnonzero(weak.any(axis=1)), np.flatnonzero(weak.any(axis=0))
+    rows = np.arange(i[0], i[-1] + 1)[:, None] + band.shape[1] * np.arange(j[0], j[-1] + 1)
+    return rows.ravel(order="F")
+
+
+def bit_equal(a, b):
+    """Equal bit for bit, signed zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_u_system_is_bit_equal_to_the_band_path(self, theta, weak):
+        # two non-square perturbed grids; the steep patch leaves rows that
+        # are not diagonally dominant, the smooth field none
+        if weak:
+            grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
+                             build_random_perturbed(0, 1, 8, 0.3, 32))
+            cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+            fn = lambda x, y: 30.0 * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
+        else:
+            grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
+                             build_random_perturbed(0, 1, 6, 0.3, 22))
+            cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
+            fn = lambda x, y: np.cos(3 * x) * np.sin(2 * y + x)
+        g = grad(cell_field_from_function(grid, fn))
+        band = reference_heat_band(grid, grid.cell_areas / cfg.tau, theta)
+        reference_add_chemotaxis(band, grid, g, theta * cfg.lam)
+        data, offsets = reference_five_point(band)
+        block = reference_weak_rows_block(band)
+        assert (block is not None) == weak
+
+        system, rows = Workspace(grid, cfg).u_system(g, theta)
+        assert bit_equal(system.data, data)
+        assert system.offsets.tolist() == list(offsets)
+        assert rows is None if block is None else np.array_equal(rows, block)
+
+    def test_z_system_is_bit_equal_to_the_band_path(self):
+        grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 51),
+                         build_random_perturbed(0, 1, 4, 0.3, 52))
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        s = 1.0 / cfg.tau + 0.5
+        data, _ = reference_five_point(reference_heat_band(grid, s * grid.cell_areas, 0.5))
+        assert bit_equal(Workspace(grid, cfg).z_system.data, data)
+
+    def test_step_arrays_are_stored_x_fastest(self):
+        # the transposes the band is filled from are contiguous, and a
+        # right-hand side takes the forcing without a copy
+        grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
+                         build_random_perturbed(0, 1, 6, 0.3, 22))
+        for z in (cell_field_from_function(grid, lambda x, y: np.cos(3 * x) * y),
+                  CellField(grid, np.arange(54.0).reshape(grid.shape, order="F"))):
+            g = grad(z)
+            assert g.gx.values.T.flags.c_contiguous and g.gy.values.T.flags.c_contiguous
+        for name in ("f_rho", "f_c"):
+            f = ksbcfd.scheme._forcing(get_problem("mms_accuracy"), name, grid, 0.25)
+            assert f.shape == grid.shape
+            assert np.shares_memory(np.ravel(f, order="F"), f)
+
+
 class TestMarching:
     def test_constants_persist_100_steps(self):
         problem = constant_problem(3.0)
