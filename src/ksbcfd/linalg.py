@@ -17,13 +17,16 @@ definite systems is not used by the stepper: it is kept, tested against
 numpy's dense solve, as a solver whose calls the benchmark's ``linalg.cg``
 span counts.
 
-Every solve takes a first solution, at most one refinement when that
-misses the tolerance, and one verdict (``_verdict``).  Its ``SolveReport``'s
-``reason`` says why it stopped: ``converged``, ``max_iter`` (iteration
-budget spent), ``stagnated`` (a BiCGStab sweep went ``_STAGNATION_WINDOW``
-iterations without a new best residual, or its refinement still missed) or
-``breakdown`` (a vanishing denominator, an exactly singular LU factor, or a
-direct solution that misses even after its refinement step).
+Every solve, by ``cg``, ``bicgstab`` or ``direct_solve``, follows one rule
+(``_refined``): a first solution, at most one refinement when that misses
+the tolerance, kept if it lowers the 2-norm residual or if the verdict's
+backward-error test accepts it and not the first solution, and one verdict
+(``_verdict``).  The ``SolveReport``'s ``reason`` says why a solve stopped:
+``converged``, ``max_iter`` (iteration budget spent), ``stagnated`` (a
+BiCGStab sweep went ``_STAGNATION_WINDOW`` iterations without a new best
+residual, or a Krylov refinement still missed) or ``breakdown`` (a
+vanishing denominator, an exactly singular LU factor, or a direct solution
+that misses even after its refinement).
 
 A rerun of the same program with identical inputs gives bit-identical
 outputs at a fixed BLAS thread count.  numpy's dot products and norms on
@@ -77,19 +80,69 @@ class SolveReport:
 _BACKWARD_ULPS = 16
 
 
+def _backward_stable(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> bool:
+    """Whether ``r = b - A x`` has ``|r| <= _BACKWARD_ULPS eps (|A| |x| + |b|)`` in
+    every row: a componentwise backward error (Oettli & Prager 1964) that
+    float64 can meet where ``|A| |x|`` far outweighs ``|b|``."""
+    return bool(np.all(
+        np.abs(r) <= _BACKWARD_ULPS * np.finfo(np.float64).eps * (abs(a) @ np.abs(x) + np.abs(b))))
+
+
 def _verdict(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm: float,
              tol: float, iterations: int, reason: str) -> SolveReport:
     """The report of a solve that returns ``x``, with residual ``r = b - A x``.
 
-    ``x`` converges when ``|r| / |b| <= tol`` or, on a miss, when every row
-    has ``|r| <= _BACKWARD_ULPS eps (|A| |x| + |b|)``: a componentwise
-    backward error (Oettli & Prager 1964) that float64 can meet where
-    ``|A| |x|`` far outweighs ``|b|``.  Otherwise it carries ``reason``.
+    ``x`` converges when ``|r| / |b| <= tol`` or, on a miss, when it is
+    ``_backward_stable``.  Otherwise it carries ``reason``.
     """
     res = float(np.linalg.norm(r) / b_norm)
-    converged = res <= tol or bool(np.all(
-        np.abs(r) <= _BACKWARD_ULPS * np.finfo(np.float64).eps * (abs(a) @ np.abs(x) + np.abs(b))))
+    converged = res <= tol or _backward_stable(a, b, x, r)
     return SolveReport(converged, iterations, res, "converged" if converged else reason)
+
+
+# The refinement pass aims this factor below the target ``tol |b|``: it
+# begins just above that target, and a Krylov sweep aimed at it would stop
+# after one iteration with the true residual still on the wrong side.
+_RESTART_TARGET = 0.1
+
+
+def _refined(a: sp.spmatrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: int | None = None,
+             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Solve ``a x = b`` by a first pass of ``sweep`` and at most one refinement pass.
+
+    ``sweep(r, tol_abs, max_iter) -> (dx, iterations, reason)`` solves
+    ``A dx = r`` aiming at ``|r - A dx| <= tol_abs``.  The first pass runs on
+    the residual of ``x0`` (zero by default, with no product) aimed at
+    ``tol |b|``.  When the true residual misses ``tol`` after a pass that
+    converged or broke down, the refinement pass runs on it aimed at
+    ``_RESTART_TARGET`` times that.  A swept solution is kept when it lowers
+    the 2-norm residual, or when it is ``_backward_stable`` and the solution
+    before it is not.  ``_verdict`` decides; a miss after a pass that
+    converged is ``stagnated``.
+    """
+    b, b_norm = _checked_rhs(a, b, tol)
+    n = a.shape[0]
+    if b_norm == 0.0:
+        return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
+    if max_iter is None:
+        max_iter = 10 * n
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b if x0 is None else b - a @ x
+    res = float(np.linalg.norm(r) / b_norm)
+    iterations, reason = 0, "converged"
+    for target in (tol * b_norm, _RESTART_TARGET * tol * b_norm):
+        if res <= tol or reason not in ("converged", "breakdown"):
+            break
+        dx, sweep_iters, reason = sweep(r, target, max_iter - iterations)
+        iterations += sweep_iters
+        swept = x + dx
+        swept_r = b - a @ swept
+        swept_res = float(np.linalg.norm(swept_r) / b_norm)
+        if swept_res < res or (_backward_stable(a, b, swept, swept_r)
+                               and not _backward_stable(a, b, x, r)):
+            x, r, res = swept, swept_r, swept_res
+    return x, _verdict(a, b, x, r, b_norm, tol, iterations,
+                       "stagnated" if reason == "converged" else reason)
 
 
 def cg(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
@@ -98,47 +151,38 @@ def cg(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray
     """Preconditioned Conjugate Gradient for SPD systems.
 
     ``precond`` applies ``r -> M^-1 r`` for an SPD ``M``.  The caller asserts
-    symmetry.  Zero-curvature breakdown is reported as non-convergence.
-    The iteration stops when the recomputed relative residual
-    ``|b - A x|_2 / |b|_2`` is at or below ``tol``; ``_verdict`` decides
-    convergence.  ``x0`` warm-starts the iteration.
+    symmetry.  ``_refined``'s rule with ``_cg_sweep`` as the pass.
     """
-    b, b_norm = _checked_rhs(a, b, tol)
-    n = a.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    if b_norm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
+    return _refined(a, b, lambda r, tol_abs, left: _cg_sweep(a, r, precond, tol_abs, left),
+                    tol, max_iter, x0)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - a @ x
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    reason = "max_iter"
-    while iterations < max_iter:
-        if np.linalg.norm(r) <= tol * b_norm:
-            r = b - a @ x  # stop on the true residual, or continue from it
-            if np.linalg.norm(r) / b_norm <= tol:
-                break
-            z = precond(r)
-            p = z.copy()
-            rz = float(r @ z)
+
+def _cg_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
+              max_iter: int) -> tuple[np.ndarray, int, str]:
+    """One preconditioned CG pass from a zero initial guess.
+
+    Stops on the recursive residual reaching ``tol_abs`` or on breakdown
+    (zero or negative curvature ``p^T A p``, or a vanishing ``r^T M^-1 r``).
+    Returns (iterate, iterations, reason) with a ``SolveReport`` reason.
+    """
+    x = np.zeros(b.shape[0])
+    r, p = b, m(b)
+    rz = float(r @ p)
+    for iterations in range(max_iter):
+        if np.linalg.norm(r) <= tol_abs:
+            return x, iterations, "converged"
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0 or abs(rz) < _BREAKDOWN:
-            reason = "breakdown"
-            break
+            return x, iterations, "breakdown"
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        z = precond(r)
+        z = m(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
-        iterations += 1
-    return x, _verdict(a, b, x, b - a @ x, b_norm, tol, iterations, reason)
+    return x, max_iter, "max_iter"
 
 
 # A BiCGStab sweep that goes this many iterations without a new best
@@ -218,12 +262,6 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
     return best_x, iterations, "max_iter"
 
 
-# The refinement sweep aims this factor below the target ``tol |b|``: it
-# begins just above that target, and a sweep aimed at it would stop after one
-# iteration with the true residual still on the wrong side.
-_RESTART_TARGET = 0.1
-
-
 def bicgstab(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
              tol: float = 1e-12, max_iter: int | None = None,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -234,40 +272,12 @@ def bicgstab(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.n
     part: in float64 and block-corrected where the density matrix is not
     diagonally dominant, in float32 otherwise).
 
-    ``direct_solve``'s rule with a BiCGStab sweep as the solve: a sweep
-    from ``x0`` (zero by default) stops when its recursive residual reaches
-    ``tol |b|``.  That residual drifts from the true one near the rounding
-    floor, so when the true residual misses ``tol`` after a sweep that
-    converged or broke down, one refinement sweep, with a fresh shadow
-    residual, runs on it aimed at ``_RESTART_TARGET`` times that target, and
-    is kept if it lowers the true residual.  A sweep that stagnated or spent
-    ``max_iter`` ends the solve with that reason; a refinement that still
-    misses is ``stagnated``.
+    ``_refined``'s rule with ``_bicgstab_sweep`` as the pass.  The recursive
+    residual drifts from the true one near the rounding floor, so the
+    refinement sweep starts from the true one, with a fresh shadow residual.
     """
-    b, b_norm = _checked_rhs(a, b, tol)
-    n = a.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    if b_norm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - a @ x
-    res = float(np.linalg.norm(r) / b_norm)
-    iterations = 0
-    reason = "converged"
-    for target in (tol * b_norm, _RESTART_TARGET * tol * b_norm):
-        if res <= tol or reason not in ("converged", "breakdown"):
-            break
-        dx, sweep_iters, reason = _bicgstab_sweep(a, r, precond, target, max_iter - iterations)
-        iterations += sweep_iters
-        swept = x + dx
-        swept_r = b - a @ swept
-        swept_res = float(np.linalg.norm(swept_r) / b_norm)
-        if swept_res < res:
-            x, r, res = swept, swept_r, swept_res
-    return x, _verdict(a, b, x, r, b_norm, tol, iterations,
-                       "stagnated" if reason == "converged" else reason)
+    return _refined(a, b, lambda r, tol_abs, left: _bicgstab_sweep(a, r, precond, tol_abs, left),
+                    tol, max_iter, x0)
 
 
 def _axis_modes(axis) -> tuple[np.ndarray, np.ndarray]:
@@ -399,25 +409,13 @@ def direct_solve(a: sp.spmatrix, b: np.ndarray, inverse: Callable[[np.ndarray], 
                  tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of ``a x = b`` by ``inverse``, a map ``r -> A^-1 r``.
 
-    The residual is recomputed against ``a`` itself, so an ``inverse`` of
-    another operator shows as a large residual.  Only when it misses ``tol``
-    does the solution get one step of fixed-precision iterative refinement,
-    ``x += A^-1 (b - A x)`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 12), kept if it lowers the residual.  ``_verdict``
-    decides convergence; a solution it rejects is ``breakdown``.
+    ``_refined``'s rule with ``inverse`` as the pass, whose refinement is one
+    step of fixed-precision iterative refinement, ``x += A^-1 (b - A x)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 12).  The
+    residual is recomputed against ``a`` itself, so an ``inverse`` of another
+    operator shows as a large residual and a ``breakdown``.
     """
-    b, b_norm = _checked_rhs(a, b, tol)
-    if b_norm == 0.0:
-        return np.zeros(a.shape[0]), SolveReport(True, 0, 0.0, "converged")
-    x = inverse(b)
-    r = b - a @ x
-    res = float(np.linalg.norm(r) / b_norm)
-    if res > tol:
-        refined = x + inverse(r)
-        refined_r = b - a @ refined
-        if np.linalg.norm(refined_r) / b_norm < res:
-            x, r = refined, refined_r
-    return x, _verdict(a, b, x, r, b_norm, tol, 0, "breakdown")
+    return _refined(a, b, lambda r, *_: (inverse(r), 0, "breakdown"), tol)
 
 
 def sparse_lu_solve(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:

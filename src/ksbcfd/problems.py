@@ -109,10 +109,11 @@ def mms_accuracy() -> ProblemSpec:
         a, b = _poly(x), _poly(y)
         a1, b1 = _poly_d1(x), _poly_d1(y)
         a2, b2 = _poly_d2(x), _poly_d2(y)
+        ab = a * b
         lap = a2 * b + a * b2
         # div(rho grad c) = |grad g|^2 + g Lap g for g = rho = c
-        cross = a1 * a1 * b * b + a * a * b1 * b1 + a * b * lap
-        return a * b - t * lap + lam * t * t * cross
+        cross = a1 * a1 * b * b + a * a * b1 * b1 + ab * lap
+        return ab - t * lap + lam * t * t * cross
 
     def f_c(x, y, t):
         a, b = _poly(x), _poly(y)

@@ -41,8 +41,10 @@ less per application and barely changes the iteration counts.  Residuals
 and acceptance stay in float64.  When BiCGStab does not converge, the same
 system is solved once more by sparse LU (SuperLU).  Every solve, direct or
 iterative, refines its solution once when the recomputed residual misses
-the solver tolerance 1e-12, and accepts it when the residual meets it or
-its componentwise backward error is at most 16 units of roundoff.
+the solver tolerance 1e-12, keeps the refinement when it lowers that
+residual or when only it passes the backward-error test, and accepts the
+solution when the residual meets the tolerance or its componentwise
+backward error is at most 16 units of roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into a band that a scipy DIA matrix takes as its data, one row per

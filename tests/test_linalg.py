@@ -104,6 +104,11 @@ class TestCG:
         assert not rep.converged and rep.reason == "max_iter" and rep.iterations == 3
 
 
+# each Krylov solver with the module name of its sweep, for tests of the
+# refinement rule both share
+KRYLOV = [(cg, "_cg_sweep"), (bicgstab, "_bicgstab_sweep")]
+
+
 class TestBiCGStab:
     def test_identity(self):
         b = np.array([2.0, 0.5])
@@ -150,38 +155,40 @@ class TestBiCGStab:
         x, rep = bicgstab(laplacian_1d(6), np.zeros(6), jacobi(laplacian_1d(6)))
         assert rep.converged and rep.iterations == 0
 
-    def test_restart_sweeps_aim_below_the_target(self, monkeypatch):
+    @pytest.mark.parametrize("solver, sweep_name", KRYLOV)
+    def test_restart_sweeps_aim_below_the_target(self, monkeypatch, solver, sweep_name):
         # a first sweep stopped 1e6 above the target forces a restart
-        sweep = ksbcfd.linalg._bicgstab_sweep
+        sweep = getattr(ksbcfd.linalg, sweep_name)
         targets = []
 
         def recorded(a, b, m, tol_abs, max_iter):
             targets.append(tol_abs)
             return sweep(a, b, m, tol_abs * (1e6 if len(targets) == 1 else 1.0), max_iter)
 
-        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", recorded)
-        a, b, tol = laplacian_1d(50), np.ones(50), 1e-12
-        x, rep = bicgstab(a, b, jacobi(a), tol=tol)
+        monkeypatch.setattr(ksbcfd.linalg, sweep_name, recorded)
+        a, _ = random_spd(50, 1)  # CG ends on the 1D Laplacian with an exact 0
+        b, tol = np.random.default_rng(2).standard_normal(50), 1e-12
+        x, rep = solver(a, b, jacobi(a), tol=tol)
         b_norm = np.linalg.norm(b)
         assert rep.converged and len(targets) >= 2
         assert targets[0] == tol * b_norm
         assert targets[1:] == [0.1 * tol * b_norm] * (len(targets) - 1)
         assert rep.final_relative_residual == np.linalg.norm(b - a @ x) / b_norm <= tol
 
-    def test_one_refinement_sweep_at_most(self, monkeypatch):
+    @pytest.mark.parametrize("solver, sweep_name", KRYLOV)
+    def test_one_refinement_sweep_at_most(self, monkeypatch, solver, sweep_name):
         # both sweeps stopped 1e6 above their targets leave a residual miss
-        sweep = ksbcfd.linalg._bicgstab_sweep
+        sweep = getattr(ksbcfd.linalg, sweep_name)
         calls = []
 
         def early(a, b, m, tol_abs, max_iter):
             calls.append(tol_abs)
             return sweep(a, b, m, 1e6 * tol_abs, max_iter)
 
-        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", early)
-        rng = np.random.default_rng(9)
-        a = sp.csr_matrix(5 * np.eye(40) + 0.5 * rng.standard_normal((40, 40)))
-        b = rng.standard_normal(40)
-        _, rep = bicgstab(a, b, jacobi(a), tol=1e-12)
+        monkeypatch.setattr(ksbcfd.linalg, sweep_name, early)
+        a, _ = random_spd(40, 9)
+        b = np.random.default_rng(10).standard_normal(40)
+        _, rep = solver(a, b, jacobi(a), tol=1e-12)
         assert len(calls) == 2
         assert not rep.converged and rep.reason == "stagnated"
         assert rep.final_relative_residual > 1e-12
@@ -341,6 +348,22 @@ class TestBackwardErrorAcceptance:
         assert not rep.converged and rep.reason == "breakdown"
         assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
 
+
+    def test_refinement_kept_when_only_it_is_backward_stable(self):
+        # x1 leaves a residual of 8.3e-11 relative but a backward error of
+        # 22 518 eps in row 1; its refinement x2 leaves 6.6e-10 and 2.1 eps
+        eps = np.finfo(np.float64).eps
+        a = sp.csr_matrix(np.array([[1e6, -1e6], [0.0, 1.0]]))
+        x_star = np.array([1.0 + 1e-6, 1.0])
+        b = a @ x_star
+        x1, x2 = x_star + 1e-11, x_star + np.array([4 * eps, 0.0])
+        assert relative_residual(a, b, x1) < relative_residual(a, b, x2)
+        assert backward_error(a, b, x1) > 16 * eps >= backward_error(a, b, x2)
+        steps = iter([x1, x2 - x1])
+        x, rep = direct_solve(a, b, lambda r: next(steps))
+        assert rep.converged and rep.reason == "converged"
+        assert np.array_equal(x, x2)
+        assert rep.final_relative_residual == relative_residual(a, b, x2)
 
 class TestBlockCorrected:
     def test_residual_vanishes_on_the_block(self):
