@@ -348,7 +348,6 @@ class TestBackwardErrorAcceptance:
         assert not rep.converged and rep.reason == "breakdown"
         assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
 
-
     def test_refinement_kept_when_only_it_is_backward_stable(self):
         # x1 leaves a residual of 8.3e-11 relative but a backward error of
         # 22 518 eps in row 1; its refinement x2 leaves 6.6e-10 and 2.1 eps
@@ -364,6 +363,7 @@ class TestBackwardErrorAcceptance:
         assert rep.converged and rep.reason == "converged"
         assert np.array_equal(x, x2)
         assert rep.final_relative_residual == relative_residual(a, b, x2)
+
 
 class TestBlockCorrected:
     def test_residual_vanishes_on_the_block(self):
