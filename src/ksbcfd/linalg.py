@@ -329,15 +329,23 @@ class TensorHeatSolver:
 
     def __init__(self, x_axis, y_axis):
         self.shape = (x_axis.n_cells, y_axis.n_cells)
-        self._vx, mu_x = _axis_modes(x_axis)
+        self._vx, self._mu_x = _axis_modes(x_axis)
         if np.array_equal(x_axis.cell_widths, y_axis.cell_widths):
-            self._vy, mu_y = self._vx, mu_x
+            self._vy, self._mu_y = self._vx, self._mu_x
         else:
-            self._vy, mu_y = _axis_modes(y_axis)
-        self._mu_sum = mu_y[:, None] + mu_x[None, :]  # transposed, see solve
+            self._vy, self._mu_y = _axis_modes(y_axis)
         self._vx32 = _flushed(self._vx.astype(np.float32))
         self._vy32 = self._vx32 if self._vy is self._vx else _flushed(self._vy.astype(np.float32))
-        self._mu_sum32 = self._mu_sum.astype(np.float32)
+        self._denominators = {}
+
+    def _denominator(self, s: float, theta: float, dtype) -> np.ndarray:
+        """``s + theta (mu_x_i + mu_y_j)`` in ``dtype``, transposed (see
+        ``solve``); made on the first call with these arguments and kept."""
+        key = (s, theta, dtype)
+        if key not in self._denominators:
+            mu_sum = (self._mu_y[:, None] + self._mu_x[None, :]).astype(dtype)
+            self._denominators[key] = dtype(s) + dtype(theta) * mu_sum
+        return self._denominators[key]
 
     def solve(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
         """Solve ``(s W + theta (Kx (x) Wy + Wx (x) Ky)) x = b``.
@@ -348,7 +356,7 @@ class TensorHeatSolver:
         """
         nx, ny = self.shape
         bt = np.reshape(b, (ny, nx))
-        yt = (self._vy.T @ bt @ self._vx) / (s + theta * self._mu_sum)
+        yt = (self._vy.T @ bt @ self._vx) / self._denominator(s, theta, np.float64)
         return (self._vy @ yt @ self._vx.T).ravel()
 
     def solve_fp32(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
@@ -363,17 +371,20 @@ class TensorHeatSolver:
         largest magnitude: a tail of tiny entries would otherwise reach the
         matrix products as subnormal float32 values, on which the BLAS runs
         slower than in float64 (late residuals of a blow-up run span 20 and
-        more decades).
+        more decades).  Each scaling is one pass, casting as it goes.
         """
         nx, ny = self.shape
         peak = max(float(b.max()), -float(b.min()))
         if peak == 0.0:
             return np.zeros(nx * ny)
         e = int(np.frexp(peak)[1])
-        bt = _flushed(np.ldexp(np.reshape(b, (ny, nx)), -e).astype(np.float32))
-        yt = (self._vy32.T @ bt @ self._vx32) / (np.float32(s) + np.float32(theta) * self._mu_sum32)
+        if e < -1021:  # 2^-e overflows: scale a subnormal peak up first, which is exact
+            return np.ldexp(self.solve_fp32(np.ldexp(b, 200), s, theta), -200)
+        bt = _flushed(np.multiply(np.reshape(b, (ny, nx)), 2.0**-e,
+                                  out=np.empty((ny, nx), np.float32), casting="unsafe"))
+        yt = (self._vy32.T @ bt @ self._vx32) / self._denominator(s, theta, np.float32)
         x = self._vy32 @ _flushed(yt) @ self._vx32.T
-        return np.ldexp(x.ravel().astype(np.float64), e)
+        return np.multiply(x, 2.0**e, dtype=np.float64).ravel()
 
 
 def block_corrected(a: sp.spmatrix, precond: Callable[[np.ndarray], np.ndarray],

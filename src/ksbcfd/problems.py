@@ -105,19 +105,22 @@ def mms_accuracy() -> ProblemSpec:
     def c_y(x, y, t):
         return _poly(x) * _poly_d1(y) * t
 
+    # Both forcings are sums of products of one-axis factors: with a, b the
+    # x and y factors of rho = c = a b t, and digits for derivatives,
+    #   f_c   = (a - t a2) b - (t a) b2,
+    #   f_rho = f_c + lam t^2 div(a b grad(a b))
+    #         = f_c + lam t^2 ((a1^2 + a a2) b^2 + a^2 (b1^2 + b b2)),
+    # so on a tensor grid only the products and sums are full-grid passes.
     def f_rho(x, y, t):
-        a, b = _poly(x), _poly(y)
-        a1, b1 = _poly_d1(x), _poly_d1(y)
-        a2, b2 = _poly_d2(x), _poly_d2(y)
-        ab = a * b
-        lap = a2 * b + a * b2
-        # div(rho grad c) = |grad g|^2 + g Lap g for g = rho = c
-        cross = a1 * a1 * b * b + a * a * b1 * b1 + ab * lap
-        return ab - t * lap + lam * t * t * cross
+        a, a1, a2 = _poly(x), _poly_d1(x), _poly_d2(x)
+        b, b1, b2 = _poly(y), _poly_d1(y), _poly_d2(y)
+        s = lam * t * t
+        return ((a - t * a2) * b - (t * a) * b2
+                + (s * (a1 * a1 + a * a2)) * (b * b) + (s * (a * a)) * (b1 * b1 + b * b2))
 
     def f_c(x, y, t):
         a, b = _poly(x), _poly(y)
-        return a * b - t * (_poly_d2(x) * b + a * _poly_d2(y))
+        return (a - t * _poly_d2(x)) * b - (t * a) * _poly_d2(y)
 
     return ProblemSpec(
         name="mms_accuracy",

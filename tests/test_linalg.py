@@ -237,14 +237,15 @@ class TestSweepInputs:
     each sweep's right-hand side (its shadow residual) and every
     preconditioner output stay as they were."""
 
-    def system(self):
-        # a steep patch leaves rows that are not diagonally dominant
+    def system(self, amp=30.0):
+        # a patch this steep leaves rows that are not diagonally dominant;
+        # at amp 1 every row is, as on the stepper's float32 path
         grid = rectangular_grid()
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.01))
         xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
-        z = CellField(grid, 30.0 * np.exp(-30 * ((xs - 0.9) ** 2 + (ys - 0.6) ** 2)))
+        z = CellField(grid, amp * np.exp(-30 * ((xs - 0.9) ** 2 + (ys - 0.6) ** 2)))
         a, block = ws.u_system(grad(z))
-        assert block is not None
+        assert (block is None) == (amp == 1.0)
         return ws, a, block
 
     def recorded(self, precond, outputs):
@@ -275,7 +276,7 @@ class TestSweepInputs:
         return len(rhs)
 
     def test_fp32_preconditioner(self, monkeypatch):
-        ws, a, _ = self.system()
+        ws, a, _ = self.system(amp=1.0)
         precond = lambda r: ws.heat.solve_fp32(r, 1.0 / ws.config.tau, 0.5)
         self.solve_and_check(a, precond, monkeypatch)
 
@@ -508,6 +509,15 @@ class TestTensorHeatSolver:
             assert a.dtype == np.float32
             mag = np.abs(a[a != 0.0])
             assert mag.min() >= 2.0**-60 * mag.max()
+
+    def test_fp32_solve_of_a_subnormal_right_hand_side(self):
+        # 2^-e overflows when max|b| < 2^-1022: the solve scales b up first
+        grid = rectangular_grid()
+        heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
+        b = np.random.default_rng(48).standard_normal(grid.nx * grid.ny)
+        x = heat.solve_fp32(np.ldexp(b, -1040), 1.0 / self.tau, 0.5)
+        x64 = heat.solve(b, 1.0 / self.tau, 0.5)
+        assert np.linalg.norm(np.ldexp(x, 1040) - x64) <= 1e-5 * np.linalg.norm(x64)
 
     def test_fp32_solve_of_zero_is_zero(self):
         grid = rectangular_grid()

@@ -5,14 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+import ksbcfd.cli
 import ksbcfd.linalg
 import ksbcfd.scheme
 from ksbcfd.fields import CellField, cell_field_from_function, grad, inner_m, norm_m
-from ksbcfd.grid import build_uniform, build_random_perturbed, make_grid
+from ksbcfd.grid import build_corner_refined, build_uniform, build_random_perturbed, make_grid
 from ksbcfd.linalg import bicgstab, block_corrected
 from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     BlowUpDetected,
+    DensityHistory,
     SchemeConfig,
     State,
     StepSolveError,
@@ -552,6 +554,117 @@ class TestMarching:
         rebuilt = ws.u_system(grad(state2.z_curr))[0]
         assert state2.a_curr.offsets.tolist() == rebuilt.offsets.tolist()
         assert np.array_equal(state2.a_curr.data, rebuilt.data)
+
+
+def history_of(a, xs):
+    """The ``DensityHistory`` of the solves ``a x = b`` of each x in ``xs``, oldest first."""
+    history = DensityHistory()
+    for x in xs:
+        b = a @ x
+        history = history.pushed(b, x, history.projection(b) if history.rhs else None)
+    return history
+
+
+class TestDensityHistory:
+    def test_keeps_the_last_eight_as_differences_with_their_gram(self):
+        _, a, _ = steep_patch_system(3.0)
+        xs = list(np.random.default_rng(71).standard_normal((12, a.shape[0])))
+        history = history_of(a, xs)
+        assert len(history.rhs) == len(history.sol) == 8 and history.gram.shape == (8, 8)
+        assert np.array_equal(history.rhs[0], a @ xs[-1]) and history.sol[0] is xs[-1]
+        for j in range(1, 8):
+            assert np.array_equal(history.rhs[j], a @ xs[-j] - a @ xs[-j - 1])
+            assert np.array_equal(history.sol[j], xs[-j] - xs[-j - 1])
+        v = np.array(history.rhs)
+        gram = v @ v.T
+        assert np.allclose(history.gram, gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
+        assert np.array_equal(history.gram, history.gram.T)
+
+    @pytest.mark.parametrize("count", [2, 5, 8])
+    def test_fit_is_exact_inside_the_span(self, count):
+        # a fixed matrix and a right-hand side in the span of the stored ones:
+        # the start solves the system
+        _, a, _ = steep_patch_system(3.0)
+        rng = np.random.default_rng(72)
+        xs = list(rng.standard_normal((count, a.shape[0])))
+        history = history_of(a, xs)
+        x = rng.standard_normal(count) @ np.array(xs)
+        x0 = history.start(history.projection(a @ x))
+        assert np.linalg.norm(x0 - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_extrapolation_is_the_fit_of_a_linear_trend(self):
+        _, a, _ = steep_patch_system(3.0)
+        x1, dx = np.random.default_rng(73).standard_normal((2, a.shape[0]))
+        history = history_of(a, [x1, x1 + dx])
+        x0 = history.start(history.projection(a @ (x1 + 2.0 * dx)))
+        assert np.linalg.norm(x0 - (x1 + 2.0 * dx)) <= 1e-10 * np.linalg.norm(x1)
+
+    def test_constant_state_stays_put(self):
+        # its right-hand sides repeat up to rounding, which a fit would
+        # carry into the solution: u drifts by 1.7e-12 in these 400 steps
+        problem = constant_problem(3.0)
+        cfg = SchemeConfig(lam=1.0, tau=0.05, t_final=20.0)
+        result = run(problem, perturbed_grid(12), cfg)
+        assert np.max(np.abs(result.state.u_curr.values - 3.0)) <= 1e-13
+        assert max(abs(d.mass - 3.0) for d in result.diagnostics) <= 1e-13
+
+    def test_block_corrected_steps_start_from_the_extrapolation(self, monkeypatch):
+        problem = get_problem("mms_accuracy")
+        grid = unit_grid(8)
+        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.05))
+        starts = []
+
+        def recorded(a, b, precond, x0):
+            starts.append(x0.copy())
+            return bicgstab(a, b, precond, x0=x0)
+
+        monkeypatch.setattr(ksbcfd.linalg, "bicgstab", recorded)
+        state, _ = first_step(init_state(problem, grid), problem, ws)
+        for _ in range(2):
+            state, _ = step_cn(state, problem, ws)
+        assert len(state.history.rhs) == 3
+        extrapolated = np.ravel(2.0 * state.u_curr.values - state.u_prev.values, order="F")
+        _, diag = step_cn(state, problem, ws)
+        assert diag.block_cells == 0
+        assert not np.array_equal(starts[-1], extrapolated)  # the fitted start
+        u_system = ws.u_system
+        monkeypatch.setattr(ws, "u_system", lambda g: (u_system(g)[0], np.arange(3)))
+        _, diag = step_cn(state, problem, ws)
+        assert diag.block_cells == 3
+        assert np.array_equal(starts[-1], extrapolated)
+
+    def test_history_starts_empty_in_each_grid_run_of_a_sweep(self, monkeypatch):
+        lengths = []
+
+        def recorded(name):
+            fn = getattr(ksbcfd.scheme, name)
+
+            def wrapper(state, *args):
+                lengths.append((name, len(state.history.rhs)))
+                return fn(state, *args)
+            return wrapper
+
+        for name in ("first_step", "step_cn"):
+            monkeypatch.setattr(ksbcfd.scheme, name, recorded(name))
+        config = ksbcfd.cli.parse_config(
+            '{"problem": "mms_accuracy", "mode": "convergence", '
+            '"grid": {"family": "uniform", "m_values": [10, 20]}, "t_final": 1.0}')
+        ksbcfd.cli.run_convergence(config)
+        assert [k for name, k in lengths if name == "first_step"] == [0, 0]
+        assert [name for name, _ in lengths].count("step_cn") == 9 + 19
+        assert max(k for _, k in lengths) == 8
+
+    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
+    def test_corner_run_takes_fewer_iterations_and_reruns_bit_identically(self):
+        # the extrapolation 2 u^n - u^{n-1} alone takes 500 BiCGStab iterations
+        grid = make_grid(build_corner_refined(40), build_corner_refined(40))
+        cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.1)
+        first, second = (run(get_problem("blowup_corner"), grid, cfg) for _ in range(2))
+        assert sum(d.iters_u for d in first.diagnostics) <= 400
+        assert first.diagnostics == second.diagnostics
+        h1, h2 = first.state.history, second.state.history
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(h1.rhs + h1.sol, h2.rhs + h2.sol))
+        assert h1.gram.tobytes() == h2.gram.tobytes()
 
 
 def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
