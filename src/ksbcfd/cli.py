@@ -21,12 +21,14 @@ Each snapshot time must lie on a step: a whole multiple of tau in
 grid run the document implies, so every configuration error is found before
 a run starts or a file is written.
 
-Relative output paths resolve against --out-dir (or $KSBCFD_OUT_DIR when the
-flag is absent).  Every invocation also writes ``meta.json``: the parsed
-configuration without its output names, plus the per-axis sub-seeds of
-random grids.  The paper's largest jitter, beta = 0.5, sits on the open
-boundary of the admissible interval; it is accepted and evaluated at the
-largest representable value below 0.5 (recorded as ``beta_effective``).
+Output names are distinct file names in --out-dir (or $KSBCFD_OUT_DIR when
+the flag is absent), and none is ``meta.json`` or starts with ``snapshot_``,
+the names of the snapshots.  Every invocation writes ``meta.json``: the
+parsed configuration without its output names, plus the per-axis sub-seeds
+of random grids.  The paper's largest jitter,
+beta = 0.5, sits on the open boundary of the admissible interval; it is
+accepted and evaluated at the largest representable value below 0.5
+(recorded as ``beta_effective``).
 
 All output is deterministic: reruns with identical configuration produce
 byte-identical files.
@@ -255,6 +257,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"outputs.{key}", f"not read in {mode} mode")
     if config.outputs.snapshot_format not in ("csv", "vtk"):
         raise ConfigError("outputs.snapshot_format", "must be 'csv' or 'vtk'")
+    names = {}  # each output name the mode writes, and its key
+    for key in (k for k in ("diagnostics", "table", "summary") if k in read):
+        name = getattr(config.outputs, key)
+        if (name in ("", ".", "..", "meta.json") or name.startswith("snapshot_")
+                or "/" in name or os.sep in name):
+            raise ConfigError(f"outputs.{key}", f"{name!r} is not a file name in the output "
+                                                "directory other than meta.json and snapshot_*")
+        if name in names:
+            raise ConfigError(f"outputs.{key}", f"{name!r} is also outputs.{names[name]}")
+        names[name] = key
 
     for m in config.grid.sizes:
         try:

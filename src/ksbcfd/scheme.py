@@ -37,14 +37,12 @@ solve of the density system on the tensor block that bounds those rows
 (``linalg.block_corrected``, SuperLU); when none is, it is the heat inverse
 alone in single precision (``TensorHeatSolver.solve_fp32``), which costs
 less per application and barely changes the iteration counts.  Residuals
-and acceptance stay in float64.  A Crank-Nicolson density solve with the
-heat inverse alone starts from the least-squares fit of its right-hand
-side by those of the last eight (``DensityHistory``), whose coefficients
-it applies to their solutions: on the corner blow-up run at 180^2 the
-solves take 714 BiCGStab iterations, where the extrapolation
-2 u^n - u^{n-1} alone takes 989.  Block-corrected solves, and those with
-fewer than two solves stored, start from that extrapolation (from u^n on
-the first step).  When BiCGStab does not converge, the same
+and acceptance stay in float64.  Every Crank-Nicolson density solve starts
+from u^n + dX c, where c fits b - b^n by the last eight differences dB of
+consecutive right-hand sides and dX of solutions (``DensityHistory``); the
+extrapolation 2 u^n - u^{n-1} is c = e_0.  On the corner blow-up run at
+180^2 the solves take 713 BiCGStab iterations, where the extrapolation
+alone takes 989.  When BiCGStab does not converge, the same
 system is solved once more by sparse LU (SuperLU).  Every solve, direct or
 iterative, refines its solution once when the recomputed residual misses
 the solver tolerance 1e-12, keeps the refinement when it lowers that
@@ -206,7 +204,8 @@ class SchemeConfig:
         return step_of(self.t_final, self.tau)
 
 
-# How many Crank-Nicolson density solves a ``DensityHistory`` keeps.
+# How many differences of consecutive Crank-Nicolson density solves a
+# ``DensityHistory`` keeps.
 _HISTORY = 8
 
 # A right-hand side within this relative distance of the last one holds no
@@ -215,72 +214,68 @@ _HISTORY = 8
 # a constant state would drift (5e-13 in 200 steps, 7e-11 in 3 000).
 _REPEATED = 1e-12
 
+# ``DensityHistory.projection``: d = b - b^n, (d . d, dB^T d) and b . b
+_Projection = tuple[np.ndarray, np.ndarray, float]
+
 
 @dataclass(frozen=True)
 class DensityHistory:
-    """The right-hand sides and solutions of the last ``_HISTORY``
-    Crank-Nicolson density solves, from which the next solve starts.
-
-    Each is stored newest first as the newest vector and the differences of
-    consecutive ones: ``rhs = (b^n, b^n - b^{n-1}, b^{n-1} - b^{n-2}, ...)``
-    and ``sol`` likewise, with ``gram`` the Gram matrix of ``rhs``.  Its
-    entries are carried from step to step; a Gram of the raw right-hand
-    sides would lose the fit, which lives in their differences, to rounding.
+    """The last Crank-Nicolson density right-hand side ``rhs`` = b^n and,
+    newest first, up to ``_HISTORY`` differences of consecutive right-hand
+    sides (``d_rhs``, the columns of dB) and of consecutive solutions
+    (``d_sol``, dX), with ``gram`` = dB^T dB.  The fit lives in the
+    differences: a Gram of the raw right-hand sides would lose it to
+    rounding.
     """
 
-    rhs: tuple[np.ndarray, ...] = ()
-    sol: tuple[np.ndarray, ...] = ()
+    rhs: np.ndarray | None = None
+    d_rhs: tuple[np.ndarray, ...] = ()
+    d_sol: tuple[np.ndarray, ...] = ()
     gram: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
-    def projection(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """``d = b - b^n``, the products ``V^T d`` with the stored basis ``V``
-        and ``d . d``: the ``_HISTORY + 1`` dot products of a step."""
-        d = b - self.rhs[0]
-        return d, np.array([v @ d for v in self.rhs]), float(d @ d)
+    def projection(self, b: np.ndarray) -> _Projection | None:
+        """``d = b - b^n``, its products ``(d . d, dB^T d)`` and ``b . b``;
+        None while no right-hand side is stored."""
+        if self.rhs is None:
+            return None
+        d = b - self.rhs
+        return d, np.array([d @ d, *(v @ d for v in self.d_rhs)]), float(b @ b)
 
-    def start(self, projection: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
-        """``W c`` for the ``c`` that minimises ``|b - V c|``, where
-        ``projection`` is ``self.projection(b)`` and ``W`` the stored
-        solutions' basis; u^n when ``b`` repeats ``b^n`` to ``_REPEATED``.
-
-        With ``b = V e_0 + d`` and ``h = V^T d`` this is ``c = e_0 + G^+ h``
-        for the Gram matrix ``G``, which is solved by least squares with its
-        columns scaled to a unit diagonal.  Extrapolation is
-        ``c = (1, 1, 0, ...)``.
+    def start(self, u: np.ndarray, projection: _Projection | None) -> np.ndarray:
+        """``u + dX c`` for the ``c`` that minimises ``|d - dB c|``, where
+        ``u`` is u^n and ``projection`` is ``self.projection(b)``: the normal
+        equations, solved by least squares with the Gram's columns scaled to
+        a unit diagonal.  ``c = 0``, the start u^n, while no difference is
+        stored and when ``b`` repeats b^n to ``_REPEATED``; extrapolation is
+        ``c = e_0``.
         """
-        _, h, dd = projection
-        if dd <= _REPEATED**2 * (self.gram[0, 0] + 2.0 * h[0] + dd):  # |b|^2, as in pushed
-            return self.sol[0]
+        if not self.d_rhs:
+            return u
+        _, h, bb = projection
+        if h[0] <= _REPEATED**2 * bb:
+            return u
         diag = np.diagonal(self.gram)
         scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
-        c = scale * np.linalg.lstsq(self.gram * scale * scale[:, None], scale * h)[0]
-        x0 = (1.0 + c[0]) * self.sol[0]
-        for cj, w in zip(c[1:], self.sol[1:]):
+        c = scale * np.linalg.lstsq(self.gram * scale * scale[:, None], scale * h[1:])[0]
+        x0 = u.copy()
+        for cj, w in zip(c, self.d_sol):
             x0 = daxpy(w, x0, a=cj)
         return x0
 
-    def pushed(self, b: np.ndarray, x: np.ndarray,
-               projection: tuple[np.ndarray, np.ndarray, float] | None) -> DensityHistory:
-        """The history with the solve ``(b, x)`` added and, beyond
-        ``_HISTORY``, its oldest dropped; ``projection`` is
-        ``self.projection(b)``, None when the history is empty.
-
-        The new basis is ``(b, d, old differences)`` for ``d = b - b^n``, and
-        ``b = b^n + d`` gives its Gram entries from the old ones and
-        ``projection`` alone: sums, free of cancellation.
+    def pushed(self, b: np.ndarray, dx: np.ndarray,
+               projection: _Projection | None) -> DensityHistory:
+        """The history with the solve of ``b`` added, ``dx`` its solution
+        minus u^n and ``projection`` ``self.projection(b)``; beyond
+        ``_HISTORY`` the oldest differences are dropped.  The Gram shifts by
+        one and takes ``projection``'s products as its new first row.
         """
         if projection is None:
-            return DensityHistory((b,), (x,), np.array([[float(b @ b)]]))
-        d, h, dd = projection
-        old = self.gram
-        g = np.empty((old.shape[0] + 1,) * 2)
-        g[0, 0], g[0, 1], g[1, 1] = old[0, 0] + 2.0 * h[0] + dd, h[0] + dd, dd
-        g[0, 2:], g[1, 2:] = old[0, 1:] + h[1:], h[1:]
-        g[2:, 2:] = old[1:, 1:]
-        g[1:, 0], g[2:, 1] = g[0, 1:], g[1, 2:]
-        k = _HISTORY
-        return DensityHistory((b, d, *self.rhs[1:k - 1]),
-                              (x, x - self.sol[0], *self.sol[1:k - 1]), g[:k, :k])
+            return DensityHistory(b)
+        d, h, _ = projection
+        k = min(len(self.d_rhs) + 1, _HISTORY)
+        g = np.empty((k, k))
+        g[0], g[1:, 0], g[1:, 1:] = h[:k], h[1:k], self.gram[:k - 1, :k - 1]
+        return DensityHistory(b, (d, *self.d_rhs[:k - 1]), (dx, *self.d_sol[:k - 1]), g)
 
 
 @dataclass(frozen=True)
@@ -533,9 +528,9 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
 
 def _solve_density(ws: Workspace, system: sp.dia_matrix, block: np.ndarray | None,
                    rhs: np.ndarray, theta: float, step: int, name: str,
-                   warm_start: CellField) -> tuple[np.ndarray, SolveReport]:
-    """BiCGStab for a density system from ``Workspace.u_system``, with a
-    sparse LU fallback.
+                   x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    """BiCGStab from ``x0`` for a density system from ``Workspace.u_system``,
+    with a sparse LU fallback.
 
     The right preconditioner is the inverse of the system's heat part
     (1/tau) W - theta W L: in single precision when ``block`` is None, and
@@ -554,7 +549,7 @@ def _solve_density(ws: Workspace, system: sp.dia_matrix, block: np.ndarray | Non
         heat = functools.partial(ws.heat.solve, s=s, theta=theta)
         precond = linalg.block_corrected(system, heat, block)
         cells = 0 if precond is heat else block.size  # 0: A_SS exactly singular
-    x, report = linalg.bicgstab(system, rhs, precond, x0=np.ravel(warm_start.values, order="F"))
+    x, report = linalg.bicgstab(system, rhs, precond, x0=x0)
     if not report.converged:
         x, direct = linalg.sparse_lu_solve(system, rhs)
         if not direct.converged:
@@ -572,7 +567,7 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[CellF
     rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
     rhs = ws.areas * np.ravel(rhs_vals, order="F")
     x, report = _solve_density(ws, system, block, rhs, 1.0, step=1, name="density predictor",
-                               warm_start=state.u_curr)
+                               x0=np.ravel(state.u_curr.values, order="F"))
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
@@ -613,11 +608,9 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
               name: str, reps_before: tuple[SolveReport, ...] = ()) -> tuple[State, StepDiagnostics]:
     """One Crank-Nicolson stage from ``state``: the concentration solve with
     ``u_star`` as the half-level density, then the density solve in the new
-    concentration gradient.  That solve starts from the fit of its
-    right-hand side by ``state.history`` (``DensityHistory.start``) when the
-    history holds two solves or more and the preconditioner is the heat
-    inverse alone; otherwise from 2 u^n - u^{n-1}, or from u^n when there
-    is no u^{n-1}.  The right-hand sides multiply ``ws.z_system`` and
+    concentration gradient, from the fit of its right-hand side by
+    ``state.history`` (``DensityHistory.start``; u^n on the first two
+    steps).  The right-hand sides multiply ``ws.z_system`` and
     ``state.a_curr``.
 
     Returns the new state and its step's record, whose density columns
@@ -641,18 +634,13 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
     source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
     rhs = ws.areas_2_tau * u_flat - state.a_curr @ u_flat + w * source
     history = state.history
-    projection = history.projection(rhs) if history.rhs else None
-    if block is None and len(history.rhs) >= 2:
-        warm = CellField(grid, history.start(projection).reshape(grid.shape, order="F"))
-    elif state.u_prev is None:
-        warm = u_n
-    else:
-        warm = CellField(grid, 2.0 * u_n.values - state.u_prev.values)
-    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name, warm_start=warm)
+    projection = history.projection(rhs)
+    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name,
+                               x0=history.start(u_flat, projection))
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next,
-                      a_curr=system, history=history.pushed(rhs, xu, projection))
+                      a_curr=system, history=history.pushed(rhs, xu - u_flat, projection))
     diag = _diagnostics(new_state, g_next, ws.config, rep_z, (*reps_before, rep_u))
     _check_blowup(new_state, diag, ws.config)
     return new_state, diag

@@ -244,7 +244,7 @@ def test_criterion_6_solver_oracle_equivalence():
         u_oracle = np.linalg.solve(u_sys.toarray(), rhs_u)
         for b in (block, None):
             xu, rep_u = _solve_density(ws, u_sys, b, rhs_u, 0.5, step=1, name="density",
-                                       warm_start=u)
+                                       x0=np.ravel(u.values, order="F"))
             ok &= rep_u.converged
             gaps.append(np.max(np.abs(xu - u_oracle)))
         ok &= max(gaps) <= 1e-10

@@ -122,6 +122,21 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(dict(MINIMAL_SWEEP, outputs={"table": "t.csv"})))
         assert cfg.outputs.table == "t.csv"
 
+    def test_output_names_must_be_distinct_file_names_in_the_output_directory(self):
+        blowup = dict(MINIMAL_RUN, mode="blowup")
+        cases = [(MINIMAL_RUN, "diagnostics", name)
+                 for name in ("", ".", "..", "meta.json", "sub/d.csv", "/d.csv",
+                              "snapshot_rho_000000.csv")]
+        cases += [(blowup, "summary", "nosuch/s.json"),
+                  (blowup, "summary", "diagnostics.csv"),  # the diagnostics' default
+                  (MINIMAL_SWEEP, "table", "meta.json")]
+        for doc, key, name in cases:
+            with pytest.raises(ConfigError, match=f"outputs.{key}: "):
+                parse_config(json.dumps(dict(doc, outputs={key: name})))
+        # a name the mode does not write may repeat another's
+        cfg = parse_config(json.dumps(dict(MINIMAL_RUN, outputs={"diagnostics": "summary.json"})))
+        assert cfg.outputs.diagnostics == cfg.outputs.summary
+
     def test_convergence_mode_shape(self):
         text = json.dumps({
             "problem": "mms_accuracy",
@@ -344,8 +359,13 @@ class TestMainCommand:
          "outputs.snapshot_times"),  # between steps 1 and 2, and 0 and 1
         (dict(MINIMAL_RUN, uniqueness_monitor=False), "uniqueness_monitor"),  # no such key
         (dict(MINIMAL_RUN, solver_tol=1e-6), "solver_tol"),  # no such key
+        (dict(MINIMAL_RUN, outputs={"diagnostics": ""}), "outputs.diagnostics"),
+        (dict(MINIMAL_RUN, outputs={"diagnostics": "meta.json"}), "outputs.diagnostics"),
+        (dict(MINIMAL_RUN, mode="blowup", outputs={"summary": "nosuch/s.json"}),
+         "outputs.summary"),
     ], ids=["unknown_problem", "negative_seed", "run_step_count", "sweep_step_count",
-            "repeated_size", "snapshot_between_steps", "monitor_switch", "solver_tol"])
+            "repeated_size", "snapshot_between_steps", "monitor_switch", "solver_tol",
+            "empty_output_name", "output_name_meta", "output_name_in_a_subdirectory"])
     def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, doc, key):
         out = tmp_path / "out"
         assert main([doc["mode"], "--config", str(self.write(tmp_path, doc)),

@@ -457,26 +457,32 @@ class TestMarching:
         with pytest.raises(ValueError, match="two density levels and a_curr"):
             step_cn(dataclasses.replace(state1, a_curr=None), problem, ws)
 
-    def test_density_solves_start_from_the_extrapolated_level(self, monkeypatch):
-        # u^0 for both solves of the first step, 2 u^n - u^{n-1} after it
+    def test_density_solves_start_from_u_n_then_from_the_fit(self, monkeypatch):
+        # u^0 for both solves of the first step, u^1 on the second, which has
+        # no stored difference yet, and the fit by one difference on the third
         problem = get_problem("global_existence")
         grid = unit_grid(8)
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.03))
-        starts = []
+        solves = []
 
         def recorded(a, b, precond, x0):
-            starts.append(x0.copy())
+            solves.append((b, x0.copy()))
             return bicgstab(a, b, precond, x0=x0)
 
         monkeypatch.setattr(ksbcfd.linalg, "bicgstab", recorded)
         state0 = init_state(problem, grid)
         state1, _ = first_step(state0, problem, ws)
-        step_cn(state1, problem, ws)
+        state2, _ = step_cn(state1, problem, ws)
+        step_cn(state2, problem, ws)
         flat = lambda v: np.ravel(v, order="F")
-        assert len(starts) == 3
-        assert np.array_equal(starts[0], flat(state0.u_curr.values))
-        assert np.array_equal(starts[1], flat(state0.u_curr.values))
-        assert np.array_equal(starts[2], flat(2.0 * state1.u_curr.values - state0.u_curr.values))
+        assert len(solves) == 4 and len(state2.history.d_rhs) == 1
+        assert np.array_equal(solves[0][1], flat(state0.u_curr.values))
+        assert np.array_equal(solves[1][1], flat(state0.u_curr.values))
+        assert np.array_equal(solves[2][1], flat(state1.u_curr.values))
+        b, x0 = solves[3]
+        u2 = flat(state2.u_curr.values)
+        assert not np.array_equal(x0, u2)
+        assert np.array_equal(x0, state2.history.start(u2, state2.history.projection(b)))
 
     @staticmethod
     def check_against_dense_oracle(problem, grid):
@@ -559,9 +565,10 @@ class TestMarching:
 def history_of(a, xs):
     """The ``DensityHistory`` of the solves ``a x = b`` of each x in ``xs``, oldest first."""
     history = DensityHistory()
-    for x in xs:
+    for x_prev, x in zip([None, *xs], xs):
         b = a @ x
-        history = history.pushed(b, x, history.projection(b) if history.rhs else None)
+        projection = history.projection(b)
+        history = history.pushed(b, None if x_prev is None else x - x_prev, projection)
     return history
 
 
@@ -570,33 +577,37 @@ class TestDensityHistory:
         _, a, _ = steep_patch_system(3.0)
         xs = list(np.random.default_rng(71).standard_normal((12, a.shape[0])))
         history = history_of(a, xs)
-        assert len(history.rhs) == len(history.sol) == 8 and history.gram.shape == (8, 8)
-        assert np.array_equal(history.rhs[0], a @ xs[-1]) and history.sol[0] is xs[-1]
-        for j in range(1, 8):
-            assert np.array_equal(history.rhs[j], a @ xs[-j] - a @ xs[-j - 1])
-            assert np.array_equal(history.sol[j], xs[-j] - xs[-j - 1])
-        v = np.array(history.rhs)
+        assert np.array_equal(history.rhs, a @ xs[-1])
+        assert len(history.d_rhs) == len(history.d_sol) == 8 and history.gram.shape == (8, 8)
+        for j in range(8):
+            assert np.array_equal(history.d_rhs[j], a @ xs[-1 - j] - a @ xs[-2 - j])
+            assert np.array_equal(history.d_sol[j], xs[-1 - j] - xs[-2 - j])
+        v = np.array(history.d_rhs)
         gram = v @ v.T
         assert np.allclose(history.gram, gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
         assert np.array_equal(history.gram, history.gram.T)
 
-    @pytest.mark.parametrize("count", [2, 5, 8])
+    @pytest.mark.parametrize("count", [2, 5, 9])
     def test_fit_is_exact_inside_the_span(self, count):
-        # a fixed matrix and a right-hand side in the span of the stored ones:
-        # the start solves the system
+        # a fixed matrix, ``count`` solves (``count - 1`` differences) and a
+        # right-hand side in the affine span of the stored ones: the start
+        # solves the system
         _, a, _ = steep_patch_system(3.0)
         rng = np.random.default_rng(72)
         xs = list(rng.standard_normal((count, a.shape[0])))
         history = history_of(a, xs)
-        x = rng.standard_normal(count) @ np.array(xs)
-        x0 = history.start(history.projection(a @ x))
+        assert len(history.d_rhs) == count - 1
+        weights = rng.standard_normal(count)
+        weights[-1] = 1.0 - weights[:-1].sum()
+        x = weights @ np.array(xs)
+        x0 = history.start(xs[-1], history.projection(a @ x))
         assert np.linalg.norm(x0 - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_extrapolation_is_the_fit_of_a_linear_trend(self):
         _, a, _ = steep_patch_system(3.0)
         x1, dx = np.random.default_rng(73).standard_normal((2, a.shape[0]))
         history = history_of(a, [x1, x1 + dx])
-        x0 = history.start(history.projection(a @ (x1 + 2.0 * dx)))
+        x0 = history.start(x1 + dx, history.projection(a @ (x1 + 2.0 * dx)))
         assert np.linalg.norm(x0 - (x1 + 2.0 * dx)) <= 1e-10 * np.linalg.norm(x1)
 
     def test_constant_state_stays_put(self):
@@ -608,7 +619,7 @@ class TestDensityHistory:
         assert np.max(np.abs(result.state.u_curr.values - 3.0)) <= 1e-13
         assert max(abs(d.mass - 3.0) for d in result.diagnostics) <= 1e-13
 
-    def test_block_corrected_steps_start_from_the_extrapolation(self, monkeypatch):
+    def test_block_corrected_and_heat_only_steps_start_alike(self, monkeypatch):
         problem = get_problem("mms_accuracy")
         grid = unit_grid(8)
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.05))
@@ -622,16 +633,16 @@ class TestDensityHistory:
         state, _ = first_step(init_state(problem, grid), problem, ws)
         for _ in range(2):
             state, _ = step_cn(state, problem, ws)
-        assert len(state.history.rhs) == 3
-        extrapolated = np.ravel(2.0 * state.u_curr.values - state.u_prev.values, order="F")
+        assert len(state.history.d_rhs) == 2
         _, diag = step_cn(state, problem, ws)
         assert diag.block_cells == 0
-        assert not np.array_equal(starts[-1], extrapolated)  # the fitted start
+        heat_only = starts[-1]
+        assert not np.array_equal(heat_only, np.ravel(state.u_curr.values, order="F"))
         u_system = ws.u_system
         monkeypatch.setattr(ws, "u_system", lambda g: (u_system(g)[0], np.arange(3)))
         _, diag = step_cn(state, problem, ws)
         assert diag.block_cells == 3
-        assert np.array_equal(starts[-1], extrapolated)
+        assert heat_only.tobytes() == starts[-1].tobytes()
 
     def test_history_starts_empty_in_each_grid_run_of_a_sweep(self, monkeypatch):
         lengths = []
@@ -640,7 +651,7 @@ class TestDensityHistory:
             fn = getattr(ksbcfd.scheme, name)
 
             def wrapper(state, *args):
-                lengths.append((name, len(state.history.rhs)))
+                lengths.append((name, len(state.history.d_rhs)))
                 return fn(state, *args)
             return wrapper
 
@@ -662,9 +673,10 @@ class TestDensityHistory:
         first, second = (run(get_problem("blowup_corner"), grid, cfg) for _ in range(2))
         assert sum(d.iters_u for d in first.diagnostics) <= 400
         assert first.diagnostics == second.diagnostics
-        h1, h2 = first.state.history, second.state.history
-        assert all(v.tobytes() == w.tobytes() for v, w in zip(h1.rhs + h1.sol, h2.rhs + h2.sol))
-        assert h1.gram.tobytes() == h2.gram.tobytes()
+        stored = [(h.rhs, *h.d_rhs, *h.d_sol, h.gram)
+                  for h in (first.state.history, second.state.history)]
+        assert len(stored[0]) == len(stored[1]) == 18
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(*stored))
 
 
 def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
@@ -689,9 +701,9 @@ def fp32_heat_inverse(ws, theta=0.5):
 
 
 def solve_density(ws, system, block, rhs, theta=0.5, step=1):
-    """``_solve_density`` from a zero warm start."""
+    """``_solve_density`` from a zero start."""
     return _solve_density(ws, system, block, rhs, theta, step=step, name="density",
-                          warm_start=CellField(ws.grid, np.zeros(ws.grid.shape)))
+                          x0=np.zeros(system.shape[0]))
 
 
 def one_iteration_bicgstab(monkeypatch):
