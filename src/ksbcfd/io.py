@@ -63,12 +63,13 @@ def field_to_vtk(field: CellField, path, name: str = "value") -> None:
         f.write(f"POINTS {nx * ny} double\n")
         for y in ys:
             tail = f" {_fmt(y)} 0\n"
-            f.write("".join([x + tail for x in xs]))
+            f.write(tail.join(xs) + tail)
         f.write(f"POINT_DATA {nx * ny}\n")
         f.write(f"SCALARS {name} double 1\n")
         f.write("LOOKUP_TABLE default\n")
+        row = "%.17g\n" * nx
         for j in range(ny):
-            f.write("".join([f"{v:.17g}\n" for v in field.values[:, j].tolist()]))
+            f.write(row % tuple(field.values[:, j].tolist()))
 
 
 def diagnostics_to_csv(diagnostics: Iterable[StepDiagnostics], path) -> None:
