@@ -1,9 +1,12 @@
 import dataclasses
 import functools
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 import ksbcfd.cli
 import ksbcfd.linalg
@@ -677,6 +680,25 @@ class TestDensityHistory:
                   for h in (first.state.history, second.state.history)]
         assert len(stored[0]) == len(stored[1]) == 18
         assert all(v.tobytes() == w.tobytes() for v, w in zip(*stored))
+
+
+def test_no_module_binds_a_scipy_blas_or_lapack_routine():
+    """The step's vector algebra runs in numpy's BLAS.  scipy bundles a second
+    OpenBLAS with its own thread pool: at two threads, each pool's spinning
+    workers hold the core that the other pool needs, and one scipy ``daxpy``
+    per step made a corner run 3-4 times as slow.  SuperLU (the block
+    correction and the direct fallback) and the set-up's ``eigh_tridiagonal``
+    still call scipy's BLAS and LAPACK, through scipy's own modules: with no
+    scipy routine between the step's numpy products, a corner run takes as
+    long at two threads as at one.
+    """
+    fortran = type(scipy.linalg.blas.daxpy)
+    found = [f"{name}.{key}" for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "ksbcfd"
+             for key, value in vars(module).items()
+             if isinstance(value, fortran) or value is scipy.linalg.blas
+             or value is scipy.linalg.lapack]
+    assert found == []
 
 
 def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
