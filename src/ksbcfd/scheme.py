@@ -41,7 +41,7 @@ and acceptance stay in float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - b^n by the last eight differences dB of
 consecutive right-hand sides and dX of solutions (``DensityHistory``); the
 extrapolation 2 u^n - u^{n-1} is c = e_0.  On the corner blow-up run at
-180^2 the solves take 713 BiCGStab iterations, where the extrapolation
+180^2 the solves take 711 BiCGStab iterations, where the extrapolation
 alone takes 989.  When BiCGStab does not converge, the same
 system is solved once more by sparse LU (SuperLU).  Every solve, direct or
 iterative, refines its solution once when the recomputed residual misses
@@ -246,10 +246,10 @@ class DensityHistory:
         equations, solved by least squares with the Gram's columns scaled to
         a unit diagonal.  ``c = 0``, the start u^n, while no difference is
         stored and when ``b`` repeats b^n to ``_REPEATED``; extrapolation is
-        ``c = e_0``.  The sum is formed in numpy, as is all of the step's
-        vector algebra: scipy's BLAS has a thread pool of its own, and one
-        call into it between numpy's products made a run at two BLAS threads
-        3-4 times as slow as at one.
+        ``c = e_0``.  The sum stays in numpy, like all of the step's vector
+        algebra: scipy's BLAS has a thread pool of its own, and at two BLAS
+        threads one call into it between numpy's products slows a run 3-4
+        times.
         """
         if not self.d_rhs:
             return u
