@@ -37,17 +37,23 @@ thread count is all that matters: an in-process run whose solver functions
 are wrapped, as a profiler or tracer does, writes the ``ksbcfd`` command's
 bits at the same thread count.  Reported residuals are always recomputed
 from the returned iterate (``|b - A x| / |b|``), never taken from the
-recursive residual of the iteration.
+recursive residual of the iteration, and the report hands that true
+residual ``r = b - A x`` back (``SolveReport.residual``): ``b - r`` is the
+product ``A x`` to rounding, which the stepper carries to its next
+right-hand side instead of multiplying again.
+
+SuperLU is loaded by the first factorization (``block_corrected`` and
+``sparse_lu_solve`` import ``scipy.sparse.linalg`` themselves), so a run
+that never factors never loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
@@ -74,6 +80,8 @@ class SolveReport:
     # cells of the preconditioner's exact correction block (``block_corrected``),
     # 0 when the solve had none; the stepper sets it
     block_cells: int = 0
+    # the true residual b - A x of the returned solution, None when there is none
+    residual: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 # A bound on the componentwise backward error, in units of roundoff.
@@ -97,7 +105,8 @@ def _verdict(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm
     """
     res = float(np.linalg.norm(r) / b_norm)
     converged = res <= tol or _backward_stable(a, b, x, r)
-    return SolveReport(converged, iterations, res, "converged" if converged else reason)
+    return SolveReport(converged, iterations, res, "converged" if converged else reason,
+                       residual=r)
 
 
 # The refinement pass aims this factor below the target ``tol |b|``: it
@@ -118,12 +127,13 @@ def _refined(a: sp.spmatrix, b: np.ndarray, sweep: Callable, tol: float, max_ite
     ``_RESTART_TARGET`` times that.  A swept solution is kept when it lowers
     the 2-norm residual, or when it is ``_backward_stable`` and the solution
     before it is not.  ``_verdict`` decides; a miss after a pass that
-    converged is ``stagnated``.
+    converged is ``stagnated``.  The report carries the kept solution's
+    residual.
     """
     b, b_norm = _checked_rhs(a, b, tol)
     n = a.shape[0]
     if b_norm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0.0, "converged")
+        return np.zeros(n), SolveReport(True, 0, 0.0, "converged", residual=b)
     if max_iter is None:
         max_iter = 10 * n
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
@@ -402,6 +412,8 @@ def block_corrected(a: sp.spmatrix, precond: Callable[[np.ndarray], np.ndarray],
     must return a new array.  An exactly singular ``A_SS`` leaves
     ``precond`` as it is.
     """
+    import scipy.sparse.linalg as spla  # SuperLU, loaded by the first factorization
+
     a_rows = a.tocsr()[rows]
     try:
         lu = spla.splu(a_rows[:, rows].tocsc())
@@ -439,6 +451,8 @@ def sparse_lu_solve(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[
     singular factor is reported as ``breakdown`` (with the zero vector and
     residual 1) rather than raised.
     """
+    import scipy.sparse.linalg as spla  # SuperLU, loaded by the first factorization
+
     _checked_rhs(a, b, tol)
     try:
         lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -38,31 +38,38 @@ solve of the density system on the tensor block that bounds those rows
 alone in single precision (``TensorHeatSolver.solve_fp32``), which costs
 less per application and barely changes the iteration counts.  Residuals
 and acceptance stay in float64.  Every Crank-Nicolson density solve starts
-from u^n + dX c, where c fits b - b^n by the last eight differences dB of
-consecutive right-hand sides and dX of solutions (``DensityHistory``); the
-extrapolation 2 u^n - u^{n-1} is c = e_0.  On the corner blow-up run at
-180^2 the solves take 711 BiCGStab iterations, where the extrapolation
-alone takes 989.  When BiCGStab does not converge, the same
-system is solved once more by sparse LU (SuperLU).  Every solve, direct or
-iterative, refines its solution once when the recomputed residual misses
-the solver tolerance 1e-12, keeps the refinement when it lowers that
-residual or when only it passes the backward-error test, and accepts the
-solution when the residual meets the tolerance or its componentwise
-backward error is at most 16 units of roundoff.
+from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
+of consecutive right-hand sides, and dX holds the differences of the last
+nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
+c = e_0.  On the corner blow-up run at 180^2 the solves take 705 BiCGStab
+iterations, where the extrapolation alone takes 989.  When BiCGStab does
+not converge, the same system is solved once more by sparse LU (SuperLU).
+Every solve, direct or iterative, refines its solution once when the
+recomputed residual misses the solver tolerance 1e-12, keeps the
+refinement when it lowers that residual or when only it passes the
+backward-error test, and accepts the solution when the residual meets the
+tolerance or its componentwise backward error is at most 16 units of
+roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into a band that a scipy DIA matrix takes as its data, one row per
 neighbour in the flat order of the unknowns (``_five_point``).
-``Workspace`` assembles the constant concentration matrix once per run.
-Density matrices change every step with the concentration gradient:
-``Workspace`` builds the Crank-Nicolson heat-part band once, and each step
-adds the chemotaxis term to a copy of it and reads the rows' diagonal
-dominance off the same copy.  The gradient's edge arrays and the sampled
-forcing are stored in that flat order too, so a step makes no layout
-copies.  A Crank-Nicolson equation A x^{n+1} = (2/tau) W x^n - A x^n + W f
-builds its right-hand side as a product with its own A, the concentration
-matrix or the density matrix ``State`` carries from the previous stage;
-the matrix-free stencils are the tests' oracle of both.
+``Workspace`` assembles the constant concentration matrix once per run;
+its band is the only one a run keeps.  Density matrices change every step
+with the concentration gradient: each step copies the concentration band,
+lowers its center by W/2 to the Crank-Nicolson heat part
+(1/tau) W - (1/2) W L, adds the chemotaxis term and reads the rows'
+diagonal dominance off the same copy.  The gradient's edge arrays and the
+sampled forcing are stored in that flat order too, so a step makes no
+layout copies.  A Crank-Nicolson equation
+A x^{n+1} = (2/tau) W x^n - A x^n + W f needs only the product A x^n of
+the previous level's own matrix, and the previous solve already holds it
+as b - r, its right-hand side less its true residual (which
+``linalg`` hands back): ``State`` carries A(grad z^n) u^n and A_z z^n as
+vectors, and a step multiplies by no matrix (the first step takes both
+products once, from A(grad z^0) and the concentration matrix).  The
+matrix-free stencils are the tests' oracle of the assembly and the
+right-hand sides.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -204,7 +211,7 @@ class SchemeConfig:
 
 
 # How many differences of consecutive Crank-Nicolson density solves a
-# ``DensityHistory`` keeps.
+# ``DensityHistory`` keeps; it keeps one solution level more.
 _HISTORY = 8
 
 # A right-hand side within this relative distance of the last one holds no
@@ -213,43 +220,44 @@ _HISTORY = 8
 # a constant state would drift (5e-13 in 200 steps, 7e-11 in 3 000).
 _REPEATED = 1e-12
 
-# ``DensityHistory.projection``: d = b - b^n, (d . d, dB^T d) and b . b
+# ``DensityHistory.projection``: d = b - A^n u^n, (d . d, dB^T d) and b . b
 _Projection = tuple[np.ndarray, np.ndarray, float]
 
 
 @dataclass(frozen=True)
 class DensityHistory:
-    """The last Crank-Nicolson density right-hand side ``rhs`` = b^n and,
-    newest first, up to ``_HISTORY`` differences of consecutive right-hand
-    sides (``d_rhs``, the columns of dB) and of consecutive solutions
-    (``d_sol``, dX), with ``gram`` = dB^T dB.  The fit lives in the
-    differences: a Gram of the raw right-hand sides would lose it to
+    """Newest first, up to ``_HISTORY`` + 1 Crank-Nicolson density
+    solutions (``levels``, the flat arrays ``State`` holds, not copies:
+    ``levels[0]`` is u^n and ``levels[1]`` u^{n-1}) and the ``_HISTORY``
+    differences of consecutive right-hand sides between them (``d_rhs``,
+    the columns of dB), with ``gram`` = dB^T dB.  A level's right-hand
+    side is taken as the product A^n u^n that the state carries, which
+    equals it to the solver residual, so none is stored.  The fit lives in
+    the differences: a Gram of the raw right-hand sides would lose it to
     rounding.
     """
 
-    rhs: np.ndarray | None = None
+    levels: tuple[np.ndarray, ...] = ()
     d_rhs: tuple[np.ndarray, ...] = ()
-    d_sol: tuple[np.ndarray, ...] = ()
     gram: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
-    def projection(self, b: np.ndarray) -> _Projection | None:
-        """``d = b - b^n``, its products ``(d . d, dB^T d)`` and ``b . b``;
-        None while no right-hand side is stored."""
-        if self.rhs is None:
-            return None
-        d = b - self.rhs
+    def projection(self, b: np.ndarray, au: np.ndarray) -> _Projection:
+        """``d = b - A^n u^n``, for ``au`` = A^n u^n, its products
+        ``(d . d, dB^T d)`` and ``b . b``."""
+        d = b - au
         return d, np.array([d @ d, *(v @ d for v in self.d_rhs)]), float(b @ b)
 
-    def start(self, u: np.ndarray, projection: _Projection | None) -> np.ndarray:
+    def start(self, u: np.ndarray, projection: _Projection) -> np.ndarray:
         """``u + dX c`` for the ``c`` that minimises ``|d - dB c|``, where
-        ``u`` is u^n and ``projection`` is ``self.projection(b)``: the normal
+        ``u`` is u^n, ``projection`` is ``self.projection(b, A^n u^n)`` and
+        column j of dX is ``levels[j] - levels[j + 1]``: the normal
         equations, solved by least squares with the Gram's columns scaled to
         a unit diagonal.  ``c = 0``, the start u^n, while no difference is
-        stored and when ``b`` repeats b^n to ``_REPEATED``; extrapolation is
-        ``c = e_0``.  The sum stays in numpy, like all of the step's vector
-        algebra: scipy's BLAS has a thread pool of its own, and at two BLAS
-        threads one call into it between numpy's products slows a run 3-4
-        times.
+        stored and when ``b`` repeats A^n u^n to ``_REPEATED``;
+        extrapolation is ``c = e_0``.  The sum telescopes to one weight per
+        level.  It stays in numpy, like all of the step's vector algebra:
+        scipy's BLAS has a thread pool of its own, and at two BLAS threads
+        one call into it between numpy's products slows a run 3-4 times.
         """
         if not self.d_rhs:
             return u
@@ -259,38 +267,41 @@ class DensityHistory:
         diag = np.diagonal(self.gram)
         scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
         c = scale * np.linalg.lstsq(self.gram * scale * scale[:, None], scale * h[1:])[0]
-        x0, tmp = u.copy(), np.empty_like(u)
-        for cj, w in zip(c, self.d_sol):
-            x0 += np.multiply(cj, w, out=tmp)
+        # levels[j] weighs c_j - c_{j-1}, with c_{-1} = -1 and c_k = 0
+        weights = np.diff(c, prepend=-1.0, append=0.0)
+        x0, tmp = np.multiply(weights[0], self.levels[0]), np.empty_like(u)
+        for wj, level in zip(weights[1:], self.levels[1:]):
+            x0 += np.multiply(wj, level, out=tmp)
         return x0
 
-    def pushed(self, b: np.ndarray, dx: np.ndarray,
-               projection: _Projection | None) -> DensityHistory:
-        """The history with the solve of ``b`` added, ``dx`` its solution
-        minus u^n and ``projection`` ``self.projection(b)``; beyond
-        ``_HISTORY`` the oldest differences are dropped.  The Gram shifts by
-        one and takes ``projection``'s products as its new first row.
+    def pushed(self, x: np.ndarray, u: np.ndarray, projection: _Projection) -> DensityHistory:
+        """The history with the solution ``x`` from u^n = ``u`` added, where
+        ``projection`` is ``self.projection(b, A^n u^n)`` of its right-hand
+        side ``b``; beyond ``_HISTORY`` differences the oldest level is
+        dropped.  The Gram shifts by one and takes ``projection``'s products
+        as its new first row.
         """
-        if projection is None:
-            return DensityHistory(b)
         d, h, _ = projection
         k = min(len(self.d_rhs) + 1, _HISTORY)
         g = np.empty((k, k))
         g[0], g[1:, 0], g[1:, 1:] = h[:k], h[1:k], self.gram[:k - 1, :k - 1]
-        return DensityHistory(b, (d, *self.d_rhs[:k - 1]), (dx, *self.d_sol[:k - 1]), g)
+        return DensityHistory((x, *(self.levels or (u,))[:k]), (d, *self.d_rhs[:k - 1]), g)
 
 
 @dataclass(frozen=True)
 class State:
-    """One time level, with u^{n-1} for extrapolation, A(grad z^n) (None at
-    n = 0) and the Crank-Nicolson density solves that led to it."""
+    """One time level, with u^{n-1} for extrapolation, the products
+    A(grad z^n) u^n and A_z z^n of the level's own matrices (None at n = 0),
+    which the next Crank-Nicolson right-hand sides take, and the
+    Crank-Nicolson density solves that led to it."""
 
     t: float
     n: int
     u_curr: CellField
     u_prev: CellField | None
     z_curr: CellField
-    a_curr: sp.dia_matrix | None = None
+    au_curr: np.ndarray | None = None
+    az_curr: np.ndarray | None = None
     history: DensityHistory = DensityHistory()
 
 
@@ -444,9 +455,9 @@ def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
 
 class Workspace:
     """Per-run operator cache: area weights (and 2/tau times them), the
-    grid's fast-diagonalization heat solver, the concentration matrix (which
-    both sides of its equation use) and its inverse by that solver, and the
-    heat-part band the Crank-Nicolson density matrices are filled in on."""
+    grid's fast-diagonalization heat solver, and the concentration matrix,
+    whose band is the one constant band of a run, and its inverse by that
+    solver."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
@@ -458,20 +469,22 @@ class Workspace:
         s, theta = 1.0 / config.tau + 0.5, 0.5
         self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas, theta), grid.nx)
         self.z_inverse = functools.partial(self.heat.solve, s=s, theta=theta)
-        # band of the heat part (1/tau) W - theta W L at theta = 1/2, which
-        # every step copies; the predictor's, at theta = 1, is built on its call
-        self._cn_heat_band = _heat_band(grid, grid.cell_areas / config.tau, 0.5)
 
     def u_system(self, g: GradientPair, theta: float = 0.5
                  ) -> tuple[sp.dia_matrix, np.ndarray | None]:
         """The density system (1/tau) W - theta W L + theta lam W C(g), for
         theta 1/2 (Crank-Nicolson) or 1 (the backward-Euler predictor), and
         the block bounding its rows that are not diagonally dominant
-        (``_weak_rows_block``).  The matrix's data is a heat band: a copy
-        of the kept one at theta 1/2, a new one otherwise.
+        (``_weak_rows_block``).  The matrix's data is a heat band.  At theta
+        1/2 it is a copy of the concentration matrix's band with its center
+        lowered by W / 2, the one place the two operators differ; the
+        predictor's, at theta 1, is built on its call.
         """
-        band = (self._cn_heat_band.copy() if theta == 0.5
-                else _heat_band(self.grid, self.grid.cell_areas / self.config.tau, theta))
+        if theta == 0.5:
+            band = self.z_system.data.copy()
+            band[_CENTER] -= 0.5 * self.areas
+        else:
+            band = _heat_band(self.grid, self.grid.cell_areas / self.config.tau, theta)
         _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
         return _five_point(band, self.grid.nx), _weak_rows_block(band, self.grid.nx)
 
@@ -601,8 +614,11 @@ def _diagnostics(state: State, grad_z: GradientPair, config: SchemeConfig, rep_z
 
 
 def _check_blowup(state: State, diag: StepDiagnostics, config: SchemeConfig) -> None:
-    u, z = state.u_curr, state.z_curr
-    if u.max_abs() > config.blowup_threshold or not u.is_finite() or not z.is_finite():
+    """Halt on ``max|u|`` above the threshold or a non-finite u or z, read
+    off the record's extrema (which propagate NaN and +-inf) and z's minimum."""
+    extrema = (diag.u_max, diag.u_min, diag.z_max, state.z_curr.min())
+    if (not all(map(math.isfinite, extrema))
+            or max(diag.u_max, -diag.u_min) > config.blowup_threshold):
         raise BlowUpDetected(state, diag)
 
 
@@ -611,9 +627,10 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
     """One Crank-Nicolson stage from ``state``: the concentration solve with
     ``u_star`` as the half-level density, then the density solve in the new
     concentration gradient, from the fit of its right-hand side by
-    ``state.history`` (``DensityHistory.start``; u^n on the first two
-    steps).  The right-hand sides multiply ``ws.z_system`` and
-    ``state.a_curr``.
+    ``state.history`` (``DensityHistory.start``; u^n on the first step).
+    The right-hand sides take A_z z^n and A^n u^n from ``state``, and the
+    new state carries ``b - r`` of each solve, its right-hand side less its
+    true residual, as the products of the new level.
 
     Returns the new state and its step's record, whose density columns
     also count ``reps_before``, the reports of the step's earlier density
@@ -627,40 +644,44 @@ def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemS
     u_flat, z_flat = np.ravel(u_n.values, order="F"), np.ravel(z_n.values, order="F")
 
     source = np.ravel(u_star + _forcing(problem, "f_c", grid, t_half), order="F")
-    rhs = ws.areas_2_tau * z_flat - ws.z_system @ z_flat + w * source
-    xz, rep_z = _solve_concentration(ws, rhs, step=step)
+    rhs_z = ws.areas_2_tau * z_flat - state.az_curr + w * source
+    xz, rep_z = _solve_concentration(ws, rhs_z, step=step)
     z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
 
     g_next = grad(z_next)
     system, block = ws.u_system(g_next)
     source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
-    rhs = ws.areas_2_tau * u_flat - state.a_curr @ u_flat + w * source
+    rhs_u = ws.areas_2_tau * u_flat - state.au_curr + w * source
     history = state.history
-    projection = history.projection(rhs)
-    xu, rep_u = _solve_density(ws, system, block, rhs, 0.5, step=step, name=name,
+    projection = history.projection(rhs_u, state.au_curr)
+    xu, rep_u = _solve_density(ws, system, block, rhs_u, 0.5, step=step, name=name,
                                x0=history.start(u_flat, projection))
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next,
-                      a_curr=system, history=history.pushed(rhs, xu - u_flat, projection))
+                      au_curr=rhs_u - rep_u.residual, az_curr=rhs_z - rep_z.residual,
+                      history=history.pushed(xu, u_flat, projection))
     diag = _diagnostics(new_state, g_next, ws.config, rep_z, (*reps_before, rep_u))
     _check_blowup(new_state, diag, ws.config)
     return new_state, diag
 
 
 def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
-    """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2."""
+    """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2,
+    from the products A(grad z^0) u^0 and A_z z^0."""
     u_bar, rep_pred = predict_u1(state, problem, ws)
     u_star = 0.5 * (u_bar.values + state.u_curr.values)
-    state = replace(state, a_curr=ws.u_system(grad(state.z_curr))[0])
+    au = ws.u_system(grad(state.z_curr))[0] @ np.ravel(state.u_curr.values, order="F")
+    az = ws.z_system @ np.ravel(state.z_curr.values, order="F")
+    state = replace(state, au_curr=au, az_curr=az)
     return _cn_stage(ws, state, u_star, problem, "density corrector", reps_before=(rep_pred,))
 
 
 def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
     """One Crank-Nicolson step, with u* = (3 u^n - u^{n-1}) / 2."""
-    if state.n < 1 or state.u_prev is None or state.a_curr is None:
-        raise ValueError("Crank-Nicolson marching needs two density levels and a_curr; "
-                         "run the first step")
+    if state.n < 1 or state.u_prev is None or state.au_curr is None or state.az_curr is None:
+        raise ValueError("Crank-Nicolson marching needs two density levels and the products "
+                         "au_curr and az_curr; run the first step")
     u_star = 1.5 * state.u_curr.values - 0.5 * state.u_prev.values
     return _cn_stage(ws, state, u_star, problem, "density")
 

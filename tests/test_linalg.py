@@ -1,3 +1,10 @@
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -550,3 +557,57 @@ class TestDenseSolve:
         x_cg, rep = cg(a, b, jacobi(a), tol=1e-13)
         assert rep.converged
         assert np.max(np.abs(np.linalg.solve(ad, b) - x_cg)) <= 1e-10
+
+
+@pytest.mark.parametrize("solver", ["cg", "bicgstab", "direct", "lu"])
+def test_report_hands_back_the_true_residual(solver):
+    # b - A x of the returned solution, as the solve recomputed it; it takes
+    # no part in comparing or printing reports
+    a, dense = random_spd(12, 81)
+    b = np.random.default_rng(82).standard_normal(12)
+    solve = {
+        "cg": lambda: cg(a, b, jacobi(a)),
+        "bicgstab": lambda: bicgstab(a, b, jacobi(a)),
+        "direct": lambda: direct_solve(a, b, lambda r: np.linalg.solve(dense, r)),
+        "lu": lambda: sparse_lu_solve(a, b),
+    }[solver]
+    x, report = solve()
+    assert report.converged
+    assert np.array_equal(report.residual, b - a @ x)
+    assert report == dataclasses.replace(report, residual=None)
+    assert " residual=" not in repr(report)
+
+
+# imports ksbcfd in a fresh interpreter, runs a sweep and then a corner run
+# whose density matrix stops being diagonally dominant at step 49, and
+# prints whether SuperLU's package was loaded after each
+_SUPERLU_ON_FIRST_USE = """
+import json, sys, warnings
+import ksbcfd.cli
+from ksbcfd.grid import build_corner_refined, make_grid
+from ksbcfd.problems import get_problem
+from ksbcfd.scheme import SchemeConfig, run
+
+config = ksbcfd.cli.parse_config(
+    '{"problem": "mms_accuracy", "mode": "convergence", '
+    '"grid": {"family": "uniform", "m_values": [8, 16]}, "t_final": 1.0}')
+rows = ksbcfd.cli.run_convergence(config)
+after_sweep = "scipy.sparse.linalg" in sys.modules
+problem = get_problem("blowup_corner")
+grid = make_grid(build_corner_refined(16), build_corner_refined(16))
+warnings.simplefilter("ignore")
+result = run(problem, grid, SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.05))
+print(json.dumps({"rows": len(rows), "after_sweep": after_sweep,
+                  "block_steps": sum(d.block_cells > 0 for d in result.diagnostics),
+                  "after_corner": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_superlu_is_loaded_by_the_first_factorization():
+    src = str(Path(ksbcfd.linalg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _SUPERLU_ON_FIRST_USE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["rows"] == 2 and not seen["after_sweep"]
+    assert seen["block_steps"] > 0 and seen["after_corner"]

@@ -23,6 +23,8 @@ from ksbcfd.scheme import (
     StepSolveError,
     UniquenessConditionWarning,
     Workspace,
+    _check_blowup,
+    _diagnostics,
     _solve_concentration,
     _solve_density,
     apply_chemotaxis,
@@ -389,7 +391,12 @@ class TestAssemblyOracle:
             cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
             fn = lambda x, y: np.cos(3 * x) * np.sin(2 * y + x)
         g = grad(cell_field_from_function(grid, fn))
-        band = reference_heat_band(grid, grid.cell_areas / cfg.tau, theta)
+        if theta == 0.5:
+            # the concentration matrix's band with its center lowered by W / 2
+            band = reference_heat_band(grid, (1.0 / cfg.tau + 0.5) * grid.cell_areas, 0.5)
+            band[C] -= 0.5 * grid.cell_areas
+        else:
+            band = reference_heat_band(grid, grid.cell_areas / cfg.tau, theta)
         reference_add_chemotaxis(band, grid, g, theta * cfg.lam)
         data, offsets = reference_five_point(band)
         block = reference_weak_rows_block(band)
@@ -457,12 +464,14 @@ class TestMarching:
         with pytest.raises(ValueError, match="two density levels"):
             step_cn(state, problem, ws)
         state1, _ = first_step(state, problem, ws)
-        with pytest.raises(ValueError, match="two density levels and a_curr"):
-            step_cn(dataclasses.replace(state1, a_curr=None), problem, ws)
+        for name in ("au_curr", "az_curr"):
+            with pytest.raises(ValueError, match="two density levels and the products"):
+                step_cn(dataclasses.replace(state1, **{name: None}), problem, ws)
 
     def test_density_solves_start_from_u_n_then_from_the_fit(self, monkeypatch):
-        # u^0 for both solves of the first step, u^1 on the second, which has
-        # no stored difference yet, and the fit by one difference on the third
+        # u^0 for both solves of the first step, whose Crank-Nicolson stage
+        # stores the first difference, then the fit by one difference on the
+        # second step and by two on the third
         problem = get_problem("global_existence")
         grid = unit_grid(8)
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.03))
@@ -478,14 +487,18 @@ class TestMarching:
         state2, _ = step_cn(state1, problem, ws)
         step_cn(state2, problem, ws)
         flat = lambda v: np.ravel(v, order="F")
-        assert len(solves) == 4 and len(state2.history.d_rhs) == 1
+        assert len(solves) == 4
+        assert len(state1.history.d_rhs) == 1 and len(state2.history.d_rhs) == 2
         assert np.array_equal(solves[0][1], flat(state0.u_curr.values))
         assert np.array_equal(solves[1][1], flat(state0.u_curr.values))
-        assert np.array_equal(solves[2][1], flat(state1.u_curr.values))
-        b, x0 = solves[3]
-        u2 = flat(state2.u_curr.values)
-        assert not np.array_equal(x0, u2)
-        assert np.array_equal(x0, state2.history.start(u2, state2.history.projection(b)))
+        for (b, x0), state in zip(solves[2:], (state1, state2)):
+            u = flat(state.u_curr.values)
+            assert not np.array_equal(x0, u)
+            projection = state.history.projection(b, state.au_curr)
+            assert np.array_equal(x0, state.history.start(u, projection))
+        # the newest two levels are the state's own arrays, not copies
+        assert np.shares_memory(state2.history.levels[0], state2.u_curr.values)
+        assert np.shares_memory(state2.history.levels[1], state2.u_prev.values)
 
     @staticmethod
     def check_against_dense_oracle(problem, grid):
@@ -552,39 +565,47 @@ class TestMarching:
         assert counts["u_system"] == steps + 2
         assert counts["grad"] <= steps + 2
 
-    def test_state_carries_the_density_matrix_of_its_concentration(self):
+    def test_state_carries_the_products_of_its_matrices(self):
+        # b - r of each solve is A x to rounding: within 4 eps (|A| |x|) of
+        # the product of a freshly assembled matrix, in every row
         problem = get_problem("global_existence")
         grid = perturbed_grid(8)
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.02))
         state0 = init_state(problem, grid)
-        assert state0.a_curr is None
+        assert state0.au_curr is None and state0.az_curr is None
         state1, _ = first_step(state0, problem, ws)
         state2, _ = step_cn(state1, problem, ws)
-        rebuilt = ws.u_system(grad(state2.z_curr))[0]
-        assert state2.a_curr.offsets.tolist() == rebuilt.offsets.tolist()
-        assert np.array_equal(state2.a_curr.data, rebuilt.data)
+        flat = lambda v: np.ravel(v, order="F")
+        for state in (state1, state2):
+            a_u = ws.u_system(grad(state.z_curr))[0]
+            for carried, a, x in ((state.au_curr, a_u, state.u_curr),
+                                  (state.az_curr, ws.z_system, state.z_curr)):
+                x = flat(x.values)
+                bound = 4.0 * np.finfo(np.float64).eps * (abs(a) @ np.abs(x))
+                assert np.all(np.abs(carried - a @ x) <= bound)
 
 
 def history_of(a, xs):
-    """The ``DensityHistory`` of the solves ``a x = b`` of each x in ``xs``, oldest first."""
+    """The ``DensityHistory`` of the solves ``a x = b`` of each x in ``xs``
+    after the first, oldest first, each from the x before it."""
     history = DensityHistory()
-    for x_prev, x in zip([None, *xs], xs):
-        b = a @ x
-        projection = history.projection(b)
-        history = history.pushed(b, None if x_prev is None else x - x_prev, projection)
+    for x_prev, x in zip(xs, xs[1:]):
+        projection = history.projection(a @ x, a @ x_prev)
+        history = history.pushed(x, x_prev, projection)
     return history
 
 
 class TestDensityHistory:
     def test_keeps_the_last_eight_as_differences_with_their_gram(self):
+        # 12 solves: the last nine solutions, the arrays themselves, and the
+        # eight right-hand-side differences between them
         _, a, _ = steep_patch_system(3.0)
-        xs = list(np.random.default_rng(71).standard_normal((12, a.shape[0])))
+        xs = list(np.random.default_rng(71).standard_normal((13, a.shape[0])))
         history = history_of(a, xs)
-        assert np.array_equal(history.rhs, a @ xs[-1])
-        assert len(history.d_rhs) == len(history.d_sol) == 8 and history.gram.shape == (8, 8)
+        assert len(history.levels) == 9 and all(v is x for v, x in zip(history.levels, xs[::-1]))
+        assert len(history.d_rhs) == 8 and history.gram.shape == (8, 8)
         for j in range(8):
             assert np.array_equal(history.d_rhs[j], a @ xs[-1 - j] - a @ xs[-2 - j])
-            assert np.array_equal(history.d_sol[j], xs[-1 - j] - xs[-2 - j])
         v = np.array(history.d_rhs)
         gram = v @ v.T
         assert np.allclose(history.gram, gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
@@ -592,25 +613,25 @@ class TestDensityHistory:
 
     @pytest.mark.parametrize("count", [2, 5, 9])
     def test_fit_is_exact_inside_the_span(self, count):
-        # a fixed matrix, ``count`` solves (``count - 1`` differences) and a
+        # a fixed matrix, ``count`` levels (``count - 1`` differences) and a
         # right-hand side in the affine span of the stored ones: the start
         # solves the system
         _, a, _ = steep_patch_system(3.0)
         rng = np.random.default_rng(72)
         xs = list(rng.standard_normal((count, a.shape[0])))
         history = history_of(a, xs)
-        assert len(history.d_rhs) == count - 1
+        assert len(history.levels) == count and len(history.d_rhs) == count - 1
         weights = rng.standard_normal(count)
         weights[-1] = 1.0 - weights[:-1].sum()
         x = weights @ np.array(xs)
-        x0 = history.start(xs[-1], history.projection(a @ x))
+        x0 = history.start(xs[-1], history.projection(a @ x, a @ xs[-1]))
         assert np.linalg.norm(x0 - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_extrapolation_is_the_fit_of_a_linear_trend(self):
         _, a, _ = steep_patch_system(3.0)
         x1, dx = np.random.default_rng(73).standard_normal((2, a.shape[0]))
         history = history_of(a, [x1, x1 + dx])
-        x0 = history.start(x1 + dx, history.projection(a @ (x1 + 2.0 * dx)))
+        x0 = history.start(x1 + dx, history.projection(a @ (x1 + 2.0 * dx), a @ (x1 + dx)))
         assert np.linalg.norm(x0 - (x1 + 2.0 * dx)) <= 1e-10 * np.linalg.norm(x1)
 
     def test_constant_state_stays_put(self):
@@ -636,7 +657,7 @@ class TestDensityHistory:
         state, _ = first_step(init_state(problem, grid), problem, ws)
         for _ in range(2):
             state, _ = step_cn(state, problem, ws)
-        assert len(state.history.d_rhs) == 2
+        assert len(state.history.d_rhs) == 3
         _, diag = step_cn(state, problem, ws)
         assert diag.block_cells == 0
         heat_only = starts[-1]
@@ -676,7 +697,7 @@ class TestDensityHistory:
         first, second = (run(get_problem("blowup_corner"), grid, cfg) for _ in range(2))
         assert sum(d.iters_u for d in first.diagnostics) <= 400
         assert first.diagnostics == second.diagnostics
-        stored = [(h.rhs, *h.d_rhs, *h.d_sol, h.gram)
+        stored = [(*h.levels, *h.d_rhs, h.gram)
                   for h in (first.state.history, second.state.history)]
         assert len(stored[0]) == len(stored[1]) == 18
         assert all(v.tobytes() == w.tobytes() for v, w in zip(*stored))
@@ -923,6 +944,25 @@ class TestRun:
         result = run(get_problem("blowup_center"), unit_grid(16), cfg)
         assert result.blew_up and len(result.diagnostics) < cfg.n_steps
         assert calls == {"first_step": 1, "step_cn": len(result.diagnostics) - 1}
+
+
+class TestBlowUpCheck:
+    @pytest.mark.parametrize("field, value", [("u", np.nan), ("u", np.inf), ("u", -np.inf),
+                                              ("z", -np.inf), ("u", -2e12)])
+    def test_non_finite_or_large_values_halt_as_blow_up(self, field, value):
+        # -inf in z leaves z_max finite; -2e12 in u crosses the threshold
+        # through u_min
+        grid = unit_grid(6)
+        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        values = {"u": np.ones(grid.shape), "z": np.ones(grid.shape)}
+        values[field][2, 3] = value
+        state = State(t=0.01, n=1, u_curr=CellField(grid, values["u"]), u_prev=None,
+                      z_curr=CellField(grid, values["z"]))
+        report = ksbcfd.linalg.SolveReport(True, 1, 0.0, "converged")
+        with np.errstate(invalid="ignore"):
+            diag = _diagnostics(state, grad(state.z_curr), cfg, report, (report,))
+        with pytest.raises(BlowUpDetected):
+            _check_blowup(state, diag, cfg)
 
 
 class TestErrorNorms:
