@@ -1,7 +1,9 @@
 """Sparse and tensor-product linear algebra for the per-step systems.
 
-Every solver takes the system as a plain scipy sparse matrix, of any
-format, and leaves its products to scipy.  There are a fast-diagonalization
+Every solver takes the system as a ``Matrix``: anything with a shape, a
+product ``@`` and ``abs()``, which the factorizations also convert to
+scipy's CSR or CSC form.  The stepper's matrices are ``FivePointMatrix``
+bands whose product runs in numpy.  There are a fast-diagonalization
 solver for the area-weighted heat operator of a tensor-product grid, which
 solves the concentration system directly and preconditions the density
 solves, with a single-precision variant used only as a preconditioner;
@@ -42,21 +44,24 @@ residual ``r = b - A x`` back (``SolveReport.residual``): ``b - r`` is the
 product ``A x`` to rounding, which the stepper carries to its next
 right-hand side instead of multiplying again.
 
-SuperLU is loaded by the first factorization (``block_corrected`` and
-``sparse_lu_solve`` import ``scipy.sparse.linalg`` themselves), so a run
-that never factors never loads it.
+scipy is loaded by the first factorization: ``block_corrected`` and
+``sparse_lu_solve`` import SuperLU (``scipy.sparse.linalg``), and a
+``FivePointMatrix`` imports ``scipy.sparse`` when it is converted for them.
+The products, the heat solver's axis modes and every vector operation stay
+in numpy, so a run that never factors loads no scipy module, and with it
+neither scipy's OpenBLAS nor its thread pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
+    "FivePointMatrix",
+    "Matrix",
     "SolveReport",
     "TensorHeatSolver",
     "block_corrected",
@@ -65,6 +70,74 @@ __all__ = [
     "direct_solve",
     "sparse_lu_solve",
 ]
+
+
+class Matrix(Protocol):
+    """What the solvers use of a square matrix: a ``FivePointMatrix`` or any
+    scipy sparse matrix.  Only the factorizations convert it to scipy's CSR
+    or CSC form."""
+
+    shape: tuple[int, int]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray: ...
+
+    def __abs__(self) -> Matrix: ...
+
+    def tocsr(self): ...
+
+    def tocsc(self): ...
+
+
+class FivePointMatrix:
+    """A five-point matrix held as its band, with a product in numpy.
+
+    Row k = i + nx j couples cell (i, j) with cells (i, j-1), (i-1, j),
+    (i, j), (i+1, j) and (i, j+1): diagonals -nx, -1, 0, 1 and nx
+    (``offsets``).  The band ``data``, shape (5, nx ny), is the matrix's DIA
+    data: row o of it holds the diagonal of offset o, entry (k, k + o) at
+    column k + o, zero where the neighbour lies outside the grid.  The
+    product sums each row from zero in the order of the offsets, as scipy's
+    DIA product does and, the offsets ascending, as a CSR product does, so
+    the three agree bit for bit.  ``tocsr``, ``tocsc`` and the dense
+    ``toarray`` import ``scipy.sparse``, which in a run only a
+    factorization needs.
+    """
+
+    def __init__(self, data: np.ndarray, nx: int):
+        self.data, self.nx = data, nx
+        self.shape = (data.shape[1], data.shape[1])
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return (-self.nx, -1, 0, 1, self.nx)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.shape[0]
+        y, tmp = np.zeros(n), np.empty(n)
+        for offset, diagonal in zip(self.offsets, self.data):
+            rows = slice(max(0, -offset), n - max(0, offset))
+            cols = slice(max(0, offset), n - max(0, -offset))
+            np.multiply(diagonal[cols], x[cols], out=tmp[rows])
+            y[rows] += tmp[rows]
+        return y
+
+    def __abs__(self) -> FivePointMatrix:
+        return FivePointMatrix(np.abs(self.data), self.nx)
+
+    def _dia(self):
+        import scipy.sparse as sp  # loaded by the first factorization
+
+        return sp.dia_matrix((self.data, self.offsets), shape=self.shape)
+
+    def tocsr(self):
+        return self._dia().tocsr()
+
+    def tocsc(self):
+        return self._dia().tocsc()
+
+    def toarray(self) -> np.ndarray:
+        return self._dia().toarray()
+
 
 # Denominators smaller than this (relative to the surrounding scale) count as
 # algorithmic breakdown.
@@ -88,7 +161,7 @@ class SolveReport:
 _BACKWARD_ULPS = 16
 
 
-def _backward_stable(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> bool:
+def _backward_stable(a: Matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> bool:
     """Whether ``r = b - A x`` has ``|r| <= _BACKWARD_ULPS eps (|A| |x| + |b|)`` in
     every row: a componentwise backward error (Oettli & Prager 1964) that
     float64 can meet where ``|A| |x|`` far outweighs ``|b|``."""
@@ -96,7 +169,7 @@ def _backward_stable(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray
         np.abs(r) <= _BACKWARD_ULPS * np.finfo(np.float64).eps * (abs(a) @ np.abs(x) + np.abs(b))))
 
 
-def _verdict(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm: float,
+def _verdict(a: Matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm: float,
              tol: float, iterations: int, reason: str) -> SolveReport:
     """The report of a solve that returns ``x``, with residual ``r = b - A x``.
 
@@ -115,14 +188,15 @@ def _verdict(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm
 _RESTART_TARGET = 0.1
 
 
-def _refined(a: sp.spmatrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: int | None = None,
+def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: int | None = None,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve ``a x = b`` by a first pass of ``sweep`` and at most one refinement pass.
 
     ``sweep(r, tol_abs, max_iter) -> (dx, iterations, reason)`` solves
     ``A dx = r`` aiming at ``|r - A dx| <= tol_abs``.  The first pass runs on
-    the residual of ``x0`` (zero by default, with no product) aimed at
-    ``tol |b|``.  When the true residual misses ``tol`` after a pass that
+    the residual of ``x0`` aimed at ``tol |b|``, or from zero when ``x0`` is
+    None (with no product) or its residual exceeds ``|b|``, zero's residual.
+    When the true residual misses ``tol`` after a pass that
     converged or broke down, the refinement pass runs on it aimed at
     ``_RESTART_TARGET`` times that.  A swept solution is kept when it lowers
     the 2-norm residual, or when it is ``_backward_stable`` and the solution
@@ -136,8 +210,12 @@ def _refined(a: sp.spmatrix, b: np.ndarray, sweep: Callable, tol: float, max_ite
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged", residual=b)
     if max_iter is None:
         max_iter = 10 * n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b if x0 is None else b - a @ x
+    x, r = np.zeros(n), b
+    if x0 is not None:
+        x0 = np.array(x0, dtype=np.float64)
+        r0 = b - a @ x0
+        if np.linalg.norm(r0) <= b_norm:
+            x, r = x0, r0
     res = float(np.linalg.norm(r) / b_norm)
     iterations, reason = 0, "converged"
     for target in (tol * b_norm, _RESTART_TARGET * tol * b_norm):
@@ -155,7 +233,7 @@ def _refined(a: sp.spmatrix, b: np.ndarray, sweep: Callable, tol: float, max_ite
                        "stagnated" if reason == "converged" else reason)
 
 
-def cg(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+def cg(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
        tol: float = 1e-12, max_iter: int | None = None,
        x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned Conjugate Gradient for SPD systems.
@@ -167,7 +245,7 @@ def cg(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray
                     tol, max_iter, x0)
 
 
-def _cg_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
+def _cg_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
               max_iter: int) -> tuple[np.ndarray, int, str]:
     """One preconditioned CG pass from a zero initial guess.
 
@@ -203,7 +281,7 @@ def _cg_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
 _STAGNATION_WINDOW = 500
 
 
-def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
+def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
                     max_iter: int) -> tuple[np.ndarray, int, str]:
     """One BiCGStab pass from a zero initial guess.
 
@@ -272,7 +350,7 @@ def _bicgstab_sweep(a: sp.spmatrix, b: np.ndarray, m: Callable, tol_abs: float,
     return best_x, iterations, "max_iter"
 
 
-def bicgstab(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+def bicgstab(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
              tol: float = 1e-12, max_iter: int | None = None,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Right-preconditioned BiCGStab for general square systems.
@@ -290,20 +368,39 @@ def bicgstab(a: sp.spmatrix, b: np.ndarray, precond: Callable[[np.ndarray], np.n
                     tol, max_iter, x0)
 
 
+# An axis is uniform when its cell and dual widths lie within this relative
+# distance of (hi - lo) / n: ``build_uniform``'s lie within 5e-13 for n up
+# to 2 000.
+_UNIFORM_RTOL = 1e-12
+
+
 def _axis_modes(axis) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized eigenpairs ``K V = W V diag(mu)``, ``V^T W V = I``, of one axis.
+    """Generalized eigenpairs ``K V = W V diag(mu)``, ``V^T W V = I``, of one
+    axis, ``mu`` ascending.
 
     ``W = diag(cell_widths)`` and ``K`` is the zero-flux stiffness matrix with
-    couplings ``c = 1 / dual_widths``.  They come from the symmetric
-    tridiagonal ``W^-1/2 K W^-1/2 = Q diag(mu) Q^T`` as ``V = W^-1/2 Q``.
+    couplings ``c = 1 / dual_widths``.  A uniform axis of width ``h`` takes
+    the closed form, the DCT-II basis (Strang 1999, SIAM Review 41):
+    ``V[i, k] ~ cos(pi k (i + 1/2) / n)`` and ``mu_k = (2 / h sin(pi k / 2n))^2``,
+    with each cosine's argument reduced exactly, in integers, to ``[0, 2 pi)``.
+    Any other axis takes numpy's dense ``eigh`` of the symmetric tridiagonal
+    ``W^-1/2 K W^-1/2 = Q diag(mu) Q^T``, and ``V = W^-1/2 Q``.
     """
     w = axis.cell_widths
+    n = w.size
+    h = (axis.hi - axis.lo) / n
+    if all(np.all(np.abs(v - h) <= _UNIFORM_RTOL * h) for v in (w, axis.dual_widths)):
+        k = np.arange(n)
+        q = np.cos(np.pi / (2 * n) * (np.outer(2 * k + 1, k) % (4 * n)))
+        q[:, 0] = np.sqrt(0.5)
+        return q * np.sqrt(2.0 / (n * h)), (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
     c = 1.0 / axis.dual_widths
-    k_diag = np.zeros(w.size)
+    k_diag = np.zeros(n)
     k_diag[:-1] += c
     k_diag[1:] += c
     r = 1.0 / np.sqrt(w)
-    mu, q = eigh_tridiagonal(k_diag / w, -c * r[:-1] * r[1:])
+    off = np.diag(-c * r[:-1] * r[1:], 1)
+    mu, q = np.linalg.eigh(np.diag(k_diag / w) + off + off.T)
     return q * r[:, None], mu
 
 
@@ -397,7 +494,7 @@ class TensorHeatSolver:
         return np.multiply(x, 2.0**e, dtype=np.float64).ravel()
 
 
-def block_corrected(a: sp.spmatrix, precond: Callable[[np.ndarray], np.ndarray],
+def block_corrected(a: Matrix, precond: Callable[[np.ndarray], np.ndarray],
                     rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """``precond`` followed by an exact solve of ``a`` on the index set ``rows``.
 
@@ -428,7 +525,7 @@ def block_corrected(a: sp.spmatrix, precond: Callable[[np.ndarray], np.ndarray],
     return corrected
 
 
-def direct_solve(a: sp.spmatrix, b: np.ndarray, inverse: Callable[[np.ndarray], np.ndarray],
+def direct_solve(a: Matrix, b: np.ndarray, inverse: Callable[[np.ndarray], np.ndarray],
                  tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of ``a x = b`` by ``inverse``, a map ``r -> A^-1 r``.
 
@@ -441,7 +538,7 @@ def direct_solve(a: sp.spmatrix, b: np.ndarray, inverse: Callable[[np.ndarray], 
     return _refined(a, b, lambda r, *_: (inverse(r), 0, "breakdown"), tol)
 
 
-def sparse_lu_solve(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
+def sparse_lu_solve(a: Matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
     """``direct_solve`` by sparse LU factorization (scipy's SuperLU).
 
     Deterministic and single-threaded.  The columns are ordered by minimum
@@ -461,7 +558,7 @@ def sparse_lu_solve(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-12) -> tuple[
     return direct_solve(a, b, lu.solve, tol)
 
 
-def _checked_rhs(a: sp.spmatrix, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+def _checked_rhs(a: Matrix, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """``b`` as float64 and its 2-norm, once ``a`` is square, ``b`` a finite
     vector of matching length and ``tol`` positive."""
     b = np.asarray(b, dtype=np.float64)

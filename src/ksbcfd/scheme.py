@@ -41,9 +41,11 @@ and acceptance stay in float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
 of consecutive right-hand sides, and dX holds the differences of the last
 nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
-c = e_0.  On the corner blow-up run at 180^2 the solves take 705 BiCGStab
-iterations, where the extrapolation alone takes 989.  When BiCGStab does
-not converge, the same system is solved once more by sparse LU (SuperLU).
+c = e_0.  A start whose residual exceeds |b| gives way to zero
+(``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
+676 BiCGStab iterations, where the extrapolation alone takes 989.  When
+BiCGStab does not converge, the same system is solved once more by sparse
+LU (SuperLU).
 Every solve, direct or iterative, refines its solution once when the
 recomputed residual misses the solver tolerance 1e-12, keeps the
 refinement when it lowers that residual or when only it passes the
@@ -52,8 +54,9 @@ tolerance or its componentwise backward error is at most 16 units of
 roundoff.
 
 Every matrix is a five-point stencil, built one way: its entries are
-written into a band that a scipy DIA matrix takes as its data, one row per
-neighbour in the flat order of the unknowns (``_five_point``).
+written into a band, the DIA data of a ``linalg.FivePointMatrix``, one row
+per neighbour in the flat order of the unknowns (``_five_point``), and its
+products run in numpy.  scipy is loaded only by a step that factors.
 ``Workspace`` assembles the constant concentration matrix once per run;
 its band is the only one a run keeps.  Density matrices change every step
 with the concentration gradient: each step copies the concentration band,
@@ -85,7 +88,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .fields import (
@@ -420,21 +422,12 @@ def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s:
     south[:-1, :] -= s * coef_b
 
 
-def _five_point(band: np.ndarray, nx: int) -> sp.dia_matrix:
-    """The five-point matrix of a band.
-
-    Row k = i + nx j of a five-point matrix couples cell (i, j) with cells
-    (i, j-1), (i-1, j), (i, j), (i+1, j) and (i, j+1): diagonals -nx, -1, 0,
-    1 and nx.  A band is the matrix's DIA data, shape (5, nx ny): row o of
-    it holds the diagonal of offset o, entry (k, k + o) at column k + o,
-    zero where the neighbour lies outside the grid.  In ascending order of
-    the offsets, scipy's DIA product sums each row in column order, as a
-    CSR product does.
-    """
+def _five_point(band: np.ndarray, nx: int) -> linalg.FivePointMatrix:
+    """The five-point matrix of a band (``linalg.FivePointMatrix``), whose
+    entries must be finite."""
     if not np.all(np.isfinite(band)):
         raise ValueError("matrix entries must be finite")
-    n = band.shape[1]
-    return sp.dia_matrix((band, (-nx, -1, 0, 1, nx)), shape=(n, n))
+    return linalg.FivePointMatrix(band, nx)
 
 
 def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
@@ -471,7 +464,7 @@ class Workspace:
         self.z_inverse = functools.partial(self.heat.solve, s=s, theta=theta)
 
     def u_system(self, g: GradientPair, theta: float = 0.5
-                 ) -> tuple[sp.dia_matrix, np.ndarray | None]:
+                 ) -> tuple[linalg.FivePointMatrix, np.ndarray | None]:
         """The density system (1/tau) W - theta W L + theta lam W C(g), for
         theta 1/2 (Crank-Nicolson) or 1 (the backward-Euler predictor), and
         the block bounding its rows that are not diagonally dominant
@@ -541,7 +534,7 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     return x, report
 
 
-def _solve_density(ws: Workspace, system: sp.dia_matrix, block: np.ndarray | None,
+def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndarray | None,
                    rhs: np.ndarray, theta: float, step: int, name: str,
                    x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab from ``x0`` for a density system from ``Workspace.u_system``,

@@ -11,9 +11,10 @@ import scipy.sparse as sp
 
 import ksbcfd.linalg
 from ksbcfd.fields import CellField, grad
-from ksbcfd.grid import build_corner_refined, build_random_perturbed, make_grid
+from ksbcfd.grid import build_corner_refined, build_random_perturbed, build_uniform, make_grid
 from ksbcfd.linalg import (
     _STAGNATION_WINDOW,
+    FivePointMatrix,
     TensorHeatSolver,
     bicgstab,
     block_corrected,
@@ -390,6 +391,62 @@ class TestBlockCorrected:
         assert block_corrected(a, np.copy, np.array([0])) is np.copy  # a_00 = 0
 
 
+def random_band(nx, ny, seed):
+    """A random five-point band on an nx x ny grid, zero in each slot whose
+    neighbour lies outside the grid, with a product operand holding zeros of
+    both signs."""
+    rng = np.random.default_rng(seed)
+    band = rng.standard_normal((5, ny, nx))
+    south, west, _, east, north = band  # slot of offset o holds entry (k - o, k)
+    south[-1, :] = west[:, -1] = east[:, 0] = north[0, :] = 0.0
+    x = rng.standard_normal(nx * ny)
+    x[::7], x[3::7] = 0.0, -0.0
+    return band.reshape(5, nx * ny), x
+
+
+class TestFivePointMatrix:
+    @pytest.mark.parametrize("nx, ny", [(7, 4), (4, 7), (40, 30)])
+    def test_product_is_bit_equal_to_csr(self, nx, ny):
+        band, x = random_band(nx, ny, nx * ny)
+        a = FivePointMatrix(band, nx)
+        assert a.shape == (nx * ny, nx * ny)
+        assert (a @ x).tobytes() == (a.tocsr() @ x).tobytes()
+        assert (abs(a) @ x).tobytes() == (abs(a.tocsr()) @ x).tobytes()
+        assert np.array_equal(a.tocsc().toarray(), a.toarray())
+
+
+def stiffness(axis):
+    """The zero-flux stiffness matrix K of an axis, dense."""
+    c = 1.0 / axis.dual_widths
+    k = np.diag(np.r_[c, 0.0] + np.r_[0.0, c])
+    return k - np.diag(c, 1) - np.diag(c, -1)
+
+
+class TestAxisModes:
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 64), (-0.5, 0.5, 33), (0.0, 2 * np.pi, 160)])
+    def test_uniform_closed_form_is_an_eigenbasis(self, lo, hi, n):
+        # the widths lie within _UNIFORM_RTOL of (hi - lo) / n, for which the
+        # closed form is exact: every check holds to a few times that
+        bound = 4 * ksbcfd.linalg._UNIFORM_RTOL
+        axis = build_uniform(lo, hi, n)
+        v, mu = ksbcfd.linalg._axis_modes(axis)
+        w, k = axis.cell_widths, stiffness(axis)
+        assert np.max(np.abs(v.T @ (w[:, None] * v) - np.eye(n))) <= bound
+        assert np.max(np.abs(k @ v - w[:, None] * v * mu)) <= bound * np.abs(k).max() * np.abs(v).max()
+        r = 1.0 / np.sqrt(w)
+        reference = np.linalg.eigh(r[:, None] * k * r)[0]
+        assert np.max(np.abs(mu - reference)) <= bound * reference.max()
+
+    def test_uniform_axes_take_no_eigensolver(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        TensorHeatSolver(build_uniform(0, 1, 12), build_uniform(-1, 1, 9))
+        with pytest.raises(AssertionError, match="eigh called"):  # a non-uniform axis does
+            TensorHeatSolver(build_uniform(0, 1, 12), build_corner_refined(9))
+
+
 def rectangular_grid():
     """13 x 8 cells on two different non-uniform axes, so an x/y mix-up in
     the flattening of the unknowns cannot cancel out."""
@@ -544,7 +601,7 @@ class TestTensorHeatSolver:
         b = np.random.default_rng(43).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         x, rep = bicgstab(a, b, lambda r: heat.solve(r, 1.0 / self.tau, 0.5))
-        _, plain = bicgstab(a, b, jacobi(a))
+        _, plain = bicgstab(a, b, jacobi(a.tocsr()))
         assert rep.converged and plain.converged
         assert rep.iterations < plain.iterations
         assert np.max(np.abs(x - np.linalg.solve(a.toarray(), b))) <= 1e-10
@@ -578,36 +635,63 @@ def test_report_hands_back_the_true_residual(solver):
     assert " residual=" not in repr(report)
 
 
-# imports ksbcfd in a fresh interpreter, runs a sweep and then a corner run
-# whose density matrix stops being diagonally dominant at step 49, and
-# prints whether SuperLU's package was loaded after each
-_SUPERLU_ON_FIRST_USE = """
-import json, sys, warnings
+@pytest.mark.parametrize("solver", [cg, bicgstab])
+def test_start_worse_than_zero_is_dropped(solver):
+    # a start whose residual exceeds |b| gives way to zero, with its report
+    a, _ = random_spd(12, 83)
+    b = np.random.default_rng(84).standard_normal(12)
+    x_far, far = solver(a, b, jacobi(a), x0=1e6 * np.ones(12))
+    x_zero, zero = solver(a, b, jacobi(a))
+    assert far == zero and np.array_equal(far.residual, zero.residual)
+    assert np.array_equal(x_far, x_zero)
+
+
+# imports ksbcfd in a fresh interpreter, runs a uniform sweep, a uniform
+# run-mode command whose density rows all stay diagonally dominant, and then
+# a corner run whose density matrix stops being diagonally dominant at step
+# 49; prints the scipy modules loaded after each of the first three and
+# whether SuperLU's package was loaded after the last
+_SCIPY_ON_FIRST_FACTORIZATION = """
+import json, pathlib, sys, tempfile, warnings
 import ksbcfd.cli
 from ksbcfd.grid import build_corner_refined, make_grid
 from ksbcfd.problems import get_problem
 from ksbcfd.scheme import SchemeConfig, run
 
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+seen = {"import": scipy_modules()}
 config = ksbcfd.cli.parse_config(
     '{"problem": "mms_accuracy", "mode": "convergence", '
     '"grid": {"family": "uniform", "m_values": [8, 16]}, "t_final": 1.0}')
-rows = ksbcfd.cli.run_convergence(config)
-after_sweep = "scipy.sparse.linalg" in sys.modules
+seen["rows"] = len(ksbcfd.cli.run_convergence(config))
+seen["sweep"] = scipy_modules()
+with tempfile.TemporaryDirectory() as tmp:
+    path = pathlib.Path(tmp, "run.json")
+    path.write_text('{"problem": "global_existence", "mode": "run", '
+                    '"grid": {"family": "uniform", "m": 16}, "tau": 0.001, "t_final": 0.01}')
+    seen["exit"] = ksbcfd.cli.main(["run", "--config", str(path),
+                                    "--out-dir", str(pathlib.Path(tmp, "out")), "--quiet"])
+seen["run"] = scipy_modules()
 problem = get_problem("blowup_corner")
 grid = make_grid(build_corner_refined(16), build_corner_refined(16))
 warnings.simplefilter("ignore")
 result = run(problem, grid, SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.05))
-print(json.dumps({"rows": len(rows), "after_sweep": after_sweep,
-                  "block_steps": sum(d.block_cells > 0 for d in result.diagnostics),
-                  "after_corner": "scipy.sparse.linalg" in sys.modules}))
+seen["block_steps"] = sum(d.block_cells > 0 for d in result.diagnostics)
+seen["after_corner"] = "scipy.sparse.linalg" in sys.modules
+print(json.dumps(seen))
 """
 
 
 def test_superlu_is_loaded_by_the_first_factorization():
+    # a run that never factors loads no scipy module; the first block
+    # correction loads SuperLU
     src = str(Path(ksbcfd.linalg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _SUPERLU_ON_FIRST_USE], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_FACTORIZATION], env=env,
+                         check=True, capture_output=True, text=True).stdout
     seen = json.loads(out.splitlines()[-1])
-    assert seen["rows"] == 2 and not seen["after_sweep"]
+    assert seen["import"] == seen["sweep"] == seen["run"] == []
+    assert seen["rows"] == 2 and seen["exit"] == 0
     assert seen["block_steps"] > 0 and seen["after_corner"]

@@ -13,7 +13,7 @@ import ksbcfd.linalg
 import ksbcfd.scheme
 from ksbcfd.fields import CellField, cell_field_from_function, grad, inner_m, norm_m
 from ksbcfd.grid import build_corner_refined, build_uniform, build_random_perturbed, make_grid
-from ksbcfd.linalg import bicgstab, block_corrected
+from ksbcfd.linalg import FivePointMatrix, bicgstab, block_corrected
 from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     BlowUpDetected,
@@ -281,13 +281,13 @@ class TestSystemStructure:
         ws = workspace(grid, tau)
         a_z = ws.z_system
         weight = np.ravel((1.0 / tau + 0.5) * grid.cell_areas, order="F")
-        assert np.max(np.abs(a_z.sum(axis=0).A1 - weight)) <= 1e-14
+        assert np.max(np.abs(a_z.tocsr().sum(axis=0).A1 - weight)) <= 1e-14
         state = init_state(get_problem("global_existence"), grid)
         g = grad(state.z_curr)
         assert g.inf_norm() > 0.0
         a_u = ws.u_system(g)[0]
         weight = np.ravel(grid.cell_areas / tau, order="F")
-        assert np.max(np.abs(a_u.sum(axis=0).A1 - weight)) <= 1e-12 * np.abs(a_u.data).max()
+        assert np.max(np.abs(a_u.tocsr().sum(axis=0).A1 - weight)) <= 1e-12 * np.abs(a_u.data).max()
 
     def test_five_point_matrices_are_dia_with_csr_products(self):
         # ascending offsets, no coupling across the wrap from the east edge
@@ -301,8 +301,8 @@ class TestSystemStructure:
         ws = Workspace(grid, cfg)
         x = np.random.default_rng(53).standard_normal(nx * ny)
         for a in (ws.z_system, ws.u_system(g)[0], ws.u_system(g, 1.0)[0]):
-            assert a.format == "dia" and a.shape == (28, 28)
-            assert a.offsets.tolist() == [-nx, -1, 0, 1, nx]
+            assert isinstance(a, FivePointMatrix) and a.shape == (28, 28)
+            assert a.offsets == (-nx, -1, 0, 1, nx)
             dense = a.toarray()
             for j in range(ny - 1):
                 east, west = nx - 1 + nx * j, nx * (j + 1)
@@ -404,7 +404,7 @@ class TestAssemblyOracle:
 
         system, rows = Workspace(grid, cfg).u_system(g, theta)
         assert bit_equal(system.data, data)
-        assert system.offsets.tolist() == list(offsets)
+        assert system.offsets == offsets
         assert rows is None if block is None else np.array_equal(rows, block)
 
     def test_z_system_is_bit_equal_to_the_band_path(self):
@@ -708,10 +708,9 @@ def test_no_module_binds_a_scipy_blas_or_lapack_routine():
     OpenBLAS with its own thread pool: at two threads, each pool's spinning
     workers hold the core that the other pool needs, and one scipy ``daxpy``
     per step made a corner run 3-4 times as slow.  SuperLU (the block
-    correction and the direct fallback) and the set-up's ``eigh_tridiagonal``
-    still call scipy's BLAS and LAPACK, through scipy's own modules: with no
-    scipy routine between the step's numpy products, a corner run takes as
-    long at two threads as at one.
+    correction and the direct fallback) still calls scipy's BLAS, through
+    scipy's own modules: with no scipy routine between the step's numpy
+    products, a corner run takes as long at two threads as at one.
     """
     fortran = type(scipy.linalg.blas.daxpy)
     found = [f"{name}.{key}" for name, module in sorted(sys.modules.items())
@@ -782,7 +781,7 @@ class TestSolveFallback:
 
     def test_failed_fallback_names_both_causes(self, monkeypatch):
         ws, system, _ = steep_patch_system(0.3)
-        system = system.tolil()
+        system = system.tocsr().tolil()
         system[5, :] = 0.0  # an all-zero row: SuperLU finds the factor exactly singular
         system = system.tocsr()
         one_iteration_bicgstab(monkeypatch)
