@@ -21,11 +21,13 @@ Each snapshot time must lie on a step: a whole multiple of tau in
 grid run the document implies, so every configuration error is found before
 a run starts or a file is written.
 
-Output names are distinct file names in --out-dir (or $KSBCFD_OUT_DIR when
-the flag is absent), and none is ``meta.json`` or starts with ``snapshot_``,
-the names of the snapshots.  Every invocation writes ``meta.json``: the
-parsed configuration without its output names, plus the per-axis sub-seeds
-of random grids.  The paper's largest jitter,
+Every file goes into --out-dir (the working directory when the flag is
+absent), under a fixed name: ``meta.json`` always, ``convergence.csv`` for a
+sweep, and for a run or blow-up study ``diagnostics.csv`` and the snapshots
+``snapshot_{rho,c}_<step>.<csv|vtk>``, plus ``summary.json`` for a blow-up
+study.  Only a run or blow-up study reads ``outputs``.  ``meta.json`` holds
+the parsed configuration without ``outputs``, plus the per-axis sub-seeds of
+random grids.  The paper's largest jitter,
 beta = 0.5, sits on the open boundary of the admissible interval; it is
 accepted and evaluated at the largest representable value below 0.5
 (recorded as ``beta_effective``).
@@ -41,7 +43,6 @@ import ctypes
 import functools
 import json
 import math
-import os
 import sys
 import types
 import typing
@@ -84,7 +85,6 @@ __all__ = [
 
 GRID_FAMILIES = ("uniform", "random", "middle", "corner")
 MODES = ("run", "convergence", "blowup")
-ENV_OUT_DIR = "KSBCFD_OUT_DIR"
 
 
 class ConfigError(ValueError):
@@ -118,21 +118,13 @@ class GridConfig:
         return float(np.nextafter(0.5, 0.0)) if self.beta == 0.5 else self.beta
 
 
-_MARCHING = ("run", "blowup")
-
-
 @dataclass(frozen=True)
 class OutputConfig:
-    """Output names and snapshot settings.  The ``modes`` metadata of each
-    field names the modes that read it; a config for any other mode that
-    sets the key is rejected."""
+    """The snapshots of a run or blow-up study; a sweep that sets any key
+    is rejected."""
 
-    diagnostics: str = field(default="diagnostics.csv", metadata={"modes": _MARCHING})
-    table: str = field(default="convergence.csv", metadata={"modes": ("convergence",)})
-    summary: str = field(default="summary.json", metadata={"modes": ("blowup",)})
-    # each a time on a step in [0, t_final]
-    snapshot_times: tuple[float, ...] = field(default=(), metadata={"modes": _MARCHING})
-    snapshot_format: str = field(default="csv", metadata={"modes": _MARCHING})  # csv or vtk
+    snapshot_times: tuple[float, ...] = ()  # each a time on a step in [0, t_final]
+    snapshot_format: str = "csv"             # csv or vtk
 
 
 @dataclass(frozen=True)
@@ -251,22 +243,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("tau", "convergence mode derives tau from the grid spacing")
     elif config.tau is None:
         raise ConfigError("tau", "missing required key")
-    read = {f.name for f in fields(OutputConfig) if mode in f.metadata["modes"]}
-    for key in raw.get("outputs", {}):
-        if key not in read:
-            raise ConfigError(f"outputs.{key}", f"not read in {mode} mode")
+    outputs = raw.get("outputs", {})
+    if mode == "convergence" and outputs:
+        raise ConfigError(f"outputs.{next(iter(outputs))}", "not read in convergence mode")
     if config.outputs.snapshot_format not in ("csv", "vtk"):
         raise ConfigError("outputs.snapshot_format", "must be 'csv' or 'vtk'")
-    names = {}  # each output name the mode writes, and its key
-    for key in (k for k in ("diagnostics", "table", "summary") if k in read):
-        name = getattr(config.outputs, key)
-        if (name in ("", ".", "..", "meta.json") or name.startswith("snapshot_")
-                or "/" in name or os.sep in name):
-            raise ConfigError(f"outputs.{key}", f"{name!r} is not a file name in the output "
-                                                "directory other than meta.json and snapshot_*")
-        if name in names:
-            raise ConfigError(f"outputs.{key}", f"{name!r} is also outputs.{names[name]}")
-        names[name] = key
 
     for m in config.grid.sizes:
         try:
@@ -447,9 +428,9 @@ def run_single(config: RunConfig, out_dir: Path) -> RunResult:
         result = run(problem, grid, _scheme_config(config, problem, config.grid.m),
                      on_step=_snapshot_writer(config, out_dir))
     except StepSolveError as failure:
-        diagnostics_to_csv(failure.diagnostics, out_dir / config.outputs.diagnostics)
+        diagnostics_to_csv(failure.diagnostics, out_dir / "diagnostics.csv")
         raise
-    diagnostics_to_csv(result.diagnostics, out_dir / config.outputs.diagnostics)
+    diagnostics_to_csv(result.diagnostics, out_dir / "diagnostics.csv")
     return result
 
 
@@ -474,15 +455,15 @@ def run_blowup(config: RunConfig, out_dir: Path) -> dict:
         "argmax_first": [d[0].argmax_i, d[0].argmax_j],
         "argmax_last": [d[-1].argmax_i, d[-1].argmax_j],
     }
-    with open(out_dir / config.outputs.summary, "w", encoding="utf-8") as f:
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     return summary
 
 
 def _write_meta(config: RunConfig, out_dir: Path) -> None:
-    """meta.json: the parsed configuration without its output names and the
-    grid keys it leaves unset, plus the sub-seeds a random grid draws from."""
+    """meta.json: the parsed configuration without its outputs and the grid
+    keys it leaves unset, plus the sub-seeds a random grid draws from."""
     meta = asdict(config)
     del meta["outputs"]
     grid = {key: value for key, value in meta["grid"].items() if value is not None}
@@ -535,8 +516,8 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
-        p.add_argument("--out-dir", default=None, help="directory for output files "
-                       f"(default: ${ENV_OUT_DIR} or the current directory)")
+        p.add_argument("--out-dir", default=".", help="directory for output files "
+                       "(default: the current directory)")
         p.add_argument("--quiet", action="store_true", help="suppress stdout")
     args = parser.parse_args(argv)
 
@@ -545,7 +526,7 @@ def main(argv=None) -> int:
         if config.mode != args.command:
             raise ConfigError("mode", f"config says {config.mode!r} but the "
                               f"{args.command!r} command was invoked")
-        out_dir = Path(args.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
+        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_meta(config, out_dir)
     except (OSError, ConfigError) as exc:  # exit 1 is a solver failure's
@@ -556,7 +537,7 @@ def main(argv=None) -> int:
     try:
         if config.mode == "convergence":
             rows = run_convergence(config)
-            (out_dir / config.outputs.table).write_text(rows_to_csv(rows), encoding="utf-8")
+            (out_dir / "convergence.csv").write_text(rows_to_csv(rows), encoding="utf-8")
             if not args.quiet:
                 print(emit_table(rows), end="")
             return 1 if any(r.failed for r in rows) else 0

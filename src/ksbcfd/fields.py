@@ -81,9 +81,6 @@ class _FieldBase:
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
     def argmax(self) -> tuple[int, int]:
         """Index (i, j) of the maximum; ties break to the lowest (j, i)."""
         k = int(np.argmax(self.values.ravel(order="F")))

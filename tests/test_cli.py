@@ -59,8 +59,8 @@ class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL_RUN))
         assert cfg.blowup_threshold == 1e12
-        assert cfg.outputs.diagnostics == "diagnostics.csv"
         assert cfg.outputs.snapshot_times == ()
+        assert cfg.outputs.snapshot_format == "csv"
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -102,40 +102,16 @@ class TestParseConfig:
         assert cfg.outputs.snapshot_times == (0.0, 0.07 - 0.06, 0.02)
 
     def test_outputs_keys_the_mode_does_not_read_rejected(self):
-        values = {"diagnostics": "d.csv", "snapshot_times": [0.0], "snapshot_format": "vtk",
-                  "summary": "s.json", "table": "t.csv"}
-        cases = [(MINIMAL_SWEEP, k) for k in ("snapshot_times", "snapshot_format",
-                                              "diagnostics", "summary")]
-        cases += [(MINIMAL_RUN, "table"), (MINIMAL_RUN, "summary"),
-                  (dict(MINIMAL_RUN, mode="blowup"), "table")]
-        for doc, key in cases:
-            with pytest.raises(ConfigError, match=f"outputs.{key}: not read in {doc['mode']} mode"):
-                parse_config(json.dumps(dict(doc, outputs={key: values[key]})))
+        for key, value in (("snapshot_times", [0.0]), ("snapshot_format", "vtk")):
+            with pytest.raises(ConfigError, match=f"outputs.{key}: not read in convergence mode"):
+                parse_config(json.dumps(dict(MINIMAL_SWEEP, outputs={key: value})))
 
     def test_outputs_keys_each_mode_reads_accepted(self):
-        run_keys = {"diagnostics": "d.csv", "snapshot_times": [0.0], "snapshot_format": "vtk"}
-        cfg = parse_config(json.dumps(dict(MINIMAL_RUN, outputs=run_keys)))
-        assert cfg.outputs.snapshot_format == "vtk"
-        cfg = parse_config(json.dumps(dict(MINIMAL_RUN, mode="blowup",
-                                           outputs=dict(run_keys, summary="s.json"))))
-        assert cfg.outputs.summary == "s.json"
-        cfg = parse_config(json.dumps(dict(MINIMAL_SWEEP, outputs={"table": "t.csv"})))
-        assert cfg.outputs.table == "t.csv"
-
-    def test_output_names_must_be_distinct_file_names_in_the_output_directory(self):
-        blowup = dict(MINIMAL_RUN, mode="blowup")
-        cases = [(MINIMAL_RUN, "diagnostics", name)
-                 for name in ("", ".", "..", "meta.json", "sub/d.csv", "/d.csv",
-                              "snapshot_rho_000000.csv")]
-        cases += [(blowup, "summary", "nosuch/s.json"),
-                  (blowup, "summary", "diagnostics.csv"),  # the diagnostics' default
-                  (MINIMAL_SWEEP, "table", "meta.json")]
-        for doc, key, name in cases:
-            with pytest.raises(ConfigError, match=f"outputs.{key}: "):
-                parse_config(json.dumps(dict(doc, outputs={key: name})))
-        # a name the mode does not write may repeat another's
-        cfg = parse_config(json.dumps(dict(MINIMAL_RUN, outputs={"diagnostics": "summary.json"})))
-        assert cfg.outputs.diagnostics == cfg.outputs.summary
+        keys = {"snapshot_times": [0.0], "snapshot_format": "vtk"}
+        for doc in (MINIMAL_RUN, dict(MINIMAL_RUN, mode="blowup")):
+            cfg = parse_config(json.dumps(dict(doc, outputs=keys)))
+            assert cfg.outputs.snapshot_times == (0.0,)
+            assert cfg.outputs.snapshot_format == "vtk"
 
     def test_convergence_mode_shape(self):
         text = json.dumps({
@@ -263,10 +239,9 @@ class TestMainCommand:
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        assert (out / "diagnostics.csv").exists()
-        assert (out / "meta.json").exists()
-        assert (out / "snapshot_rho_000000.csv").exists()
-        assert (out / "snapshot_c_000002.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics.csv", "meta.json", "snapshot_c_000000.csv", "snapshot_c_000002.csv",
+            "snapshot_rho_000000.csv", "snapshot_rho_000002.csv"]
         assert "finished" in capsys.readouterr().out
 
     def test_out_of_range_snapshot_time_exits_2(self, tmp_path, capsys):
@@ -348,29 +323,34 @@ class TestMainCommand:
         assert len(rows) == 1 + 3
         assert rows == (whole / "diagnostics.csv").read_text().splitlines()[:4]
 
-    @pytest.mark.parametrize("doc, key", [
-        (dict(MINIMAL_RUN, problem="nope"), "problem"),
+    @pytest.mark.parametrize("doc, error", [
+        (dict(MINIMAL_RUN, problem="nope"), "problem: "),
         (dict(MINIMAL_RUN, grid={"family": "random", "m": 8, "beta": 0.2, "seed": -1}),
-         "grid.seed"),
-        (dict(MINIMAL_RUN, tau=0.03, t_final=0.1), "t_final"),  # 3.33 steps
-        (dict(MINIMAL_SWEEP, t_final=0.3), "t_final"),  # 1.2 steps of tau = 1/4
-        (dict(MINIMAL_SWEEP, grid={"family": "uniform", "m_values": [4, 4]}), "grid.m_values"),
+         "grid.seed: "),
+        (dict(MINIMAL_RUN, tau=0.03, t_final=0.1), "t_final: "),  # 3.33 steps
+        (dict(MINIMAL_SWEEP, t_final=0.3), "t_final: "),  # 1.2 steps of tau = 1/4
+        (dict(MINIMAL_SWEEP, grid={"family": "uniform", "m_values": [4, 4]}), "grid.m_values: "),
         (dict(MINIMAL_RUN, outputs={"snapshot_times": [0.0149, 0.006, 0.01]}),
-         "outputs.snapshot_times"),  # between steps 1 and 2, and 0 and 1
-        (dict(MINIMAL_RUN, uniqueness_monitor=False), "uniqueness_monitor"),  # no such key
-        (dict(MINIMAL_RUN, solver_tol=1e-6), "solver_tol"),  # no such key
-        (dict(MINIMAL_RUN, outputs={"diagnostics": ""}), "outputs.diagnostics"),
-        (dict(MINIMAL_RUN, outputs={"diagnostics": "meta.json"}), "outputs.diagnostics"),
+         "outputs.snapshot_times: "),  # between steps 1 and 2, and 0 and 1
+        (dict(MINIMAL_RUN, uniqueness_monitor=False), "uniqueness_monitor: "),  # no such key
+        (dict(MINIMAL_RUN, solver_tol=1e-6), "solver_tol: "),  # no such key
+        # the output file names are fixed, and no key names one
+        (dict(MINIMAL_RUN, outputs={"diagnostics": ""}), "outputs.diagnostics: unknown key\n"),
+        (dict(MINIMAL_RUN, outputs={"diagnostics": "meta.json"}),
+         "outputs.diagnostics: unknown key\n"),
         (dict(MINIMAL_RUN, mode="blowup", outputs={"summary": "nosuch/s.json"}),
-         "outputs.summary"),
+         "outputs.summary: unknown key\n"),
+        (dict(MINIMAL_SWEEP, outputs={"table": "convergence.csv"}),
+         "outputs.table: unknown key\n"),
     ], ids=["unknown_problem", "negative_seed", "run_step_count", "sweep_step_count",
             "repeated_size", "snapshot_between_steps", "monitor_switch", "solver_tol",
-            "empty_output_name", "output_name_meta", "output_name_in_a_subdirectory"])
-    def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, doc, key):
+            "empty_output_name", "output_name_meta", "output_name_in_a_subdirectory",
+            "output_name_table"])
+    def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, doc, error):
         out = tmp_path / "out"
         assert main([doc["mode"], "--config", str(self.write(tmp_path, doc)),
                      "--out-dir", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -394,12 +374,12 @@ class TestMainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
 
     @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
+    def test_out_dir_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
         cfg = self.write(tmp_path, MINIMAL_RUN)
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("KSBCFD_OUT_DIR", str(target))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0
-        assert (target / "diagnostics.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "diagnostics.csv", "meta.json"]
 
     @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_summary_and_exit_zero(self, tmp_path):
@@ -419,7 +399,8 @@ class TestMainCommand:
         assert summary["blew_up"] is True
         assert summary["peak_u_max"] > 2e3
         assert summary["t_halt"] == summary["blow_up_time"]
-        assert (out / "diagnostics.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics.csv", "meta.json", "summary.json"]
 
     @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_mass_drift_counts_the_first_step(self, tmp_path):
@@ -459,6 +440,7 @@ class TestMainCommand:
         assert [r.m for r in rows] == [10, 20]
         assert rows[1].order_rho == pytest.approx(2.0, abs=0.1)
         assert "rho_error" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "meta.json"]
 
     @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_random_grid_meta_records_seeds(self, tmp_path):
