@@ -27,7 +27,8 @@ if ! ref=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}"); then
 fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-# the runs' advisory warnings go to stderr only and change no output file
+# the working tree's runs print nothing to stderr; PYTHONWARNINGS=ignore stays
+# to quiet an older ref, whose runs may warn, and a warning changes no file
 export OPENBLAS_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1 PYTHONWARNINGS=ignore
 
 # one "<workload> <command>" line each, and the configuration documents,

@@ -73,7 +73,7 @@ class Axis1D:
         return f"Axis1D(n_cells={self.n_cells}, lo={self.lo}, hi={self.hi})"
 
 
-def axis_from_primal(primal, lo=None, hi=None) -> Axis1D:
+def axis_from_primal(primal, lo: float, hi: float) -> Axis1D:
     """Build an Axis1D from its primal points, validating all invariants."""
     primal = np.asarray(primal, dtype=np.float64)
     if primal.ndim != 1 or primal.size < 3:
@@ -82,8 +82,7 @@ def axis_from_primal(primal, lo=None, hi=None) -> Axis1D:
         raise ValueError("primal points must be finite")
     if not np.all(np.diff(primal) > 0.0):
         raise ValueError("primal points must be strictly increasing")
-    lo = float(primal[0]) if lo is None else float(lo)
-    hi = float(primal[-1]) if hi is None else float(hi)
+    lo, hi = float(lo), float(hi)
     if primal[0] != lo or primal[-1] != hi:
         raise ValueError("primal endpoints must equal the domain endpoints")
     if not np.isfinite(hi - lo):

@@ -98,9 +98,8 @@ class FivePointMatrix:
     column k + o, zero where the neighbour lies outside the grid.  The
     product sums each row from zero in the order of the offsets, as scipy's
     DIA product does and, the offsets ascending, as a CSR product does, so
-    the three agree bit for bit.  ``tocsr``, ``tocsc`` and the dense
-    ``toarray`` import ``scipy.sparse``, which in a run only a
-    factorization needs.
+    the three agree bit for bit.  ``tocsr`` and ``tocsc`` import
+    ``scipy.sparse``, which in a run only a factorization needs.
     """
 
     def __init__(self, data: np.ndarray, nx: int):
@@ -134,9 +133,6 @@ class FivePointMatrix:
 
     def tocsc(self):
         return self._dia().tocsc()
-
-    def toarray(self) -> np.ndarray:
-        return self._dia().toarray()
 
 
 # Denominators smaller than this (relative to the surrounding scale) count as

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -122,7 +121,6 @@ __all__ = [
     "Workspace",
     "BlowUpDetected",
     "StepSolveError",
-    "UniquenessConditionWarning",
     "step_of",
     "apply_laplacian",
     "apply_chemotaxis",
@@ -169,10 +167,6 @@ class StepSolveError(RuntimeError):
         self.report = report
         self.fallback = fallback
         self.diagnostics: list[StepDiagnostics] = []
-
-
-class UniquenessConditionWarning(UserWarning):
-    """The advisory time-step bound for solvability was violated."""
 
 
 # How many ULPs of slack the integer-step-count check allows; division noise
@@ -687,15 +681,15 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
 
     The advisory solvability monitor compares the time step against
     4 / (lam^2 (|dZ|_inf + 1)^2), substituting the observed concentration
-    gradient bound for the unobservable continuous one; violations are
-    recorded per step and warn once per run with a
-    ``UniquenessConditionWarning``, which the ``warnings`` filters silence.
+    gradient bound for the unobservable continuous one. Each step's
+    ``uniqueness_ok`` records the outcome; a violation does not stop the
+    run and is not reported otherwise.
     """
     state = init_state(problem, grid)
     initial_mass = float(np.sum(grid.cell_areas * state.u_curr.values))
     ws = Workspace(grid, config)
     diagnostics: list[StepDiagnostics] = []
-    blew_up = warned = False
+    blew_up = False
     while True:
         if on_step is not None:
             on_step(state)
@@ -710,14 +704,6 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
             failure.diagnostics = diagnostics
             raise
         diagnostics.append(diag)
-        if not (diag.uniqueness_ok or warned):
-            warnings.warn(
-                f"time step {config.tau} exceeds the advisory solvability bound "
-                f"4/(lam^2 (|dZ|_inf + 1)^2) at t={diag.t}",
-                UniquenessConditionWarning,
-                stacklevel=2,
-            )
-            warned = True
 
 
 def error_norms(state: State, problem: ProblemSpec) -> tuple[float, float, float]:

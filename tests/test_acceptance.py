@@ -156,7 +156,6 @@ def test_criterion_2_random_convergence(beta):
            + ",".join(f"{m:.2f}" for m in means))
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_criterion_3_mass_conservation(subcritical_result):
     result, mass0 = subcritical_result
     drift = max(abs(d.mass - mass0) for d in result.diagnostics) / abs(mass0)
@@ -221,7 +220,7 @@ def test_criterion_6_solver_oracle_equivalence():
     grid = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
     tau, lam = 0.01, 1.0
     ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
-    z_dense = ws.z_system.toarray()
+    z_dense = ws.z_system.tocsr().toarray()
     rng = np.random.Generator(np.random.PCG64(SEED))
     worst = 0.0
     ok = True
@@ -241,7 +240,7 @@ def test_criterion_6_solver_oracle_equivalence():
             u.values / tau + 0.5 * apply_laplacian(u).values
             - 0.5 * lam * apply_chemotaxis(u, grad(z)).values,
             order="F")
-        u_oracle = np.linalg.solve(u_sys.toarray(), rhs_u)
+        u_oracle = np.linalg.solve(u_sys.tocsr().toarray(), rhs_u)
         for b in (block, None):
             xu, rep_u = _solve_density(ws, u_sys, b, rhs_u, 0.5, step=1, name="density",
                                        x0=np.ravel(u.values, order="F"))
@@ -274,7 +273,6 @@ def test_criterion_7_constant_steady_state():
            f"field drift {max(drift_u, drift_z):.2e}, mass drift {mass_drift:.2e}")
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_criterion_8a_center_blowup_grid_comparison():
     problem = get_problem("blowup_center")
     cfg = SchemeConfig(lam=1.0, tau=1e-6, t_final=6e-5)
@@ -297,7 +295,6 @@ def corner_result():
     return run(problem, grid, cfg), grid
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_criterion_8b_corner_blowup(corner_result):
     result, grid = corner_result
     d = result.diagnostics
@@ -310,7 +307,6 @@ def test_criterion_8b_corner_blowup(corner_result):
            f"argmax {(i, j)} of {grid.shape}, blew_up={result.blew_up}")
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_corner_blowup_halts_on_its_threshold_off_the_benchmark_grid():
     # at 80 x 80 the step-164 density solve cannot meet the 1e-12 residual
     # tolerance in float64; its solution is accepted by backward error
@@ -322,7 +318,6 @@ def test_corner_blowup_halts_on_its_threshold_off_the_benchmark_grid():
     assert max(d.residual_u for d in result.diagnostics) > 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_positivity_loss_is_recorded(corner_result, subcritical_result):
     # the corner run loses positivity before its halt; the subcritical run never does
     corner = corner_result[0].diagnostics
@@ -332,7 +327,6 @@ def test_positivity_loss_is_recorded(corner_result, subcritical_result):
     assert min(d.u_min for d in subcritical) >= 0.0
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_criterion_8c_subcritical_profile(subcritical_result):
     result, _ = subcritical_result
     u_max = np.array([x.u_max for x in result.diagnostics])
@@ -345,7 +339,6 @@ def test_criterion_8c_subcritical_profile(subcritical_result):
            f"peak {u_max[peak]:.1f} at step {peak}, final {u_max[-1]:.1f}, u_min {u_min:.2e}")
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_criterion_9_determinism(uniform_rows, subcritical_result, tmp_path):
     rows_again = run_convergence(parse_config(convergence_config("uniform", [10, 20, 40, 80])))
     csv_a = rows_to_csv(uniform_rows)

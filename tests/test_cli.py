@@ -232,7 +232,6 @@ class TestMainCommand:
         p.write_text(json.dumps(doc))
         return p
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_run_success_and_outputs(self, tmp_path, capsys):
         doc = dict(MINIMAL_RUN)
         doc["outputs"] = {"snapshot_times": [0.0, 0.02], "snapshot_format": "csv"}
@@ -243,6 +242,18 @@ class TestMainCommand:
             "diagnostics.csv", "meta.json", "snapshot_c_000000.csv", "snapshot_c_000002.csv",
             "snapshot_rho_000000.csv", "snapshot_rho_000002.csv"]
         assert "finished" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_that_breaks_the_solvability_bound_prints_nothing_to_stderr(self, tmp_path,
+                                                                           capsys):
+        # the smoke configuration breaks the advisory bound from step 1:
+        # uniqueness_ok records it, and the command neither warns nor prints
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(self.write(tmp_path, MINIMAL_RUN)),
+                     "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "diagnostics.csv", newline="") as f:
+            assert [row["uniqueness_ok"] for row in csv.DictReader(f)] == ["0", "0"]
 
     def test_out_of_range_snapshot_time_exits_2(self, tmp_path, capsys):
         doc = dict(MINIMAL_RUN, mode="blowup", outputs={"snapshot_times": [0.01, 0.5]})
@@ -260,7 +271,6 @@ class TestMainCommand:
         assert "outputs.snapshot_times: not read in convergence mode" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_vtk_snapshot_header(self, tmp_path):
         doc = dict(MINIMAL_RUN)
         doc["outputs"] = {"snapshot_times": [0.01], "snapshot_format": "vtk"}
@@ -272,7 +282,6 @@ class TestMainCommand:
         assert "DATASET STRUCTURED_GRID" in text
         assert "DIMENSIONS 8 8 1" in text
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_reruns_byte_identical(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL_RUN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -304,7 +313,6 @@ class TestMainCommand:
         assert calls["bicgstab"] == 31 and calls["_bicgstab_sweep"] >= 31  # predictor + 30 steps
         assert (tmp_path / "script.csv").read_bytes() == (out / "diagnostics.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_failed_run_keeps_its_diagnostics(self, tmp_path, monkeypatch, capsys):
         cfg = self.write(tmp_path, dict(MINIMAL_RUN, t_final=0.05))
         whole, failed = tmp_path / "whole", tmp_path / "failed"
@@ -373,7 +381,6 @@ class TestMainCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_out_dir_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
         cfg = self.write(tmp_path, MINIMAL_RUN)
         monkeypatch.chdir(tmp_path)
@@ -381,7 +388,6 @@ class TestMainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cfg.json", "diagnostics.csv", "meta.json"]
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_summary_and_exit_zero(self, tmp_path):
         doc = {
             "problem": "blowup_center",
@@ -402,7 +408,6 @@ class TestMainCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "diagnostics.csv", "meta.json", "summary.json"]
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_blowup_mass_drift_counts_the_first_step(self, tmp_path):
         # one step: the only drift is the first step's, from the level-0
         # mass sum(W u^0), which no diagnostics row holds
@@ -442,7 +447,6 @@ class TestMainCommand:
         assert "rho_error" in capsys.readouterr().out
         assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "meta.json"]
 
-    @pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
     def test_random_grid_meta_records_seeds(self, tmp_path):
         doc = dict(MINIMAL_RUN)
         doc["grid"] = {"family": "random", "m": 8, "beta": 0.5, "seed": 11}

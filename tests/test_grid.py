@@ -147,18 +147,18 @@ def test_axes_are_immutable():
 
 
 def test_axis_from_primal_rejects_nonmonotone():
-    with pytest.raises(ValueError):
-        axis_from_primal([0.0, 0.5, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        axis_from_primal([0.0, 0.7, 0.4, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        axis_from_primal([0.0, 0.5, 0.5, 1.0], 0.0, 1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        axis_from_primal([0.0, 0.7, 0.4, 1.0], 0.0, 1.0)
 
 
 def test_geometry_that_overflows_is_rejected():
     # finite points whose length, cell centers or cell areas exceed float64
     with pytest.raises(ValueError, match="axis length must be finite"):
-        axis_from_primal([-1e308, 0.0, 1e308])
+        axis_from_primal([-1e308, 0.0, 1e308], -1e308, 1e308)
     with pytest.raises(ValueError, match="cell centers and dual widths must be finite"):
-        axis_from_primal([1e308, 1.5e308, 1.7e308])
-    wide = axis_from_primal([0.0, 1e200, 2e200])
+        axis_from_primal([1e308, 1.5e308, 1.7e308], 1e308, 1.7e308)
+    wide = axis_from_primal([0.0, 1e200, 2e200], 0.0, 2e200)
     with pytest.raises(ValueError, match="cell areas must be finite"):
         make_grid(wide, wide)

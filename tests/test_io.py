@@ -1,7 +1,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from ksbcfd.fields import CellField
 from ksbcfd.grid import build_random_perturbed, build_uniform, make_grid
@@ -74,7 +73,6 @@ def test_vtk_structure(tmp_path):
     assert values[1] == f.values[1, 0]  # x varies fastest
 
 
-@pytest.mark.filterwarnings("ignore::ksbcfd.scheme.UniquenessConditionWarning")
 def test_diagnostics_csv_shape(tmp_path):
     problem = get_problem("global_existence")
     g = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
