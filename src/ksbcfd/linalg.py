@@ -1,18 +1,18 @@
 """Sparse and tensor-product linear algebra for the per-step systems.
 
 Every solver takes the system as a ``Matrix``: anything with a shape, a
-product ``@`` and ``abs()``, which the factorizations also convert to
-scipy's CSR or CSC form.  The stepper's matrices are ``FivePointMatrix``
-bands whose product runs in numpy.  There are a fast-diagonalization
-solver for the area-weighted heat operator of a tensor-product grid, which
-solves the concentration system directly and preconditions the density
-solves, with a single-precision variant used only as a preconditioner;
-BiCGStab for the nonsymmetric density systems, right-preconditioned by an
-operator; a block correction that follows such an operator with an exact
-sparse LU solve (scipy's SuperLU) on the rows where it is a poor
-approximation; and one direct solve by a given inverse, refined once on a
-miss, which solves the concentration system by the heat inverse and, by
-SuperLU (``sparse_lu_solve``), a density system on which BiCGStab fails.
+product ``@`` and ``abs()``, which the sparse LU fallback also converts to
+scipy's CSC form.  The stepper's matrices are ``FivePointMatrix`` bands
+whose product runs in numpy.  There are a fast-diagonalization solver for
+the area-weighted heat operator of a tensor-product grid, which solves the
+concentration system directly and preconditions the density solves, with a
+single-precision variant used only as a preconditioner; BiCGStab for the
+nonsymmetric density systems, right-preconditioned by an operator; a block
+correction that follows such an operator with an exact solve, by block
+elimination in numpy, on a box of cells where it is a poor approximation;
+and one direct solve by a given inverse, refined once on a miss, which
+solves the concentration system by the heat inverse and, by SuperLU
+(``sparse_lu_solve``), a density system on which BiCGStab fails.
 The Krylov solvers take the preconditioner as a callable ``r -> M^-1 r``;
 there is no built-in one.  Conjugate Gradient for symmetric positive
 definite systems is not used by the stepper: it is kept, tested against
@@ -44,12 +44,12 @@ residual ``r = b - A x`` back (``SolveReport.residual``): ``b - r`` is the
 product ``A x`` to rounding, which the stepper carries to its next
 right-hand side instead of multiplying again.
 
-scipy is loaded by the first factorization: ``block_corrected`` and
-``sparse_lu_solve`` import SuperLU (``scipy.sparse.linalg``), and a
-``FivePointMatrix`` imports ``scipy.sparse`` when it is converted for them.
-The products, the heat solver's axis modes and every vector operation stay
-in numpy, so a run that never factors loads no scipy module, and with it
-neither scipy's OpenBLAS nor its thread pool.
+scipy is loaded only by ``sparse_lu_solve``, which imports SuperLU
+(``scipy.sparse.linalg``) and converts a ``FivePointMatrix`` with
+``scipy.sparse``.  The products, the heat solver's axis modes, the block
+correction and every vector operation stay in numpy, so a run that never
+falls back to sparse LU loads no scipy module, and with it neither scipy's
+OpenBLAS nor its thread pool.
 """
 
 from __future__ import annotations
@@ -74,16 +74,14 @@ __all__ = [
 
 class Matrix(Protocol):
     """What the solvers use of a square matrix: a ``FivePointMatrix`` or any
-    scipy sparse matrix.  Only the factorizations convert it to scipy's CSR
-    or CSC form."""
+    scipy sparse matrix.  Only the sparse LU fallback converts it to scipy's
+    CSC form."""
 
     shape: tuple[int, int]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray: ...
 
     def __abs__(self) -> Matrix: ...
-
-    def tocsr(self): ...
 
     def tocsc(self): ...
 
@@ -98,8 +96,8 @@ class FivePointMatrix:
     column k + o, zero where the neighbour lies outside the grid.  The
     product sums each row from zero in the order of the offsets, as scipy's
     DIA product does and, the offsets ascending, as a CSR product does, so
-    the three agree bit for bit.  ``tocsr`` and ``tocsc`` import
-    ``scipy.sparse``, which in a run only a factorization needs.
+    the three agree bit for bit.  ``tocsc`` imports ``scipy.sparse``, which
+    in a run only the sparse LU fallback needs.
     """
 
     def __init__(self, data: np.ndarray, nx: int):
@@ -123,16 +121,10 @@ class FivePointMatrix:
     def __abs__(self) -> FivePointMatrix:
         return FivePointMatrix(np.abs(self.data), self.nx)
 
-    def _dia(self):
-        import scipy.sparse as sp  # loaded by the first factorization
-
-        return sp.dia_matrix((self.data, self.offsets), shape=self.shape)
-
-    def tocsr(self):
-        return self._dia().tocsr()
-
     def tocsc(self):
-        return self._dia().tocsc()
+        import scipy.sparse as sp  # loaded by the sparse LU fallback
+
+        return sp.dia_matrix((self.data, self.offsets), shape=self.shape).tocsc()
 
 
 # Denominators smaller than this (relative to the surrounding scale) count as
@@ -490,32 +482,59 @@ class TensorHeatSolver:
         return np.multiply(x, 2.0**e, dtype=np.float64).ravel()
 
 
-def block_corrected(a: Matrix, precond: Callable[[np.ndarray], np.ndarray],
+def block_corrected(a: FivePointMatrix, precond: Callable[[np.ndarray], np.ndarray],
                     rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """``precond`` followed by an exact solve of ``a`` on the index set ``rows``.
 
     The returned map is ``x = precond(r); x[S] += A_SS^-1 (r - A x)[S]`` for
-    ``S = rows`` (unique indices): one step of a multiplicative Schwarz
-    method (Smith, Bjorstad & Gropp 1996) with ``precond`` as the global
-    solve and ``S`` as the one subdomain.  Where ``precond`` is exact the
-    correction vanishes; where it is not, the residual on ``S`` is removed.
-    ``A_SS``, ``a`` restricted to ``S`` in rows and columns, is factored
-    here once by SuperLU, and a correction costs the rows of ``a`` in ``S``
-    (sliced from its CSR form) and one triangular solve pair.  ``precond``
-    must return a new array.  An exactly singular ``A_SS`` leaves
-    ``precond`` as it is.
+    ``S = rows``: one step of a multiplicative Schwarz method (Smith,
+    Bjorstad & Gropp 1996) with ``precond`` as the global solve and ``S`` as
+    the one subdomain.  Where ``precond`` is exact the correction vanishes;
+    where it is not, the residual on ``S`` is removed.  ``S`` is a box of
+    ``bx x by`` cells, ascending with x fastest, so ``A_SS`` (``a`` on ``S``
+    in rows and columns) is block tridiagonal: ``by`` tridiagonal blocks
+    ``D_j`` coupled south and north by ``diag(l_j)`` and ``diag(u_j)``.  It
+    is factored here once by block elimination (Golub & Van Loan, *Matrix
+    Computations*, sec. 4.5), which keeps the ``by`` inverses of the Schur
+    complements ``S_j = D_j - diag(l_j) S_{j-1}^-1 diag(u_{j-1})``, each by
+    numpy's pivoted LU.  A correction costs the rows of ``a`` in ``S``, from
+    one (neighbour, coefficient) pair per offset, and a forward and a
+    backward sweep of ``by`` matrix-vector products.  No pivoting crosses
+    block rows: on the stepper's blocks the correction is about as accurate
+    as SuperLU's, and a poorer one would cost BiCGStab iterations, not
+    accuracy.  ``precond`` must return a new array.  An exactly singular
+    ``S_j`` (an exactly singular ``A_SS`` among them) leaves ``precond`` as
+    it is.
     """
-    import scipy.sparse.linalg as spla  # SuperLU, loaded by the first factorization
-
-    a_rows = a.tocsr()[rows]
-    try:
-        lu = spla.splu(a_rows[:, rows].tocsc())
-    except RuntimeError:  # "Factor is exactly singular"
-        return precond
+    nx, n = a.nx, a.shape[0]
+    bx, by = rows[-1] % nx - rows[0] % nx + 1, rows[-1] // nx - rows[0] // nx + 1
+    if not np.array_equal(rows, (rows[0] + np.arange(bx) + nx * np.arange(by)[:, None]).ravel()):
+        raise ValueError("block rows must be a tensor box, ascending with x fastest")
+    neighbours = rows + np.array(a.offsets)[:, None]
+    inside = (neighbours >= 0) & (neighbours < n)
+    neighbours = np.clip(neighbours, 0, n - 1)
+    coefficients = np.where(inside, np.take_along_axis(a.data, neighbours, axis=1), 0.0)
+    south, west, center, east, north = coefficients.reshape(5, by, bx)
+    inverses = np.empty((by, bx, bx))
+    for j in range(by):
+        s = np.diag(center[j]) + np.diag(west[j, 1:], -1) + np.diag(east[j, :-1], 1)
+        if j:
+            s -= south[j][:, None] * inverses[j - 1] * north[j - 1]
+        try:
+            inverses[j] = np.linalg.inv(s)
+        except np.linalg.LinAlgError:  # "Singular matrix"
+            return precond
 
     def corrected(r: np.ndarray) -> np.ndarray:
         x = precond(r)
-        x[rows] += lu.solve(r[rows] - a_rows @ x)
+        y = (r[rows] - (coefficients * x[neighbours]).sum(axis=0)).reshape(by, bx)
+        for j in range(by):
+            if j:
+                y[j] -= south[j] * y[j - 1]
+            y[j] = inverses[j] @ y[j]
+        for j in range(by - 2, -1, -1):
+            y[j] -= inverses[j] @ (north[j] * y[j + 1])
+        x[rows] += y.ravel()
         return x
 
     return corrected
@@ -544,7 +563,7 @@ def sparse_lu_solve(a: Matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.nd
     singular factor is reported as ``breakdown`` (with the zero vector and
     residual 1) rather than raised.
     """
-    import scipy.sparse.linalg as spla  # SuperLU, loaded by the first factorization
+    import scipy.sparse.linalg as spla  # SuperLU, loaded by the first fallback
 
     _checked_rhs(a, b, tol)
     try:

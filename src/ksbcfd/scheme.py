@@ -34,18 +34,19 @@ which matters where it outweighs diffusion: near the singular time of a
 blow-up run, rows at the peak stop being diagonally dominant.  When any row
 is not, the preconditioner is the float64 heat inverse followed by an exact
 solve of the density system on the tensor block that bounds those rows
-(``linalg.block_corrected``, SuperLU); when none is, it is the heat inverse
-alone in single precision (``TensorHeatSolver.solve_fp32``), which costs
-less per application and barely changes the iteration counts.  Residuals
-and acceptance stay in float64.  Every Crank-Nicolson density solve starts
+(``linalg.block_corrected``, by block elimination in numpy); when none is,
+it is the heat inverse alone in single precision
+(``TensorHeatSolver.solve_fp32``), which costs less per application and
+barely changes the iteration counts.  Residuals and acceptance stay in
+float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
 of consecutive right-hand sides, and dX holds the differences of the last
 nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
 c = e_0.  A start whose residual exceeds |b| gives way to zero
 (``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
-676 BiCGStab iterations, where the extrapolation alone takes 989.  When
+674 BiCGStab iterations, where the extrapolation alone takes 989.  When
 BiCGStab does not converge, the same system is solved once more by sparse
-LU (SuperLU).
+LU (SuperLU), the one solve that loads scipy.
 Every solve, direct or iterative, refines its solution once when the
 recomputed residual misses the solver tolerance 1e-12, keeps the
 refinement when it lowers that residual or when only it passes the
@@ -56,7 +57,7 @@ roundoff.
 Every matrix is a five-point stencil, built one way: its entries are
 written into a band, the DIA data of a ``linalg.FivePointMatrix``, one row
 per neighbour in the flat order of the unknowns (``_five_point``), and its
-products run in numpy.  scipy is loaded only by a step that factors.
+products run in numpy.  scipy is loaded only by a sparse LU fallback.
 ``Workspace`` assembles the constant concentration matrix once per run;
 its band is the only one a run keeps.  Density matrices change every step
 with the concentration gradient: each step copies the concentration band,
@@ -541,8 +542,8 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
     keeps the BiCGStab iteration count and carries the residual recomputed
     from the direct solution; a fallback that misses the solver tolerance
     raises ``StepSolveError``.  The report's ``block_cells`` is the size of
-    the correction block, 0 when there is none or its matrix is exactly
-    singular.
+    the correction block, 0 when there is none or its elimination meets an
+    exactly singular pivot block.
     """
     s = 1.0 / ws.config.tau
     if block is None:
@@ -550,7 +551,7 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
     else:
         heat = functools.partial(ws.heat.solve, s=s, theta=theta)
         precond = linalg.block_corrected(system, heat, block)
-        cells = 0 if precond is heat else block.size  # 0: A_SS exactly singular
+        cells = 0 if precond is heat else block.size  # 0: a singular pivot block
     x, report = linalg.bicgstab(system, rhs, precond, x0=x0)
     if not report.converged:
         x, direct = linalg.sparse_lu_solve(system, rhs)

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from ksbcfd.cli import main, parse_config, rows_to_csv, run_convergence
+from ksbcfd.cli import parse_config, rows_to_csv, run_convergence
 from ksbcfd.fields import (
     CellField,
     EdgeFieldX,
@@ -220,7 +220,7 @@ def test_criterion_6_solver_oracle_equivalence():
     grid = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
     tau, lam = 0.01, 1.0
     ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
-    z_dense = ws.z_system.tocsr().toarray()
+    z_dense = ws.z_system.tocsc().toarray()
     rng = np.random.Generator(np.random.PCG64(SEED))
     worst = 0.0
     ok = True
@@ -240,7 +240,7 @@ def test_criterion_6_solver_oracle_equivalence():
             u.values / tau + 0.5 * apply_laplacian(u).values
             - 0.5 * lam * apply_chemotaxis(u, grad(z)).values,
             order="F")
-        u_oracle = np.linalg.solve(u_sys.tocsr().toarray(), rhs_u)
+        u_oracle = np.linalg.solve(u_sys.tocsc().toarray(), rhs_u)
         for b in (block, None):
             xu, rep_u = _solve_density(ws, u_sys, b, rhs_u, 0.5, step=1, name="density",
                                        x0=np.ravel(u.values, order="F"))

@@ -30,6 +30,11 @@ def csr(n, rows, cols, vals):
     return sp.csr_matrix((np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n))
 
 
+def as_csr(a):
+    """The CSR form of a ``FivePointMatrix``."""
+    return sp.csr_matrix(a.tocsc())
+
+
 def identity(n):
     return csr(n, np.arange(n), np.arange(n), np.ones(n))
 
@@ -374,23 +379,6 @@ class TestBackwardErrorAcceptance:
         assert rep.final_relative_residual == relative_residual(a, b, x2)
 
 
-class TestBlockCorrected:
-    def test_residual_vanishes_on_the_block(self):
-        # with the identity as the global solve, only the block correction acts
-        n = 40
-        a = advection_diffusion(n, 100.0)
-        rows = np.arange(10, 25)
-        r = np.random.default_rng(2).standard_normal(n)
-        x = block_corrected(a, np.copy, rows)(r)
-        assert np.max(np.abs((r - a @ x)[rows])) <= 1e-13 * np.max(np.abs(r))
-        outside = np.setdiff1d(np.arange(n), rows)
-        assert np.array_equal(x[outside], r[outside])
-
-    def test_singular_block_keeps_the_preconditioner(self):
-        a = csr(3, [0, 1, 1, 2], [1, 0, 1, 2], [1.0, 1.0, 1.0, 1.0])
-        assert block_corrected(a, np.copy, np.array([0])) is np.copy  # a_00 = 0
-
-
 def random_band(nx, ny, seed):
     """A random five-point band on an nx x ny grid, zero in each slot whose
     neighbour lies outside the grid, with a product operand holding zeros of
@@ -404,15 +392,77 @@ def random_band(nx, ny, seed):
     return band.reshape(5, nx * ny), x
 
 
+def box(nx, i0, i1, j0, j1):
+    """The rows k = i + nx j of the cells i0..i1 x j0..j1, ascending."""
+    return (np.arange(i0, i1 + 1) + nx * np.arange(j0, j1 + 1)[:, None]).ravel()
+
+
+# boxes (i0, i1, j0, j1) of a 9 x 7 grid: one on each edge, a full-width
+# box, one grid row (by = 1) and one grid column (bx = 1)
+_BOXES = {"west": (0, 3, 2, 4), "east": (5, 8, 1, 3), "south": (2, 5, 0, 2),
+          "north": (3, 6, 4, 6), "full_width": (0, 8, 2, 4), "one_row": (2, 6, 3, 3),
+          "one_column": (4, 4, 1, 5)}
+
+
+class TestBlockCorrected:
+    def test_residual_vanishes_on_the_block(self):
+        # with the identity as the global solve, only the block correction acts
+        band, _ = random_band(8, 5, 2)
+        a = FivePointMatrix(band, 8)
+        n = a.shape[0]
+        rows = box(8, 2, 6, 1, 3)
+        r = np.random.default_rng(2).standard_normal(n)
+        x = block_corrected(a, np.copy, rows)(r)
+        assert np.max(np.abs((r - a @ x)[rows])) <= 1e-13 * np.max(np.abs(r))
+        outside = np.setdiff1d(np.arange(n), rows)
+        assert np.array_equal(x[outside], r[outside])
+
+    @pytest.mark.parametrize("corners", _BOXES.values(), ids=_BOXES.keys())
+    def test_block_solve_matches_the_dense_solve(self, corners):
+        band, _ = random_band(9, 7, 0)
+        a = FivePointMatrix(band, 9)
+        rows = box(9, *corners)
+        r = np.random.default_rng(1).standard_normal(a.shape[0])
+        # with zero as the global solve, the correction is A_SS^-1 r[S]
+        x = block_corrected(a, np.zeros_like, rows)(r)
+        expected = np.linalg.solve(a.tocsc().toarray()[np.ix_(rows, rows)], r[rows])
+        assert np.max(np.abs(x[rows] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert not np.delete(x, rows).any()
+        x = block_corrected(a, np.copy, rows)(r)
+        assert np.max(np.abs((r - a @ x)[rows])) <= 1e-13 * np.max(np.abs(r))
+
+    def test_singular_block_keeps_the_preconditioner(self):
+        band, _ = random_band(3, 2, 5)
+        band[2, 0] = 0.0  # the center slot of cell (0, 0)
+        assert block_corrected(FivePointMatrix(band, 3), np.copy, np.array([0])) is np.copy
+
+    def test_singular_second_pivot_block_keeps_the_preconditioner(self):
+        # on a 2 x 2 grid, D_0 = S_0 = 2 I, and D_1 = [[2, 1], [1, 2]] less
+        # diag(l_1) S_0^-1 diag(u_0) = I leaves S_1 = [[1, 1], [1, 1]]
+        band = np.zeros((5, 2, 2))  # slot, j, i; slot of offset o holds entry (k - o, k)
+        south, west, center, east, north = band
+        center[:], south[0], north[1] = 2.0, 1.0, 2.0
+        west[1, 0] = east[1, 1] = 1.0
+        a = FivePointMatrix(band.reshape(5, 4), 2)
+        dense = a.tocsc().toarray()
+        assert np.linalg.matrix_rank(dense[:2, :2]) == 2 and np.linalg.matrix_rank(dense) == 3
+        assert block_corrected(a, np.copy, np.arange(4)) is np.copy
+
+    def test_rows_off_a_box_are_rejected(self):
+        a = FivePointMatrix(random_band(9, 7, 0)[0], 9)
+        with pytest.raises(ValueError, match="tensor box"):
+            block_corrected(a, np.copy, np.array([0, 2]))
+
+
 class TestFivePointMatrix:
     @pytest.mark.parametrize("nx, ny", [(7, 4), (4, 7), (40, 30)])
     def test_product_is_bit_equal_to_csr(self, nx, ny):
         band, x = random_band(nx, ny, nx * ny)
         a = FivePointMatrix(band, nx)
         assert a.shape == (nx * ny, nx * ny)
-        assert (a @ x).tobytes() == (a.tocsr() @ x).tobytes()
-        assert (abs(a) @ x).tobytes() == (abs(a.tocsr()) @ x).tobytes()
-        assert np.array_equal(a.tocsc().toarray(), a.tocsr().toarray())
+        assert (a @ x).tobytes() == (as_csr(a) @ x).tobytes()
+        assert (abs(a) @ x).tobytes() == (abs(as_csr(a)) @ x).tobytes()
+        assert np.array_equal(a.tocsc().toarray(), as_csr(a).toarray())
 
 
 def stiffness(axis):
@@ -477,7 +527,7 @@ class TestTensorHeatSolver:
         x, rep = direct_solve(a, b, inverse)
         assert rep.converged and rep.iterations == 0 and len(calls) == 1
         assert rep.final_relative_residual == relative_residual(a, b, x) <= 1e-12
-        assert np.max(np.abs(x - np.linalg.solve(a.tocsr().toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(a.tocsc().toarray(), b))) <= 1e-10
 
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_inverts_heat_part_of_u_system(self, backward_euler):
@@ -488,7 +538,7 @@ class TestTensorHeatSolver:
         b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
         x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, 1.0 / self.tau, theta)
         assert relative_residual(a, b, x) <= 1e-12
-        assert np.max(np.abs(x - np.linalg.solve(a.tocsr().toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(a.tocsc().toarray(), b))) <= 1e-10
 
     def test_wrong_operator_reported_as_breakdown(self):
         grid = rectangular_grid()
@@ -601,10 +651,10 @@ class TestTensorHeatSolver:
         b = np.random.default_rng(43).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         x, rep = bicgstab(a, b, lambda r: heat.solve(r, 1.0 / self.tau, 0.5))
-        _, plain = bicgstab(a, b, jacobi(a.tocsr()))
+        _, plain = bicgstab(a, b, jacobi(a.tocsc()))
         assert rep.converged and plain.converged
         assert rep.iterations < plain.iterations
-        assert np.max(np.abs(x - np.linalg.solve(a.tocsr().toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(a.tocsc().toarray(), b))) <= 1e-10
 
 
 class TestDenseSolve:
@@ -647,13 +697,15 @@ def test_start_worse_than_zero_is_dropped(solver):
 
 
 # imports ksbcfd in a fresh interpreter, runs a uniform sweep, a uniform
-# run-mode command whose density rows all stay diagonally dominant, and then
-# a corner run whose density matrix stops being diagonally dominant at step
-# 49; prints the scipy modules loaded after each of the first three and
-# whether SuperLU's package was loaded after the last
-_SCIPY_ON_FIRST_FACTORIZATION = """
+# run-mode command whose density rows all stay diagonally dominant, and a
+# corner run whose density matrix stops being diagonally dominant at step
+# 49, printing the scipy modules loaded after each; then prints whether one
+# sparse LU solve loaded SuperLU's package
+_SCIPY_ONLY_IN_SPARSE_LU = """
 import json, pathlib, sys, tempfile
+import numpy as np
 import ksbcfd.cli
+import ksbcfd.linalg
 from ksbcfd.grid import build_corner_refined, make_grid
 from ksbcfd.problems import get_problem
 from ksbcfd.scheme import SchemeConfig, run
@@ -678,19 +730,25 @@ problem = get_problem("blowup_corner")
 grid = make_grid(build_corner_refined(16), build_corner_refined(16))
 result = run(problem, grid, SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.05))
 seen["block_steps"] = sum(d.block_cells > 0 for d in result.diagnostics)
-seen["after_corner"] = "scipy.sparse.linalg" in sys.modules
+seen["corner"] = scipy_modules()
+band = np.zeros((5, 4))
+band[2] = 1.0
+_, report = ksbcfd.linalg.sparse_lu_solve(ksbcfd.linalg.FivePointMatrix(band, 2), np.ones(4))
+seen["lu_converged"] = report.converged
+seen["after_lu"] = "scipy.sparse.linalg" in sys.modules
 print(json.dumps(seen))
 """
 
 
-def test_superlu_is_loaded_by_the_first_factorization():
-    # a run that never factors loads no scipy module; the first block
-    # correction loads SuperLU
+def test_scipy_is_loaded_only_by_the_sparse_lu_fallback():
+    # runs that never fall back, the corner run's block corrections included,
+    # load no scipy module; one sparse LU solve loads SuperLU
     src = str(Path(ksbcfd.linalg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_FACTORIZATION], env=env,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_ONLY_IN_SPARSE_LU], env=env,
                          check=True, capture_output=True, text=True).stdout
     seen = json.loads(out.splitlines()[-1])
-    assert seen["import"] == seen["sweep"] == seen["run"] == []
+    assert seen["import"] == seen["sweep"] == seen["run"] == seen["corner"] == []
     assert seen["rows"] == 2 and seen["exit"] == 0
-    assert seen["block_steps"] > 0 and seen["after_corner"]
+    assert seen["block_steps"] > 0
+    assert seen["lu_converged"] and seen["after_lu"]

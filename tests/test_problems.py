@@ -4,7 +4,6 @@ from scipy.integrate import dblquad
 
 from ksbcfd.problems import (
     ExactSolution,
-    Forcing,
     ProblemSpec,
     blowup_center,
     blowup_corner,

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg.blas
 import scipy.linalg.lapack
+import scipy.sparse as sp
 
 import ksbcfd.cli
 import ksbcfd.linalg
 import ksbcfd.scheme
-from ksbcfd.fields import CellField, cell_field_from_function, grad, inner_m, norm_m
+from ksbcfd.fields import CellField, cell_field_from_function, grad, inner_m
 from ksbcfd.grid import build_corner_refined, build_uniform, build_random_perturbed, make_grid
 from ksbcfd.linalg import FivePointMatrix, bicgstab, block_corrected
 from ksbcfd.problems import ProblemSpec, get_problem
@@ -22,6 +23,7 @@ from ksbcfd.scheme import (
     State,
     StepSolveError,
     Workspace,
+    _CENTER,
     _check_blowup,
     _diagnostics,
     _solve_concentration,
@@ -39,6 +41,11 @@ from ksbcfd.scheme import (
 
 # the solver tolerance of every run: linalg's default
 TOL = 1e-12
+
+
+def as_csr(a):
+    """The CSR form of a ``FivePointMatrix``."""
+    return sp.csr_matrix(a.tocsc())
 
 
 def unit_grid(n=8):
@@ -166,7 +173,7 @@ class TestFirstStep:
         state = init_state(problem, grid)
         g0 = grad(state.z_curr)
         assert g0.inf_norm() > 0.0
-        a = Workspace(grid, cfg).u_system(g0, 1.0)[0].tocsr().toarray()
+        a = Workspace(grid, cfg).u_system(g0, 1.0)[0].tocsc().toarray()
         assert not np.array_equal(a, a.T)
 
     def test_mass_preserved_through_first_step(self):
@@ -203,17 +210,17 @@ class TestSystemStructure:
     def test_z_system_exactly_symmetric(self):
         for grid in (unit_grid(6), perturbed_grid(6)):
             a = workspace(grid).z_system
-            dense = a.tocsr().toarray()
+            dense = a.tocsc().toarray()
             assert np.array_equal(dense, dense.T)
 
     def test_u_system_symmetric_iff_gradient_vanishes(self):
         grid = perturbed_grid(5)
         zero_g = grad(CellField(grid, np.ones(grid.shape)))
         ws = workspace(grid)
-        a0 = ws.u_system(zero_g)[0].tocsr().toarray()
+        a0 = ws.u_system(zero_g)[0].tocsc().toarray()
         assert np.array_equal(a0, a0.T)
         state = init_state(get_problem("global_existence"), grid)
-        a1 = ws.u_system(grad(state.z_curr))[0].tocsr().toarray()
+        a1 = ws.u_system(grad(state.z_curr))[0].tocsc().toarray()
         assert not np.array_equal(a1, a1.T)
 
     def test_zero_sensitivity_matches_loop_assembled_heat_matrix(self):
@@ -249,7 +256,7 @@ class TestSystemStructure:
                         c = dxw[i] / dyd[j - 1]
                         heat[row, row] += 0.5 * c
                         heat[row, row - nx] -= 0.5 * c
-            assert np.allclose(assembled.tocsr().toarray(), heat, rtol=1e-15, atol=0.0)
+            assert np.allclose(assembled.tocsc().toarray(), heat, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_workspace_u_system_matches_assembly(self, backward_euler):
@@ -268,7 +275,7 @@ class TestSystemStructure:
             column = (v.values / cfg.tau - theta * apply_laplacian(v).values
                       + theta * cfg.lam * apply_chemotaxis(v, g).values)
             stencil[:, k] = np.ravel(grid.cell_areas * column, order="F")
-        filled = Workspace(grid, cfg).u_system(g, theta)[0].tocsr().toarray()
+        filled = Workspace(grid, cfg).u_system(g, theta)[0].tocsc().toarray()
         assert np.allclose(filled, stencil, rtol=1e-14, atol=0.0)
         assert np.array_equal(filled != 0.0, stencil != 0.0)
 
@@ -280,13 +287,13 @@ class TestSystemStructure:
         ws = workspace(grid, tau)
         a_z = ws.z_system
         weight = np.ravel((1.0 / tau + 0.5) * grid.cell_areas, order="F")
-        assert np.max(np.abs(a_z.tocsr().sum(axis=0).A1 - weight)) <= 1e-14
+        assert np.max(np.abs(a_z.tocsc().sum(axis=0).A1 - weight)) <= 1e-14
         state = init_state(get_problem("global_existence"), grid)
         g = grad(state.z_curr)
         assert g.inf_norm() > 0.0
         a_u = ws.u_system(g)[0]
         weight = np.ravel(grid.cell_areas / tau, order="F")
-        assert np.max(np.abs(a_u.tocsr().sum(axis=0).A1 - weight)) <= 1e-12 * np.abs(a_u.data).max()
+        assert np.max(np.abs(a_u.tocsc().sum(axis=0).A1 - weight)) <= 1e-12 * np.abs(a_u.data).max()
 
     def test_five_point_matrices_are_dia_with_csr_products(self):
         # ascending offsets, no coupling across the wrap from the east edge
@@ -302,11 +309,11 @@ class TestSystemStructure:
         for a in (ws.z_system, ws.u_system(g)[0], ws.u_system(g, 1.0)[0]):
             assert isinstance(a, FivePointMatrix) and a.shape == (28, 28)
             assert a.offsets == (-nx, -1, 0, 1, nx)
-            dense = a.tocsr().toarray()
+            dense = a.tocsc().toarray()
             for j in range(ny - 1):
                 east, west = nx - 1 + nx * j, nx * (j + 1)
                 assert dense[east, west] == dense[west, east] == 0.0
-            assert np.array_equal(a @ x, a.tocsr() @ x)
+            assert np.array_equal(a @ x, as_csr(a) @ x)
 
 
 # The band path the density matrices were assembled on before the heat
@@ -515,7 +522,7 @@ class TestMarching:
             rhs_vals = ((1.0 / cfg.tau - 0.5) * prev.z_curr.values
                         + 0.5 * apply_laplacian(prev.z_curr).values + u_star
                         + forcing("f_c", t_half))
-            z_dense = np.linalg.solve(ws.z_system.tocsr().toarray(),
+            z_dense = np.linalg.solve(ws.z_system.tocsc().toarray(),
                                       ws.areas * np.ravel(rhs_vals, order="F"))
             assert np.max(np.abs(np.ravel(new.z_curr.values, order="F") - z_dense)) <= 1e-10
             system, _ = ws.u_system(grad(new.z_curr))
@@ -523,7 +530,7 @@ class TestMarching:
                         + 0.5 * apply_laplacian(prev.u_curr).values
                         - 0.5 * cfg.lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values
                         + forcing("f_rho", t_half))
-            u_dense = np.linalg.solve(system.tocsr().toarray(),
+            u_dense = np.linalg.solve(system.tocsc().toarray(),
                                       ws.areas * np.ravel(rhs_vals, order="F"))
             assert np.max(np.abs(np.ravel(new.u_curr.values, order="F") - u_dense)) <= 1e-10
 
@@ -703,10 +710,10 @@ def test_no_module_binds_a_scipy_blas_or_lapack_routine():
     """The step's vector algebra runs in numpy's BLAS.  scipy bundles a second
     OpenBLAS with its own thread pool: at two threads, each pool's spinning
     workers hold the core that the other pool needs, and one scipy ``daxpy``
-    per step made a corner run 3-4 times as slow.  SuperLU (the block
-    correction and the direct fallback) still calls scipy's BLAS, through
-    scipy's own modules: with no scipy routine between the step's numpy
-    products, a corner run takes as long at two threads as at one.
+    per step made a corner run 3-4 times as slow.  SuperLU (the direct
+    fallback) still calls scipy's BLAS, through scipy's own modules: with no
+    scipy routine between the step's numpy products, a corner run takes as
+    long at two threads as at one.
     """
     fortran = type(scipy.linalg.blas.daxpy)
     found = [f"{name}.{key}" for name, module in sorted(sys.modules.items())
@@ -764,7 +771,7 @@ class TestSolveFallback:
         assert rep.converged and rep.reason == "converged"
         assert rep.final_relative_residual == recomputed <= TOL
         assert rep.iterations == krylov.iterations
-        assert np.max(np.abs(x - np.linalg.solve(system.tocsr().toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(system.tocsc().toarray(), b))) <= 1e-10
 
     def test_converged_krylov_solve_skips_fallback(self, monkeypatch):
         ws, system, block = steep_patch_system(0.3)
@@ -777,7 +784,7 @@ class TestSolveFallback:
 
     def test_failed_fallback_names_both_causes(self, monkeypatch):
         ws, system, _ = steep_patch_system(0.3)
-        system = system.tocsr().tolil()
+        system = as_csr(system).tolil()
         system[5, :] = 0.0  # an all-zero row: SuperLU finds the factor exactly singular
         system = system.tocsr()
         one_iteration_bicgstab(monkeypatch)
@@ -813,7 +820,7 @@ class TestBlockCorrection:
     def test_dominant_system_gets_the_heat_inverse(self, theta):
         ws, system, block = steep_patch_system(0.3, theta=theta)
         assert block is None
-        assert not weak_rows(system.tocsr().toarray(), ws.grid.shape).any()
+        assert not weak_rows(system.tocsc().toarray(), ws.grid.shape).any()
         b = np.random.default_rng(5).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, block, b, theta=theta)
         plain = bicgstab(system, b, fp32_heat_inverse(ws, theta), tol=TOL)[0]
@@ -832,16 +839,15 @@ class TestBlockCorrection:
         # a zero diagonal at cell (0, 0) makes the one-cell block A_SS = [0]
         # exactly singular, so the solve runs on the heat inverse alone
         ws, system, _ = steep_patch_system(0.3)
-        system = system.tocsr()
-        system[0, 0] = 0.0
+        system.data[_CENTER, 0] = 0.0
         b = np.random.default_rng(9).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, np.array([0]), b)
         assert report.converged and report.block_cells == 0
-        assert np.max(np.abs(x - np.linalg.solve(system.tocsr().toarray(), b))) <= 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(system.tocsc().toarray(), b))) <= 1e-10
 
     def test_block_bounds_weak_rows_and_speeds_up_bicgstab(self):
         ws, system, block = steep_patch_system(30.0)
-        a = system.tocsr().toarray()
+        a = system.tocsc().toarray()
         weak = weak_rows(a, ws.grid.shape)
         i, j = np.nonzero(weak)
         box = (slice(i.min(), i.max() + 1), slice(j.min(), j.max() + 1))
@@ -864,7 +870,7 @@ class TestBlockCorrection:
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=1.0, t_final=1.0))
         z = cell_field_from_function(grid, lambda x, y: 400.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
         system, block = ws.u_system(grad(z))
-        a = system.tocsr().toarray()
+        a = system.tocsc().toarray()
         assert weak_rows(a, grid.shape).all()
         assert np.array_equal(block, np.arange(35))
         b = np.random.default_rng(7).standard_normal(system.shape[0])

@@ -1,0 +1,39 @@
+"""Checks on the source text of the package and its tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that a module imports and never reads, as ``file:line: name``.
+
+    A name is read when it appears as a loaded ``Name`` anywhere in the
+    module (an attribute chain reads its first name) or is listed in
+    ``__all__``.  ``from __future__`` imports are directives, not names.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # __init__.py re-exports the package's names, which it imports only to bind
+    paths = [path for folder in (ROOT / "src" / "ksbcfd", ROOT / "tests")
+             for path in sorted(folder.glob("*.py")) if path.name != "__init__.py"]
+    assert len(paths) > 10
+    assert [found for path in paths for found in unused_imports(path)] == []
