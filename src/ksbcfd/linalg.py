@@ -141,7 +141,8 @@ class SolveReport:
     # cells of the preconditioner's exact correction block (``block_corrected``),
     # 0 when the solve had none; the stepper sets it
     block_cells: int = 0
-    # the true residual b - A x of the returned solution, None when there is none
+    # the true residual b - A x of the returned solution, None when there is none;
+    # a full-grid vector, which the stepper drops once it has taken b - r from it
     residual: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -182,8 +183,9 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: in
 
     ``sweep(r, tol_abs, max_iter) -> (dx, iterations, reason)`` solves
     ``A dx = r`` aiming at ``|r - A dx| <= tol_abs``.  The first pass runs on
-    the residual of ``x0`` aimed at ``tol |b|``, or from zero when ``x0`` is
-    None (with no product) or its residual exceeds ``|b|``, zero's residual.
+    the residual of ``x0`` (read, not copied) aimed at ``tol |b|``, or from
+    zero when ``x0`` is None (with no product) or its residual exceeds
+    ``|b|``, zero's residual.
     When the true residual misses ``tol`` after a pass that
     converged or broke down, the refinement pass runs on it aimed at
     ``_RESTART_TARGET`` times that.  A swept solution is kept when it lowers
@@ -200,7 +202,7 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: in
         max_iter = 10 * n
     x, r = np.zeros(n), b
     if x0 is not None:
-        x0 = np.array(x0, dtype=np.float64)
+        x0 = np.asarray(x0, dtype=np.float64)
         r0 = b - a @ x0
         if np.linalg.norm(r0) <= b_norm:
             x, r = x0, r0

@@ -574,13 +574,14 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[CellF
     return CellField(grid, x.reshape(grid.shape, order="F")), report
 
 
-def _diagnostics(state: State, grad_z: GradientPair, config: SchemeConfig, rep_z: SolveReport,
+def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, rep_z: SolveReport,
                  reps_u: tuple[SolveReport, ...]) -> StepDiagnostics:
-    """One step's record; ``grad_z`` is the gradient of the concentration
-    the step computed, and ``reps_u`` are the reports of its density solves
-    (the predictor's and the corrector's on the first step)."""
+    """One step's record; ``dz_inf`` is ``GradientPair.inf_norm`` of the
+    gradient of the concentration the step computed, taken when the density
+    system was assembled so that no gradient outlives the assembly, and
+    ``reps_u`` are the reports of its density solves (the predictor's and
+    the corrector's on the first step)."""
     u, z = state.u_curr, state.z_curr
-    dz_inf = grad_z.inf_norm()
     argmax_i, argmax_j = u.argmax()
     return StepDiagnostics(
         t=state.t,
@@ -610,46 +611,68 @@ def _check_blowup(state: State, diag: StepDiagnostics, config: SchemeConfig) -> 
         raise BlowUpDetected(state, diag)
 
 
-def _cn_stage(ws: Workspace, state: State, u_star: np.ndarray, problem: ProblemSpec,
+def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray],
+                         problem: ProblemSpec, t_half: float
+                         ) -> tuple[CellField, np.ndarray, SolveReport]:
+    """The concentration solve of a stage from ``state``, with ``u_star()``
+    as the half-level density: z^{n+1}, the product A_z z^{n+1} it carries
+    on as ``b - r``, and the solve's report without its residual.  u*, the
+    right-hand side and the residual die here, before the density system is
+    assembled."""
+    grid = ws.grid
+    z_flat = np.ravel(state.z_curr.values, order="F")
+    source = np.ravel(u_star() + _forcing(problem, "f_c", grid, t_half), order="F")
+    rhs = ws.areas_2_tau * z_flat - state.az_curr + ws.areas * source
+    x, report = _solve_concentration(ws, rhs, step=state.n + 1)
+    return (CellField(grid, x.reshape(grid.shape, order="F")), rhs - report.residual,
+            replace(report, residual=None))
+
+
+def _density_system(ws: Workspace, z: CellField
+                    ) -> tuple[linalg.FivePointMatrix, np.ndarray | None, float]:
+    """``Workspace.u_system`` at theta 1/2 in the gradient of ``z``, and
+    that gradient's ``inf_norm``; the gradient's edge arrays die here."""
+    g = grad(z)
+    system, block = ws.u_system(g)
+    return system, block, g.inf_norm()
+
+
+def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], problem: ProblemSpec,
               name: str, reps_before: tuple[SolveReport, ...] = ()) -> tuple[State, StepDiagnostics]:
     """One Crank-Nicolson stage from ``state``: the concentration solve with
-    ``u_star`` as the half-level density, then the density solve in the new
-    concentration gradient, from the fit of its right-hand side by
-    ``state.history`` (``DensityHistory.start``; u^n on the first step).
-    The right-hand sides take A_z z^n and A^n u^n from ``state``, and the
-    new state carries ``b - r`` of each solve, its right-hand side less its
-    true residual, as the products of the new level.
+    ``u_star()`` as the half-level density (``_concentration_stage``), then
+    the density solve in the new concentration gradient, from the fit of
+    its right-hand side by ``state.history`` (``DensityHistory.start``; u^n
+    on the first step).  The right-hand sides take A_z z^n and A^n u^n from
+    ``state``, and the new state carries ``b - r`` of each solve, its
+    right-hand side less its true residual, as the products of the new
+    level.  Of the concentration solve and the gradient only these products,
+    the report and ``dz_inf`` live on through the density solve.
 
     Returns the new state and its step's record, whose density columns
     also count ``reps_before``, the reports of the step's earlier density
     solves; raises ``BlowUpDetected`` when the new state crosses the
     threshold.  ``name`` names the density system in a ``StepSolveError``.
     """
-    grid, tau, w = ws.grid, ws.config.tau, ws.areas
+    grid, tau = ws.grid, ws.config.tau
     step = state.n + 1
     t_half = (state.n + 0.5) * tau
-    u_n, z_n = state.u_curr, state.z_curr
-    u_flat, z_flat = np.ravel(u_n.values, order="F"), np.ravel(z_n.values, order="F")
+    z_next, az_next, rep_z = _concentration_stage(ws, state, u_star, problem, t_half)
+    system, block, dz_inf = _density_system(ws, z_next)
 
-    source = np.ravel(u_star + _forcing(problem, "f_c", grid, t_half), order="F")
-    rhs_z = ws.areas_2_tau * z_flat - state.az_curr + w * source
-    xz, rep_z = _solve_concentration(ws, rhs_z, step=step)
-    z_next = CellField(grid, xz.reshape(grid.shape, order="F"))
-
-    g_next = grad(z_next)
-    system, block = ws.u_system(g_next)
+    u_flat = np.ravel(state.u_curr.values, order="F")
     source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
-    rhs_u = ws.areas_2_tau * u_flat - state.au_curr + w * source
+    rhs_u = ws.areas_2_tau * u_flat - state.au_curr + ws.areas * source
     history = state.history
     projection = history.projection(rhs_u, state.au_curr)
     xu, rep_u = _solve_density(ws, system, block, rhs_u, 0.5, step=step, name=name,
                                x0=history.start(u_flat, projection))
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
-    new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=u_n, z_curr=z_next,
-                      au_curr=rhs_u - rep_u.residual, az_curr=rhs_z - rep_z.residual,
+    new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=state.u_curr, z_curr=z_next,
+                      au_curr=rhs_u - rep_u.residual, az_curr=az_next,
                       history=history.pushed(xu, u_flat, projection))
-    diag = _diagnostics(new_state, g_next, ws.config, rep_z, (*reps_before, rep_u))
+    diag = _diagnostics(new_state, dz_inf, ws.config, rep_z, (*reps_before, rep_u))
     _check_blowup(new_state, diag, ws.config)
     return new_state, diag
 
@@ -658,11 +681,12 @@ def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State
     """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2,
     from the products A(grad z^0) u^0 and A_z z^0."""
     u_bar, rep_pred = predict_u1(state, problem, ws)
-    u_star = 0.5 * (u_bar.values + state.u_curr.values)
-    au = ws.u_system(grad(state.z_curr))[0] @ np.ravel(state.u_curr.values, order="F")
+    u0 = state.u_curr.values
+    au = ws.u_system(grad(state.z_curr))[0] @ np.ravel(u0, order="F")
     az = ws.z_system @ np.ravel(state.z_curr.values, order="F")
     state = replace(state, au_curr=au, az_curr=az)
-    return _cn_stage(ws, state, u_star, problem, "density corrector", reps_before=(rep_pred,))
+    return _cn_stage(ws, state, lambda: 0.5 * (u_bar.values + u0), problem, "density corrector",
+                     reps_before=(rep_pred,))
 
 
 def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
@@ -670,8 +694,8 @@ def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, S
     if state.n < 1 or state.u_prev is None or state.au_curr is None or state.az_curr is None:
         raise ValueError("Crank-Nicolson marching needs two density levels and the products "
                          "au_curr and az_curr; run the first step")
-    u_star = 1.5 * state.u_curr.values - 0.5 * state.u_prev.values
-    return _cn_stage(ws, state, u_star, problem, "density")
+    return _cn_stage(ws, state, lambda: 1.5 * state.u_curr.values - 0.5 * state.u_prev.values,
+                     problem, "density")
 
 
 def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,

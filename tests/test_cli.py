@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ksbcfd import linalg, scheme
+from ksbcfd import cli, linalg, scheme
 from ksbcfd.cli import (
     ConfigError,
     ConvergenceRow,
@@ -407,6 +407,49 @@ class TestMainCommand:
         assert summary["t_halt"] == summary["blow_up_time"]
         assert sorted(p.name for p in out.iterdir()) == [
             "diagnostics.csv", "meta.json", "summary.json"]
+
+    @pytest.mark.parametrize("failure, code, files", [
+        (None, 0, ["diagnostics.csv", "meta.json", "summary.json"]),
+        (lambda: StepSolveError(1, "density", SolveReport(False, 0, 1.0, "breakdown")), 1,
+         ["diagnostics.csv", "meta.json"]),
+        (lambda: ValueError("no level"), 1, ["meta.json"]),
+        (lambda: RuntimeError("interrupted"), None, ["meta.json"]),
+    ], ids=["exit_0", "solver_failure", "value_error", "raised"])
+    def test_every_exit_gives_the_heap_back_once_its_files_are_written(
+            self, tmp_path, monkeypatch, failure, code, files):
+        # glibc stands replaced by a recorder: the command sets both
+        # thresholds before it runs, and trims the heap exactly once, after
+        # its last file, however it ends
+        out = tmp_path / "out"
+        calls = []
+
+        class Recorder:
+            def mallopt(self, param, value):
+                calls.append(("mallopt", param, value))
+
+            def malloc_trim(self, pad):
+                calls.append(("malloc_trim", pad, sorted(p.name for p in out.iterdir())))
+
+        monkeypatch.setattr(cli, "_glibc", Recorder)
+        if failure is not None:
+            def failing(*args, **kwargs):
+                raise failure()
+            monkeypatch.setattr(scheme, "first_step", failing)
+        doc = {"problem": "blowup_corner", "mode": "blowup",
+               "grid": {"family": "corner", "m": 16}, "tau": 1e-3, "t_final": 0.05,
+               "blowup_threshold": 1e3}
+        argv = ["blowup", "--config", str(self.write(tmp_path, doc)), "--out-dir", str(out),
+                "--quiet"]
+        if code is None:
+            with pytest.raises(RuntimeError, match="interrupted"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert calls == [("mallopt", cli._M_MMAP_THRESHOLD, 32 << 20),
+                         ("mallopt", cli._M_TRIM_THRESHOLD, 64 << 20),
+                         ("malloc_trim", cli._TRIM_PAD, files)]
+        if failure is None:
+            assert json.loads((out / "summary.json").read_text())["blew_up"] is True
 
     def test_blowup_mass_drift_counts_the_first_step(self, tmp_path):
         # one step: the only drift is the first step's, from the level-0
