@@ -12,6 +12,11 @@
 # file the script makes lives in a temporary directory that it removes; it
 # reads bench/ and writes nothing there.
 #
+# When they differ, it prints the head of the diff and, for each differing
+# diagnostics.csv and convergence.csv, the largest relative difference in
+# each numeric column, |a - b| / max(|a|, |b|) over the rows both files have,
+# so a reader can see whether only the last bits moved.
+#
 # Exits 0 when the output trees are byte-identical, 1 when they differ and
 # 2 on a usage error.
 set -euo pipefail
@@ -67,5 +72,38 @@ if diff -r "$tmp/out_ref" "$tmp/out_work" > "$tmp/diff"; then
     exit 0
 fi
 head -n 40 "$tmp/diff"
+python3 - "$tmp/out_ref" "$tmp/out_work" <<'PY'
+import csv
+import math
+import sys
+from pathlib import Path
+
+ref_root, work_root = map(Path, sys.argv[1:])
+
+
+def number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+for ref in sorted(ref_root.rglob("*.csv")):
+    work = work_root / ref.relative_to(ref_root)
+    if ref.name not in ("diagnostics.csv", "convergence.csv") or not work.is_file() \
+            or ref.read_bytes() == work.read_bytes():
+        continue
+    (header, *a), (_, *b) = (list(csv.reader(f.open())) for f in (ref, work))
+    print(f"{ref.relative_to(ref_root)}: {len(a)} and {len(b)} rows; "
+          "largest relative difference per column:")
+    for c, name in enumerate(header):
+        worst = 0.0
+        for x, y in zip((number(row[c]) for row in a), (number(row[c]) for row in b)):
+            if x is None or y is None or x == y:
+                continue
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+        print(f"  {name:>14} {worst:.3e}")
+PY
 echo "outputs differ between ${ref:0:12} and the working tree" >&2
 exit 1

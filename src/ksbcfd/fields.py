@@ -173,17 +173,25 @@ def edge_y_from_function(grid: StaggeredGrid2D, fn: Callable) -> EdgeFieldY:
 
 
 def dx(p: CellField) -> EdgeFieldX:
-    """Center-to-edge difference in x; boundary edges are zero (Neumann)."""
+    """Center-to-edge difference in x; boundary edges are zero (Neumann).
+
+    The differences and quotients are taken in place in the interior of
+    the zeroed result, so no temporary is made."""
     g = p.grid
     out = np.zeros((g.ny, g.nx + 1)).T
-    out[1:-1, :] = np.diff(p.values, axis=0) / g.x_axis.dual_widths[:, None]
+    interior = out[1:-1, :]
+    np.subtract(p.values[1:, :], p.values[:-1, :], out=interior)
+    interior /= g.x_axis.dual_widths[:, None]
     return EdgeFieldX(g, out)
 
 
 def dy(p: CellField) -> EdgeFieldY:
+    """Center-to-edge difference in y, as ``dx``."""
     g = p.grid
     out = np.zeros((g.ny + 1, g.nx)).T
-    out[:, 1:-1] = np.diff(p.values, axis=1) / g.y_axis.dual_widths[None, :]
+    interior = out[:, 1:-1]
+    np.subtract(p.values[:, 1:], p.values[:, :-1], out=interior)
+    interior /= g.y_axis.dual_widths[None, :]
     return EdgeFieldY(g, out)
 
 

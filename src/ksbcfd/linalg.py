@@ -94,10 +94,14 @@ class FivePointMatrix:
     (``offsets``).  The band ``data``, shape (5, nx ny), is the matrix's DIA
     data: row o of it holds the diagonal of offset o, entry (k, k + o) at
     column k + o, zero where the neighbour lies outside the grid.  The
-    product sums each row from zero in the order of the offsets, as scipy's
-    DIA product does and, the offsets ascending, as a CSR product does, so
-    the three agree bit for bit.  ``tocsc`` imports ``scipy.sparse``, which
-    in a run only the sparse LU fallback needs.
+    product sums each row in the order of the offsets, as scipy's DIA
+    product does and, the offsets ascending, as a CSR product does, so the
+    three agree bit for bit.  Those sums start from +0.0.  This one writes
+    the first diagonal's terms straight into the result, zeroes only the
+    rows that have none, and adds +0.0 to the rest at the end: that turns a
+    row whose every term is -0.0 into the +0.0 those sums give, and changes
+    no other row.  ``tocsc`` imports ``scipy.sparse``, which in a run only
+    the sparse LU fallback needs.
     """
 
     def __init__(self, data: np.ndarray, nx: int):
@@ -109,13 +113,16 @@ class FivePointMatrix:
         return (-self.nx, -1, 0, 1, self.nx)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        n = self.shape[0]
-        y, tmp = np.zeros(n), np.empty(n)
-        for offset, diagonal in zip(self.offsets, self.data):
+        n, nx = self.shape[0], self.nx
+        y, tmp = np.empty(n), np.empty(n)
+        y[:nx] = 0.0  # the rows with no south neighbour
+        np.multiply(self.data[0, :-nx], x[:-nx], out=y[nx:])
+        for offset, diagonal in zip(self.offsets[1:], self.data[1:]):
             rows = slice(max(0, -offset), n - max(0, offset))
             cols = slice(max(0, offset), n - max(0, -offset))
             np.multiply(diagonal[cols], x[cols], out=tmp[rows])
             y[rows] += tmp[rows]
+        y[nx:] += 0.0
         return y
 
     def __abs__(self) -> FivePointMatrix:

@@ -393,28 +393,34 @@ def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s:
     The area-weighted flux across an interior edge is g times the edge
     length times the interpolated cell value, which weighs the cell on
     either side by the other cell's width across the edge over twice the
-    dual width.  Every array here is (ny, nx), x fastest, as the band is.
+    dual width.  ``s`` and those weights are folded into one factor per
+    interior edge of an axis, so each cell's coefficient is one product of
+    the flux with such a factor.  It goes straight into the band: into the
+    cell's center, from its left, right, bottom and top edges in that
+    order, which sets the centers' last bits, and into the slot of the cell
+    across the edge.  The x-edges' arrays die before the y-edges' are
+    made.  Every array here is (ny, nx), x fastest, as the band is.
     """
+    nx, ny = grid.shape
     dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
     dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
-    flux_x = dyw[:, None] * g.gx.values.T[:, 1:-1]  # interior x-edges, (ny, nx-1)
-    coef_l = flux_x * dxw[None, 1:] / (2.0 * dxd[None, :])
-    coef_r = flux_x * dxw[None, :-1] / (2.0 * dxd[None, :])
-    flux_y = dxw[None, :] * g.gy.values.T[1:-1, :]  # interior y-edges, (ny-1, nx)
-    coef_b = flux_y * dyw[1:, None] / (2.0 * dyd[:, None])
-    coef_t = flux_y * dyw[:-1, None] / (2.0 * dyd[:, None])
-    center = np.zeros(grid.shape[::-1])
-    center[:, :-1] += coef_l
-    center[:, 1:] -= coef_r
-    center[:-1, :] += coef_b
-    center[1:, :] -= coef_t
     # a cell's entry in the slot of offset o lies o places on in the row
-    south, west, middle, east, north = band.reshape(5, *center.shape)
-    middle += s * center
-    east[:, 1:] += s * coef_r
-    west[:, :-1] -= s * coef_l
-    north[1:, :] += s * coef_t
-    south[:-1, :] -= s * coef_b
+    south, west, center, east, north = band.reshape(5, ny, nx)
+    flux = dyw[:, None] * g.gx.values.T[:, 1:-1]  # interior x-edges, (ny, nx-1)
+    coef = flux * (s * dxw[1:] / (2.0 * dxd))  # the edge's left cell
+    center[:, :-1] += coef
+    west[:, :-1] -= coef
+    flux *= s * dxw[:-1] / (2.0 * dxd)  # now its right cell's coefficient
+    center[:, 1:] -= flux
+    east[:, 1:] += flux
+    del flux, coef
+    flux = dxw[None, :] * g.gy.values.T[1:-1, :]  # interior y-edges, (ny-1, nx)
+    coef = flux * (s * dyw[1:] / (2.0 * dyd))[:, None]  # the edge's bottom cell
+    center[:-1, :] += coef
+    south[:-1, :] -= coef
+    flux *= (s * dyw[:-1] / (2.0 * dyd))[:, None]  # now its top cell's coefficient
+    center[1:, :] -= flux
+    north[1:, :] += flux
 
 
 def _five_point(band: np.ndarray, nx: int) -> linalg.FivePointMatrix:

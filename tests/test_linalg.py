@@ -464,6 +464,23 @@ class TestFivePointMatrix:
         assert (abs(a) @ x).tobytes() == (abs(as_csr(a)) @ x).tobytes()
         assert np.array_equal(a.tocsc().toarray(), as_csr(a).toarray())
 
+    def test_a_row_of_negative_zero_terms_sums_to_positive_zero(self):
+        # CSR sums a row from +0.0, so a row whose every term is -0.0 sums to
+        # +0.0: an interior row, which has all five terms, and a row of the
+        # first grid row, which has no south term
+        nx, ny = 7, 5
+        band, x = random_band(nx, ny, 9)
+        x = -np.abs(x)
+        zero_rows = [2 + 2 * nx, 3]
+        for k in zero_rows:
+            for slot, offset in enumerate((-nx, -1, 0, 1, nx)):
+                if k + offset >= 0:  # entry (k, k + o) sits at column k + o
+                    band[slot, k + offset] = 0.0
+        a = FivePointMatrix(band, nx)
+        y = a @ x
+        assert y.tobytes() == (as_csr(a) @ x).tobytes()
+        assert not np.signbit(y[zero_rows]).any()
+
 
 def stiffness(axis):
     """The zero-flux stiffness matrix K of an axis, dense."""
