@@ -419,16 +419,17 @@ class TensorHeatSolver:
 
     On a tensor-product grid with x axis widths ``Wx = diag(cell_widths)``
     and zero-flux stiffness ``Kx`` (couplings ``1 / dual_widths``), and
-    likewise in y, the operator is ``s W + theta (Kx (x) Wy + Wx (x) Ky)``:
+    likewise in y, the operator is ``s W + (1/2) (Kx (x) Wy + Wx (x) Ky)``:
     ``W = Wx (x) Wy`` holds the cell areas and the bracket is ``-W L`` for
-    the discrete Laplacian ``L``.  Each axis is diagonalized once by its
+    the discrete Laplacian ``L``, so it is ``s W - (1/2) W L``, the heat
+    part of every system the stepper solves.  Each axis is diagonalized once by its
     generalized eigenpairs (``_axis_modes``), shared when both axes have the
     same widths.  In (nx, ny) array form a solve is then
 
-        X = Vx [(Vx^T B Vy) / (s + theta (mu_x_i + mu_y_j))] Vy^T
+        X = Vx [(Vx^T B Vy) / (s + (mu_x_i + mu_y_j) / 2)] Vy^T
 
     (Lynch, Rice & Thomas 1964): four small matrix products and a pointwise
-    divide, exact up to rounding for any ``s > 0`` and ``theta >= 0``.
+    divide, exact up to rounding for any ``s > 0``.
     """
 
     def __init__(self, x_axis, y_axis):
@@ -442,17 +443,17 @@ class TensorHeatSolver:
         self._vy32 = self._vx32 if self._vy is self._vx else _flushed(self._vy.astype(np.float32))
         self._denominators = {}
 
-    def _denominator(self, s: float, theta: float, dtype) -> np.ndarray:
-        """``s + theta (mu_x_i + mu_y_j)`` in ``dtype``, transposed (see
+    def _denominator(self, s: float, dtype) -> np.ndarray:
+        """``s + (mu_x_i + mu_y_j) / 2`` in ``dtype``, transposed (see
         ``solve``); made on the first call with these arguments and kept."""
-        key = (s, theta, dtype)
+        key = (s, dtype)
         if key not in self._denominators:
             mu_sum = (self._mu_y[:, None] + self._mu_x[None, :]).astype(dtype)
-            self._denominators[key] = dtype(s) + dtype(theta) * mu_sum
+            self._denominators[key] = dtype(s) + dtype(0.5) * mu_sum
         return self._denominators[key]
 
-    def solve(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
-        """Solve ``(s W + theta (Kx (x) Wy + Wx (x) Ky)) x = b``.
+    def solve(self, b: np.ndarray, s: float) -> np.ndarray:
+        """Solve ``(s W + (1/2) (Kx (x) Wy + Wx (x) Ky)) x = b``.
 
         Vectors flatten cell (i, j) to ``i + nx j``, so ``b`` in C order is
         the transposed array ``B^T`` of shape (ny, nx), and the solve runs on
@@ -460,10 +461,10 @@ class TensorHeatSolver:
         """
         nx, ny = self.shape
         bt = np.reshape(b, (ny, nx))
-        yt = (self._vy.T @ bt @ self._vx) / self._denominator(s, theta, np.float64)
+        yt = (self._vy.T @ bt @ self._vx) / self._denominator(s, np.float64)
         return (self._vy @ yt @ self._vx.T).ravel()
 
-    def solve_fp32(self, b: np.ndarray, s: float, theta: float) -> np.ndarray:
+    def solve_fp32(self, b: np.ndarray, s: float) -> np.ndarray:
         """``solve`` in single precision, for use as a preconditioner.
 
         ``b`` is scaled by the power of two ``2^-e`` that puts ``max|b|`` in
@@ -483,10 +484,10 @@ class TensorHeatSolver:
             return np.zeros(nx * ny)
         e = int(np.frexp(peak)[1])
         if e < -1021:  # 2^-e overflows: scale a subnormal peak up first, which is exact
-            return np.ldexp(self.solve_fp32(np.ldexp(b, 200), s, theta), -200)
+            return np.ldexp(self.solve_fp32(np.ldexp(b, 200), s), -200)
         bt = _flushed(np.multiply(np.reshape(b, (ny, nx)), 2.0**-e,
                                   out=np.empty((ny, nx), np.float32), casting="unsafe"))
-        yt = (self._vy32.T @ bt @ self._vx32) / self._denominator(s, theta, np.float32)
+        yt = (self._vy32.T @ bt @ self._vx32) / self._denominator(s, np.float32)
         x = self._vy32 @ _flushed(yt) @ self._vx32.T
         return np.multiply(x, 2.0**e, dtype=np.float64).ravel()
 

@@ -23,13 +23,15 @@ unknown level.
 Every discrete equation row is scaled by its cell area before assembly.
 This makes the concentration matrix exactly symmetric and gives both
 operators zero column sums, so the total weighted density is conserved up to
-the linear-solver residual.  On the tensor-product grid the concentration
-matrix (1/tau + 1/2) W - (1/2) W L is an area-weighted heat operator, which
-the fast-diagonalization solver (``linalg.TensorHeatSolver``, built once per
-run) solves directly.  The density matrix adds the chemotaxis term, is
-nonsymmetric whenever the concentration gradient is nonzero, and is solved
-with BiCGStab right-preconditioned by the inverse of its heat part
-(1/tau) W - theta W L.  That inverse ignores the chemotaxis term,
+the linear-solver residual.  Every system's heat part is an area-weighted
+heat operator s W - (1/2) W L: the concentration matrix itself, at
+s = 1/tau + 1/2, which the fast-diagonalization solver
+(``linalg.TensorHeatSolver``, built once per run) solves directly; the
+Crank-Nicolson density system's, at s = 1/tau; and the predictor's, at
+s = 1/(2 tau), for its backward-Euler equation halved.  A density matrix
+adds the chemotaxis term, is nonsymmetric whenever the concentration
+gradient is nonzero, and is solved with BiCGStab right-preconditioned by
+the inverse of its heat part.  That inverse ignores the chemotaxis term,
 which matters where it outweighs diffusion: near the singular time of a
 blow-up run, rows at the peak stop being diagonally dominant.  When any row
 is not, the preconditioner is the float64 heat inverse followed by an exact
@@ -61,9 +63,11 @@ products run in numpy.  scipy is loaded only by a sparse LU fallback.
 ``Workspace`` assembles the constant concentration matrix once per run;
 its band is the only one a run keeps.  Density matrices change every step
 with the concentration gradient: each step copies the concentration band,
-lowers its center by W/2 to the Crank-Nicolson heat part
-(1/tau) W - (1/2) W L, adds the chemotaxis term and reads the rows'
-diagonal dominance off the same copy.  The gradient's edge arrays and the
+lowers its center by W/2 to the Crank-Nicolson heat part, adds the
+chemotaxis term and reads the rows' diagonal dominance off the same copy.
+The predictor's matrix is A(grad z^0), the Crank-Nicolson one in the
+initial gradient, with its center lowered by W/(2 tau) more, so the first
+step assembles A(grad z^0) once.  The gradient's edge arrays and the
 sampled forcing are stored in that flat order too, so a step makes no
 layout copies.  A Crank-Nicolson equation
 A x^{n+1} = (2/tau) W x^n - A x^n + W f needs only the product A x^n of
@@ -71,7 +75,8 @@ the previous level's own matrix, and the previous solve already holds it
 as b - r, its right-hand side less its true residual (which
 ``linalg`` hands back): ``State`` carries A(grad z^n) u^n and A_z z^n as
 vectors, and a step multiplies by no matrix (the first step takes both
-products once, from A(grad z^0) and the concentration matrix).  The
+products once: A(grad z^0) u^0 before the predictor lowers that matrix,
+and A_z z^0).  The
 matrix-free stencils are the tests' oracle of the assembly and the
 right-hand sides.
 
@@ -359,8 +364,8 @@ def apply_chemotaxis(p: CellField, g: GradientPair) -> CellField:
 _SOUTH, _WEST, _CENTER, _EAST, _NORTH = range(5)
 
 
-def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray, theta: float) -> np.ndarray:
-    """The band (see ``_five_point``) of ``D - theta W L``.
+def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray) -> np.ndarray:
+    """The band (see ``_five_point``) of ``D - (1/2) W L``.
 
     ``D`` is the diagonal matrix of ``diagonal``, shape (nx, ny), and ``W L``
     the area-weighted discrete Laplacian: an interior edge couples its two
@@ -381,7 +386,7 @@ def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray, theta: float) -> np.
     center[:-1, :] += north[1:, :]
     center[1:, :] += south[:-1, :]
     np.negative(center, out=center)
-    band *= -theta
+    band *= -0.5
     center += diagonal.T
     return band.reshape(5, nx * ny)
 
@@ -448,39 +453,33 @@ def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
 
 
 class Workspace:
-    """Per-run operator cache: area weights (and 2/tau times them), the
-    grid's fast-diagonalization heat solver, and the concentration matrix,
-    whose band is the one constant band of a run, and its inverse by that
-    solver."""
+    """Per-run operator cache: area weights (and 1/2 and 2/tau times them),
+    the grid's fast-diagonalization heat solver, and the concentration
+    matrix, whose band is the one constant band of a run, and its inverse by
+    that solver."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
+        self.half_areas = 0.5 * self.areas
         self.areas_2_tau = 2.0 / config.tau * self.areas
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
-        # s W - theta W L at s = 1/tau + 1/2, theta = 1/2; SPD, and its inverse
-        s, theta = 1.0 / config.tau + 0.5, 0.5
-        self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas, theta), grid.nx)
-        self.z_inverse = functools.partial(self.heat.solve, s=s, theta=theta)
+        # s W - (1/2) W L at s = 1/tau + 1/2; SPD, and its inverse
+        s = 1.0 / config.tau + 0.5
+        self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas), grid.nx)
+        self.z_inverse = functools.partial(self.heat.solve, s=s)
 
-    def u_system(self, g: GradientPair, theta: float = 0.5
-                 ) -> tuple[linalg.FivePointMatrix, np.ndarray | None]:
-        """The density system (1/tau) W - theta W L + theta lam W C(g), for
-        theta 1/2 (Crank-Nicolson) or 1 (the backward-Euler predictor), and
-        the block bounding its rows that are not diagonally dominant
-        (``_weak_rows_block``).  The matrix's data is a heat band.  At theta
-        1/2 it is a copy of the concentration matrix's band with its center
-        lowered by W / 2, the one place the two operators differ; the
-        predictor's, at theta 1, is built on its call.
+    def u_system(self, g: GradientPair) -> linalg.FivePointMatrix:
+        """The Crank-Nicolson density system
+        (1/tau) W - (1/2) W L + (1/2) lam W C(g): a copy of the concentration
+        matrix's band with its center lowered by W / 2, the one place the two
+        heat parts differ, and the chemotaxis term added.
         """
-        if theta == 0.5:
-            band = self.z_system.data.copy()
-            band[_CENTER] -= 0.5 * self.areas
-        else:
-            band = _heat_band(self.grid, self.grid.cell_areas / self.config.tau, theta)
-        _add_chemotaxis(band, self.grid, g, theta * self.config.lam)
-        return _five_point(band, self.grid.nx), _weak_rows_block(band, self.grid.nx)
+        band = self.z_system.data.copy()
+        band[_CENTER] -= self.half_areas
+        _add_chemotaxis(band, self.grid, g, 0.5 * self.config.lam)
+        return _five_point(band, self.grid.nx)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +535,13 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
 
 
 def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndarray | None,
-                   rhs: np.ndarray, theta: float, step: int, name: str,
+                   rhs: np.ndarray, s: float, step: int, name: str,
                    x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-    """BiCGStab from ``x0`` for a density system from ``Workspace.u_system``,
-    with a sparse LU fallback.
+    """BiCGStab from ``x0`` for a density system whose heat part is
+    s W - (1/2) W L, with a sparse LU fallback.
 
-    The right preconditioner is the inverse of the system's heat part
-    (1/tau) W - theta W L: in single precision when ``block`` is None, and
+    The right preconditioner is the inverse of that heat part (by
+    ``Workspace.heat``): in single precision when ``block`` is None, and
     otherwise in float64 followed by an exact solve of ``system`` on the
     rows ``block`` (``linalg.block_corrected``).  The fallback's report
     keeps the BiCGStab iteration count and carries the residual recomputed
@@ -551,11 +550,10 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
     the correction block, 0 when there is none or its elimination meets an
     exactly singular pivot block.
     """
-    s = 1.0 / ws.config.tau
     if block is None:
-        precond, cells = functools.partial(ws.heat.solve_fp32, s=s, theta=theta), 0
+        precond, cells = functools.partial(ws.heat.solve_fp32, s=s), 0
     else:
-        heat = functools.partial(ws.heat.solve, s=s, theta=theta)
+        heat = functools.partial(ws.heat.solve, s=s)
         precond = linalg.block_corrected(system, heat, block)
         cells = 0 if precond is heat else block.size  # 0: a singular pivot block
     x, report = linalg.bicgstab(system, rhs, precond, x0=x0)
@@ -567,17 +565,29 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
     return x, replace(report, block_cells=cells)
 
 
-def predict_u1(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[CellField, SolveReport]:
-    """Backward-Euler density predictor for the first level."""
+def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
+               ) -> tuple[CellField, SolveReport, np.ndarray]:
+    """The backward-Euler density predictor for the first level, its
+    report, and the product A(grad z^0) u^0 for the first stage.
+
+    Halved, the predictor's equation has the matrix A(grad z^0) with
+    W/(2 tau) taken off its center and the right-hand side
+    W (u^0 / tau + f) / 2.  So A(grad z^0) is assembled once: the product is
+    taken from it, then its center is lowered in place and its weak rows
+    are read off the lowered band.
+    """
     if state.n != 0:
         raise ValueError("the predictor runs from the initial level only")
     grid, tau = ws.grid, ws.config.tau
-    system, block = ws.u_system(grad(state.z_curr), 1.0)
+    system = ws.u_system(grad(state.z_curr))
+    u0 = np.ravel(state.u_curr.values, order="F")
+    au = system @ u0
+    system.data[_CENTER] -= ws.half_areas / tau
     rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
-    rhs = ws.areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve_density(ws, system, block, rhs, 1.0, step=1, name="density predictor",
-                               x0=np.ravel(state.u_curr.values, order="F"))
-    return CellField(grid, x.reshape(grid.shape, order="F")), report
+    rhs = ws.half_areas * np.ravel(rhs_vals, order="F")
+    x, report = _solve_density(ws, system, _weak_rows_block(system.data, grid.nx), rhs, 0.5 / tau,
+                               step=1, name="density predictor", x0=u0)
+    return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
 
 def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, rep_z: SolveReport,
@@ -636,11 +646,12 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
 
 def _density_system(ws: Workspace, z: CellField
                     ) -> tuple[linalg.FivePointMatrix, np.ndarray | None, float]:
-    """``Workspace.u_system`` at theta 1/2 in the gradient of ``z``, and
-    that gradient's ``inf_norm``; the gradient's edge arrays die here."""
+    """``Workspace.u_system`` in the gradient of ``z``, the block of its
+    weak rows (``_weak_rows_block``) and that gradient's ``inf_norm``; the
+    gradient's edge arrays die here."""
     g = grad(z)
-    system, block = ws.u_system(g)
-    return system, block, g.inf_norm()
+    system = ws.u_system(g)
+    return system, _weak_rows_block(system.data, ws.grid.nx), g.inf_norm()
 
 
 def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], problem: ProblemSpec,
@@ -671,7 +682,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     rhs_u = ws.areas_2_tau * u_flat - state.au_curr + ws.areas * source
     history = state.history
     projection = history.projection(rhs_u, state.au_curr)
-    xu, rep_u = _solve_density(ws, system, block, rhs_u, 0.5, step=step, name=name,
+    xu, rep_u = _solve_density(ws, system, block, rhs_u, 1.0 / tau, step=step, name=name,
                                x0=history.start(u_flat, projection))
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
@@ -685,10 +696,9 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
 
 def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
     """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2,
-    from the products A(grad z^0) u^0 and A_z z^0."""
-    u_bar, rep_pred = predict_u1(state, problem, ws)
+    from the products A(grad z^0) u^0, which the predictor takes, and A_z z^0."""
+    u_bar, rep_pred, au = predict_u1(state, problem, ws)
     u0 = state.u_curr.values
-    au = ws.u_system(grad(state.z_curr))[0] @ np.ravel(u0, order="F")
     az = ws.z_system @ np.ravel(state.z_curr.values, order="F")
     state = replace(state, au_curr=au, az_curr=az)
     return _cn_stage(ws, state, lambda: 0.5 * (u_bar.values + u0), problem, "density corrector",

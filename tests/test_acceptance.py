@@ -49,6 +49,7 @@ from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     SchemeConfig,
     Workspace,
+    _density_system,
     _solve_concentration,
     _solve_density,
     apply_chemotaxis,
@@ -234,7 +235,7 @@ def test_criterion_6_solver_oracle_equivalence():
         xz, rep_z = _solve_concentration(ws, rhs_z, step=1)
         gaps = [np.max(np.abs(xz - np.linalg.solve(z_dense, rhs_z)))]
         ok &= rep_z.converged
-        u_sys, block = ws.u_system(grad(z))
+        u_sys, block, _ = _density_system(ws, z)
         blocks += block is not None
         rhs_u = ws.areas * np.ravel(
             u.values / tau + 0.5 * apply_laplacian(u).values
@@ -242,7 +243,7 @@ def test_criterion_6_solver_oracle_equivalence():
             order="F")
         u_oracle = np.linalg.solve(u_sys.tocsc().toarray(), rhs_u)
         for b in (block, None):
-            xu, rep_u = _solve_density(ws, u_sys, b, rhs_u, 0.5, step=1, name="density",
+            xu, rep_u = _solve_density(ws, u_sys, b, rhs_u, 1.0 / tau, step=1, name="density",
                                        x0=np.ravel(u.values, order="F"))
             ok &= rep_u.converged
             gaps.append(np.max(np.abs(xu - u_oracle)))

@@ -22,7 +22,7 @@ from ksbcfd.linalg import (
     direct_solve,
     sparse_lu_solve,
 )
-from ksbcfd.scheme import SchemeConfig, Workspace
+from ksbcfd.scheme import _CENTER, SchemeConfig, Workspace, _density_system
 
 
 def csr(n, rows, cols, vals):
@@ -257,7 +257,7 @@ class TestSweepInputs:
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.01))
         xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
         z = CellField(grid, amp * np.exp(-30 * ((xs - 0.9) ** 2 + (ys - 0.6) ** 2)))
-        a, block = ws.u_system(grad(z))
+        a, block, _ = _density_system(ws, z)
         assert (block is None) == (amp == 1.0)
         return ws, a, block
 
@@ -290,17 +290,17 @@ class TestSweepInputs:
 
     def test_fp32_preconditioner(self, monkeypatch):
         ws, a, _ = self.system(amp=1.0)
-        precond = lambda r: ws.heat.solve_fp32(r, 1.0 / ws.config.tau, 0.5)
+        precond = lambda r: ws.heat.solve_fp32(r, 1.0 / ws.config.tau)
         self.solve_and_check(a, precond, monkeypatch)
 
     def test_block_corrected_preconditioner(self, monkeypatch):
         ws, a, block = self.system()
-        heat = lambda r: ws.heat.solve(r, 1.0 / ws.config.tau, 0.5)
+        heat = lambda r: ws.heat.solve(r, 1.0 / ws.config.tau)
         self.solve_and_check(a, block_corrected(a, heat, block), monkeypatch)
 
     def test_refinement_sweep(self, monkeypatch):
         ws, a, block = self.system()
-        heat = lambda r: ws.heat.solve(r, 1.0 / ws.config.tau, 0.5)
+        heat = lambda r: ws.heat.solve(r, 1.0 / ws.config.tau)
         sweeps = self.solve_and_check(a, block_corrected(a, heat, block), monkeypatch,
                                       early_first_sweep=True)
         assert sweeps == 2
@@ -539,7 +539,7 @@ class TestTensorHeatSolver:
 
         def inverse(r):  # a solution that meets tol is not refined
             calls.append(r)
-            return heat.solve(r, 1.0 / self.tau + 0.5, 0.5)
+            return heat.solve(r, 1.0 / self.tau + 0.5)
 
         x, rep = direct_solve(a, b, inverse)
         assert rep.converged and rep.iterations == 0 and len(calls) == 1
@@ -548,12 +548,18 @@ class TestTensorHeatSolver:
 
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_inverts_heat_part_of_u_system(self, backward_euler):
+        # in a zero gradient: the Crank-Nicolson system, s = 1/tau, and the
+        # predictor's, that system with W/(2 tau) off its center, s = 1/(2 tau)
         grid = rectangular_grid()
         zero_g = grad(CellField(grid, np.zeros(grid.shape)))
-        theta = 1.0 if backward_euler else 0.5
-        a = self.workspace(grid).u_system(zero_g, theta)[0]
+        ws = self.workspace(grid)
+        a = ws.u_system(zero_g)
+        s = 1.0 / self.tau
+        if backward_euler:
+            a.data[_CENTER] -= ws.half_areas / self.tau
+            s *= 0.5
         b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
-        x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, 1.0 / self.tau, theta)
+        x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, s)
         assert relative_residual(a, b, x) <= 1e-12
         assert np.max(np.abs(x - np.linalg.solve(a.tocsc().toarray(), b))) <= 1e-10
 
@@ -562,7 +568,7 @@ class TestTensorHeatSolver:
         a = self.workspace(grid).z_system
         b = np.ones(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
-        _, rep = direct_solve(a, b, lambda r: heat.solve(r, 1.0 / self.tau, 0.5))  # s off by 1/2
+        _, rep = direct_solve(a, b, lambda r: heat.solve(r, 1.0 / self.tau))  # s off by 1/2
         assert not rep.converged and rep.reason == "breakdown"
 
     @pytest.mark.parametrize("eps, converged", [(1e-6, True), (1e-5, False)])
@@ -577,7 +583,7 @@ class TestTensorHeatSolver:
 
         def inverse(r):
             calls.append(r)
-            return heat.solve(r, (1.0 / self.tau + 0.5) * (1.0 + eps), 0.5)
+            return heat.solve(r, (1.0 / self.tau + 0.5) * (1.0 + eps))
 
         plain = relative_residual(a, b, inverse(b))
         assert plain >= 1e-7
@@ -595,14 +601,15 @@ class TestTensorHeatSolver:
         n = grid.nx * grid.ny
         return rng.standard_normal(n) * 10.0 ** rng.integers(-30, 1, n)
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_fp32_solve_agrees_with_fp64(self, theta):
+    @pytest.mark.parametrize("s_tau", [1.0, 0.5])
+    def test_fp32_solve_agrees_with_fp64(self, s_tau):
+        # the Crank-Nicolson density system's heat part and the predictor's
         grid = rectangular_grid()
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         for seed in (44, 45):
             b = self.heat_rhs(grid, seed)
-            x64 = heat.solve(b, 1.0 / self.tau, theta)
-            x32 = heat.solve_fp32(b, 1.0 / self.tau, theta)
+            x64 = heat.solve(b, s_tau / self.tau)
+            x32 = heat.solve_fp32(b, s_tau / self.tau)
             assert x32.dtype == np.float64
             assert np.linalg.norm(x32 - x64) <= 1e-6 * np.linalg.norm(x64)
 
@@ -612,10 +619,10 @@ class TestTensorHeatSolver:
         grid = rectangular_grid()
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         b = self.heat_rhs(grid, 46)
-        x = heat.solve_fp32(b, 1.0 / self.tau, 0.5)
+        x = heat.solve_fp32(b, 1.0 / self.tau)
         for k in range(-200, 101):
             c = 2.0**k
-            assert np.array_equal(heat.solve_fp32(c * b, 1.0 / self.tau, 0.5), c * x)
+            assert np.array_equal(heat.solve_fp32(c * b, 1.0 / self.tau), c * x)
 
     def test_fp32_solve_flushes_its_matrix_product_operands(self, monkeypatch):
         # every operand of the float32 products keeps no entry below 2^-60 of
@@ -633,7 +640,7 @@ class TestTensorHeatSolver:
             return operands[-1]
 
         monkeypatch.setattr(ksbcfd.linalg, "_flushed", recorded)
-        heat.solve_fp32(1e-9 * self.heat_rhs(grid, 47), 1.0 / self.tau, 0.5)
+        heat.solve_fp32(1e-9 * self.heat_rhs(grid, 47), 1.0 / self.tau)
         assert len(operands) == 4  # the modes, the scaled input, the mode coefficients
         assert 0.5 <= np.max(np.abs(operands[2])) <= 1.0
         for a in operands:
@@ -646,14 +653,14 @@ class TestTensorHeatSolver:
         grid = rectangular_grid()
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         b = np.random.default_rng(48).standard_normal(grid.nx * grid.ny)
-        x = heat.solve_fp32(np.ldexp(b, -1040), 1.0 / self.tau, 0.5)
-        x64 = heat.solve(b, 1.0 / self.tau, 0.5)
+        x = heat.solve_fp32(np.ldexp(b, -1040), 1.0 / self.tau)
+        x64 = heat.solve(b, 1.0 / self.tau)
         assert np.linalg.norm(np.ldexp(x, 1040) - x64) <= 1e-5 * np.linalg.norm(x64)
 
     def test_fp32_solve_of_zero_is_zero(self):
         grid = rectangular_grid()
         x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve_fp32(
-            np.zeros(grid.nx * grid.ny), 1.0 / self.tau, 0.5)
+            np.zeros(grid.nx * grid.ny), 1.0 / self.tau)
         assert x.dtype == np.float64 and x.shape == (grid.nx * grid.ny,)
         assert np.array_equal(x, np.zeros(grid.nx * grid.ny))
 
@@ -664,10 +671,10 @@ class TestTensorHeatSolver:
         xs = grid.x_axis.centers[:, None]
         ys = grid.y_axis.centers[None, :]
         z = CellField(grid, np.cos(3 * xs) * np.sin(2 * ys))
-        a = self.workspace(grid).u_system(grad(z))[0]
+        a = self.workspace(grid).u_system(grad(z))
         b = np.random.default_rng(43).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
-        x, rep = bicgstab(a, b, lambda r: heat.solve(r, 1.0 / self.tau, 0.5))
+        x, rep = bicgstab(a, b, lambda r: heat.solve(r, 1.0 / self.tau))
         _, plain = bicgstab(a, b, jacobi(a.tocsc()))
         assert rep.converged and plain.converged
         assert rep.iterations < plain.iterations

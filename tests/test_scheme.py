@@ -26,6 +26,7 @@ from ksbcfd.scheme import (
     Workspace,
     _CENTER,
     _check_blowup,
+    _density_system,
     _diagnostics,
     _solve_concentration,
     _solve_density,
@@ -73,6 +74,32 @@ def mass(f):
 
 def workspace(grid, tau=0.05):
     return Workspace(grid, SchemeConfig(lam=1.0, tau=tau, t_final=tau))
+
+
+def concentration_problem(c0):
+    """A problem with unit density whose initial concentration is the
+    samples of ``c0`` as they are (no curvature correction)."""
+    one = lambda x, y: np.ones(np.broadcast(x, y).shape)
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    return ProblemSpec(name="patch", domain=(0.0, 1.0, 0.0, 1.0), lam=1.0,
+                       rho0=one, c0=c0, c0_xx=zero, c0_yy=zero)
+
+
+def predictor_solve(problem, grid, cfg):
+    """``predict_u1`` from the initial level of ``problem``, and what it
+    hands ``_solve_density``: (workspace, system, block, rhs, s)."""
+    calls = []
+    solve = ksbcfd.scheme._solve_density
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ksbcfd.scheme, "_solve_density", recorded)
+        predict_u1(init_state(problem, grid), problem, Workspace(grid, cfg))
+    (args,) = calls
+    return args
 
 
 class TestConfig:
@@ -137,7 +164,7 @@ class TestFirstStep:
         cfg = SchemeConfig(lam=1.0, tau=0.05, t_final=0.05)
         ws = Workspace(grid, cfg)
         state = init_state(problem, grid)
-        u_bar, _ = predict_u1(state, problem, ws)
+        u_bar, _, _ = predict_u1(state, problem, ws)
         assert np.max(np.abs(u_bar.values - 3.0)) <= 1e-12
         new_state, _ = first_step(state, problem, ws)
         assert np.max(np.abs(new_state.z_curr.values - 3.0)) <= 1e-12
@@ -171,11 +198,33 @@ class TestFirstStep:
         problem = get_problem("global_existence")
         grid = unit_grid(10)
         cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.1)
-        state = init_state(problem, grid)
-        g0 = grad(state.z_curr)
-        assert g0.inf_norm() > 0.0
-        a = Workspace(grid, cfg).u_system(g0, 1.0)[0].tocsc().toarray()
+        assert grad(init_state(problem, grid).z_curr).inf_norm() > 0.0
+        a = predictor_solve(problem, grid, cfg)[1].tocsc().toarray()
         assert not np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("problem", ["global_existence", "mms_accuracy"])
+    def test_predictor_is_the_crank_nicolson_system_less_w_over_2_tau(self, problem):
+        # bit for bit: A(grad z^0)'s band with W/(2 tau) taken off its
+        # center, its weak rows, half the backward-Euler right-hand side,
+        # the heat part's s = 1/(2 tau), and the product A(grad z^0) u^0
+        # the first stage takes, from the same band before it was lowered
+        problem = get_problem(problem)
+        grid = perturbed_grid(9)
+        cfg = SchemeConfig(lam=1.3, tau=0.01, t_final=0.01)
+        ws, system, block, rhs, s = predictor_solve(problem, grid, cfg)
+        state = init_state(problem, grid)
+        crank_nicolson = ws.u_system(grad(state.z_curr))
+        u0 = np.ravel(state.u_curr.values, order="F")
+        band = crank_nicolson.data.copy()
+        band[_CENTER] -= (0.5 * ws.areas) / cfg.tau
+        assert bit_equal(system.data, band) and system.nx == grid.nx
+        assert block is None or np.array_equal(block, ksbcfd.scheme._weak_rows_block(band, grid.nx))
+        f = ksbcfd.scheme._forcing(problem, "f_rho", grid, cfg.tau)
+        backward_euler = ws.areas * np.ravel(state.u_curr.values / cfg.tau + f, order="F")
+        assert bit_equal(rhs, 0.5 * backward_euler)
+        assert s == 0.5 / cfg.tau
+        _, _, au = predict_u1(state, problem, ws)
+        assert bit_equal(au, crank_nicolson @ u0)
 
     def test_mass_preserved_through_first_step(self):
         problem = get_problem("global_existence")
@@ -193,7 +242,7 @@ class TestFirstStep:
         grid = perturbed_grid(9)
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         state = init_state(problem, grid)
-        u_bar, report = predict_u1(state, problem, Workspace(grid, cfg))
+        u_bar, report, _ = predict_u1(state, problem, Workspace(grid, cfg))
         assert report.converged
         g0 = grad(state.z_curr)
         lhs = (
@@ -218,10 +267,10 @@ class TestSystemStructure:
         grid = perturbed_grid(5)
         zero_g = grad(CellField(grid, np.ones(grid.shape)))
         ws = workspace(grid)
-        a0 = ws.u_system(zero_g)[0].tocsc().toarray()
+        a0 = ws.u_system(zero_g).tocsc().toarray()
         assert np.array_equal(a0, a0.T)
         state = init_state(get_problem("global_existence"), grid)
-        a1 = ws.u_system(grad(state.z_curr))[0].tocsc().toarray()
+        a1 = ws.u_system(grad(state.z_curr)).tocsc().toarray()
         assert not np.array_equal(a1, a1.T)
 
     def test_zero_sensitivity_matches_loop_assembled_heat_matrix(self):
@@ -234,7 +283,7 @@ class TestSystemStructure:
         zero_g = grad(CellField(grid, np.zeros(grid.shape)))
         ws = workspace(grid, tau)
         # the density system's heat part, and the concentration system
-        for assembled, weight in ((ws.u_system(zero_g)[0], 1.0 / tau),
+        for assembled, weight in ((ws.u_system(zero_g), 1.0 / tau),
                                   (ws.z_system, 1.0 / tau + 0.5)):
             heat = np.zeros((n, n))
             for j in range(ny):
@@ -262,21 +311,27 @@ class TestSystemStructure:
     @pytest.mark.parametrize("backward_euler", [False, True])
     def test_workspace_u_system_matches_assembly(self, backward_euler):
         # 9 x 6 cells on two different perturbed axes: the band-filled density
-        # matrices against the matrix-free stencils, applied column by column
+        # matrices against the matrix-free stencils, applied column by column;
+        # the predictor's is its backward-Euler matrix halved, whose heat
+        # part has s = 1/(2 tau)
         grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
                          build_random_perturbed(0, 1, 6, 0.3, 22))
         cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
-        theta = 1.0 if backward_euler else 0.5
-        z = cell_field_from_function(grid, lambda x, y: np.cos(3 * x) * np.sin(2 * y + x))
-        g = grad(z)
+        s = (0.5 if backward_euler else 1.0) / cfg.tau
+        c0 = lambda x, y: np.cos(3 * x) * np.sin(2 * y + x)
+        g = grad(cell_field_from_function(grid, c0))
         n = grid.nx * grid.ny
         stencil = np.zeros((n, n))
         for k in range(n):
             v = CellField(grid, np.eye(n)[k].reshape(grid.shape, order="F"))
-            column = (v.values / cfg.tau - theta * apply_laplacian(v).values
-                      + theta * cfg.lam * apply_chemotaxis(v, g).values)
+            column = (s * v.values - 0.5 * apply_laplacian(v).values
+                      + 0.5 * cfg.lam * apply_chemotaxis(v, g).values)
             stencil[:, k] = np.ravel(grid.cell_areas * column, order="F")
-        filled = Workspace(grid, cfg).u_system(g, theta)[0].tocsc().toarray()
+        if backward_euler:
+            filled = predictor_solve(concentration_problem(c0), grid, cfg)[1]
+        else:
+            filled = Workspace(grid, cfg).u_system(g)
+        filled = filled.tocsc().toarray()
         assert np.allclose(filled, stencil, rtol=1e-14, atol=0.0)
         assert np.array_equal(filled != 0.0, stencil != 0.0)
 
@@ -292,7 +347,7 @@ class TestSystemStructure:
         state = init_state(get_problem("global_existence"), grid)
         g = grad(state.z_curr)
         assert g.inf_norm() > 0.0
-        a_u = ws.u_system(g)[0]
+        a_u = ws.u_system(g)
         weight = np.ravel(grid.cell_areas / tau, order="F")
         assert np.max(np.abs(a_u.tocsc().sum(axis=0).A1 - weight)) <= 1e-12 * np.abs(a_u.data).max()
 
@@ -304,10 +359,11 @@ class TestSystemStructure:
                          build_random_perturbed(0, 1, 4, 0.3, 52))
         nx, ny = grid.shape
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
-        g = grad(init_state(get_problem("global_existence"), grid).z_curr)
+        problem = get_problem("global_existence")
+        g = grad(init_state(problem, grid).z_curr)
         ws = Workspace(grid, cfg)
         x = np.random.default_rng(53).standard_normal(nx * ny)
-        for a in (ws.z_system, ws.u_system(g)[0], ws.u_system(g, 1.0)[0]):
+        for a in (ws.z_system, ws.u_system(g), predictor_solve(problem, grid, cfg)[1]):
             assert isinstance(a, FivePointMatrix) and a.shape == (28, 28)
             assert a.offsets == (-nx, -1, 0, 1, nx)
             dense = a.tocsc().toarray()
@@ -324,7 +380,7 @@ class TestSystemStructure:
 S, W, C, E, N = range(5)
 
 
-def reference_heat_band(grid, diagonal, theta):
+def reference_heat_band(grid, diagonal):
     nx, ny = grid.shape
     dxw, dyw = grid.x_axis.cell_widths, grid.y_axis.cell_widths
     dxd, dyd = grid.x_axis.dual_widths, grid.y_axis.dual_widths
@@ -332,7 +388,7 @@ def reference_heat_band(grid, diagonal, theta):
     band[E, :-1, :] = band[W, 1:, :] = dyw[None, :] / dxd[:, None]
     band[N, :, :-1] = band[S, :, 1:] = dxw[:, None] / dyd[None, :]
     band[C] = -(band[E] + band[W] + band[N] + band[S])
-    band *= -theta
+    band *= -0.5
     band[C] += diagonal
     return band
 
@@ -383,11 +439,13 @@ def bit_equal(a, b):
 
 
 class TestAssemblyOracle:
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("s_tau", [1.0, 0.5])
     @pytest.mark.parametrize("weak", [False, True])
-    def test_u_system_is_bit_equal_to_the_band_path(self, theta, weak):
+    def test_u_system_is_bit_equal_to_the_band_path(self, s_tau, weak):
         # two non-square perturbed grids; the steep patch leaves rows that
-        # are not diagonally dominant, the smooth field none
+        # are not diagonally dominant, the smooth field none.  s tau = 1 is
+        # the Crank-Nicolson system and its weak rows, s tau = 1/2 the
+        # predictor's, with W/(2 tau) more off its center
         if weak:
             grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
                              build_random_perturbed(0, 1, 8, 0.3, 32))
@@ -399,18 +457,20 @@ class TestAssemblyOracle:
             cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
             fn = lambda x, y: np.cos(3 * x) * np.sin(2 * y + x)
         g = grad(cell_field_from_function(grid, fn))
-        if theta == 0.5:
-            # the concentration matrix's band with its center lowered by W / 2
-            band = reference_heat_band(grid, (1.0 / cfg.tau + 0.5) * grid.cell_areas, 0.5)
-            band[C] -= 0.5 * grid.cell_areas
-        else:
-            band = reference_heat_band(grid, grid.cell_areas / cfg.tau, theta)
-        reference_add_chemotaxis(band, grid, g, theta * cfg.lam)
+        # the concentration matrix's band with its center lowered by W / 2
+        band = reference_heat_band(grid, (1.0 / cfg.tau + 0.5) * grid.cell_areas)
+        band[C] -= 0.5 * grid.cell_areas
+        reference_add_chemotaxis(band, grid, g, 0.5 * cfg.lam)
+        if s_tau == 0.5:
+            band[C] -= (0.5 * grid.cell_areas) / cfg.tau
         data, offsets = reference_five_point(band)
         block = reference_weak_rows_block(band)
         assert (block is not None) == weak
 
-        system, rows = Workspace(grid, cfg).u_system(g, theta)
+        if s_tau == 1.0:
+            system, rows, _ = _density_system(Workspace(grid, cfg), cell_field_from_function(grid, fn))
+        else:
+            _, system, rows, _, _ = predictor_solve(concentration_problem(fn), grid, cfg)
         assert bit_equal(system.data, data)
         assert system.offsets == offsets
         assert rows is None if block is None else np.array_equal(rows, block)
@@ -420,7 +480,7 @@ class TestAssemblyOracle:
                          build_random_perturbed(0, 1, 4, 0.3, 52))
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         s = 1.0 / cfg.tau + 0.5
-        data, _ = reference_five_point(reference_heat_band(grid, s * grid.cell_areas, 0.5))
+        data, _ = reference_five_point(reference_heat_band(grid, s * grid.cell_areas))
         assert bit_equal(Workspace(grid, cfg).z_system.data, data)
 
     def test_step_arrays_are_stored_x_fastest(self):
@@ -527,7 +587,7 @@ class TestMarching:
             z_dense = np.linalg.solve(ws.z_system.tocsc().toarray(),
                                       ws.areas * np.ravel(rhs_vals, order="F"))
             assert np.max(np.abs(np.ravel(new.z_curr.values, order="F") - z_dense)) <= 1e-10
-            system, _ = ws.u_system(grad(new.z_curr))
+            system = ws.u_system(grad(new.z_curr))
             rhs_vals = (prev.u_curr.values / cfg.tau
                         + 0.5 * apply_laplacian(prev.u_curr).values
                         - 0.5 * cfg.lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values
@@ -537,7 +597,7 @@ class TestMarching:
             assert np.max(np.abs(np.ravel(new.u_curr.values, order="F") - u_dense)) <= 1e-10
 
         state0 = init_state(problem, grid)
-        u_bar, _ = predict_u1(state0, problem, ws)
+        u_bar, _, _ = predict_u1(state0, problem, ws)
         state1, _ = first_step(state0, problem, ws)
         check(state0, state1, 0.5 * (u_bar.values + state0.u_curr.values))
         state2, _ = step_cn(state1, problem, ws)
@@ -550,8 +610,9 @@ class TestMarching:
         self.check_against_dense_oracle(get_problem("mms_accuracy"), perturbed_grid(8))
 
     def test_each_step_assembles_one_density_matrix(self, monkeypatch):
-        # the predictor's, A(grad z^0) for the first stage's right-hand side,
-        # and one per stage, which the next stage's right-hand side reuses
+        # and one gradient: A(grad z^0), whose product the first stage's
+        # right-hand side takes before the predictor lowers it, and one per
+        # stage, which the next stage's right-hand side reuses
         problem = get_problem("global_existence")
         grid = perturbed_grid(8)
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05)
@@ -568,8 +629,8 @@ class TestMarching:
         result = run(problem, grid, cfg)
         steps = len(result.diagnostics)
         assert steps == cfg.n_steps == 5
-        assert counts["u_system"] == steps + 2
-        assert counts["grad"] <= steps + 2
+        assert counts["u_system"] == steps + 1
+        assert counts["grad"] <= steps + 1
 
     def test_state_carries_the_products_of_its_matrices(self):
         # b - r of each solve is A x to rounding: within 4 eps (|A| |x|) of
@@ -583,7 +644,7 @@ class TestMarching:
         state2, _ = step_cn(state1, problem, ws)
         flat = lambda v: np.ravel(v, order="F")
         for state in (state1, state2):
-            a_u = ws.u_system(grad(state.z_curr))[0]
+            a_u = ws.u_system(grad(state.z_curr))
             for carried, a, x in ((state.au_curr, a_u, state.u_curr),
                                   (state.az_curr, ws.z_system, state.z_curr)):
                 x = flat(x.values)
@@ -668,8 +729,7 @@ class TestDensityHistory:
         assert diag.block_cells == 0
         heat_only = starts[-1]
         assert not np.array_equal(heat_only, np.ravel(state.u_curr.values, order="F"))
-        u_system = ws.u_system
-        monkeypatch.setattr(ws, "u_system", lambda g: (u_system(g)[0], np.arange(3)))
+        monkeypatch.setattr(ksbcfd.scheme, "_weak_rows_block", lambda band, nx: np.arange(3))
         _, diag = step_cn(state, problem, ws)
         assert diag.block_cells == 3
         assert heat_only.tobytes() == starts[-1].tobytes()
@@ -733,31 +793,55 @@ def test_a_corner_run_keeps_at_most_53_full_grid_vectors_live():
     assert (peak - base) / (8 * m * m) <= 53
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(theta):
-    """The traced peak of ``Workspace.u_system`` beyond the band and block it
-    returns, in full-grid vectors, under a steep patch that leaves rows
-    that are not diagonally dominant.  The chemotaxis term adds one edge
-    flux and one coefficient array at a time into the band: the peak is 2.8
-    vectors here, and 8.7 with a full-grid center and all four coefficient
-    arrays scaled apart from the band."""
+class _AtTheSolve(Exception):
+    """Raised in place of the predictor's density solve."""
+
+
+@pytest.mark.parametrize("s_tau", [1.0, 0.5])
+def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(s_tau, monkeypatch):
+    """The traced peak of a density assembly beyond what it keeps, in
+    full-grid vectors, under a steep patch that leaves rows that are not
+    diagonally dominant: ``Workspace.u_system`` beyond the band it returns
+    (s tau = 1), and the predictor (s tau = 1/2) up to its solve beyond
+    what it hands the solve, which also makes the gradient, u^0, the product
+    A(grad z^0) u^0, the lowered center and the right-hand side.  The
+    chemotaxis term adds one edge flux and one coefficient array at a time
+    into the band: ``u_system``'s peak is 3.0 vectors here (8.7 with a
+    full-grid center and all four coefficient arrays scaled apart from the
+    band), and the predictor's 1.9."""
     m = 128
     grid = make_grid(build_corner_refined(m), build_corner_refined(m))
-    ws = Workspace(grid, SchemeConfig(lam=1.0, tau=1e-3, t_final=1e-3))
-    g = grad(cell_field_from_function(
-        grid, lambda x, y: 1e3 * np.exp(-100 * ((x - 0.4) ** 2 + (y - 0.4) ** 2))))
+    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1e-3)
+    c0 = lambda x, y: 1e3 * np.exp(-100 * ((x - 0.4) ** 2 + (y - 0.4) ** 2))
+    ws = Workspace(grid, cfg)
+    g = grad(cell_field_from_function(grid, c0))
+    problem = concentration_problem(c0)
+    state = init_state(problem, grid)
+    handed = []
+
+    def at_the_solve(ws, system, block, rhs, s, **kwargs):
+        handed.append((tracemalloc.get_traced_memory(), system, block))
+        raise _AtTheSolve
+
+    monkeypatch.setattr(ksbcfd.scheme, "_solve_density", at_the_solve)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        system, block = ws.u_system(g, theta)
-        kept, peak = tracemalloc.get_traced_memory()
+        if s_tau == 1.0:
+            system = ws.u_system(g)
+            kept, peak = tracemalloc.get_traced_memory()
+            block = ksbcfd.scheme._weak_rows_block(system.data, grid.nx)
+        else:
+            with pytest.raises(_AtTheSolve):
+                predict_u1(state, problem, ws)
+            ((kept, peak), system, block), = handed
     finally:
         if not tracing:
             tracemalloc.stop()
     assert block is not None
-    assert kept - base >= system.data.nbytes + block.nbytes
+    assert kept - base >= system.data.nbytes
     assert (peak - kept) / (8 * m * m) <= 5
 
 
@@ -779,31 +863,34 @@ def test_no_module_binds_a_scipy_blas_or_lapack_routine():
     assert found == []
 
 
-def steep_patch_system(amp, tau=0.01, lam=1.0, theta=0.5):
+def steep_patch_system(amp, tau=0.01, lam=1.0, predictor=False):
     """A density system on a rectangular 11 x 8 perturbed grid under a steep
-    concentration patch near the x = 1 boundary, with its Workspace."""
+    concentration patch near the x = 1 boundary, with its Workspace and the
+    block of its weak rows: the Crank-Nicolson system, or the predictor's."""
     grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
                      build_random_perturbed(0, 1, 8, 0.3, 32))
-    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
-    z = cell_field_from_function(grid, lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2
-                                                                        + (y - 0.6) ** 2)))
-    system, block = ws.u_system(grad(z), theta)
+    cfg = SchemeConfig(lam=lam, tau=tau, t_final=tau)
+    c0 = lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
+    if predictor:
+        return predictor_solve(concentration_problem(c0), grid, cfg)[:3]
+    ws = Workspace(grid, cfg)
+    system, block, _ = _density_system(ws, cell_field_from_function(grid, c0))
     return ws, system, block
 
 
-def heat_inverse(ws, theta=0.5):
-    return functools.partial(ws.heat.solve, s=1.0 / ws.config.tau, theta=theta)
+def heat_inverse(ws, s_tau=1.0):
+    return functools.partial(ws.heat.solve, s=s_tau / ws.config.tau)
 
 
-def fp32_heat_inverse(ws, theta=0.5):
+def fp32_heat_inverse(ws, s_tau=1.0):
     """The preconditioner of a density solve whose rows are all diagonally dominant."""
-    return functools.partial(ws.heat.solve_fp32, s=1.0 / ws.config.tau, theta=theta)
+    return functools.partial(ws.heat.solve_fp32, s=s_tau / ws.config.tau)
 
 
-def solve_density(ws, system, block, rhs, theta=0.5, step=1):
-    """``_solve_density`` from a zero start."""
-    return _solve_density(ws, system, block, rhs, theta, step=step, name="density",
-                          x0=np.zeros(system.shape[0]))
+def solve_density(ws, system, block, rhs, s_tau=1.0, step=1):
+    """``_solve_density`` from a zero start, for a heat part at s = s_tau / tau."""
+    return _solve_density(ws, system, block, rhs, s_tau / ws.config.tau, step=step,
+                          name="density", x0=np.zeros(system.shape[0]))
 
 
 def one_iteration_bicgstab(monkeypatch):
@@ -853,7 +940,7 @@ class TestSolveFallback:
         # the heat inverse at s off by 1/2 misses the tolerance even after refinement
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         ws = Workspace(perturbed_grid(6), cfg)
-        ws.z_inverse = functools.partial(ws.heat.solve, s=1.0 / cfg.tau, theta=0.5)
+        ws.z_inverse = functools.partial(ws.heat.solve, s=1.0 / cfg.tau)
         rhs = np.random.default_rng(4).standard_normal(36)
         with pytest.raises(StepSolveError, match="concentration solve failed at step 2.*"
                            "no direct fallback tried") as info:
@@ -871,14 +958,15 @@ def weak_rows(a, shape):
 
 
 class TestBlockCorrection:
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_dominant_system_gets_the_heat_inverse(self, theta):
-        ws, system, block = steep_patch_system(0.3, theta=theta)
+    @pytest.mark.parametrize("s_tau", [1.0, 0.5])
+    def test_dominant_system_gets_the_heat_inverse(self, s_tau):
+        # the Crank-Nicolson system (s tau = 1) and the predictor's (1/2)
+        ws, system, block = steep_patch_system(0.3, predictor=s_tau == 0.5)
         assert block is None
         assert not weak_rows(system.tocsc().toarray(), ws.grid.shape).any()
         b = np.random.default_rng(5).standard_normal(system.shape[0])
-        x, report = solve_density(ws, system, block, b, theta=theta)
-        plain = bicgstab(system, b, fp32_heat_inverse(ws, theta), tol=TOL)[0]
+        x, report = solve_density(ws, system, block, b, s_tau=s_tau)
+        plain = bicgstab(system, b, fp32_heat_inverse(ws, s_tau), tol=TOL)[0]
         assert np.array_equal(x, plain)
         assert report.block_cells == 0
 
@@ -924,7 +1012,7 @@ class TestBlockCorrection:
                          build_random_perturbed(0, 1, 5, 0.3, 42))
         ws = Workspace(grid, SchemeConfig(lam=1.0, tau=1.0, t_final=1.0))
         z = cell_field_from_function(grid, lambda x, y: 400.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
-        system, block = ws.u_system(grad(z))
+        system, block, _ = _density_system(ws, z)
         a = system.tocsc().toarray()
         assert weak_rows(a, grid.shape).all()
         assert np.array_equal(block, np.arange(35))
