@@ -21,9 +21,9 @@ span counts.
 
 Every solve, by ``cg``, ``bicgstab`` or ``direct_solve``, follows one rule
 (``_refined``): a first solution, at most one refinement when that misses
-the tolerance, kept if it lowers the 2-norm residual or if the verdict's
-backward-error test accepts it and not the first solution, and one verdict
-(``_verdict``).  The ``SolveReport``'s ``reason`` says why a solve stopped:
+the tolerance ``_TOL``, kept if it lowers the 2-norm residual or if the
+verdict's backward-error test accepts it and not the first solution, and
+one verdict (``_verdict``).  The ``SolveReport``'s ``reason`` says why a solve stopped:
 ``converged``, ``max_iter`` (iteration budget spent), ``stagnated`` (a
 BiCGStab sweep went ``_STAGNATION_WINDOW`` iterations without a new best
 residual, or a Krylov refinement still missed) or ``breakdown`` (a
@@ -153,6 +153,9 @@ class SolveReport:
     residual: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
+# The relative residual |b - A x| / |b| at which every solve stops.
+_TOL = 1e-12
+
 # A bound on the componentwise backward error, in units of roundoff.
 _BACKWARD_ULPS = 16
 
@@ -166,34 +169,35 @@ def _backward_stable(a: Matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> 
 
 
 def _verdict(a: Matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm: float,
-             tol: float, iterations: int, reason: str) -> SolveReport:
+             iterations: int, reason: str) -> SolveReport:
     """The report of a solve that returns ``x``, with residual ``r = b - A x``.
 
-    ``x`` converges when ``|r| / |b| <= tol`` or, on a miss, when it is
+    ``x`` converges when ``|r| / |b| <= _TOL`` or, on a miss, when it is
     ``_backward_stable``.  Otherwise it carries ``reason``.
     """
     res = float(np.linalg.norm(r) / b_norm)
-    converged = res <= tol or _backward_stable(a, b, x, r)
+    converged = res <= _TOL or _backward_stable(a, b, x, r)
     return SolveReport(converged, iterations, res, "converged" if converged else reason,
                        residual=r)
 
 
-# The refinement pass aims this factor below the target ``tol |b|``: it
+# The refinement pass aims this factor below the target ``_TOL |b|``: it
 # begins just above that target, and a Krylov sweep aimed at it would stop
 # after one iteration with the true residual still on the wrong side.
 _RESTART_TARGET = 0.1
 
 
-def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: int | None = None,
+def _refined(a: Matrix, b: np.ndarray, sweep: Callable,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve ``a x = b`` by a first pass of ``sweep`` and at most one refinement pass.
 
     ``sweep(r, tol_abs, max_iter) -> (dx, iterations, reason)`` solves
-    ``A dx = r`` aiming at ``|r - A dx| <= tol_abs``.  The first pass runs on
-    the residual of ``x0`` (read, not copied) aimed at ``tol |b|``, or from
+    ``A dx = r`` aiming at ``|r - A dx| <= tol_abs`` in at most ``max_iter``
+    iterations, what is left of the solve's 10 n.  The first pass runs on
+    the residual of ``x0`` (read, not copied) aimed at ``_TOL |b|``, or from
     zero when ``x0`` is None (with no product) or its residual exceeds
     ``|b|``, zero's residual.
-    When the true residual misses ``tol`` after a pass that
+    When the true residual misses ``_TOL`` after a pass that
     converged or broke down, the refinement pass runs on it aimed at
     ``_RESTART_TARGET`` times that.  A swept solution is kept when it lowers
     the 2-norm residual, or when it is ``_backward_stable`` and the solution
@@ -201,12 +205,10 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: in
     converged is ``stagnated``.  The report carries the kept solution's
     residual.
     """
-    b, b_norm = _checked_rhs(a, b, tol)
+    b, b_norm = _checked_rhs(a, b)
     n = a.shape[0]
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged", residual=b)
-    if max_iter is None:
-        max_iter = 10 * n
     x, r = np.zeros(n), b
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
@@ -215,10 +217,10 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: in
             x, r = x0, r0
     res = float(np.linalg.norm(r) / b_norm)
     iterations, reason = 0, "converged"
-    for target in (tol * b_norm, _RESTART_TARGET * tol * b_norm):
-        if res <= tol or reason not in ("converged", "breakdown"):
+    for target in (_TOL * b_norm, _RESTART_TARGET * _TOL * b_norm):
+        if res <= _TOL or reason not in ("converged", "breakdown"):
             break
-        dx, sweep_iters, reason = sweep(r, target, max_iter - iterations)
+        dx, sweep_iters, reason = sweep(r, target, 10 * n - iterations)
         iterations += sweep_iters
         swept = x + dx
         swept_r = b - a @ swept
@@ -226,20 +228,18 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable, tol: float, max_iter: in
         if swept_res < res or (_backward_stable(a, b, swept, swept_r)
                                and not _backward_stable(a, b, x, r)):
             x, r, res = swept, swept_r, swept_res
-    return x, _verdict(a, b, x, r, b_norm, tol, iterations,
+    return x, _verdict(a, b, x, r, b_norm, iterations,
                        "stagnated" if reason == "converged" else reason)
 
 
 def cg(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
-       tol: float = 1e-12, max_iter: int | None = None,
        x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned Conjugate Gradient for SPD systems.
 
     ``precond`` applies ``r -> M^-1 r`` for an SPD ``M``.  The caller asserts
     symmetry.  ``_refined``'s rule with ``_cg_sweep`` as the pass.
     """
-    return _refined(a, b, lambda r, tol_abs, left: _cg_sweep(a, r, precond, tol_abs, left),
-                    tol, max_iter, x0)
+    return _refined(a, b, lambda r, tol_abs, left: _cg_sweep(a, r, precond, tol_abs, left), x0)
 
 
 def _cg_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
@@ -348,7 +348,6 @@ def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
 
 
 def bicgstab(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
-             tol: float = 1e-12, max_iter: int | None = None,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Right-preconditioned BiCGStab for general square systems.
 
@@ -362,7 +361,7 @@ def bicgstab(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarra
     refinement sweep starts from the true one, with a fresh shadow residual.
     """
     return _refined(a, b, lambda r, tol_abs, left: _bicgstab_sweep(a, r, precond, tol_abs, left),
-                    tol, max_iter, x0)
+                    x0)
 
 
 # An axis is uniform when its cell and dual widths lie within this relative
@@ -550,8 +549,8 @@ def block_corrected(a: FivePointMatrix, precond: Callable[[np.ndarray], np.ndarr
     return corrected
 
 
-def direct_solve(a: Matrix, b: np.ndarray, inverse: Callable[[np.ndarray], np.ndarray],
-                 tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
+def direct_solve(a: Matrix, b: np.ndarray,
+                 inverse: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of ``a x = b`` by ``inverse``, a map ``r -> A^-1 r``.
 
     ``_refined``'s rule with ``inverse`` as the pass, whose refinement is one
@@ -560,10 +559,10 @@ def direct_solve(a: Matrix, b: np.ndarray, inverse: Callable[[np.ndarray], np.nd
     residual is recomputed against ``a`` itself, so an ``inverse`` of another
     operator shows as a large residual and a ``breakdown``.
     """
-    return _refined(a, b, lambda r, *_: (inverse(r), 0, "breakdown"), tol)
+    return _refined(a, b, lambda r, *_: (inverse(r), 0, "breakdown"))
 
 
-def sparse_lu_solve(a: Matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
+def sparse_lu_solve(a: Matrix, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """``direct_solve`` by sparse LU factorization (scipy's SuperLU).
 
     Deterministic and single-threaded.  The columns are ordered by minimum
@@ -575,17 +574,17 @@ def sparse_lu_solve(a: Matrix, b: np.ndarray, tol: float = 1e-12) -> tuple[np.nd
     """
     import scipy.sparse.linalg as spla  # SuperLU, loaded by the first fallback
 
-    _checked_rhs(a, b, tol)
+    _checked_rhs(a, b)
     try:
         lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:  # "Factor is exactly singular"
         return np.zeros(a.shape[0]), SolveReport(False, 0, 1.0, "breakdown")
-    return direct_solve(a, b, lu.solve, tol)
+    return direct_solve(a, b, lu.solve)
 
 
-def _checked_rhs(a: Matrix, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """``b`` as float64 and its 2-norm, once ``a`` is square, ``b`` a finite
-    vector of matching length and ``tol`` positive."""
+def _checked_rhs(a: Matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``b`` as float64 and its 2-norm, once ``a`` is square and ``b`` a
+    finite vector of matching length."""
     b = np.asarray(b, dtype=np.float64)
     n_rows, n_cols = a.shape
     if n_rows != n_cols:
@@ -594,6 +593,4 @@ def _checked_rhs(a: Matrix, b: np.ndarray, tol: float) -> tuple[np.ndarray, floa
         raise ValueError(f"rhs length {b.shape} does not match {n_rows} rows")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs must be finite")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     return b, float(np.linalg.norm(b))

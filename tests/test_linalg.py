@@ -45,6 +45,13 @@ def jacobi(a):
     return lambda r: r / d
 
 
+def cap_sweep(monkeypatch, sweep_name, budget):
+    """Give each pass of a Krylov solver's sweep at most ``budget`` iterations."""
+    sweep = getattr(ksbcfd.linalg, sweep_name)
+    monkeypatch.setattr(ksbcfd.linalg, sweep_name,
+                        lambda a, b, m, tol_abs, left: sweep(a, b, m, tol_abs, min(left, budget)))
+
+
 def random_spd(n, seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((n, n))
@@ -84,10 +91,11 @@ class TestCG:
         assert np.array_equal(x, np.zeros(4))
         assert rep.final_relative_residual == 0.0
 
-    def test_matches_dense_oracle(self):
+    def test_matches_dense_oracle(self, monkeypatch):
+        monkeypatch.setattr(ksbcfd.linalg, "_TOL", 1e-13)
         a, ad = random_spd(30, 7)
         b = np.random.default_rng(8).standard_normal(30)
-        x, rep = cg(a, b, jacobi(a), tol=1e-13)
+        x, rep = cg(a, b, jacobi(a))
         assert rep.converged
         assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-10
 
@@ -102,7 +110,7 @@ class TestCG:
     def test_breakdown_reported_not_raised(self):
         # indefinite system: zero curvature direction possible
         a = csr(2, [0, 1], [0, 1], [1.0, -1.0])
-        x, rep = cg(a, np.array([0.0, 1.0]), jacobi(a), max_iter=50)
+        x, rep = cg(a, np.array([0.0, 1.0]), jacobi(a))
         assert not rep.converged
         assert rep.reason == "breakdown"
 
@@ -110,10 +118,11 @@ class TestCG:
         with pytest.raises(ValueError, match="does not match"):
             cg(identity(3), np.ones(4), np.copy)
 
-    def test_reasons_converged_and_max_iter(self):
+    def test_reasons_converged_and_max_iter(self, monkeypatch):
         _, rep = cg(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)))
         assert rep.converged and rep.reason == "converged"
-        _, rep = cg(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)), max_iter=3)
+        cap_sweep(monkeypatch, "_cg_sweep", 3)
+        _, rep = cg(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)))
         assert not rep.converged and rep.reason == "max_iter" and rep.iterations == 3
 
 
@@ -129,13 +138,14 @@ class TestBiCGStab:
         assert rep.converged
         assert np.allclose(x, b, rtol=0, atol=1e-14)
 
-    def test_nonsymmetric_vs_dense(self):
+    def test_nonsymmetric_vs_dense(self, monkeypatch):
+        monkeypatch.setattr(ksbcfd.linalg, "_TOL", 1e-13)
         rng = np.random.default_rng(9)
         n = 40
         ad = 5 * np.eye(n) + 0.5 * rng.standard_normal((n, n))
         a = sp.csr_matrix(ad)
         b = rng.standard_normal(n)
-        x, rep = bicgstab(a, b, jacobi(a), tol=1e-13)
+        x, rep = bicgstab(a, b, jacobi(a))
         assert rep.converged
         assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-10
         recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
@@ -143,14 +153,15 @@ class TestBiCGStab:
 
     def test_singular_row_reports_failure(self):
         a = csr(3, [0, 1], [0, 1], [1.0, 1.0])  # row 2 all zero
-        x, rep = bicgstab(a, np.array([1.0, 1.0, 1.0]), np.copy, max_iter=100)
+        x, rep = bicgstab(a, np.array([1.0, 1.0, 1.0]), np.copy)
         assert not rep.converged
         assert rep.final_relative_residual >= 0.0
 
-    def test_reasons_converged_and_max_iter(self):
+    def test_reasons_converged_and_max_iter(self, monkeypatch):
         _, rep = bicgstab(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)))
         assert rep.converged and rep.reason == "converged"
-        _, rep = bicgstab(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)), max_iter=3)
+        cap_sweep(monkeypatch, "_bicgstab_sweep", 3)
+        _, rep = bicgstab(laplacian_1d(50), np.ones(50), jacobi(laplacian_1d(50)))
         assert not rep.converged and rep.reason == "max_iter" and rep.iterations == 3
 
     def test_stagnation_exits_within_window(self):
@@ -180,8 +191,8 @@ class TestBiCGStab:
 
         monkeypatch.setattr(ksbcfd.linalg, sweep_name, recorded)
         a, _ = random_spd(50, 1)  # CG ends on the 1D Laplacian with an exact 0
-        b, tol = np.random.default_rng(2).standard_normal(50), 1e-12
-        x, rep = solver(a, b, jacobi(a), tol=tol)
+        b, tol = np.random.default_rng(2).standard_normal(50), ksbcfd.linalg._TOL
+        x, rep = solver(a, b, jacobi(a))
         b_norm = np.linalg.norm(b)
         assert rep.converged and len(targets) >= 2
         assert targets[0] == tol * b_norm
@@ -201,7 +212,7 @@ class TestBiCGStab:
         monkeypatch.setattr(ksbcfd.linalg, sweep_name, early)
         a, _ = random_spd(40, 9)
         b = np.random.default_rng(10).standard_normal(40)
-        _, rep = solver(a, b, jacobi(a), tol=1e-12)
+        _, rep = solver(a, b, jacobi(a))
         assert len(calls) == 2
         assert not rep.converged and rep.reason == "stagnated"
         assert rep.final_relative_residual > 1e-12
@@ -229,8 +240,8 @@ class TestBiCGStab:
         for n, seed in ((50, 1), (200, 2), (400, 3)):
             a, _ = random_spd(n, seed)
             b = np.random.default_rng(seed + 100).standard_normal(n)
-            x1, r1 = cg(a, b, jacobi(a), tol=1e-12)
-            x2, r2 = bicgstab(a, b, jacobi(a), tol=1e-12)
+            x1, r1 = cg(a, b, jacobi(a))
+            x2, r2 = bicgstab(a, b, jacobi(a))
             assert r1.converged and r2.converged
             assert np.max(np.abs(x1 - x2)) <= 1e-8
 
@@ -311,17 +322,18 @@ class TestSparseLU:
         n = 1000
         a = advection_diffusion(n, 100.0)
         b = np.ones(n)
-        x, rep = sparse_lu_solve(a, b, tol=1e-12)
+        x, rep = sparse_lu_solve(a, b)
         assert rep.converged and rep.reason == "converged"
         recomputed = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert rep.final_relative_residual == recomputed <= 1e-12
 
-    def test_refinement_step_lowers_the_residual(self):
+    def test_refinement_step_lowers_the_residual(self, monkeypatch):
         # the plain SuperLU solve of this system leaves a residual of 3.7e-13
+        monkeypatch.setattr(ksbcfd.linalg, "_TOL", 1e-13)
         n = 1000
         a = advection_diffusion(n, 1000.0)
         b = np.ones(n)
-        x, rep = sparse_lu_solve(a, b, tol=1e-13)
+        x, rep = sparse_lu_solve(a, b)
         assert rep.converged
         assert rep.final_relative_residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
 
@@ -341,24 +353,24 @@ def backward_error(a, b, x):
 class TestBackwardErrorAcceptance:
     # the 1D Laplacian of 1000 cells with b = 1 has |A| |x| about 1e6 |b|, so a
     # float64 solution's residual can sit far above a 1e-12 tolerance
-    tol = 1e-12
+    tol = ksbcfd.linalg._TOL
 
     def system(self):
         return laplacian_1d(1000), np.ones(1000)
 
     def test_backward_stable_solution_is_accepted(self):
         a, b = self.system()
-        x, rep = sparse_lu_solve(a, b, tol=self.tol)
+        x, rep = sparse_lu_solve(a, b)
         assert rep.converged and rep.reason == "converged"
         assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
         assert backward_error(a, b, x) <= np.finfo(np.float64).eps
 
     def test_perturbed_solution_is_rejected(self):
         a, b = self.system()
-        x = sparse_lu_solve(a, b, tol=self.tol)[0]
+        x = sparse_lu_solve(a, b)[0]
         x *= 1.0 + 1e-10 * (-1.0) ** np.arange(x.size)
         assert backward_error(a, b, x) == pytest.approx(1e-10, rel=1e-3)
-        rep = ksbcfd.linalg._verdict(a, b, x, b - a @ x, np.linalg.norm(b), self.tol, 0, "breakdown")
+        rep = ksbcfd.linalg._verdict(a, b, x, b - a @ x, np.linalg.norm(b), 0, "breakdown")
         assert not rep.converged and rep.reason == "breakdown"
         assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
 
@@ -685,7 +697,7 @@ class TestDenseSolve:
     def test_cross_check_with_cg(self):
         a, ad = random_spd(20, 31)
         b = np.random.default_rng(32).standard_normal(20)
-        x_cg, rep = cg(a, b, jacobi(a), tol=1e-13)
+        x_cg, rep = cg(a, b, jacobi(a))
         assert rep.converged
         assert np.max(np.abs(np.linalg.solve(ad, b) - x_cg)) <= 1e-10
 
