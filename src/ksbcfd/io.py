@@ -48,7 +48,7 @@ def field_to_csv(field: CellField, path) -> None:
             f.write("".join([f"{i},{j},{x},{y},{v:.17g}\n" for i, (x, v) in enumerate(row)]))
 
 
-def field_to_vtk(field: CellField, path, name: str = "value") -> None:
+def field_to_vtk(field: CellField, path, name: str) -> None:
     """Legacy ASCII structured-grid VTK with cell centers as point data."""
     grid = field.grid
     xs = [_fmt(x) for x in grid.x_axis.centers.tolist()]

@@ -4,8 +4,9 @@ Every solver takes the system as a ``Matrix``: anything with a shape, a
 product ``@`` and ``abs()``, which the sparse LU fallback also converts to
 scipy's CSC form.  The stepper's matrices are ``FivePointMatrix`` bands
 whose product runs in numpy.  There are a fast-diagonalization solver for
-the area-weighted heat operator of a tensor-product grid, which solves the
-concentration system directly and preconditions the density solves, with a
+the area-weighted heat operator s W - W L / 2 of a tensor-product grid, the
+heat part of every system, which solves the concentration system directly
+and preconditions the density solves, with a
 single-precision variant used only as a preconditioner; BiCGStab for the
 nonsymmetric density systems, right-preconditioned by an operator; a block
 correction that follows such an operator with an exact solve, by block
@@ -23,12 +24,13 @@ Every solve, by ``cg``, ``bicgstab`` or ``direct_solve``, follows one rule
 (``_refined``): a first solution, at most one refinement when that misses
 the tolerance ``_TOL``, kept if it lowers the 2-norm residual or if the
 verdict's backward-error test accepts it and not the first solution, and
-one verdict (``_verdict``).  The ``SolveReport``'s ``reason`` says why a solve stopped:
-``converged``, ``max_iter`` (iteration budget spent), ``stagnated`` (a
-BiCGStab sweep went ``_STAGNATION_WINDOW`` iterations without a new best
-residual, or a Krylov refinement still missed) or ``breakdown`` (a
-vanishing denominator, an exactly singular LU factor, or a direct solution
-that misses even after its refinement).
+one verdict (``_verdict``).  That tolerance and the budget of 10 n Krylov
+iterations are the module's, not arguments.  The ``SolveReport``'s
+``reason`` says why a solve stopped: ``converged``, ``max_iter`` (iteration
+budget spent), ``stagnated`` (a BiCGStab sweep went ``_STAGNATION_WINDOW``
+iterations without a new best residual, or a Krylov refinement still
+missed) or ``breakdown`` (a vanishing denominator, an exactly singular LU
+factor, or a direct solution that misses even after its refinement).
 
 A rerun of the same program with identical inputs gives bit-identical
 outputs at a fixed BLAS thread count.  numpy's dot products and norms on
@@ -421,9 +423,9 @@ class TensorHeatSolver:
     likewise in y, the operator is ``s W + (1/2) (Kx (x) Wy + Wx (x) Ky)``:
     ``W = Wx (x) Wy`` holds the cell areas and the bracket is ``-W L`` for
     the discrete Laplacian ``L``, so it is ``s W - (1/2) W L``, the heat
-    part of every system the stepper solves.  Each axis is diagonalized once by its
-    generalized eigenpairs (``_axis_modes``), shared when both axes have the
-    same widths.  In (nx, ny) array form a solve is then
+    part of every system the stepper solves.  Each axis is diagonalized
+    once by its generalized eigenpairs (``_axis_modes``), shared when both
+    axes have the same widths.  In (nx, ny) array form a solve is then
 
         X = Vx [(Vx^T B Vy) / (s + (mu_x_i + mu_y_j) / 2)] Vy^T
 

@@ -23,30 +23,29 @@ unknown level.
 Every discrete equation row is scaled by its cell area before assembly.
 This makes the concentration matrix exactly symmetric and gives both
 operators zero column sums, so the total weighted density is conserved up to
-the linear-solver residual.  Every system's heat part is an area-weighted
-heat operator s W - (1/2) W L: the concentration matrix itself, at
-s = 1/tau + 1/2, which the fast-diagonalization solver
-(``linalg.TensorHeatSolver``, built once per run) solves directly; the
-Crank-Nicolson density system's, at s = 1/tau; and the predictor's, at
-s = 1/(2 tau), for its backward-Euler equation halved.  A density matrix
-adds the chemotaxis term, is nonsymmetric whenever the concentration
-gradient is nonzero, and is solved with BiCGStab right-preconditioned by
-the inverse of its heat part.  That inverse ignores the chemotaxis term,
-which matters where it outweighs diffusion: near the singular time of a
-blow-up run, rows at the peak stop being diagonally dominant.  When any row
-is not, the preconditioner is the float64 heat inverse followed by an exact
-solve of the density system on the tensor block that bounds those rows
-(``linalg.block_corrected``, by block elimination in numpy); when none is,
-it is the heat inverse alone in single precision
-(``TensorHeatSolver.solve_fp32``), which costs less per application and
-barely changes the iteration counts.  Residuals and acceptance stay in
-float64.  Every Crank-Nicolson density solve starts
+the linear-solver residual.  Every heat part is an area-weighted heat
+operator s W - (1/2) W L, which the fast-diagonalization solver
+(``linalg.TensorHeatSolver``, built once per run) inverts.  The
+concentration matrix is one, at s = 1/tau + 1/2, and is solved directly.
+A density matrix, at s = 1/tau (1/(2 tau) in the predictor's backward-Euler
+equation, halved), adds the chemotaxis term, is nonsymmetric whenever the
+concentration gradient is nonzero, and is solved with BiCGStab
+right-preconditioned by the inverse of its heat part.  That inverse ignores
+the chemotaxis term, which matters where it outweighs diffusion: near the
+singular time of a blow-up run, rows at the peak stop being diagonally
+dominant.  When any row is not, the preconditioner is the float64 heat
+inverse followed by an exact solve of the density system on the tensor
+block that bounds those rows (``linalg.block_corrected``, by block
+elimination in numpy); when none is, it is the heat inverse alone in single
+precision (``TensorHeatSolver.solve_fp32``), which costs less per
+application and barely changes the iteration counts.  Residuals and
+acceptance stay in float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
 of consecutive right-hand sides, and dX holds the differences of the last
 nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
 c = e_0.  A start whose residual exceeds |b| gives way to zero
 (``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
-674 BiCGStab iterations, where the extrapolation alone takes 989.  When
+673 BiCGStab iterations, where the extrapolation alone takes 989.  When
 BiCGStab does not converge, the same system is solved once more by sparse
 LU (SuperLU), the one solve that loads scipy.
 Every solve, direct or iterative, refines its solution once when the
@@ -65,18 +64,15 @@ its band is the only one a run keeps.  Density matrices change every step
 with the concentration gradient: each step copies the concentration band,
 lowers its center by W/2 to the Crank-Nicolson heat part, adds the
 chemotaxis term and reads the rows' diagonal dominance off the same copy.
-The predictor's matrix is A(grad z^0), the Crank-Nicolson one in the
-initial gradient, with its center lowered by W/(2 tau) more, so the first
-step assembles A(grad z^0) once.  The gradient's edge arrays and the
-sampled forcing are stored in that flat order too, so a step makes no
-layout copies.  A Crank-Nicolson equation
+The gradient's edge arrays and the sampled forcing are stored in that flat
+order too, so a step makes no layout copies.  A Crank-Nicolson equation
 A x^{n+1} = (2/tau) W x^n - A x^n + W f needs only the product A x^n of
 the previous level's own matrix, and the previous solve already holds it
 as b - r, its right-hand side less its true residual (which
 ``linalg`` hands back): ``State`` carries A(grad z^n) u^n and A_z z^n as
-vectors, and a step multiplies by no matrix (the first step takes both
-products once: A(grad z^0) u^0 before the predictor lowers that matrix,
-and A_z z^0).  The
+vectors, and a step multiplies by no matrix.  The first step takes A_z z^0
+and A(grad z^0) u^0 once, the latter from the one matrix it assembles,
+before lowering its center by W/(2 tau) more to the predictor's.  The
 matrix-free stencils are the tests' oracle of the assembly and the
 right-hand sides.
 
@@ -568,14 +564,8 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
 def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
                ) -> tuple[CellField, SolveReport, np.ndarray]:
     """The backward-Euler density predictor for the first level, its
-    report, and the product A(grad z^0) u^0 for the first stage.
-
-    Halved, the predictor's equation has the matrix A(grad z^0) with
-    W/(2 tau) taken off its center and the right-hand side
-    W (u^0 / tau + f) / 2.  So A(grad z^0) is assembled once: the product is
-    taken from it, then its center is lowered in place and its weak rows
-    are read off the lowered band.
-    """
+    report, and A(grad z^0) u^0, taken before that matrix's center is
+    lowered in place by W/(2 tau) to the halved predictor equation's."""
     if state.n != 0:
         raise ValueError("the predictor runs from the initial level only")
     grid, tau = ws.grid, ws.config.tau
@@ -646,9 +636,8 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
 
 def _density_system(ws: Workspace, z: CellField
                     ) -> tuple[linalg.FivePointMatrix, np.ndarray | None, float]:
-    """``Workspace.u_system`` in the gradient of ``z``, the block of its
-    weak rows (``_weak_rows_block``) and that gradient's ``inf_norm``; the
-    gradient's edge arrays die here."""
+    """``Workspace.u_system`` in the gradient of ``z``, its weak rows'
+    block and the gradient's ``inf_norm``; the edge arrays die here."""
     g = grad(z)
     system = ws.u_system(g)
     return system, _weak_rows_block(system.data, ws.grid.nx), g.inf_norm()
@@ -696,7 +685,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
 
 def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
     """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2,
-    from the products A(grad z^0) u^0, which the predictor takes, and A_z z^0."""
+    from A_z z^0 and the predictor's product A(grad z^0) u^0."""
     u_bar, rep_pred, au = predict_u1(state, problem, ws)
     u0 = state.u_curr.values
     az = ws.z_system @ np.ravel(state.z_curr.values, order="F")

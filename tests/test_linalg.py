@@ -694,7 +694,8 @@ class TestTensorHeatSolver:
 
 
 class TestDenseSolve:
-    def test_cross_check_with_cg(self):
+    def test_cross_check_with_cg(self, monkeypatch):
+        monkeypatch.setattr(ksbcfd.linalg, "_TOL", 1e-13)
         a, ad = random_spd(20, 31)
         b = np.random.default_rng(32).standard_normal(20)
         x_cg, rep = cg(a, b, jacobi(a))
