@@ -45,20 +45,19 @@ of consecutive right-hand sides, and dX holds the differences of the last
 nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
 c = e_0.  A start whose residual exceeds |b| gives way to zero
 (``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
-673 BiCGStab iterations, where the extrapolation alone takes 989.  When
-BiCGStab does not converge, the same system is solved once more by sparse
-LU (SuperLU), the one solve that loads scipy.
+707 BiCGStab iterations, where the extrapolation alone takes 989.
 Every solve, direct or iterative, refines its solution once when the
-recomputed residual misses the solver tolerance 1e-12, keeps the
-refinement when it lowers that residual or when only it passes the
-backward-error test, and accepts the solution when the residual meets the
-tolerance or its componentwise backward error is at most 16 units of
-roundoff.
+recomputed residual misses the solver tolerance 1e-12 (BiCGStab aims that
+pass at a millionth of the residual it starts from), keeps the refinement
+when it lowers that residual or when only it passes the backward-error
+test, and accepts the solution when the residual meets the tolerance or
+its componentwise backward error is at most 16 units of roundoff.  A solve
+that misses both raises ``StepSolveError``: there is no second solve path.
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into a band, the DIA data of a ``linalg.FivePointMatrix``, one row
 per neighbour in the flat order of the unknowns (``_five_point``), and its
-products run in numpy.  scipy is loaded only by a sparse LU fallback.
+products run in numpy, and a run loads no scipy module.
 ``Workspace`` assembles the constant concentration matrix once per run;
 its band is the only one a run keeps.  Density matrices change every step
 with the concentration gradient: each step copies the concentration band,
@@ -147,27 +146,20 @@ class BlowUpDetected(RuntimeError):
 class StepSolveError(RuntimeError):
     """A linear solve failed to converge.
 
-    ``report`` is the iterative solve's report; ``fallback`` the direct
-    solve's, or None when no direct fallback was tried.  ``run`` sets
-    ``diagnostics`` to the records of the steps before the failure.
+    ``report`` is the solve's report, whose reason, iterations and residual
+    the message names.  ``run`` sets ``diagnostics`` to the records of the
+    steps before the failure.
     """
 
-    def __init__(self, step: int, system: str, report: SolveReport,
-                 fallback: SolveReport | None = None):
-        if fallback is None:
-            tail = "no direct fallback tried"
-        else:
-            tail = (f"direct fallback tried: {fallback.reason}, "
-                    f"relative residual {fallback.final_relative_residual:.3e}")
+    def __init__(self, step: int, system: str, report: SolveReport):
         super().__init__(
             f"{system} solve failed at step {step}: {report.reason} after "
             f"{report.iterations} iterations, relative residual "
-            f"{report.final_relative_residual:.3e}; {tail}"
+            f"{report.final_relative_residual:.3e}"
         )
         self.step = step
         self.system = system
         self.report = report
-        self.fallback = fallback
         self.diagnostics: list[StepDiagnostics] = []
 
 
@@ -520,9 +512,8 @@ def init_state(problem: ProblemSpec, grid: StaggeredGrid2D) -> State:
 def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.ndarray, SolveReport]:
     """Direct fast-diagonalization solve of the concentration system.
 
-    There is no fallback: a solution whose recomputed residual misses the
-    solver tolerance after ``linalg.direct_solve``'s refinement raises
-    ``StepSolveError``.
+    A solution that ``linalg.direct_solve``'s refinement leaves short of
+    its verdict raises ``StepSolveError``.
     """
     x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse)
     if not report.converged:
@@ -534,15 +525,15 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
                    rhs: np.ndarray, s: float, step: int, name: str,
                    x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab from ``x0`` for a density system whose heat part is
-    s W - (1/2) W L, with a sparse LU fallback.
+    s W - (1/2) W L.
 
     The right preconditioner is the inverse of that heat part (by
     ``Workspace.heat``): in single precision when ``block`` is None, and
     otherwise in float64 followed by an exact solve of ``system`` on the
-    rows ``block`` (``linalg.block_corrected``).  The fallback's report
-    keeps the BiCGStab iteration count and carries the residual recomputed
-    from the direct solution; a fallback that misses the solver tolerance
-    raises ``StepSolveError``.  The report's ``block_cells`` is the size of
+    rows ``block`` (``linalg.block_corrected``).  BiCGStab is the one solve
+    path: a solution it does not converge to, after its refinement pass
+    on the true residual, raises ``StepSolveError`` with its reason,
+    iterations and residual.  The report's ``block_cells`` is the size of
     the correction block, 0 when there is none or its elimination meets an
     exactly singular pivot block.
     """
@@ -554,10 +545,7 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
         cells = 0 if precond is heat else block.size  # 0: a singular pivot block
     x, report = linalg.bicgstab(system, rhs, precond, x0=x0)
     if not report.converged:
-        x, direct = linalg.sparse_lu_solve(system, rhs)
-        if not direct.converged:
-            raise StepSolveError(step, name, report, fallback=direct)
-        report = replace(direct, iterations=report.iterations)
+        raise StepSolveError(step, name, report)
     return x, replace(report, block_cells=cells)
 
 

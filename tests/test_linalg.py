@@ -181,51 +181,62 @@ class TestBiCGStab:
 
     @pytest.mark.parametrize("solver, sweep_name", KRYLOV)
     def test_restart_sweeps_aim_below_the_target(self, monkeypatch, solver, sweep_name):
-        # a first sweep stopped 1e6 above the target forces a restart
+        # a first sweep stopped 1e6 above the target forces a refinement, which
+        # runs on the true residual of the first pass's solution and aims
+        # _REFINEMENT below it
         sweep = getattr(ksbcfd.linalg, sweep_name)
-        targets = []
+        passes = []
 
         def recorded(a, b, m, tol_abs, max_iter):
-            targets.append(tol_abs)
-            return sweep(a, b, m, tol_abs * (1e6 if len(targets) == 1 else 1.0), max_iter)
+            result = sweep(a, b, m, tol_abs * (1e6 if not passes else 1.0), max_iter)
+            passes.append((b.copy(), tol_abs, result[0]))
+            return result
 
         monkeypatch.setattr(ksbcfd.linalg, sweep_name, recorded)
         a, _ = random_spd(50, 1)  # CG ends on the 1D Laplacian with an exact 0
         b, tol = np.random.default_rng(2).standard_normal(50), ksbcfd.linalg._TOL
         x, rep = solver(a, b, jacobi(a))
         b_norm = np.linalg.norm(b)
-        assert rep.converged and len(targets) >= 2
-        assert targets[0] == tol * b_norm
-        assert targets[1:] == [0.1 * tol * b_norm] * (len(targets) - 1)
+        assert rep.converged and len(passes) == 2
+        (rhs, target, dx), (r, refinement_target, _) = passes
+        assert np.array_equal(rhs, b) and target == tol * b_norm
+        assert np.array_equal(r, b - a @ dx) and np.linalg.norm(r) > tol * b_norm
+        assert refinement_target == pytest.approx(
+            ksbcfd.linalg._REFINEMENT * np.linalg.norm(r), rel=1e-15)
         assert rep.final_relative_residual == np.linalg.norm(b - a @ x) / b_norm <= tol
 
     @pytest.mark.parametrize("solver, sweep_name", KRYLOV)
     def test_one_refinement_sweep_at_most(self, monkeypatch, solver, sweep_name):
-        # both sweeps stopped 1e6 above their targets leave a residual miss
+        # a first sweep stopped 1e6 above its target and a refinement stopped
+        # once it has cut its residual a thousandfold leave a residual miss
         sweep = getattr(ksbcfd.linalg, sweep_name)
-        calls = []
+        iterations = []
 
         def early(a, b, m, tol_abs, max_iter):
-            calls.append(tol_abs)
-            return sweep(a, b, m, 1e6 * tol_abs, max_iter)
+            stop = 1e-3 * np.linalg.norm(b) if iterations else 1e6 * tol_abs
+            dx, its, reason = sweep(a, b, m, stop, max_iter)
+            iterations.append(its)
+            return dx, its, reason
 
         monkeypatch.setattr(ksbcfd.linalg, sweep_name, early)
         a, _ = random_spd(40, 9)
         b = np.random.default_rng(10).standard_normal(40)
         _, rep = solver(a, b, jacobi(a))
-        assert len(calls) == 2
+        assert len(iterations) == 2 and min(iterations) > 0
         assert not rep.converged and rep.reason == "stagnated"
+        assert rep.iterations == sum(iterations)
         assert rep.final_relative_residual > 1e-12
 
     def test_rho_breakdown_ends_the_sweep_and_the_refinement_restarts(self, monkeypatch):
         # the first iteration leaves r = (0, 2, -3) / 13, orthogonal to the
         # shadow residual e1: rho vanishes exactly
         sweep = ksbcfd.linalg._bicgstab_sweep
-        sweeps = []
+        sweeps, targets = [], []
 
-        def recorded(*args):
-            dx, iterations, reason = sweep(*args)
+        def recorded(a, b, m, tol_abs, max_iter):
+            dx, iterations, reason = sweep(a, b, m, tol_abs, max_iter)
             sweeps.append((reason, iterations))
+            targets.append((tol_abs, np.linalg.norm(b)))
             return dx, iterations, reason
 
         monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", recorded)
@@ -234,6 +245,9 @@ class TestBiCGStab:
         x, rep = bicgstab(sp.csr_matrix(ad), b, np.copy)
         assert sweeps == [("breakdown", 1), ("converged", 2)]
         assert rep.converged and rep.iterations == 3
+        # the refinement aims _REFINEMENT below the residual it restarts from
+        (_, _), (refinement_target, r_norm) = targets
+        assert refinement_target == pytest.approx(ksbcfd.linalg._REFINEMENT * r_norm, rel=1e-15)
         assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-14
 
     def test_agrees_with_cg_on_spd(self):
@@ -735,9 +749,10 @@ def test_start_worse_than_zero_is_dropped(solver):
 
 # imports ksbcfd in a fresh interpreter, runs a uniform sweep, a uniform
 # run-mode command whose density rows all stay diagonally dominant, and a
-# corner run whose density matrix stops being diagonally dominant at step
-# 49, printing the scipy modules loaded after each; then prints whether one
-# sparse LU solve loaded SuperLU's package
+# corner 80^2 run to its threshold halt, whose density matrices stop being
+# diagonally dominant and whose last density solves miss the tolerance
+# before their refinement, printing the scipy modules loaded after each;
+# then prints whether one explicit sparse LU solve loaded SuperLU's package
 _SCIPY_ONLY_IN_SPARSE_LU = """
 import json, pathlib, sys, tempfile
 import numpy as np
@@ -764,9 +779,11 @@ with tempfile.TemporaryDirectory() as tmp:
                                     "--out-dir", str(pathlib.Path(tmp, "out")), "--quiet"])
 seen["run"] = scipy_modules()
 problem = get_problem("blowup_corner")
-grid = make_grid(build_corner_refined(16), build_corner_refined(16))
-result = run(problem, grid, SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.05))
+grid = make_grid(build_corner_refined(80), build_corner_refined(80))
+result = run(problem, grid, SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.18,
+                                         blowup_threshold=1e7))
 seen["block_steps"] = sum(d.block_cells > 0 for d in result.diagnostics)
+seen["halt"] = [result.blew_up, len(result.diagnostics)]
 seen["corner"] = scipy_modules()
 band = np.zeros((5, 4))
 band[2] = 1.0
@@ -777,9 +794,9 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_is_loaded_only_by_the_sparse_lu_fallback():
-    # runs that never fall back, the corner run's block corrections included,
-    # load no scipy module; one sparse LU solve loads SuperLU
+def test_scipy_is_loaded_only_by_an_explicit_sparse_lu_solve():
+    # no run loads a scipy module, the corner run's block corrections and its
+    # refined last solves included; one explicit sparse LU solve loads SuperLU
     src = str(Path(ksbcfd.linalg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _SCIPY_ONLY_IN_SPARSE_LU], env=env,
@@ -787,5 +804,5 @@ def test_scipy_is_loaded_only_by_the_sparse_lu_fallback():
     seen = json.loads(out.splitlines()[-1])
     assert seen["import"] == seen["sweep"] == seen["run"] == seen["corner"] == []
     assert seen["rows"] == 2 and seen["exit"] == 0
-    assert seen["block_steps"] > 0
+    assert seen["block_steps"] > 0 and seen["halt"] == [True, 164]
     assert seen["lu_converged"] and seen["after_lu"]

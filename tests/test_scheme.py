@@ -850,10 +850,10 @@ def test_no_module_binds_a_scipy_blas_or_lapack_routine():
     """The step's vector algebra runs in numpy's BLAS.  scipy bundles a second
     OpenBLAS with its own thread pool: at two threads, each pool's spinning
     workers hold the core that the other pool needs, and one scipy ``daxpy``
-    per step made a corner run 3-4 times as slow.  SuperLU (the direct
-    fallback) still calls scipy's BLAS, through scipy's own modules: with no
-    scipy routine between the step's numpy products, a corner run takes as
-    long at two threads as at one.
+    per step made a corner run 3-4 times as slow.  SuperLU
+    (``sparse_lu_solve``, which no run calls) calls scipy's BLAS through
+    scipy's own modules: with no scipy routine between the step's numpy
+    products, a corner run takes as long at two threads as at one.
     """
     fortran = type(scipy.linalg.blas.daxpy)
     found = [f"{name}.{key}" for name, module in sorted(sys.modules.items())
@@ -894,61 +894,66 @@ def solve_density(ws, system, block, rhs, s_tau=1.0, step=1):
                           name="density", x0=np.zeros(system.shape[0]))
 
 
-def one_iteration_bicgstab(monkeypatch):
-    """Give the stepper's BiCGStab a budget of one iteration, which forces the
-    direct fallback on any system it does not solve in one."""
+def stalled_bicgstab(monkeypatch, iterations=3):
+    """Cut the stepper's BiCGStab sweeps to ``iterations`` and report each as
+    stagnated: a stand-in for a BiCGStab that stalls short of the tolerance."""
     sweep = ksbcfd.linalg._bicgstab_sweep
-    monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep",
-                        lambda a, b, m, tol_abs, max_iter: sweep(a, b, m, tol_abs, 1))
+    monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", lambda a, b, m, tol_abs, max_iter: (
+        *sweep(a, b, m, tol_abs, iterations)[:2], "stagnated"))
 
 
-class TestSolveFallback:
-    def test_direct_fallback_when_bicgstab_stagnates(self, monkeypatch):
-        # a one-iteration budget stands in for a stalled BiCGStab
+def sparse_lu_calls(monkeypatch):
+    """The argument tuples of every ``linalg.sparse_lu_solve`` call from here on."""
+    calls = []
+    monkeypatch.setattr(ksbcfd.linalg, "sparse_lu_solve", lambda *args: calls.append(args))
+    return calls
+
+
+class TestSolveFailure:
+    """BiCGStab is the density solve's one path: a miss raises."""
+
+    def test_stagnating_density_solve_raises_bicgstab_report(self, monkeypatch):
         ws, system, block = steep_patch_system(0.3)
         assert block is None
         b = np.random.default_rng(3).standard_normal(system.shape[0])
-        one_iteration_bicgstab(monkeypatch)
-        _, krylov = bicgstab(system, b, heat_inverse(ws))
-        assert not krylov.converged
-        x, rep = solve_density(ws, system, block, b, step=7)
-        recomputed = np.linalg.norm(b - system @ x) / np.linalg.norm(b)
-        assert rep.converged and rep.reason == "converged"
-        assert rep.final_relative_residual == recomputed <= TOL
-        assert rep.iterations == krylov.iterations
-        assert np.max(np.abs(x - np.linalg.solve(system.tocsc().toarray(), b))) <= 1e-10
+        stalled_bicgstab(monkeypatch)
+        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws))
+        assert not krylov.converged and krylov.reason == "stagnated" and krylov.iterations == 3
+        calls = sparse_lu_calls(monkeypatch)
+        with pytest.raises(StepSolveError) as info:
+            solve_density(ws, system, block, b, step=7)
+        assert str(info.value) == (
+            "density solve failed at step 7: stagnated after 3 iterations, relative residual "
+            f"{krylov.final_relative_residual:.3e}")
+        assert info.value.report == krylov
+        assert calls == []
 
-    def test_converged_krylov_solve_skips_fallback(self, monkeypatch):
-        ws, system, block = steep_patch_system(0.3)
-        b = np.random.default_rng(4).standard_normal(system.shape[0])
-        monkeypatch.setattr(ksbcfd.linalg, "sparse_lu_solve", None)  # any call would fail
-        x, rep = solve_density(ws, system, block, b)
-        reference = bicgstab(system, b, fp32_heat_inverse(ws))[0]
-        assert np.array_equal(x, reference)
-        assert rep.reason == "converged" and rep.iterations > 0
-
-    def test_failed_fallback_names_both_causes(self, monkeypatch):
+    def test_singular_density_system_raises_without_sparse_lu(self, monkeypatch):
+        # an all-zero row: no solution meets either test, whatever BiCGStab does
         ws, system, _ = steep_patch_system(0.3)
         system = as_csr(system).tolil()
-        system[5, :] = 0.0  # an all-zero row: SuperLU finds the factor exactly singular
+        system[5, :] = 0.0
         system = system.tocsr()
-        one_iteration_bicgstab(monkeypatch)
-        with pytest.raises(StepSolveError, match="density solve failed at step 3: max_iter.*"
-                           "direct fallback tried: breakdown") as info:
-            solve_density(ws, system, None, np.ones(system.shape[0]), step=3)
-        assert info.value.report.reason == "max_iter"
-        assert info.value.fallback.reason == "breakdown"
+        b = np.ones(system.shape[0])
+        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws))
+        calls = sparse_lu_calls(monkeypatch)
+        with pytest.raises(StepSolveError, match=f"^density solve failed at step 3: {krylov.reason} "
+                           f"after {krylov.iterations} iterations, relative residual "
+                           f"{krylov.final_relative_residual:.3e}$") as info:
+            solve_density(ws, system, None, b, step=3)
+        assert not krylov.converged and info.value.report == krylov
+        assert krylov.final_relative_residual > TOL
+        assert calls == [] and not hasattr(info.value, "fallback")
 
-    def test_concentration_residual_miss_has_no_fallback(self):
+    def test_concentration_residual_miss_raises(self):
         # the heat inverse at s off by 1/2 misses the tolerance even after refinement
         cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
         ws = Workspace(perturbed_grid(6), cfg)
         ws.z_inverse = functools.partial(ws.heat.solve, s=1.0 / cfg.tau)
         rhs = np.random.default_rng(4).standard_normal(36)
-        with pytest.raises(StepSolveError, match="concentration solve failed at step 2.*"
-                           "no direct fallback tried") as info:
+        with pytest.raises(StepSolveError, match="^concentration solve failed at step 2: "
+                           "breakdown after 0 iterations, relative residual") as info:
             _solve_concentration(ws, rhs, step=2)
-        assert info.value.fallback is None
         assert info.value.report.reason == "breakdown"
         assert info.value.report.final_relative_residual > TOL
 
