@@ -1,14 +1,15 @@
-"""Experiment orchestration: single runs, convergence sweeps, blow-up studies.
+"""Experiment orchestration: marches and convergence sweeps.
 
 A configuration is one strict JSON object.  Its keys are the fields of
 ``RunConfig``, its ``grid`` object's those of ``GridConfig`` and its
 ``outputs`` object's those of ``OutputConfig``; a key left out takes the
 field's default, and any other key is rejected with a path-addressed
-message.  A corner blow-up study, for example:
+message.  A corner blow-up study, a march that halts on its threshold, for
+example:
 
     {
       "problem": "blowup_corner",
-      "mode": "blowup",
+      "mode": "run",
       "grid": {"family": "corner", "m": 200},
       "tau": 1e-3,
       "t_final": 0.18,
@@ -23,14 +24,16 @@ a run starts or a file is written.
 
 Every file goes into --out-dir (the working directory when the flag is
 absent), under a fixed name: ``meta.json`` always, ``convergence.csv`` for a
-sweep, and for a run or blow-up study ``diagnostics.csv`` and the snapshots
-``snapshot_{rho,c}_<step>.<csv|vtk>``, plus ``summary.json`` for a blow-up
-study.  Only a run or blow-up study reads ``outputs``.  ``meta.json`` holds
-the parsed configuration without ``outputs``, plus the per-axis sub-seeds of
-random grids.  The paper's largest jitter,
-beta = 0.5, sits on the open boundary of the admissible interval; it is
-accepted and evaluated at the largest representable value below 0.5
-(recorded as ``beta_effective``).
+sweep, and for a march ``diagnostics.csv``, ``summary.json`` and the
+snapshots ``snapshot_{rho,c}_<step>.<csv|vtk>``.  Only a march reads
+``outputs``.  The ``blowup`` mode and sub-command are another name for
+``run``: they march by the same code and write the same files, and are
+kept only because the benchmark's corner workload invokes ``blowup``.
+``meta.json`` holds the parsed configuration without ``outputs``, plus the
+per-axis sub-seeds of random grids.  The paper's largest jitter, beta =
+0.5, sits on the open boundary of the admissible interval; it is accepted
+and evaluated at the largest representable value below 0.5 (recorded as
+``beta_effective``).
 
 All output is deterministic: reruns with identical configuration produce
 byte-identical files.
@@ -66,7 +69,7 @@ from .grid import (
 )
 from .io import diagnostics_to_csv, field_to_csv, field_to_vtk
 from .problems import ProblemSpec, get_problem
-from .scheme import RunResult, SchemeConfig, State, StepSolveError, error_norms, run, step_of
+from .scheme import SchemeConfig, State, StepSolveError, error_norms, run, step_of
 
 __all__ = [
     "ConfigError",
@@ -78,7 +81,6 @@ __all__ = [
     "build_grid",
     "run_single",
     "run_convergence",
-    "run_blowup",
     "emit_table",
     "rows_to_csv",
     "main",
@@ -99,7 +101,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class GridConfig:
     family: str                              # one of GRID_FAMILIES
-    m: int | None = None                     # run and blowup modes: cells per axis
+    m: int | None = None                     # a march: cells per axis
     m_values: tuple[int, ...] | None = None  # convergence mode: distinct sizes
     beta: float | None = None                # random family only; 0 <= beta <= 0.5
     seed: int | None = 0                     # random family only; None off it
@@ -121,8 +123,7 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    """The snapshots of a run or blow-up study; a sweep that sets any key
-    is rejected."""
+    """The snapshots of a march; a sweep that sets any key is rejected."""
 
     snapshot_times: tuple[float, ...] = ()  # each a time on a step in [0, t_final]
     snapshot_format: str = "csv"             # csv or vtk
@@ -134,7 +135,7 @@ class RunConfig:
     mode: str                                # one of MODES
     grid: GridConfig
     t_final: float
-    tau: float | None = None                 # run and blowup modes; a sweep takes its spacing
+    tau: float | None = None                 # a march; a sweep takes its spacing
     blowup_threshold: float = SchemeConfig.blowup_threshold
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
@@ -384,7 +385,7 @@ def rows_to_csv(rows: list[ConvergenceRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# single runs and blow-up studies
+# marches
 
 
 def _scheme_config(config: RunConfig, problem: ProblemSpec, m: int) -> SchemeConfig:
@@ -419,9 +420,10 @@ def _snapshot_writer(config: RunConfig, out_dir: Path):
     return on_step
 
 
-def run_single(config: RunConfig, out_dir: Path) -> RunResult:
-    """March the configured problem, writing snapshots and diagnostics (of
-    the steps before the failure when a solve fails)."""
+def run_single(config: RunConfig, out_dir: Path) -> dict:
+    """March the configured problem, writing snapshots, diagnostics (of the
+    steps before the failure when a solve fails) and ``summary.json``, and
+    return the summary; the mass drift is measured from the level-0 mass."""
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem(config.problem)
     grid = build_grid(problem, config.grid, config.grid.m)
@@ -431,15 +433,8 @@ def run_single(config: RunConfig, out_dir: Path) -> RunResult:
     except StepSolveError as failure:
         diagnostics_to_csv(failure.diagnostics, out_dir / "diagnostics.csv")
         raise
-    diagnostics_to_csv(result.diagnostics, out_dir / "diagnostics.csv")
-    return result
-
-
-def run_blowup(config: RunConfig, out_dir: Path) -> dict:
-    """Full diagnostics time series plus a summary record; the mass drift is
-    measured from the level-0 mass."""
-    result = run_single(config, out_dir)
     d = result.diagnostics
+    diagnostics_to_csv(d, out_dir / "diagnostics.csv")
     peak_idx = max(range(len(d)), key=lambda k: d[k].u_max)
     mass0 = result.initial_mass
     drift = max(abs(x.mass - mass0) for x in d) / abs(mass0) if mass0 else 0.0
@@ -542,9 +537,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("run", "march one configured problem and write diagnostics"),
+        ("run", "march one configured problem and write diagnostics and a summary"),
         ("convergence", "sweep grid sizes and tabulate error norms and orders"),
-        ("blowup", "march a blow-up study and write diagnostics plus a summary"),
+        ("blowup", "another name for run, kept only for the benchmark's corner workload"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
@@ -579,18 +574,11 @@ def _run_command(config: RunConfig, out_dir: Path, quiet: bool) -> int:
             if not quiet:
                 print(emit_table(rows), end="")
             return 1 if any(r.failed for r in rows) else 0
-        if config.mode == "blowup":
-            summary = run_blowup(config, out_dir)
-            if not quiet:
-                status = "blow-up detected" if summary["blew_up"] else "reached t_final"
-                print(f"{status}: t_halt={summary['t_halt']:.6g} "
-                      f"peak_u_max={summary['peak_u_max']:.6g} at t={summary['t_peak']:.6g}")
-            return 0
-        result = run_single(config, out_dir)
+        summary = run_single(config, out_dir)
         if not quiet:
-            last = result.diagnostics[-1]
-            print(f"finished at t={last.t:.6g}: mass={last.mass:.9g} "
-                  f"u_max={last.u_max:.6g} blew_up={result.blew_up}")
+            status = "blow-up detected" if summary["blew_up"] else "reached t_final"
+            print(f"{status}: t_halt={summary['t_halt']:.6g} "
+                  f"peak_u_max={summary['peak_u_max']:.6g} at t={summary['t_peak']:.6g}")
         return 0
     except (StepSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -240,8 +240,8 @@ class TestMainCommand:
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "diagnostics.csv", "meta.json", "snapshot_c_000000.csv", "snapshot_c_000002.csv",
-            "snapshot_rho_000000.csv", "snapshot_rho_000002.csv"]
-        assert "finished" in capsys.readouterr().out
+            "snapshot_rho_000000.csv", "snapshot_rho_000002.csv", "summary.json"]
+        assert capsys.readouterr().out.startswith("reached t_final: t_halt=0.02 ")
 
     @pytest.mark.filterwarnings("error")
     def test_run_that_breaks_the_solvability_bound_prints_nothing_to_stderr(self, tmp_path,
@@ -256,9 +256,9 @@ class TestMainCommand:
             assert [row["uniqueness_ok"] for row in csv.DictReader(f)] == ["0", "0"]
 
     def test_out_of_range_snapshot_time_exits_2(self, tmp_path, capsys):
-        doc = dict(MINIMAL_RUN, mode="blowup", outputs={"snapshot_times": [0.01, 0.5]})
+        doc = dict(MINIMAL_RUN, outputs={"snapshot_times": [0.01, 0.5]})
         out = tmp_path / "out"
-        assert main(["blowup", "--config", str(self.write(tmp_path, doc)),
+        assert main(["run", "--config", str(self.write(tmp_path, doc)),
                      "--out-dir", str(out)]) == 2
         assert "outputs.snapshot_times" in capsys.readouterr().err
         assert not out.exists()
@@ -295,10 +295,10 @@ class TestMainCommand:
         # with the solvers wrapped in counters, as a profiler or tracer wraps
         # them: the two diagnostics files are byte-equal at any one BLAS
         # thread count, which both flows share in one process
-        doc = {"problem": "blowup_corner", "mode": "blowup",
+        doc = {"problem": "blowup_corner", "mode": "run",
                "grid": {"family": "corner", "m": 40}, "tau": 1e-3, "t_final": 0.03}
         out = tmp_path / "command"
-        assert main(["blowup", "--config", str(self.write(tmp_path, doc)),
+        assert main(["run", "--config", str(self.write(tmp_path, doc)),
                      "--out-dir", str(out), "--quiet"]) == 0
         calls = dict.fromkeys(("bicgstab", "_bicgstab_sweep"), 0)
         for name in calls:
@@ -386,21 +386,21 @@ class TestMainCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "cfg.json", "diagnostics.csv", "meta.json"]
+            "cfg.json", "diagnostics.csv", "meta.json", "summary.json"]
 
     def test_blowup_summary_and_exit_zero(self, tmp_path):
         doc = {
             "problem": "blowup_center",
-            "mode": "blowup",
+            "mode": "run",
             "grid": {"family": "middle", "m": 16},
             "tau": 1e-5,
             "t_final": 2e-3,
             "blowup_threshold": 2e3,
-                }
+        }
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"
         # a detected blow-up is a normal terminal outcome, not a failure
-        assert main(["blowup", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["blew_up"] is True
         assert summary["peak_u_max"] > 2e3
@@ -435,10 +435,10 @@ class TestMainCommand:
             def failing(*args, **kwargs):
                 raise failure()
             monkeypatch.setattr(scheme, "first_step", failing)
-        doc = {"problem": "blowup_corner", "mode": "blowup",
+        doc = {"problem": "blowup_corner", "mode": "run",
                "grid": {"family": "corner", "m": 16}, "tau": 1e-3, "t_final": 0.05,
                "blowup_threshold": 1e3}
-        argv = ["blowup", "--config", str(self.write(tmp_path, doc)), "--out-dir", str(out),
+        argv = ["run", "--config", str(self.write(tmp_path, doc)), "--out-dir", str(out),
                 "--quiet"]
         if code is None:
             with pytest.raises(RuntimeError, match="interrupted"):
@@ -456,14 +456,14 @@ class TestMainCommand:
         # mass sum(W u^0), which no diagnostics row holds
         doc = {
             "problem": "global_existence",
-            "mode": "blowup",
+            "mode": "run",
             "grid": {"family": "uniform", "m": 8},
             "tau": 0.01,
             "t_final": 0.01,
-                }
+        }
         cfg = self.write(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["blowup", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         rows = list(csv.DictReader(io.StringIO((out / "diagnostics.csv").read_text())))
         assert summary["steps"] == len(rows) == 1
@@ -473,6 +473,32 @@ class TestMainCommand:
         mass0 = float(np.sum(u0.grid.cell_areas * u0.values))
         drift = abs(float(rows[0]["mass"]) - mass0) / mass0
         assert summary["max_relative_mass_drift"] == drift > 0.0
+
+    def test_blowup_is_run_by_another_name(self, tmp_path, capsys):
+        # a short corner march with VTK snapshots, once per sub-command: the
+        # files are the same bytes, and meta.json differs only in its mode
+        doc = {"problem": "blowup_corner", "mode": "run",
+               "grid": {"family": "corner", "m": 16}, "tau": 1e-3, "t_final": 0.02,
+               "outputs": {"snapshot_times": [0.0, 0.01], "snapshot_format": "vtk"}}
+        printed = []
+        for mode in ("run", "blowup"):
+            cfg = self.write(tmp_path, dict(doc, mode=mode), f"{mode}.json")
+            assert main([mode, "--config", str(cfg), "--out-dir", str(tmp_path / mode)]) == 0
+            printed.append(capsys.readouterr().out)
+        run_dir, blowup_dir = tmp_path / "run", tmp_path / "blowup"
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == sorted(p.name for p in blowup_dir.iterdir()) == [
+            "diagnostics.csv", "meta.json", "snapshot_c_000000.vtk", "snapshot_c_000010.vtk",
+            "snapshot_rho_000000.vtk", "snapshot_rho_000010.vtk", "summary.json"]
+        for name in names:
+            if name != "meta.json":
+                assert (run_dir / name).read_bytes() == (blowup_dir / name).read_bytes(), name
+        meta_run, meta_blowup = (json.loads((d / "meta.json").read_text())
+                                 for d in (run_dir, blowup_dir))
+        assert (meta_run.pop("mode"), meta_blowup.pop("mode")) == ("run", "blowup")
+        assert meta_run == meta_blowup
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("reached t_final: t_halt=0.02 ")
 
     def test_convergence_command_table(self, tmp_path, capsys):
         doc = {
