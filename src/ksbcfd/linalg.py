@@ -358,9 +358,9 @@ def bicgstab(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarra
     """Right-preconditioned BiCGStab for general square systems.
 
     ``precond`` applies ``r -> M^-1 r`` for an approximate inverse ``M^-1``
-    of ``a`` (the stepper passes the fast-diagonalization solve of the heat
-    part: in float64 and block-corrected where the density matrix is not
-    diagonally dominant, in float32 otherwise).
+    of ``a`` (the stepper passes the float32 fast-diagonalization solve of
+    the heat part, block-corrected where the density matrix is not
+    diagonally dominant).
 
     ``_refined``'s rule with ``_bicgstab_sweep`` as the pass.  The recursive
     residual drifts from the true one near the rounding floor, so the

@@ -30,22 +30,21 @@ concentration matrix is one, at s = 1/tau + 1/2, and is solved directly.
 A density matrix, at s = 1/tau (1/(2 tau) in the predictor's backward-Euler
 equation, halved), adds the chemotaxis term, is nonsymmetric whenever the
 concentration gradient is nonzero, and is solved with BiCGStab
-right-preconditioned by the inverse of its heat part.  That inverse ignores
-the chemotaxis term, which matters where it outweighs diffusion: near the
-singular time of a blow-up run, rows at the peak stop being diagonally
-dominant.  When any row is not, the preconditioner is the float64 heat
-inverse followed by an exact solve of the density system on the tensor
-block that bounds those rows (``linalg.block_corrected``, by block
-elimination in numpy); when none is, it is the heat inverse alone in single
-precision (``TensorHeatSolver.solve_fp32``), which costs less per
-application and barely changes the iteration counts.  Residuals and
+right-preconditioned by the inverse of its heat part in single precision
+(``TensorHeatSolver.solve_fp32``), cheaper than float64 at about the same
+iteration counts.  That inverse ignores the chemotaxis term, which matters
+where it outweighs diffusion: near the singular time of a blow-up run,
+rows at the peak stop being diagonally dominant.  Where any row is not,
+an exact solve of the density system on the box bounding those rows, grown
+by ``_BLOCK_MARGIN`` cells a side, follows it (``linalg.block_corrected``,
+by block elimination in numpy).  Residuals and
 acceptance stay in float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
 of consecutive right-hand sides, and dX holds the differences of the last
 nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
 c = e_0.  A start whose residual exceeds |b| gives way to zero
 (``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
-707 BiCGStab iterations, where the extrapolation alone takes 989.
+626 BiCGStab iterations, where the extrapolation alone takes 935.
 Every solve, direct or iterative, refines its solution once when the
 recomputed residual misses the solver tolerance 1e-12 (BiCGStab aims that
 pass at a millionth of the residual it starts from), keeps the refinement
@@ -424,10 +423,16 @@ def _five_point(band: np.ndarray, nx: int) -> linalg.FivePointMatrix:
     return linalg.FivePointMatrix(band, nx)
 
 
+# Cells the correction box grows past the weak rows' box on every side, an
+# overlap (Smith, Bjorstad & Gropp 1996): corner 180^2 takes 626 BiCGStab
+# iterations at 24 and 754 at 0, and the README gives the scan.
+_BLOCK_MARGIN = 24
+
+
 def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
-    """The rows k = i + nx j, ascending, of the tensor block bounding the
-    rows of a band that are not diagonally dominant
-    (``|a_kk| < sum_{j != k} |a_kj|``), or None when every row is."""
+    """The rows k = i + nx j, ascending, of the box bounding the rows of a
+    band that are not diagonally dominant (``|a_kk| < sum_{j != k} |a_kj|``),
+    grown by ``_BLOCK_MARGIN`` cells a side within the grid, or None when every row is."""
     off = np.zeros(band.shape[1])
     off[nx:] = np.abs(band[_SOUTH, :-nx])
     off[1:] += np.abs(band[_WEST, :-1])
@@ -436,8 +441,9 @@ def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
     weak = (np.abs(band[_CENTER]) < off).reshape(-1, nx)
     if not weak.any():
         return None
-    i, j = np.flatnonzero(weak.any(axis=0)), np.flatnonzero(weak.any(axis=1))
-    return (np.arange(i[0], i[-1] + 1) + nx * np.arange(j[0], j[-1] + 1)[:, None]).ravel()
+    (j, i), m = np.nonzero(weak), _BLOCK_MARGIN
+    return np.arange(weak.size).reshape(weak.shape)[
+        max(j.min() - m, 0):j.max() + m + 1, max(i.min() - m, 0):i.max() + m + 1].ravel()
 
 
 class Workspace:
@@ -527,22 +533,20 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
     """BiCGStab from ``x0`` for a density system whose heat part is
     s W - (1/2) W L.
 
-    The right preconditioner is the inverse of that heat part (by
-    ``Workspace.heat``): in single precision when ``block`` is None, and
-    otherwise in float64 followed by an exact solve of ``system`` on the
-    rows ``block`` (``linalg.block_corrected``).  BiCGStab is the one solve
-    path: a solution it does not converge to, after its refinement pass
-    on the true residual, raises ``StepSolveError`` with its reason,
-    iterations and residual.  The report's ``block_cells`` is the size of
-    the correction block, 0 when there is none or its elimination meets an
-    exactly singular pivot block.
+    The right preconditioner is the inverse of that heat part in single
+    precision (``Workspace.heat.solve_fp32``), followed, unless ``block`` is
+    None, by an exact solve of ``system`` on the rows ``block``
+    (``linalg.block_corrected``).  BiCGStab is the one solve path: a
+    solution it does not converge to, after its refinement pass on the true
+    residual, raises ``StepSolveError`` with its reason, iterations and
+    residual.  The report's ``block_cells`` is the size of the correction
+    block, 0 when there is none or its elimination meets an exactly singular
+    pivot block.
     """
-    if block is None:
-        precond, cells = functools.partial(ws.heat.solve_fp32, s=s), 0
-    else:
-        heat = functools.partial(ws.heat.solve, s=s)
+    precond = heat = functools.partial(ws.heat.solve_fp32, s=s)
+    if block is not None:
         precond = linalg.block_corrected(system, heat, block)
-        cells = 0 if precond is heat else block.size  # 0: a singular pivot block
+    cells = 0 if precond is heat else block.size  # 0: no block, or a singular pivot block
     x, report = linalg.bicgstab(system, rhs, precond, x0=x0)
     if not report.converged:
         raise StepSolveError(step, name, report)

@@ -429,9 +429,8 @@ def reference_weak_rows_block(band):
     weak = np.abs(band[C]) < off
     if not weak.any():
         return None
-    i, j = np.flatnonzero(weak.any(axis=1)), np.flatnonzero(weak.any(axis=0))
-    rows = np.arange(i[0], i[-1] + 1)[:, None] + band.shape[1] * np.arange(j[0], j[-1] + 1)
-    return rows.ravel(order="F")
+    flat = np.arange(weak.size).reshape(weak.shape, order="F")
+    return flat[grown_box(*np.nonzero(weak), weak.shape)].ravel(order="F")
 
 
 def bit_equal(a, b):
@@ -446,9 +445,10 @@ class TestAssemblyOracle:
         # two non-square perturbed grids; the steep patch leaves rows that
         # are not diagonally dominant, the smooth field none.  s tau = 1 is
         # the Crank-Nicolson system and its weak rows, s tau = 1/2 the
-        # predictor's, with W/(2 tau) more off its center
+        # predictor's, with W/(2 tau) more off its center.  The grid is wide
+        # enough that the weak rows' grown box leaves cells west of it
         if weak:
-            grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
+            grid = make_grid(build_random_perturbed(0, 1, 40, 0.3, 31),
                              build_random_perturbed(0, 1, 8, 0.3, 32))
             cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
             fn = lambda x, y: 30.0 * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
@@ -467,6 +467,7 @@ class TestAssemblyOracle:
         data, offsets = reference_five_point(band)
         block = reference_weak_rows_block(band)
         assert (block is not None) == weak
+        assert block is None or block.size < band[C].size
 
         if s_tau == 1.0:
             system, rows, _ = _density_system(Workspace(grid, cfg), cell_field_from_function(grid, fn))
@@ -864,11 +865,14 @@ def test_no_module_binds_a_scipy_blas_or_lapack_routine():
     assert found == []
 
 
-def steep_patch_system(amp, tau=0.01, lam=1.0, predictor=False):
-    """A density system on a rectangular 11 x 8 perturbed grid under a steep
+def steep_patch_system(amp, tau=0.01, lam=1.0, predictor=False, nx=11):
+    """A density system on a rectangular nx x 8 perturbed grid under a steep
     concentration patch near the x = 1 boundary, with its Workspace and the
-    block of its weak rows: the Crank-Nicolson system, or the predictor's."""
-    grid = make_grid(build_random_perturbed(0, 1, 11, 0.3, 31),
+    block of its weak rows: the Crank-Nicolson system, or the predictor's.
+    At nx = 40 and amp = 30 the weak rows' box grown by the margin is cut
+    at x = 1, y = 0 and y = 1 and leaves cells west of it; at nx = 11 it
+    covers the grid."""
+    grid = make_grid(build_random_perturbed(0, 1, nx, 0.3, 31),
                      build_random_perturbed(0, 1, 8, 0.3, 32))
     cfg = SchemeConfig(lam=lam, tau=tau, t_final=tau)
     c0 = lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
@@ -965,6 +969,14 @@ def weak_rows(a, shape):
     return (diag < off).reshape(shape, order="F")
 
 
+def grown_box(i, j, shape):
+    """The (x, y) slices of the box bounding cells (i, j), grown by the
+    stepper's margin on every side and cut at the grid's edges."""
+    m = ksbcfd.scheme._BLOCK_MARGIN
+    return (slice(max(i.min() - m, 0), min(i.max() + m + 1, shape[0])),
+            slice(max(j.min() - m, 0), min(j.max() + m + 1, shape[1])))
+
+
 class TestBlockCorrection:
     @pytest.mark.parametrize("s_tau", [1.0, 0.5])
     def test_dominant_system_gets_the_heat_inverse(self, s_tau):
@@ -978,12 +990,14 @@ class TestBlockCorrection:
         assert np.array_equal(x, plain)
         assert report.block_cells == 0
 
-    def test_block_step_keeps_the_fp64_heat_inverse(self):
-        ws, system, block = steep_patch_system(30.0)
+    def test_block_step_corrects_the_fp32_heat_inverse(self):
+        ws, system, block = steep_patch_system(30.0, nx=40)
         b = np.random.default_rng(6).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, block, b)
-        precond = block_corrected(system, heat_inverse(ws), block)
+        precond = block_corrected(system, fp32_heat_inverse(ws), block)
         assert np.array_equal(x, bicgstab(system, b, precond)[0])
+        fp64 = block_corrected(system, heat_inverse(ws), block)
+        assert not np.array_equal(x, bicgstab(system, b, fp64)[0])
         assert report.converged
 
     def test_singular_block_reports_no_block_cells(self):
@@ -997,18 +1011,19 @@ class TestBlockCorrection:
         assert np.max(np.abs(x - np.linalg.solve(system.tocsc().toarray(), b))) <= 1e-10
 
     def test_block_bounds_weak_rows_and_speeds_up_bicgstab(self):
-        ws, system, block = steep_patch_system(30.0)
+        ws, system, block = steep_patch_system(30.0, nx=40)
         a = system.tocsc().toarray()
         weak = weak_rows(a, ws.grid.shape)
         i, j = np.nonzero(weak)
-        box = (slice(i.min(), i.max() + 1), slice(j.min(), j.max() + 1))
+        box = grown_box(i, j, weak.shape)
         flat = np.arange(weak.size).reshape(weak.shape, order="F")
         assert np.array_equal(block, flat[box].ravel(order="F"))
-        assert i.max() == ws.grid.nx - 1  # weak rows on the boundary too
+        assert box[0].stop == ws.grid.nx  # the box reaches the boundary, cut there
+        assert box[0].start > 0  # and leaves cells west of it
         assert weak[box].sum() == weak.sum() < weak[box].size < weak.size
 
         b = np.random.default_rng(6).standard_normal(system.shape[0])
-        _, plain = bicgstab(system, b, heat_inverse(ws))
+        _, plain = bicgstab(system, b, fp32_heat_inverse(ws))
         x, corrected = solve_density(ws, system, block, b)
         assert plain.converged and corrected.converged
         assert corrected.iterations < plain.iterations
@@ -1030,10 +1045,31 @@ class TestBlockCorrection:
         assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-10
 
     def test_step_reports_block_cells(self):
-        ws, system, block = steep_patch_system(30.0)
+        # the weak rows span x cells 28..38 and y cells 3..6 of 40 x 8; the
+        # box grown by the margin, 24 cells, is x 4..39 and y 0..7
+        ws, system, block = steep_patch_system(30.0, nx=40)
         rhs = np.random.default_rng(8).standard_normal(system.shape[0])
         _, report = solve_density(ws, system, block, rhs)
-        assert report.converged and report.block_cells == 16
+        assert report.converged and report.block_cells == 36 * 8
+
+    def test_block_is_the_weak_rows_box_grown_by_the_margin(self):
+        # a 70 x 60 band whose rows are all diagonally dominant but those of
+        # the given cells; their bounding box grows by the margin on every
+        # side, inside the grid and cut at its edges
+        nx, ny, m = 70, 60, ksbcfd.scheme._BLOCK_MARGIN
+        assert 0 < m < 30  # so the first box lies inside the grid
+        flat = np.arange(nx * ny).reshape((nx, ny), order="F")
+        for cells, box in [
+            ([(35, 30)], (slice(35 - m, 36 + m), slice(30 - m, 31 + m))),
+            ([(0, 59)], (slice(0, 1 + m), slice(59 - m, 60))),
+            ([(69, 2), (60, 0)], (slice(60 - m, 70), slice(0, 3 + m))),
+        ]:
+            band = np.full((5, nx * ny), 0.25)
+            band[_CENTER] = 2.0
+            for i, j in cells:
+                band[_CENTER, i + nx * j] = 0.0
+            assert np.array_equal(ksbcfd.scheme._weak_rows_block(band, nx),
+                                  flat[box].ravel(order="F"))
 
 
 class TestRun:
