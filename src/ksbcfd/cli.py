@@ -392,12 +392,7 @@ def _scheme_config(config: RunConfig, problem: ProblemSpec, m: int) -> SchemeCon
     """The scheme settings of the grid run of size m; a sweep ties tau to the spacing."""
     x_lo, x_hi = problem.domain[:2]
     tau = config.tau if config.mode != "convergence" else (x_hi - x_lo) / m
-    return SchemeConfig(
-        lam=problem.lam,
-        tau=tau,
-        t_final=config.t_final,
-        blowup_threshold=config.blowup_threshold,
-    )
+    return SchemeConfig(tau=tau, t_final=config.t_final, blowup_threshold=config.blowup_threshold)
 
 
 def _snapshot_steps(config: RunConfig) -> dict[int, float]:

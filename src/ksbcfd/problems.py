@@ -67,8 +67,8 @@ class ProblemSpec:
     forcing: Forcing | None = None
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("chemotactic sensitivity must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("chemotactic sensitivity lam must be positive and finite")
         if self.exact is not None and self.forcing is None:
             raise ValueError("a manufactured exact solution requires its forcing pair")
 

@@ -177,16 +177,17 @@ def step_of(t: float, tau: float) -> int | None:
     return n if abs(ratio - n) <= _STEP_COUNT_ULPS * np.spacing(max(1.0, float(n))) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SchemeConfig:
-    lam: float
+    """A run's time step, final time and blow-up threshold; lam is ``ProblemSpec.lam``."""
+
     tau: float
     t_final: float
     blowup_threshold: float = 1e12
 
     def __post_init__(self):
         # each message starts with the name of the field at fault
-        for name in ("lam", "tau", "t_final", "blowup_threshold"):
+        for name in ("tau", "t_final", "blowup_threshold"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         n = step_of(self.t_final, self.tau)
@@ -450,7 +451,7 @@ class Workspace:
     """Per-run operator cache: area weights (and 1/2 and 2/tau times them),
     the grid's fast-diagonalization heat solver, and the concentration
     matrix, whose band is the one constant band of a run, and its inverse by
-    that solver."""
+    that solver.  None of them depends on the chemotactic sensitivity."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
@@ -464,15 +465,16 @@ class Workspace:
         self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas), grid.nx)
         self.z_inverse = functools.partial(self.heat.solve, s=s)
 
-    def u_system(self, g: GradientPair) -> linalg.FivePointMatrix:
+    def u_system(self, g: GradientPair, lam: float) -> linalg.FivePointMatrix:
         """The Crank-Nicolson density system
-        (1/tau) W - (1/2) W L + (1/2) lam W C(g): a copy of the concentration
-        matrix's band with its center lowered by W / 2, the one place the two
-        heat parts differ, and the chemotaxis term added.
+        (1/tau) W - (1/2) W L + (1/2) lam W C(g), ``lam`` the problem's: a
+        copy of the concentration matrix's band with its center lowered by
+        W / 2, the one place the two heat parts differ, and the chemotaxis
+        term added.
         """
         band = self.z_system.data.copy()
         band[_CENTER] -= self.half_areas
-        _add_chemotaxis(band, self.grid, g, 0.5 * self.config.lam)
+        _add_chemotaxis(band, self.grid, g, 0.5 * lam)
         return _five_point(band, self.grid.nx)
 
 
@@ -561,7 +563,7 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
     if state.n != 0:
         raise ValueError("the predictor runs from the initial level only")
     grid, tau = ws.grid, ws.config.tau
-    system = ws.u_system(grad(state.z_curr))
+    system = ws.u_system(grad(state.z_curr), problem.lam)
     u0 = np.ravel(state.u_curr.values, order="F")
     au = system @ u0
     system.data[_CENTER] -= ws.half_areas / tau
@@ -572,13 +574,13 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
     return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
 
-def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, rep_z: SolveReport,
-                 reps_u: tuple[SolveReport, ...]) -> StepDiagnostics:
+def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, lam: float,
+                 rep_z: SolveReport, reps_u: tuple[SolveReport, ...]) -> StepDiagnostics:
     """One step's record; ``dz_inf`` is ``GradientPair.inf_norm`` of the
     gradient of the concentration the step computed, taken when the density
-    system was assembled so that no gradient outlives the assembly, and
-    ``reps_u`` are the reports of its density solves (the predictor's and
-    the corrector's on the first step)."""
+    system was assembled so that no gradient outlives the assembly, ``lam``
+    the problem's sensitivity, and ``reps_u`` are the reports of its density
+    solves (the predictor's and the corrector's on the first step)."""
     u, z = state.u_curr, state.z_curr
     argmax_i, argmax_j = u.argmax()
     return StepDiagnostics(
@@ -595,7 +597,7 @@ def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, rep_z: Solve
         residual_u=max(r.final_relative_residual for r in reps_u),
         block_cells=max(r.block_cells for r in reps_u),
         dz_inf=dz_inf,
-        uniqueness_ok=bool(config.tau < 4.0 / (config.lam**2 * (dz_inf + 1.0) ** 2)),
+        uniqueness_ok=bool(config.tau < 4.0 / (lam**2 * (dz_inf + 1.0) ** 2)),
         neg_cells=int(np.count_nonzero(u.values < 0.0)),
     )
 
@@ -626,12 +628,12 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
             replace(report, residual=None))
 
 
-def _density_system(ws: Workspace, z: CellField
+def _density_system(ws: Workspace, z: CellField, lam: float
                     ) -> tuple[linalg.FivePointMatrix, np.ndarray | None, float]:
-    """``Workspace.u_system`` in the gradient of ``z``, its weak rows'
-    block and the gradient's ``inf_norm``; the edge arrays die here."""
+    """``Workspace.u_system(grad z, lam)``, its weak rows' block and the
+    gradient's ``inf_norm``; the edge arrays die here."""
     g = grad(z)
-    system = ws.u_system(g)
+    system = ws.u_system(g, lam)
     return system, _weak_rows_block(system.data, ws.grid.nx), g.inf_norm()
 
 
@@ -656,7 +658,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     step = state.n + 1
     t_half = (state.n + 0.5) * tau
     z_next, az_next, rep_z = _concentration_stage(ws, state, u_star, problem, t_half)
-    system, block, dz_inf = _density_system(ws, z_next)
+    system, block, dz_inf = _density_system(ws, z_next, problem.lam)
 
     u_flat = np.ravel(state.u_curr.values, order="F")
     source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
@@ -670,7 +672,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=state.u_curr, z_curr=z_next,
                       au_curr=rhs_u - rep_u.residual, az_curr=az_next,
                       history=history.pushed(xu, u_flat, projection))
-    diag = _diagnostics(new_state, dz_inf, ws.config, rep_z, (*reps_before, rep_u))
+    diag = _diagnostics(new_state, dz_inf, ws.config, problem.lam, rep_z, (*reps_before, rep_u))
     _check_blowup(new_state, diag, ws.config)
     return new_state, diag
 
@@ -699,7 +701,9 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
         on_step: Callable[[State], None] | None = None) -> RunResult:
     """March from the initial data to t_final or until blow-up halts the run,
     taking ``first_step`` and then ``step_cn``; ``on_step`` sees every level,
-    the initial one and the halting one included.
+    the initial one and the halting one included.  The sensitivity lam is
+    ``problem.lam``; a grid whose extent is not ``problem.domain`` raises
+    ``ValueError``.
 
     The advisory solvability monitor compares the time step against
     4 / (lam^2 (|dZ|_inf + 1)^2), substituting the observed concentration
@@ -707,6 +711,10 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
     ``uniqueness_ok`` records the outcome; a violation does not stop the
     run and is not reported otherwise.
     """
+    extent = (grid.x_axis.lo, grid.x_axis.hi, grid.y_axis.lo, grid.y_axis.hi)
+    if extent != tuple(problem.domain):
+        raise ValueError(f"grid extent {extent} is not the domain {tuple(problem.domain)} "
+                         f"of problem {problem.name!r}")
     state = init_state(problem, grid)
     initial_mass = float(np.sum(grid.cell_areas * state.u_curr.values))
     ws = Workspace(grid, config)

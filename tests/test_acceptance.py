@@ -111,7 +111,7 @@ def subcritical_result():
     # the canonical mass-conservation run: uniform 80^2 cells, 1000 steps
     problem = get_problem("global_existence")
     grid = make_grid(build_uniform(0, 1, 80), build_uniform(0, 1, 80))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1.0)
+    cfg = SchemeConfig(tau=1e-3, t_final=1.0)
     state0 = init_state(problem, grid)
     mass0 = inner_m(state0.u_curr, CellField(grid, np.ones(grid.shape)))
     return run(problem, grid, cfg), mass0
@@ -220,7 +220,7 @@ def test_criterion_6_solver_oracle_equivalence():
     # heat inverse alone
     grid = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
     tau, lam = 0.01, 1.0
-    ws = Workspace(grid, SchemeConfig(lam=lam, tau=tau, t_final=tau))
+    ws = Workspace(grid, SchemeConfig(tau=tau, t_final=tau))
     z_dense = ws.z_system.tocsc().toarray()
     rng = np.random.Generator(np.random.PCG64(SEED))
     worst = 0.0
@@ -235,7 +235,7 @@ def test_criterion_6_solver_oracle_equivalence():
         xz, rep_z = _solve_concentration(ws, rhs_z, step=1)
         gaps = [np.max(np.abs(xz - np.linalg.solve(z_dense, rhs_z)))]
         ok &= rep_z.converged
-        u_sys, block, _ = _density_system(ws, z)
+        u_sys, block, _ = _density_system(ws, z, lam)
         blocks += block is not None
         rhs_u = ws.areas * np.ravel(
             u.values / tau + 0.5 * apply_laplacian(u).values
@@ -262,7 +262,7 @@ def test_criterion_7_constant_steady_state():
     grid = make_grid(build_random_perturbed(0, 1, 12, 0.3, SEED),
                      build_random_perturbed(0, 1, 12, 0.3, SEED + 1))
     tau = 0.05
-    cfg = SchemeConfig(lam=1.0, tau=tau, t_final=201 * tau)  # 200 CN steps
+    cfg = SchemeConfig(tau=tau, t_final=201 * tau)  # 200 CN steps
     result = run(problem, grid, cfg)
     drift_u = max(np.max(np.abs(result.state.u_curr.values - 3.0)), 0.0)
     drift_z = np.max(np.abs(result.state.z_curr.values - 3.0))
@@ -276,7 +276,7 @@ def test_criterion_7_constant_steady_state():
 
 def test_criterion_8a_center_blowup_grid_comparison():
     problem = get_problem("blowup_center")
-    cfg = SchemeConfig(lam=1.0, tau=1e-6, t_final=6e-5)
+    cfg = SchemeConfig(tau=1e-6, t_final=6e-5)
     middle = run(problem, make_grid(build_middle_refined(60), build_middle_refined(60)), cfg)
     uniform = run(problem, make_grid(build_uniform(0, 1, 120), build_uniform(0, 1, 120)), cfg)
     peak_mid = middle.diagnostics[-1].u_max
@@ -292,7 +292,7 @@ def corner_result():
     grid = make_grid(build_corner_refined(200), build_corner_refined(200))
     # past the singular time the discrete dynamics oscillate unphysically, so
     # the study halts at 1e4 x the initial peak rather than the 1e12 default
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.18, blowup_threshold=1e7)
+    cfg = SchemeConfig(tau=1e-3, t_final=0.18, blowup_threshold=1e7)
     return run(problem, grid, cfg), grid
 
 
@@ -318,7 +318,7 @@ def test_corner_blowup_halts_on_its_threshold_off_the_benchmark_grid():
     # at 80 x 80 the step-164 density solve cannot meet the 1e-12 residual
     # tolerance in float64; its solution is accepted by backward error
     grid = make_grid(build_corner_refined(80), build_corner_refined(80))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.18, blowup_threshold=1e7)
+    cfg = SchemeConfig(tau=1e-3, t_final=0.18, blowup_threshold=1e7)
     result = run(get_problem("blowup_corner"), grid, cfg)
     assert result.blew_up and len(result.diagnostics) == 164
     assert result.diagnostics[-1].u_max > 1e7
@@ -354,7 +354,7 @@ def test_criterion_9_determinism(uniform_rows, subcritical_result, tmp_path):
     result, _ = subcritical_result
     problem = get_problem("global_existence")
     grid = make_grid(build_uniform(0, 1, 80), build_uniform(0, 1, 80))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1.0)
+    cfg = SchemeConfig(tau=1e-3, t_final=1.0)
     rerun = run(problem, grid, cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     diagnostics_to_csv(result.diagnostics, p1)

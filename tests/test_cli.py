@@ -308,7 +308,7 @@ class TestMainCommand:
             monkeypatch.setattr(linalg, name, counted)
         problem = get_problem(doc["problem"])
         grid = build_grid(problem, parse_config(json.dumps(doc)).grid, 40)
-        config = scheme.SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.03)
+        config = scheme.SchemeConfig(tau=1e-3, t_final=0.03)
         diagnostics_to_csv(scheme.run(problem, grid, config).diagnostics, tmp_path / "script.csv")
         assert calls["bicgstab"] == 31 and calls["_bicgstab_sweep"] >= 31  # predictor + 30 steps
         assert (tmp_path / "script.csv").read_bytes() == (out / "diagnostics.csv").read_bytes()

@@ -76,7 +76,7 @@ def test_vtk_structure(tmp_path):
 def test_diagnostics_csv_shape(tmp_path):
     problem = get_problem("global_existence")
     g = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
-    result = run(problem, g, SchemeConfig(lam=1.0, tau=0.005, t_final=0.02))
+    result = run(problem, g, SchemeConfig(tau=0.005, t_final=0.02))
     path = tmp_path / "d.csv"
     diagnostics_to_csv(result.diagnostics, path)
     lines = path.read_text().splitlines()

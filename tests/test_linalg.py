@@ -282,10 +282,10 @@ class TestSweepInputs:
         # grown by its margin, leaves cells west of it, so the correction
         # is not an exact solve
         grid = make_grid(build_random_perturbed(0, 1, 40, 0.3, 5), build_corner_refined(8))
-        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.01))
+        ws = Workspace(grid, SchemeConfig(tau=0.01, t_final=0.01))
         xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
         z = CellField(grid, amp * np.exp(-30 * ((xs - 0.9) ** 2 + (ys - 0.6) ** 2)))
-        a, block, _ = _density_system(ws, z)
+        a, block, _ = _density_system(ws, z, 1.0)
         assert (block is None) == (amp == 1.0)
         assert block is None or block.size < a.shape[0]
         return ws, a, block
@@ -558,7 +558,7 @@ class TestTensorHeatSolver:
     tau = 0.01
 
     def workspace(self, grid):
-        return Workspace(grid, SchemeConfig(lam=1.0, tau=self.tau, t_final=self.tau))
+        return Workspace(grid, SchemeConfig(tau=self.tau, t_final=self.tau))
 
     def test_z_system_matches_dense_oracle(self):
         grid = rectangular_grid()
@@ -583,7 +583,7 @@ class TestTensorHeatSolver:
         grid = rectangular_grid()
         zero_g = grad(CellField(grid, np.zeros(grid.shape)))
         ws = self.workspace(grid)
-        a = ws.u_system(zero_g)
+        a = ws.u_system(zero_g, 1.0)
         s = 1.0 / self.tau
         if backward_euler:
             a.data[_CENTER] -= ws.half_areas / self.tau
@@ -701,7 +701,7 @@ class TestTensorHeatSolver:
         xs = grid.x_axis.centers[:, None]
         ys = grid.y_axis.centers[None, :]
         z = CellField(grid, np.cos(3 * xs) * np.sin(2 * ys))
-        a = self.workspace(grid).u_system(grad(z))
+        a = self.workspace(grid).u_system(grad(z), 1.0)
         b = np.random.default_rng(43).standard_normal(grid.nx * grid.ny)
         heat = TensorHeatSolver(grid.x_axis, grid.y_axis)
         x, rep = bicgstab(a, b, lambda r: heat.solve(r, 1.0 / self.tau))
@@ -784,8 +784,7 @@ with tempfile.TemporaryDirectory() as tmp:
 seen["run"] = scipy_modules()
 problem = get_problem("blowup_corner")
 grid = make_grid(build_corner_refined(80), build_corner_refined(80))
-result = run(problem, grid, SchemeConfig(lam=problem.lam, tau=1e-3, t_final=0.18,
-                                         blowup_threshold=1e7))
+result = run(problem, grid, SchemeConfig(tau=1e-3, t_final=0.18, blowup_threshold=1e7))
 seen["block_steps"] = sum(d.block_cells > 0 for d in result.diagnostics)
 seen["halt"] = [result.blew_up, len(result.diagnostics)]
 seen["corner"] = scipy_modules()

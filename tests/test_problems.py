@@ -139,7 +139,10 @@ class TestRegistry:
                         c0_xx=zero, c0_yy=zero, exact=ex, forcing=None)
 
     def test_positive_sensitivity_required(self):
+        # and finite: the problem is the one owner of lam
         zero = lambda x, y: 0.0 * x * y
-        with pytest.raises(ValueError, match="sensitivity"):
-            ProblemSpec(name="bad", domain=(0, 1, 0, 1), lam=0.0, rho0=zero, c0=zero,
-                        c0_xx=zero, c0_yy=zero)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^chemotactic sensitivity lam must be "
+                               "positive and finite$"):
+                ProblemSpec(name="bad", domain=(0, 1, 0, 1), lam=lam, rho0=zero, c0=zero,
+                            c0_xx=zero, c0_yy=zero)

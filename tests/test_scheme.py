@@ -73,15 +73,16 @@ def mass(f):
 
 
 def workspace(grid, tau=0.05):
-    return Workspace(grid, SchemeConfig(lam=1.0, tau=tau, t_final=tau))
+    return Workspace(grid, SchemeConfig(tau=tau, t_final=tau))
 
 
-def concentration_problem(c0):
-    """A problem with unit density whose initial concentration is the
-    samples of ``c0`` as they are (no curvature correction)."""
+def concentration_problem(c0, lam=1.0):
+    """A problem of sensitivity ``lam`` with unit density whose initial
+    concentration is the samples of ``c0`` as they are (no curvature
+    correction)."""
     one = lambda x, y: np.ones(np.broadcast(x, y).shape)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    return ProblemSpec(name="patch", domain=(0.0, 1.0, 0.0, 1.0), lam=1.0,
+    return ProblemSpec(name="patch", domain=(0.0, 1.0, 0.0, 1.0), lam=lam,
                        rho0=one, c0=c0, c0_xx=zero, c0_yy=zero)
 
 
@@ -105,20 +106,29 @@ def predictor_solve(problem, grid, cfg):
 class TestConfig:
     def test_integer_step_count_required(self):
         with pytest.raises(ValueError, match="integer step count"):
-            SchemeConfig(lam=1.0, tau=0.3, t_final=1.0)
-        assert SchemeConfig(lam=1.0, tau=1.0 / 80.0, t_final=1.0).n_steps == 80
+            SchemeConfig(tau=0.3, t_final=1.0)
+        assert SchemeConfig(tau=1.0 / 80.0, t_final=1.0).n_steps == 80
 
     def test_positive_parameters(self):
         with pytest.raises(ValueError):
-            SchemeConfig(lam=0.0, tau=0.1, t_final=1.0)
+            SchemeConfig(tau=0.1, t_final=0.0)
         with pytest.raises(ValueError):
-            SchemeConfig(lam=1.0, tau=-0.1, t_final=1.0)
+            SchemeConfig(tau=-0.1, t_final=1.0)
+
+    def test_no_sensitivity_field_and_keyword_only(self):
+        # the sensitivity is the problem's alone
+        assert [f.name for f in dataclasses.fields(SchemeConfig)] == [
+            "tau", "t_final", "blowup_threshold"]
+        with pytest.raises(TypeError):
+            SchemeConfig(lam=1.0, tau=1e-3, t_final=0.18)
+        with pytest.raises(TypeError):
+            SchemeConfig(1e-3, 0.18)
 
     @pytest.mark.parametrize("name", ["tau", "t_final", "blowup_threshold"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_parameters(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-            SchemeConfig(**{"lam": 1.0, "tau": 1e-3, "t_final": 1.0, name: bad})
+            SchemeConfig(**{"tau": 1e-3, "t_final": 1.0, name: bad})
 
 
 class TestInitState:
@@ -161,7 +171,7 @@ class TestFirstStep:
     def test_constants_are_fixed_point(self):
         problem = constant_problem(3.0)
         grid = perturbed_grid(7)
-        cfg = SchemeConfig(lam=1.0, tau=0.05, t_final=0.05)
+        cfg = SchemeConfig(tau=0.05, t_final=0.05)
         ws = Workspace(grid, cfg)
         state = init_state(problem, grid)
         u_bar, _, _ = predict_u1(state, problem, ws)
@@ -179,7 +189,7 @@ class TestFirstStep:
                               rho0=zero, c0=const, c0_xx=zero, c0_yy=zero)
         grid = unit_grid(6)
         tau = 0.02
-        cfg = SchemeConfig(lam=1.0, tau=tau, t_final=tau)
+        cfg = SchemeConfig(tau=tau, t_final=tau)
         state, _ = first_step(init_state(problem, grid), problem, Workspace(grid, cfg))
         assert np.all(state.u_curr.values == 0.0)
         expected = zbar * (1.0 / tau - 0.5) / (1.0 / tau + 0.5)
@@ -188,7 +198,7 @@ class TestFirstStep:
     def test_predictor_requires_initial_level(self):
         problem = constant_problem()
         grid = unit_grid(4)
-        cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.2)
+        cfg = SchemeConfig(tau=0.1, t_final=0.2)
         ws = Workspace(grid, cfg)
         state, _ = first_step(init_state(problem, grid), problem, ws)
         with pytest.raises(ValueError, match="initial level"):
@@ -197,7 +207,7 @@ class TestFirstStep:
     def test_predictor_system_nonsymmetric_with_gradient(self):
         problem = get_problem("global_existence")
         grid = unit_grid(10)
-        cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.1)
+        cfg = SchemeConfig(tau=0.1, t_final=0.1)
         assert grad(init_state(problem, grid).z_curr).inf_norm() > 0.0
         a = predictor_solve(problem, grid, cfg)[1].tocsc().toarray()
         assert not np.array_equal(a, a.T)
@@ -208,12 +218,12 @@ class TestFirstStep:
         # center, its weak rows, half the backward-Euler right-hand side,
         # the heat part's s = 1/(2 tau), and the product A(grad z^0) u^0
         # the first stage takes, from the same band before it was lowered
-        problem = get_problem(problem)
+        problem = dataclasses.replace(get_problem(problem), lam=1.3)
         grid = perturbed_grid(9)
-        cfg = SchemeConfig(lam=1.3, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         ws, system, block, rhs, s = predictor_solve(problem, grid, cfg)
         state = init_state(problem, grid)
-        crank_nicolson = ws.u_system(grad(state.z_curr))
+        crank_nicolson = ws.u_system(grad(state.z_curr), 1.3)
         u0 = np.ravel(state.u_curr.values, order="F")
         band = crank_nicolson.data.copy()
         band[_CENTER] -= (0.5 * ws.areas) / cfg.tau
@@ -227,10 +237,28 @@ class TestFirstStep:
         _, _, au = predict_u1(state, problem, ws)
         assert bit_equal(au, crank_nicolson @ u0)
 
+    def test_first_step_takes_the_problems_sensitivity(self, monkeypatch):
+        # both density bands of the step add (1/2) lam W C(g) at the
+        # problem's lam = 1.3, and its solvability flag uses 1.3 too: tau
+        # lies between 4 / (1.3^2 (dz + 1)^2) and 4 / (dz + 1)^2, so lam = 1
+        # would pass the bound that 1.3 fails
+        problem = dataclasses.replace(get_problem("global_existence"), lam=1.3)
+        grid = unit_grid(12)
+        cfg = SchemeConfig(tau=8e-4, t_final=8e-4)
+        scales = []
+        add = ksbcfd.scheme._add_chemotaxis
+        monkeypatch.setattr(ksbcfd.scheme, "_add_chemotaxis",
+                            lambda band, grid, g, s: (scales.append(s), add(band, grid, g, s)))
+        _, diag = first_step(init_state(problem, grid), problem, Workspace(grid, cfg))
+        assert scales == [0.5 * 1.3] * 2
+        bound = 4.0 / (diag.dz_inf + 1.0) ** 2
+        assert bound / 1.3**2 <= cfg.tau < bound
+        assert not diag.uniqueness_ok
+
     def test_mass_preserved_through_first_step(self):
         problem = get_problem("global_existence")
         grid = perturbed_grid(12)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         state = init_state(problem, grid)
         m0 = mass(state.u_curr)
         new_state, diag = first_step(state, problem, Workspace(grid, cfg))
@@ -241,7 +269,7 @@ class TestFirstStep:
     def test_predictor_residual_by_stencil_resubstitution(self):
         problem = get_problem("global_existence")
         grid = perturbed_grid(9)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         state = init_state(problem, grid)
         u_bar, report, _ = predict_u1(state, problem, Workspace(grid, cfg))
         assert report.converged
@@ -249,7 +277,7 @@ class TestFirstStep:
         lhs = (
             u_bar.values / cfg.tau
             - apply_laplacian(u_bar).values
-            + cfg.lam * apply_chemotaxis(u_bar, g0).values
+            + problem.lam * apply_chemotaxis(u_bar, g0).values
         )
         rhs = state.u_curr.values / cfg.tau
         num = np.sqrt(np.sum(grid.cell_areas * (lhs - rhs) ** 2))
@@ -268,10 +296,10 @@ class TestSystemStructure:
         grid = perturbed_grid(5)
         zero_g = grad(CellField(grid, np.ones(grid.shape)))
         ws = workspace(grid)
-        a0 = ws.u_system(zero_g).tocsc().toarray()
+        a0 = ws.u_system(zero_g, 1.0).tocsc().toarray()
         assert np.array_equal(a0, a0.T)
         state = init_state(get_problem("global_existence"), grid)
-        a1 = ws.u_system(grad(state.z_curr)).tocsc().toarray()
+        a1 = ws.u_system(grad(state.z_curr), 1.0).tocsc().toarray()
         assert not np.array_equal(a1, a1.T)
 
     def test_zero_sensitivity_matches_loop_assembled_heat_matrix(self):
@@ -284,7 +312,7 @@ class TestSystemStructure:
         zero_g = grad(CellField(grid, np.zeros(grid.shape)))
         ws = workspace(grid, tau)
         # the density system's heat part, and the concentration system
-        for assembled, weight in ((ws.u_system(zero_g), 1.0 / tau),
+        for assembled, weight in ((ws.u_system(zero_g, 1.0), 1.0 / tau),
                                   (ws.z_system, 1.0 / tau + 0.5)):
             heat = np.zeros((n, n))
             for j in range(ny):
@@ -317,7 +345,7 @@ class TestSystemStructure:
         # part has s = 1/(2 tau)
         grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
                          build_random_perturbed(0, 1, 6, 0.3, 22))
-        cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
+        cfg, lam = SchemeConfig(tau=0.02, t_final=0.02), 1.7
         s = (0.5 if backward_euler else 1.0) / cfg.tau
         c0 = lambda x, y: np.cos(3 * x) * np.sin(2 * y + x)
         g = grad(cell_field_from_function(grid, c0))
@@ -326,12 +354,12 @@ class TestSystemStructure:
         for k in range(n):
             v = CellField(grid, np.eye(n)[k].reshape(grid.shape, order="F"))
             column = (s * v.values - 0.5 * apply_laplacian(v).values
-                      + 0.5 * cfg.lam * apply_chemotaxis(v, g).values)
+                      + 0.5 * lam * apply_chemotaxis(v, g).values)
             stencil[:, k] = np.ravel(grid.cell_areas * column, order="F")
         if backward_euler:
-            filled = predictor_solve(concentration_problem(c0), grid, cfg)[1]
+            filled = predictor_solve(concentration_problem(c0, lam), grid, cfg)[1]
         else:
-            filled = Workspace(grid, cfg).u_system(g)
+            filled = Workspace(grid, cfg).u_system(g, lam)
         filled = filled.tocsc().toarray()
         assert np.allclose(filled, stencil, rtol=1e-14, atol=0.0)
         assert np.array_equal(filled != 0.0, stencil != 0.0)
@@ -348,7 +376,7 @@ class TestSystemStructure:
         state = init_state(get_problem("global_existence"), grid)
         g = grad(state.z_curr)
         assert g.inf_norm() > 0.0
-        a_u = ws.u_system(g)
+        a_u = ws.u_system(g, 1.0)
         weight = np.ravel(grid.cell_areas / tau, order="F")
         assert np.max(np.abs(a_u.tocsc().sum(axis=0).A1 - weight)) <= 1e-12 * np.abs(a_u.data).max()
 
@@ -359,12 +387,13 @@ class TestSystemStructure:
         grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 51),
                          build_random_perturbed(0, 1, 4, 0.3, 52))
         nx, ny = grid.shape
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         problem = get_problem("global_existence")
         g = grad(init_state(problem, grid).z_curr)
         ws = Workspace(grid, cfg)
         x = np.random.default_rng(53).standard_normal(nx * ny)
-        for a in (ws.z_system, ws.u_system(g), predictor_solve(problem, grid, cfg)[1]):
+        for a in (ws.z_system, ws.u_system(g, problem.lam),
+                  predictor_solve(problem, grid, cfg)[1]):
             assert isinstance(a, FivePointMatrix) and a.shape == (28, 28)
             assert a.offsets == (-nx, -1, 0, 1, nx)
             dense = a.tocsc().toarray()
@@ -450,18 +479,18 @@ class TestAssemblyOracle:
         if weak:
             grid = make_grid(build_random_perturbed(0, 1, 40, 0.3, 31),
                              build_random_perturbed(0, 1, 8, 0.3, 32))
-            cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+            cfg, lam = SchemeConfig(tau=0.01, t_final=0.01), 1.0
             fn = lambda x, y: 30.0 * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
         else:
             grid = make_grid(build_random_perturbed(0, 1, 9, 0.3, 21),
                              build_random_perturbed(0, 1, 6, 0.3, 22))
-            cfg = SchemeConfig(lam=1.7, tau=0.02, t_final=0.02)
+            cfg, lam = SchemeConfig(tau=0.02, t_final=0.02), 1.7
             fn = lambda x, y: np.cos(3 * x) * np.sin(2 * y + x)
         g = grad(cell_field_from_function(grid, fn))
         # the concentration matrix's band with its center lowered by W / 2
         band = reference_heat_band(grid, (1.0 / cfg.tau + 0.5) * grid.cell_areas)
         band[C] -= 0.5 * grid.cell_areas
-        reference_add_chemotaxis(band, grid, g, 0.5 * cfg.lam)
+        reference_add_chemotaxis(band, grid, g, 0.5 * lam)
         if s_tau == 0.5:
             band[C] -= (0.5 * grid.cell_areas) / cfg.tau
         data, offsets = reference_five_point(band)
@@ -470,9 +499,10 @@ class TestAssemblyOracle:
         assert block is None or block.size < band[C].size
 
         if s_tau == 1.0:
-            system, rows, _ = _density_system(Workspace(grid, cfg), cell_field_from_function(grid, fn))
+            system, rows, _ = _density_system(Workspace(grid, cfg),
+                                              cell_field_from_function(grid, fn), lam)
         else:
-            _, system, rows, _, _ = predictor_solve(concentration_problem(fn), grid, cfg)
+            _, system, rows, _, _ = predictor_solve(concentration_problem(fn, lam), grid, cfg)
         assert bit_equal(system.data, data)
         assert system.offsets == offsets
         assert rows is None if block is None else np.array_equal(rows, block)
@@ -480,7 +510,7 @@ class TestAssemblyOracle:
     def test_z_system_is_bit_equal_to_the_band_path(self):
         grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 51),
                          build_random_perturbed(0, 1, 4, 0.3, 52))
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         s = 1.0 / cfg.tau + 0.5
         data, _ = reference_five_point(reference_heat_band(grid, s * grid.cell_areas))
         assert bit_equal(Workspace(grid, cfg).z_system.data, data)
@@ -504,7 +534,7 @@ class TestMarching:
     def test_constants_persist_100_steps(self):
         problem = constant_problem(3.0)
         grid = unit_grid(6)
-        cfg = SchemeConfig(lam=1.0, tau=0.05, t_final=5.0)
+        cfg = SchemeConfig(tau=0.05, t_final=5.0)
         result = run(problem, grid, cfg)
         assert len(result.diagnostics) == 100
         assert np.max(np.abs(result.state.u_curr.values - 3.0)) <= 1e-12
@@ -516,7 +546,7 @@ class TestMarching:
             build_random_perturbed(0, 1, 16, 0.2, 5),
             build_random_perturbed(0, 1, 16, 0.2, 6),
         )
-        cfg = SchemeConfig(lam=1.0, tau=0.001, t_final=0.02)
+        cfg = SchemeConfig(tau=0.001, t_final=0.02)
         state = init_state(problem, grid)
         m0 = mass(state.u_curr)
         result = run(problem, grid, cfg)
@@ -527,7 +557,7 @@ class TestMarching:
     def test_cn_needs_two_levels(self):
         problem = constant_problem()
         state = init_state(problem, unit_grid(4))
-        cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.3)
+        cfg = SchemeConfig(tau=0.1, t_final=0.3)
         ws = Workspace(state.u_curr.grid, cfg)
         with pytest.raises(ValueError, match="two density levels"):
             step_cn(state, problem, ws)
@@ -542,7 +572,7 @@ class TestMarching:
         # second step and by two on the third
         problem = get_problem("global_existence")
         grid = unit_grid(8)
-        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.03))
+        ws = Workspace(grid, SchemeConfig(tau=0.01, t_final=0.03))
         solves = []
 
         def recorded(a, b, precond, x0):
@@ -574,7 +604,7 @@ class TestMarching:
         solves, each with its half-level density u*; the stencil-form
         right-hand sides, forcing at t_{n+1/2} included, check the stepper's
         matrix products."""
-        cfg = SchemeConfig(lam=problem.lam, tau=0.01, t_final=0.03)
+        cfg, lam = SchemeConfig(tau=0.01, t_final=0.03), problem.lam
         ws = Workspace(grid, cfg)
         xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
 
@@ -589,10 +619,10 @@ class TestMarching:
             z_dense = np.linalg.solve(ws.z_system.tocsc().toarray(),
                                       ws.areas * np.ravel(rhs_vals, order="F"))
             assert np.max(np.abs(np.ravel(new.z_curr.values, order="F") - z_dense)) <= 1e-10
-            system = ws.u_system(grad(new.z_curr))
+            system = ws.u_system(grad(new.z_curr), lam)
             rhs_vals = (prev.u_curr.values / cfg.tau
                         + 0.5 * apply_laplacian(prev.u_curr).values
-                        - 0.5 * cfg.lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values
+                        - 0.5 * lam * apply_chemotaxis(prev.u_curr, grad(prev.z_curr)).values
                         + forcing("f_rho", t_half))
             u_dense = np.linalg.solve(system.tocsc().toarray(),
                                       ws.areas * np.ravel(rhs_vals, order="F"))
@@ -617,7 +647,7 @@ class TestMarching:
         # stage, which the next stage's right-hand side reuses
         problem = get_problem("global_existence")
         grid = perturbed_grid(8)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05)
+        cfg = SchemeConfig(tau=0.01, t_final=0.05)
         counts = {"u_system": 0, "grad": 0}
 
         def counted(name, fn):
@@ -639,14 +669,14 @@ class TestMarching:
         # the product of a freshly assembled matrix, in every row
         problem = get_problem("global_existence")
         grid = perturbed_grid(8)
-        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.02))
+        ws = Workspace(grid, SchemeConfig(tau=0.01, t_final=0.02))
         state0 = init_state(problem, grid)
         assert state0.au_curr is None and state0.az_curr is None
         state1, _ = first_step(state0, problem, ws)
         state2, _ = step_cn(state1, problem, ws)
         flat = lambda v: np.ravel(v, order="F")
         for state in (state1, state2):
-            a_u = ws.u_system(grad(state.z_curr))
+            a_u = ws.u_system(grad(state.z_curr), problem.lam)
             for carried, a, x in ((state.au_curr, a_u, state.u_curr),
                                   (state.az_curr, ws.z_system, state.z_curr)):
                 x = flat(x.values)
@@ -707,7 +737,7 @@ class TestDensityHistory:
         # its right-hand sides repeat up to rounding, which a fit would
         # carry into the solution: u drifts by 1.7e-12 in these 400 steps
         problem = constant_problem(3.0)
-        cfg = SchemeConfig(lam=1.0, tau=0.05, t_final=20.0)
+        cfg = SchemeConfig(tau=0.05, t_final=20.0)
         result = run(problem, perturbed_grid(12), cfg)
         assert np.max(np.abs(result.state.u_curr.values - 3.0)) <= 1e-13
         assert max(abs(d.mass - 3.0) for d in result.diagnostics) <= 1e-13
@@ -715,7 +745,7 @@ class TestDensityHistory:
     def test_block_corrected_and_heat_only_steps_start_alike(self, monkeypatch):
         problem = get_problem("mms_accuracy")
         grid = unit_grid(8)
-        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=0.01, t_final=0.05))
+        ws = Workspace(grid, SchemeConfig(tau=0.01, t_final=0.05))
         starts = []
 
         def recorded(a, b, precond, x0):
@@ -760,7 +790,7 @@ class TestDensityHistory:
     def test_corner_run_takes_fewer_iterations_and_reruns_bit_identically(self):
         # the extrapolation 2 u^n - u^{n-1} alone takes 500 BiCGStab iterations
         grid = make_grid(build_corner_refined(40), build_corner_refined(40))
-        cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.1)
+        cfg = SchemeConfig(tau=1e-3, t_final=0.1)
         first, second = (run(get_problem("blowup_corner"), grid, cfg) for _ in range(2))
         assert sum(d.iters_u for d in first.diagnostics) <= 400
         assert first.diagnostics == second.diagnostics
@@ -779,7 +809,7 @@ def test_a_corner_run_keeps_at_most_53_full_grid_vectors_live():
     vectors kept and the start copied."""
     m = 128
     grid = make_grid(build_corner_refined(m), build_corner_refined(m))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=0.02)
+    cfg = SchemeConfig(tau=1e-3, t_final=0.02)
     problem = get_problem("blowup_corner")
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -813,7 +843,7 @@ def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(s_tau, monke
     band), and the predictor's 1.9."""
     m = 128
     grid = make_grid(build_corner_refined(m), build_corner_refined(m))
-    cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=1e-3)
+    cfg = SchemeConfig(tau=1e-3, t_final=1e-3)
     c0 = lambda x, y: 1e3 * np.exp(-100 * ((x - 0.4) ** 2 + (y - 0.4) ** 2))
     ws = Workspace(grid, cfg)
     g = grad(cell_field_from_function(grid, c0))
@@ -832,7 +862,7 @@ def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(s_tau, monke
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         if s_tau == 1.0:
-            system = ws.u_system(g)
+            system = ws.u_system(g, problem.lam)
             kept, peak = tracemalloc.get_traced_memory()
             block = ksbcfd.scheme._weak_rows_block(system.data, grid.nx)
         else:
@@ -874,12 +904,12 @@ def steep_patch_system(amp, tau=0.01, lam=1.0, predictor=False, nx=11):
     covers the grid."""
     grid = make_grid(build_random_perturbed(0, 1, nx, 0.3, 31),
                      build_random_perturbed(0, 1, 8, 0.3, 32))
-    cfg = SchemeConfig(lam=lam, tau=tau, t_final=tau)
+    cfg = SchemeConfig(tau=tau, t_final=tau)
     c0 = lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
     if predictor:
-        return predictor_solve(concentration_problem(c0), grid, cfg)[:3]
+        return predictor_solve(concentration_problem(c0, lam), grid, cfg)[:3]
     ws = Workspace(grid, cfg)
-    system, block, _ = _density_system(ws, cell_field_from_function(grid, c0))
+    system, block, _ = _density_system(ws, cell_field_from_function(grid, c0), lam)
     return ws, system, block
 
 
@@ -951,7 +981,7 @@ class TestSolveFailure:
 
     def test_concentration_residual_miss_raises(self):
         # the heat inverse at s off by 1/2 misses the tolerance even after refinement
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         ws = Workspace(perturbed_grid(6), cfg)
         ws.z_inverse = functools.partial(ws.heat.solve, s=1.0 / cfg.tau)
         rhs = np.random.default_rng(4).standard_normal(36)
@@ -1033,9 +1063,9 @@ class TestBlockCorrection:
         # a steep bowl and a long time step: no row is diagonally dominant
         grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 41),
                          build_random_perturbed(0, 1, 5, 0.3, 42))
-        ws = Workspace(grid, SchemeConfig(lam=1.0, tau=1.0, t_final=1.0))
+        ws = Workspace(grid, SchemeConfig(tau=1.0, t_final=1.0))
         z = cell_field_from_function(grid, lambda x, y: 400.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
-        system, block, _ = _density_system(ws, z)
+        system, block, _ = _density_system(ws, z, 1.0)
         a = system.tocsc().toarray()
         assert weak_rows(a, grid.shape).all()
         assert np.array_equal(block, np.arange(35))
@@ -1073,9 +1103,19 @@ class TestBlockCorrection:
 
 
 class TestRun:
+    def test_grid_off_the_problem_domain_is_rejected(self):
+        # a uniform 8^2 grid over [0, 2]^2 for a problem on the unit square
+        problem = get_problem("mms_accuracy")
+        grid = make_grid(build_uniform(0, 2, 8), build_uniform(0, 2, 8))
+        cfg = SchemeConfig(tau=0.25, t_final=1.0)
+        with pytest.raises(ValueError, match=r"^grid extent \(0\.0, 2\.0, 0\.0, 2\.0\) is not "
+                           r"the domain \(0\.0, 1\.0, 0\.0, 1\.0\) of problem 'mms_accuracy'$"):
+            run(problem, grid, cfg)
+        assert len(run(problem, unit_grid(8), cfg).diagnostics) == 4
+
     def test_single_step_run_has_one_record(self):
         problem = constant_problem()
-        cfg = SchemeConfig(lam=1.0, tau=0.1, t_final=0.1)
+        cfg = SchemeConfig(tau=0.1, t_final=0.1)
         result = run(problem, unit_grid(5), cfg)
         assert len(result.diagnostics) == 1
         assert result.state.n == 1 and not result.blew_up
@@ -1083,7 +1123,7 @@ class TestRun:
     def test_deterministic_diagnostics(self):
         problem = get_problem("global_existence")
         grid = perturbed_grid(10, seed=77)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.05)
+        cfg = SchemeConfig(tau=0.01, t_final=0.05)
         r1 = run(problem, grid, cfg)
         r2 = run(problem, grid, cfg)
         assert r1.diagnostics == r2.diagnostics
@@ -1092,7 +1132,7 @@ class TestRun:
     def test_blowup_halts_cleanly_with_diagnostics(self):
         problem = get_problem("blowup_center")
         grid = unit_grid(16)
-        cfg = SchemeConfig(lam=1.0, tau=1e-5, t_final=1e-3, blowup_threshold=900.0)
+        cfg = SchemeConfig(tau=1e-5, t_final=1e-3, blowup_threshold=900.0)
         result = run(problem, grid, cfg)
         assert result.blew_up
         u = result.state.u_curr.values
@@ -1103,7 +1143,7 @@ class TestRun:
         # steps; the records say so, and the run emits no warning
         problem = get_problem("blowup_center")
         grid = unit_grid(12)
-        cfg = SchemeConfig(lam=1.0, tau=1e-3, t_final=5e-3)
+        cfg = SchemeConfig(tau=1e-3, t_final=5e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run(problem, grid, cfg)
@@ -1125,7 +1165,7 @@ class TestRun:
 
         for name in calls:
             monkeypatch.setattr(ksbcfd.scheme, name, counted(name))
-        cfg = SchemeConfig(lam=1.0, tau=1e-5, t_final=1e-3, blowup_threshold=900.0)
+        cfg = SchemeConfig(tau=1e-5, t_final=1e-3, blowup_threshold=900.0)
         result = run(get_problem("blowup_center"), unit_grid(16), cfg)
         assert result.blew_up and len(result.diagnostics) < cfg.n_steps
         assert calls == {"first_step": 1, "step_cn": len(result.diagnostics) - 1}
@@ -1138,14 +1178,14 @@ class TestBlowUpCheck:
         # -inf in z leaves z_max finite; -2e12 in u crosses the threshold
         # through u_min
         grid = unit_grid(6)
-        cfg = SchemeConfig(lam=1.0, tau=0.01, t_final=0.01)
+        cfg = SchemeConfig(tau=0.01, t_final=0.01)
         values = {"u": np.ones(grid.shape), "z": np.ones(grid.shape)}
         values[field][2, 3] = value
         state = State(t=0.01, n=1, u_curr=CellField(grid, values["u"]), u_prev=None,
                       z_curr=CellField(grid, values["z"]))
         report = ksbcfd.linalg.SolveReport(True, 1, 0.0, "converged")
         with np.errstate(invalid="ignore"):
-            diag = _diagnostics(state, grad(state.z_curr).inf_norm(), cfg, report, (report,))
+            diag = _diagnostics(state, grad(state.z_curr).inf_norm(), cfg, 1.0, report, (report,))
         with pytest.raises(BlowUpDetected):
             _check_blowup(state, diag, cfg)
 
