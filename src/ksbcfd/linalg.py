@@ -22,11 +22,13 @@ reason, the benchmark's ``linalg.lu`` span: no run calls it.
 
 Every solve, by ``cg``, ``bicgstab`` or ``direct_solve``, follows one rule
 (``_refined``): a first solution, at most one refinement when that misses
-the tolerance ``_TOL``, aimed at ``_REFINEMENT`` times the true residual it
+the tolerance, aimed at ``_REFINEMENT`` times the true residual it
 starts from and kept if it lowers the 2-norm residual or if the verdict's
 backward-error test accepts it and not the first solution, and one
-verdict (``_verdict``).  That tolerance and the budget of 10 n Krylov
-iterations are the module's, not arguments.  The ``SolveReport``'s
+verdict (``_verdict``).  The tolerance is the module's: ``_TOL``, 1e-12,
+unless the stepper hands ``bicgstab`` ``_DOMINANT_TOL``, 1e-10, for a
+density system whose rows are all diagonally dominant.  The budget of 10 n
+Krylov iterations is not an argument.  The ``SolveReport``'s
 ``reason`` says why a solve stopped: ``converged``, ``max_iter`` (iteration
 budget spent), ``stagnated`` (a BiCGStab sweep went ``_STAGNATION_WINDOW``
 iterations without a new best residual, or a Krylov refinement still
@@ -127,6 +129,17 @@ class FivePointMatrix:
         y[nx:] += 0.0
         return y
 
+    def row_sums(self) -> np.ndarray:
+        """``A 1``, the sum of each row's entries, taken from the band with
+        no product."""
+        nx = self.nx
+        y = self.data[2].copy()
+        y[nx:] += self.data[0, :-nx]
+        y[1:] += self.data[1, :-1]
+        y[:-1] += self.data[3, 1:]
+        y[:-nx] += self.data[4, nx:]
+        return y
+
     def __abs__(self) -> FivePointMatrix:
         return FivePointMatrix(np.abs(self.data), self.nx)
 
@@ -155,8 +168,16 @@ class SolveReport:
     residual: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-# The relative residual |b - A x| / |b| at which every solve stops.
+# The relative residual |b - A x| / |b| at which a solve stops.
 _TOL = 1e-12
+
+# The same for a density system whose rows are all diagonally dominant, which
+# the stepper asks of ``bicgstab`` by its ``tol``: there the forward error is
+# about the residual, and the scheme's discretization error lies far above
+# it (Arioli, Noulard & Russo 2001, Calcolo 38).  A system with weak rows
+# keeps ``_TOL``: on criterion 6's, the forward error is about 20 times the
+# residual.
+_DOMINANT_TOL = 1e-10
 
 # A bound on the componentwise backward error, in units of roundoff.
 _BACKWARD_ULPS = 16
@@ -171,38 +192,40 @@ def _backward_stable(a: Matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> 
 
 
 def _verdict(a: Matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray, b_norm: float,
-             iterations: int, reason: str) -> SolveReport:
+             iterations: int, reason: str, tol: float) -> SolveReport:
     """The report of a solve that returns ``x``, with residual ``r = b - A x``.
 
-    ``x`` converges when ``|r| / |b| <= _TOL`` or, on a miss, when it is
+    ``x`` converges when ``|r| / |b| <= tol`` or, on a miss, when it is
     ``_backward_stable``.  Otherwise it carries ``reason``.
     """
     res = float(np.linalg.norm(r) / b_norm)
-    converged = res <= _TOL or _backward_stable(a, b, x, r)
+    converged = res <= tol or _backward_stable(a, b, x, r)
     return SolveReport(converged, iterations, res, "converged" if converged else reason,
                        residual=r)
 
 
 # The refinement pass aims this factor below the true residual it starts
 # from.  After a first pass that converged, that residual lies a little above
-# ``_TOL |b|``, where the pass's recursive residual met it, and a pass aimed
+# ``tol |b|``, where the pass's recursive residual met it, and a pass aimed
 # only just below the target stops with the true residual still above it.
 # On the corner blow-up runs' last density solves, 1e-4 leaves some short of
 # the verdict, and 1e-8 passes them all at more iterations than 1e-6.
 _REFINEMENT = 1e-6
 
 
-def _refined(a: Matrix, b: np.ndarray, sweep: Callable,
-             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Solve ``a x = b`` by a first pass of ``sweep`` and at most one refinement pass.
+def _refined(a: Matrix, b: np.ndarray, sweep: Callable, x0: np.ndarray | None = None,
+             tol: float | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Solve ``a x = b`` to the relative residual ``tol`` (``_TOL``, read at
+    the call, when None) by a first pass of ``sweep`` and at most one
+    refinement pass.
 
     ``sweep(r, tol_abs, max_iter) -> (dx, iterations, reason)`` solves
     ``A dx = r`` aiming at ``|r - A dx| <= tol_abs`` in at most ``max_iter``
     iterations, what is left of the solve's 10 n.  The first pass runs on
-    the residual of ``x0`` (read, not copied) aimed at ``_TOL |b|``, or from
+    the residual of ``x0`` (read, not copied) aimed at ``tol |b|``, or from
     zero when ``x0`` is None (with no product) or its residual exceeds
     ``|b|``, zero's residual.
-    When the true residual misses ``_TOL`` after a pass that
+    When the true residual misses ``tol`` after a pass that
     converged or broke down, the refinement pass runs on it aimed at
     ``_REFINEMENT`` times its norm.  A swept solution is kept when it lowers
     the 2-norm residual, or when it is ``_backward_stable`` and the solution
@@ -211,7 +234,7 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable,
     residual.
     """
     b, b_norm = _checked_rhs(a, b)
-    n = a.shape[0]
+    n, tol = a.shape[0], _TOL if tol is None else tol
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, "converged", residual=b)
     x, r = np.zeros(n), b
@@ -221,9 +244,9 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable,
         if np.linalg.norm(r0) <= b_norm:
             x, r = x0, r0
     res = float(np.linalg.norm(r) / b_norm)
-    iterations, reason, target = 0, "converged", _TOL * b_norm
+    iterations, reason, target = 0, "converged", tol * b_norm
     for _ in range(2):
-        if res <= _TOL or reason not in ("converged", "breakdown"):
+        if res <= tol or reason not in ("converged", "breakdown"):
             break
         dx, sweep_iters, reason = sweep(r, target, 10 * n - iterations)
         iterations += sweep_iters
@@ -235,7 +258,7 @@ def _refined(a: Matrix, b: np.ndarray, sweep: Callable,
             x, r, res = swept, swept_r, swept_res
         target = _REFINEMENT * res * b_norm
     return x, _verdict(a, b, x, r, b_norm, iterations,
-                       "stagnated" if reason == "converged" else reason)
+                       "stagnated" if reason == "converged" else reason, tol)
 
 
 def cg(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
@@ -354,20 +377,23 @@ def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
 
 
 def bicgstab(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
-             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+             x0: np.ndarray | None = None,
+             tol: float | None = None) -> tuple[np.ndarray, SolveReport]:
     """Right-preconditioned BiCGStab for general square systems.
 
     ``precond`` applies ``r -> M^-1 r`` for an approximate inverse ``M^-1``
     of ``a`` (the stepper passes the float32 fast-diagonalization solve of
     the heat part, block-corrected where the density matrix is not
-    diagonally dominant).
+    diagonally dominant).  ``tol`` is the relative residual to reach,
+    ``_TOL`` when None (the stepper passes ``_DOMINANT_TOL`` for a density
+    system with no weak row).
 
     ``_refined``'s rule with ``_bicgstab_sweep`` as the pass.  The recursive
     residual drifts from the true one near the rounding floor, so the
     refinement sweep starts from the true one, with a fresh shadow residual.
     """
     return _refined(a, b, lambda r, tol_abs, left: _bicgstab_sweep(a, r, precond, tol_abs, left),
-                    x0)
+                    x0, tol)
 
 
 # An axis is uniform when its cell and dual widths lie within this relative

@@ -44,14 +44,21 @@ of consecutive right-hand sides, and dX holds the differences of the last
 nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
 c = e_0.  A start whose residual exceeds |b| gives way to zero
 (``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
-626 BiCGStab iterations, where the extrapolation alone takes 935.
+464 BiCGStab iterations (626 with every solve at 1e-12, where the
+extrapolation alone took 935).
 Every solve, direct or iterative, refines its solution once when the
-recomputed residual misses the solver tolerance 1e-12 (BiCGStab aims that
+recomputed residual misses the solver tolerance (BiCGStab aims that
 pass at a millionth of the residual it starts from), keeps the refinement
 when it lowers that residual or when only it passes the backward-error
 test, and accepts the solution when the residual meets the tolerance or
-its componentwise backward error is at most 16 units of roundoff.  A solve
+its componentwise backward error is at most 16 units of roundoff.  The
+tolerance is 1e-12, but a density system with no weak row stops at 1e-10
+(``linalg._DOMINANT_TOL``): there the forward error is about the
+residual, far below the discretization error.  A solve
 that misses both raises ``StepSolveError``: there is no second solve path.
+After each density solve a uniform shift takes the residual's sum out,
+so the discrete mass moves by rounding only, whatever the tolerance
+(``_solve_density``).
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into a band, the DIA data of a ``linalg.FivePointMatrix``, one row
@@ -425,8 +432,9 @@ def _five_point(band: np.ndarray, nx: int) -> linalg.FivePointMatrix:
 
 
 # Cells the correction box grows past the weak rows' box on every side, an
-# overlap (Smith, Bjorstad & Gropp 1996): corner 180^2 takes 626 BiCGStab
-# iterations at 24 and 754 at 0, and the README gives the scan.
+# overlap (Smith, Bjorstad & Gropp 1996): with every density solve at 1e-12,
+# corner 180^2 took 626 BiCGStab iterations at 24 and 754 at 0, and the
+# README gives the scan.
 _BLOCK_MARGIN = 24
 
 
@@ -448,15 +456,17 @@ def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
 
 
 class Workspace:
-    """Per-run operator cache: area weights (and 1/2 and 2/tau times them),
-    the grid's fast-diagonalization heat solver, and the concentration
-    matrix, whose band is the one constant band of a run, and its inverse by
-    that solver.  None of them depends on the chemotactic sensitivity."""
+    """Per-run operator cache: area weights (and 1/2 and 2/tau times them,
+    and their sum), the grid's fast-diagonalization heat solver, and the
+    concentration matrix, whose band is the one constant band of a run, and
+    its inverse by that solver.  None of them depends on the chemotactic
+    sensitivity."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
+        self.total_area = float(self.areas.sum())
         self.half_areas = 0.5 * self.areas
         self.areas_2_tau = 2.0 / config.tau * self.areas
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
@@ -531,27 +541,50 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
 
 def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndarray | None,
                    rhs: np.ndarray, s: float, step: int, name: str,
-                   x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+                   x0: np.ndarray, dominant: bool = False) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab from ``x0`` for a density system whose heat part is
-    s W - (1/2) W L.
+    s W - (1/2) W L, then a uniform shift that keeps the discrete mass.
 
     The right preconditioner is the inverse of that heat part in single
     precision (``Workspace.heat.solve_fp32``), followed, unless ``block`` is
     None, by an exact solve of ``system`` on the rows ``block``
-    (``linalg.block_corrected``).  BiCGStab is the one solve path: a
-    solution it does not converge to, after its refinement pass on the true
-    residual, raises ``StepSolveError`` with its reason, iterations and
-    residual.  The report's ``block_cells`` is the size of the correction
-    block, 0 when there is none or its elimination meets an exactly singular
-    pivot block.
+    (``linalg.block_corrected``).  The solve stops at the relative residual
+    ``linalg._DOMINANT_TOL`` when the caller found no weak row in the band
+    (``dominant``, which the stepper takes from ``_weak_rows_block``), and
+    at ``linalg._TOL`` otherwise: ``block`` None asks for the heat inverse
+    alone, which says nothing of the rows.  BiCGStab is the one solve path:
+    a solution it does not converge to, after its refinement pass on the
+    true residual, raises ``StepSolveError`` with its reason, iterations and
+    residual.
+
+    The density matrix's column sums are s W, so ``1^T r = 1^T b - s W^T x``
+    for ``r = b - A x``, and the shift ``x += 1^T r / (s sum W)`` puts the
+    discrete mass W^T x on ``1^T b / s`` whatever the tolerance.  It takes
+    ``1^T r`` in that form, not as the sum of the computed residual, whose
+    product rounds by about eps ``1^T |A| |x|``: near the singular time of a
+    blow-up run that is 1e4 to 1e5 times ``1^T |b|``, and it doubled the
+    corner runs' mass drift at their halt.  The report carries the shifted
+    residual ``r - shift A 1``, with ``A 1`` from the band's row sums, and
+    its relative residual.  Its ``block_cells`` is the size of the
+    correction block, 0 when there is none or its elimination meets an
+    exactly singular pivot block.
     """
     precond = heat = functools.partial(ws.heat.solve_fp32, s=s)
     if block is not None:
         precond = linalg.block_corrected(system, heat, block)
     cells = 0 if precond is heat else block.size  # 0: no block, or a singular pivot block
-    x, report = linalg.bicgstab(system, rhs, precond, x0=x0)
+    x, report = linalg.bicgstab(system, rhs, precond, x0=x0,
+                                tol=linalg._DOMINANT_TOL if dominant else None)
     if not report.converged:
         raise StepSolveError(step, name, report)
+    shift = (float(rhs.sum()) / s - float(ws.areas @ x)) / ws.total_area
+    if shift:
+        # x is x0 itself when the start met the tolerance; x0 may be u^n's array
+        x = x + shift if x is x0 else np.add(x, shift, out=x)
+        row_sums, r = system.row_sums(), report.residual
+        r -= np.multiply(row_sums, shift, out=row_sums)
+        report = replace(report, residual=r,
+                         final_relative_residual=float(np.linalg.norm(r) / np.linalg.norm(rhs)))
     return x, replace(report, block_cells=cells)
 
 
@@ -569,8 +602,9 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
     system.data[_CENTER] -= ws.half_areas / tau
     rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
     rhs = ws.half_areas * np.ravel(rhs_vals, order="F")
-    x, report = _solve_density(ws, system, _weak_rows_block(system.data, grid.nx), rhs, 0.5 / tau,
-                               step=1, name="density predictor", x0=u0)
+    block = _weak_rows_block(system.data, grid.nx)
+    x, report = _solve_density(ws, system, block, rhs, 0.5 / tau, step=1, name="density predictor",
+                               x0=u0, dominant=block is None)
     return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
 
@@ -666,7 +700,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     history = state.history
     projection = history.projection(rhs_u, state.au_curr)
     xu, rep_u = _solve_density(ws, system, block, rhs_u, 1.0 / tau, step=step, name=name,
-                               x0=history.start(u_flat, projection))
+                               x0=history.start(u_flat, projection), dominant=block is None)
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=state.u_curr, z_curr=z_next,

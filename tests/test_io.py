@@ -89,7 +89,8 @@ def test_diagnostics_csv_shape(tmp_path):
         assert float(row["t"]) == d.t
         assert float(row["mass"]) == d.mass
         assert float(row["residual_z"]) == d.residual_z
-        assert float(row["residual_u"]) == d.residual_u <= 1e-12
+        # a step with no block stops its density solves at the dominant tolerance
+        assert float(row["residual_u"]) == d.residual_u <= (1e-12 if d.block_cells else 1e-10)
         assert int(row["block_cells"]) == d.block_cells
         assert int(row["neg_cells"]) == d.neg_cells
 

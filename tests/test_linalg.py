@@ -259,6 +259,28 @@ class TestBiCGStab:
             assert r1.converged and r2.converged
             assert np.max(np.abs(x1 - x2)) <= 1e-8
 
+    def test_tol_sets_the_target_and_none_reads_the_module_tolerance(self, monkeypatch):
+        # the stepper passes tol for its dominant density solves; without it
+        # the solve aims at _TOL as it reads at the call, so patching it works
+        sweep = ksbcfd.linalg._bicgstab_sweep
+        targets = []
+
+        def recorded(a, b, m, tol_abs, max_iter):
+            targets.append(tol_abs)
+            return sweep(a, b, m, tol_abs, max_iter)
+
+        monkeypatch.setattr(ksbcfd.linalg, "_bicgstab_sweep", recorded)
+        a = laplacian_1d(200)
+        b = np.random.default_rng(15).standard_normal(200)
+        b_norm = np.linalg.norm(b)
+        _, loose = bicgstab(a, b, jacobi(a), tol=1e-6)
+        assert targets[0] == 1e-6 * b_norm
+        assert loose.converged and 1e-12 < loose.final_relative_residual <= 1e-6
+        monkeypatch.setattr(ksbcfd.linalg, "_TOL", 1e-8)
+        targets.clear()
+        _, default = bicgstab(a, b, jacobi(a))
+        assert targets[0] == 1e-8 * b_norm and default.final_relative_residual <= 1e-8
+
     def test_bit_deterministic(self):
         a, _ = random_spd(60, 21)
         b = np.random.default_rng(22).standard_normal(60)
@@ -388,7 +410,8 @@ class TestBackwardErrorAcceptance:
         x = sparse_lu_solve(a, b)[0]
         x *= 1.0 + 1e-10 * (-1.0) ** np.arange(x.size)
         assert backward_error(a, b, x) == pytest.approx(1e-10, rel=1e-3)
-        rep = ksbcfd.linalg._verdict(a, b, x, b - a @ x, np.linalg.norm(b), 0, "breakdown")
+        rep = ksbcfd.linalg._verdict(a, b, x, b - a @ x, np.linalg.norm(b), 0, "breakdown",
+                                     self.tol)
         assert not rep.converged and rep.reason == "breakdown"
         assert rep.final_relative_residual == relative_residual(a, b, x) > self.tol
 
@@ -493,6 +516,15 @@ class TestFivePointMatrix:
         assert (a @ x).tobytes() == (as_csr(a) @ x).tobytes()
         assert (abs(a) @ x).tobytes() == (abs(as_csr(a)) @ x).tobytes()
         assert np.array_equal(a.tocsc().toarray(), as_csr(a).toarray())
+
+    @pytest.mark.parametrize("nx, ny", [(7, 4), (4, 7), (2, 5), (6, 1)])
+    def test_row_sums_are_the_product_with_ones(self, nx, ny):
+        band, _ = random_band(nx, ny, 3 * nx + ny)
+        a = FivePointMatrix(band, nx)
+        ones = np.ones(nx * ny)
+        rounding = 4 * np.finfo(np.float64).eps * (abs(a) @ ones)
+        assert np.all(np.abs(a.row_sums() - a @ ones) <= rounding)
+        assert np.all(np.abs(a.row_sums() - as_csr(a).sum(axis=1).A1) <= rounding)
 
     def test_a_row_of_negative_zero_terms_sums_to_positive_zero(self):
         # CSR sums a row from +0.0, so a row whose every term is -0.0 sums to
