@@ -315,8 +315,9 @@ def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
     vanishing denominator, among them a residual orthogonal to the shadow
     residual), or after ``_STAGNATION_WINDOW`` iterations without a new best
     residual.  Returns (iterate, iterations, reason) with a ``SolveReport``
-    reason.  Vectors are updated in place, in each expression's order, and
-    neither ``b`` (the shadow residual) nor a preconditioner output is written.
+    reason.  Vectors are updated in place, in each expression's order, but
+    for the iterate ``x``, which each update rebinds to a new array; neither
+    ``b`` (the shadow residual) nor a preconditioner output is written.
     """
     n = b.shape[0]
     x = np.zeros(n)
@@ -325,14 +326,15 @@ def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
     v, p, tmp = np.zeros(n), np.zeros(n), np.empty(n)  # tmp: the scratch vector
     iterations = 0
     # best iterate by recursive residual; returned when the recursion breaks
-    # down or wanders off instead of the (possibly worse) final iterate
-    best_x = np.zeros(n)
+    # down or wanders off instead of the (possibly worse) final iterate.  It
+    # is a reference to an iterate, which no update writes
+    best_x = x
     best_norm = r0_norm = float(np.linalg.norm(r))
     best_at = 0
     while iterations < max_iter:
         r_norm = float(np.linalg.norm(r))
         if r_norm < best_norm:
-            best_x[:], best_norm, best_at = x, r_norm, iterations
+            best_x, best_norm, best_at = x, r_norm, iterations
         if r_norm <= tol_abs:
             return x, iterations, "converged"
         if iterations - best_at >= _STAGNATION_WINDOW:
@@ -353,14 +355,14 @@ def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
         alpha = rho_next / r0v
         s = np.subtract(r, np.multiply(alpha, v, out=tmp), out=r)
         # x + alpha p_hat, the half-step iterate whose residual is s
-        np.add(x, np.multiply(alpha, p_hat, out=tmp), out=x)
+        x = x + np.multiply(alpha, p_hat, out=tmp)
         del p_hat  # dead vectors go before the next preconditioner call
         iterations += 1
         s_norm = float(np.linalg.norm(s))
         if s_norm <= tol_abs:
             return x, iterations, "converged"
         if s_norm < best_norm:
-            best_x[:], best_norm, best_at = x, s_norm, iterations
+            best_x, best_norm, best_at = x, s_norm, iterations
         s_hat = m(s)
         t = a @ s_hat
         tt = float(t @ t)
@@ -369,7 +371,7 @@ def _bicgstab_sweep(a: Matrix, b: np.ndarray, m: Callable, tol_abs: float,
         omega = float(t @ s) / tt
         if abs(omega) <= _BREAKDOWN:
             return best_x, iterations, "breakdown"
-        np.add(x, np.multiply(omega, s_hat, out=tmp), out=x)
+        x = x + np.multiply(omega, s_hat, out=tmp)
         np.subtract(s, np.multiply(omega, t, out=tmp), out=r)
         del s_hat, t
         rho = rho_next

@@ -54,7 +54,10 @@ test, and accepts the solution when the residual meets the tolerance or
 its componentwise backward error is at most 16 units of roundoff.  The
 tolerance is 1e-12, but a density system with no weak row stops at 1e-10
 (``linalg._DOMINANT_TOL``): there the forward error is about the
-residual, far below the discretization error.  A solve
+residual, far below the discretization error.  ``_solve_density`` is the
+one entry point of both density solves: it finds the weak rows on the
+system's band (``_weak_rows_block``) and takes the correction box and the
+tolerance from them, with no flag from its callers.  A solve
 that misses both raises ``StepSolveError``: there is no second solve path.
 After each density solve a uniform shift takes the residual's sum out,
 so the discrete mass moves by rounding only, whatever the tolerance
@@ -456,19 +459,17 @@ def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
 
 
 class Workspace:
-    """Per-run operator cache: area weights (and 1/2 and 2/tau times them,
-    and their sum), the grid's fast-diagonalization heat solver, and the
-    concentration matrix, whose band is the one constant band of a run, and
-    its inverse by that solver.  None of them depends on the chemotactic
-    sensitivity."""
+    """Per-run operator cache: the area weights W and their sum, the grid's
+    fast-diagonalization heat solver, and the concentration matrix, whose
+    band is the one constant band of a run, and its inverse by that solver.
+    A step forms W/2 and (2/tau) W where it uses them, with no stored copy.
+    None of them depends on the chemotactic sensitivity."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
         self.config = config
         self.areas = grid.cell_areas.ravel(order="F")
         self.total_area = float(self.areas.sum())
-        self.half_areas = 0.5 * self.areas
-        self.areas_2_tau = 2.0 / config.tau * self.areas
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         # s W - (1/2) W L at s = 1/tau + 1/2; SPD, and its inverse
         s = 1.0 / config.tau + 0.5
@@ -483,7 +484,7 @@ class Workspace:
         term added.
         """
         band = self.z_system.data.copy()
-        band[_CENTER] -= self.half_areas
+        band[_CENTER] -= 0.5 * self.areas
         _add_chemotaxis(band, self.grid, g, 0.5 * lam)
         return _five_point(band, self.grid.nx)
 
@@ -539,23 +540,22 @@ def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.
     return x, report
 
 
-def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndarray | None,
-                   rhs: np.ndarray, s: float, step: int, name: str,
-                   x0: np.ndarray, dominant: bool = False) -> tuple[np.ndarray, SolveReport]:
+def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, rhs: np.ndarray, s: float,
+                   step: int, name: str, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab from ``x0`` for a density system whose heat part is
     s W - (1/2) W L, then a uniform shift that keeps the discrete mass.
 
     The right preconditioner is the inverse of that heat part in single
-    precision (``Workspace.heat.solve_fp32``), followed, unless ``block`` is
-    None, by an exact solve of ``system`` on the rows ``block``
-    (``linalg.block_corrected``).  The solve stops at the relative residual
-    ``linalg._DOMINANT_TOL`` when the caller found no weak row in the band
-    (``dominant``, which the stepper takes from ``_weak_rows_block``), and
-    at ``linalg._TOL`` otherwise: ``block`` None asks for the heat inverse
-    alone, which says nothing of the rows.  BiCGStab is the one solve path:
-    a solution it does not converge to, after its refinement pass on the
-    true residual, raises ``StepSolveError`` with its reason, iterations and
-    residual.
+    precision (``Workspace.heat.solve_fp32``).  The solve reads the rows
+    of ``system``'s band itself (``_weak_rows_block``): where every row is
+    diagonally dominant, it stops at the relative residual
+    ``linalg._DOMINANT_TOL``; where some are not, an exact solve of
+    ``system`` on their grown box follows the heat inverse
+    (``linalg.block_corrected``) and the solve stops at ``linalg._TOL``,
+    also when that box meets an exactly singular pivot block and the heat
+    inverse runs alone.  BiCGStab is the one solve path: a solution it does
+    not converge to, after its refinement pass on the true residual, raises
+    ``StepSolveError`` with its reason, iterations and residual.
 
     The density matrix's column sums are s W, so ``1^T r = 1^T b - s W^T x``
     for ``r = b - A x``, and the shift ``x += 1^T r / (s sum W)`` puts the
@@ -570,11 +570,12 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, block: np.ndar
     exactly singular pivot block.
     """
     precond = heat = functools.partial(ws.heat.solve_fp32, s=s)
+    block = _weak_rows_block(system.data, system.nx)
     if block is not None:
         precond = linalg.block_corrected(system, heat, block)
     cells = 0 if precond is heat else block.size  # 0: no block, or a singular pivot block
     x, report = linalg.bicgstab(system, rhs, precond, x0=x0,
-                                tol=linalg._DOMINANT_TOL if dominant else None)
+                                tol=linalg._DOMINANT_TOL if block is None else None)
     if not report.converged:
         raise StepSolveError(step, name, report)
     shift = (float(rhs.sum()) / s - float(ws.areas @ x)) / ws.total_area
@@ -599,12 +600,10 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
     system = ws.u_system(grad(state.z_curr), problem.lam)
     u0 = np.ravel(state.u_curr.values, order="F")
     au = system @ u0
-    system.data[_CENTER] -= ws.half_areas / tau
+    system.data[_CENTER] -= 0.5 * ws.areas / tau
     rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
-    rhs = ws.half_areas * np.ravel(rhs_vals, order="F")
-    block = _weak_rows_block(system.data, grid.nx)
-    x, report = _solve_density(ws, system, block, rhs, 0.5 / tau, step=1, name="density predictor",
-                               x0=u0, dominant=block is None)
+    rhs = 0.5 * ws.areas * np.ravel(rhs_vals, order="F")
+    x, report = _solve_density(ws, system, rhs, 0.5 / tau, step=1, name="density predictor", x0=u0)
     return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
 
@@ -656,19 +655,10 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
     grid = ws.grid
     z_flat = np.ravel(state.z_curr.values, order="F")
     source = np.ravel(u_star() + _forcing(problem, "f_c", grid, t_half), order="F")
-    rhs = ws.areas_2_tau * z_flat - state.az_curr + ws.areas * source
+    rhs = 2.0 / ws.config.tau * ws.areas * z_flat - state.az_curr + ws.areas * source
     x, report = _solve_concentration(ws, rhs, step=state.n + 1)
     return (CellField(grid, x.reshape(grid.shape, order="F")), rhs - report.residual,
             replace(report, residual=None))
-
-
-def _density_system(ws: Workspace, z: CellField, lam: float
-                    ) -> tuple[linalg.FivePointMatrix, np.ndarray | None, float]:
-    """``Workspace.u_system(grad z, lam)``, its weak rows' block and the
-    gradient's ``inf_norm``; the edge arrays die here."""
-    g = grad(z)
-    system = ws.u_system(g, lam)
-    return system, _weak_rows_block(system.data, ws.grid.nx), g.inf_norm()
 
 
 def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], problem: ProblemSpec,
@@ -692,15 +682,17 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     step = state.n + 1
     t_half = (state.n + 0.5) * tau
     z_next, az_next, rep_z = _concentration_stage(ws, state, u_star, problem, t_half)
-    system, block, dz_inf = _density_system(ws, z_next, problem.lam)
+    g = grad(z_next)
+    system, dz_inf = ws.u_system(g, problem.lam), g.inf_norm()
+    del g  # the edge arrays die before the density solve
 
     u_flat = np.ravel(state.u_curr.values, order="F")
     source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
-    rhs_u = ws.areas_2_tau * u_flat - state.au_curr + ws.areas * source
+    rhs_u = 2.0 / tau * ws.areas * u_flat - state.au_curr + ws.areas * source
     history = state.history
     projection = history.projection(rhs_u, state.au_curr)
-    xu, rep_u = _solve_density(ws, system, block, rhs_u, 1.0 / tau, step=step, name=name,
-                               x0=history.start(u_flat, projection), dominant=block is None)
+    xu, rep_u = _solve_density(ws, system, rhs_u, 1.0 / tau, step=step, name=name,
+                               x0=history.start(u_flat, projection))
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
     new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=state.u_curr, z_curr=z_next,

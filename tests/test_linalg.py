@@ -22,7 +22,7 @@ from ksbcfd.linalg import (
     direct_solve,
     sparse_lu_solve,
 )
-from ksbcfd.scheme import _CENTER, SchemeConfig, Workspace, _density_system
+from ksbcfd.scheme import _CENTER, SchemeConfig, Workspace, _weak_rows_block
 
 
 def csr(n, rows, cols, vals):
@@ -250,6 +250,17 @@ class TestBiCGStab:
         assert refinement_target == pytest.approx(ksbcfd.linalg._REFINEMENT * r_norm, rel=1e-15)
         assert np.max(np.abs(x - np.linalg.solve(ad, b))) <= 1e-14
 
+    def test_breakdown_returns_the_best_iterate_untouched_by_later_updates(self):
+        # the half step lands on s = (0, -1000), a thousand times |b|, and
+        # the second preconditioner output t = (1, 0) is orthogonal to s, so
+        # omega vanishes: the sweep hands back its best iterate, the zero
+        # start, which the half step's update of x must not have written
+        outputs = iter([np.array([1e-3, 1.0]), np.array([1.0, 0.0])])
+        x, iterations, reason = ksbcfd.linalg._bicgstab_sweep(
+            np.eye(2), np.array([1.0, 0.0]), lambda r: next(outputs), 1e-12, 10)
+        assert reason == "breakdown" and iterations == 1
+        assert x.tobytes() == np.zeros(2).tobytes()
+
     def test_agrees_with_cg_on_spd(self):
         for n, seed in ((50, 1), (200, 2), (400, 3)):
             a, _ = random_spd(n, seed)
@@ -307,7 +318,8 @@ class TestSweepInputs:
         ws = Workspace(grid, SchemeConfig(tau=0.01, t_final=0.01))
         xs, ys = grid.x_axis.centers[:, None], grid.y_axis.centers[None, :]
         z = CellField(grid, amp * np.exp(-30 * ((xs - 0.9) ** 2 + (ys - 0.6) ** 2)))
-        a, block, _ = _density_system(ws, z, 1.0)
+        a = ws.u_system(grad(z), 1.0)
+        block = _weak_rows_block(a.data, grid.nx)
         assert (block is None) == (amp == 1.0)
         assert block is None or block.size < a.shape[0]
         return ws, a, block
@@ -618,7 +630,7 @@ class TestTensorHeatSolver:
         a = ws.u_system(zero_g, 1.0)
         s = 1.0 / self.tau
         if backward_euler:
-            a.data[_CENTER] -= ws.half_areas / self.tau
+            a.data[_CENTER] -= 0.5 * ws.areas / self.tau
             s *= 0.5
         b = np.random.default_rng(42).standard_normal(grid.nx * grid.ny)
         x = TensorHeatSolver(grid.x_axis, grid.y_axis).solve(b, s)

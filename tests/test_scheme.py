@@ -25,12 +25,13 @@ from ksbcfd.scheme import (
     StepSolveError,
     Workspace,
     _CENTER,
+    _SOUTH,
     _WEST,
     _check_blowup,
-    _density_system,
     _diagnostics,
     _solve_concentration,
     _solve_density,
+    _weak_rows_block,
     apply_chemotaxis,
     apply_laplacian,
     error_norms,
@@ -89,7 +90,7 @@ def concentration_problem(c0, lam=1.0):
 
 def predictor_solve(problem, grid, cfg):
     """``predict_u1`` from the initial level of ``problem``, and what it
-    hands ``_solve_density``: (workspace, system, block, rhs, s)."""
+    hands ``_solve_density``: (workspace, system, rhs, s)."""
     calls = []
     solve = ksbcfd.scheme._solve_density
 
@@ -216,21 +217,20 @@ class TestFirstStep:
     @pytest.mark.parametrize("problem", ["global_existence", "mms_accuracy"])
     def test_predictor_is_the_crank_nicolson_system_less_w_over_2_tau(self, problem):
         # bit for bit: A(grad z^0)'s band with W/(2 tau) taken off its
-        # center, its weak rows, half the backward-Euler right-hand side,
-        # the heat part's s = 1/(2 tau), and the product A(grad z^0) u^0
-        # the first stage takes, from the same band before it was lowered
+        # center, whose weak rows the solve reads, half the backward-Euler
+        # right-hand side, the heat part's s = 1/(2 tau), and the product
+        # A(grad z^0) u^0 the first stage takes, from the same band before
+        # it was lowered
         problem = dataclasses.replace(get_problem(problem), lam=1.3)
         grid = perturbed_grid(9)
         cfg = SchemeConfig(tau=0.01, t_final=0.01)
-        ws, system, block, rhs, s = predictor_solve(problem, grid, cfg)
+        ws, system, rhs, s = predictor_solve(problem, grid, cfg)
         state = init_state(problem, grid)
         crank_nicolson = ws.u_system(grad(state.z_curr), 1.3)
         u0 = np.ravel(state.u_curr.values, order="F")
         band = crank_nicolson.data.copy()
         band[_CENTER] -= (0.5 * ws.areas) / cfg.tau
         assert bit_equal(system.data, band) and system.nx == grid.nx
-        weak = ksbcfd.scheme._weak_rows_block(band, grid.nx)
-        assert block is weak is None or np.array_equal(block, weak)
         f = ksbcfd.scheme._forcing(problem, "f_rho", grid, cfg.tau)
         backward_euler = ws.areas * np.ravel(state.u_curr.values / cfg.tau + f, order="F")
         assert bit_equal(rhs, 0.5 * backward_euler)
@@ -500,12 +500,12 @@ class TestAssemblyOracle:
         assert block is None or block.size < band[C].size
 
         if s_tau == 1.0:
-            system, rows, _ = _density_system(Workspace(grid, cfg),
-                                              cell_field_from_function(grid, fn), lam)
+            system = Workspace(grid, cfg).u_system(grad(cell_field_from_function(grid, fn)), lam)
         else:
-            _, system, rows, _, _ = predictor_solve(concentration_problem(fn, lam), grid, cfg)
+            system = predictor_solve(concentration_problem(fn, lam), grid, cfg)[1]
         assert bit_equal(system.data, data)
         assert system.offsets == offsets
+        rows = _weak_rows_block(system.data, system.nx)
         assert rows is None if block is None else np.array_equal(rows, block)
 
     def test_z_system_is_bit_equal_to_the_band_path(self):
@@ -815,13 +815,16 @@ class TestDensityHistory:
         assert all(v.tobytes() == w.tobytes() for v, w in zip(*stored))
 
 
-def test_a_corner_run_keeps_at_most_53_full_grid_vectors_live():
-    """The traced peak of a run, counted in full-grid vectors.  A step keeps
-    the history's nine levels and eight differences and the two states'
-    products; the concentration solve's right-hand side and residual, the
-    gradient and u* die before the density solve, which takes its start
-    uncopied.  The run peaks at 50.7 vectors here, and at 55.7 with those
-    vectors kept and the start copied."""
+def test_a_corner_run_keeps_at_most_50_full_grid_vectors_live():
+    """The traced peak of a run, counted in full-grid vectors.  The
+    workspace keeps W and the concentration band, and a step forms W/2 and
+    (2/tau) W where it uses them.  A step keeps the history's nine levels
+    and eight differences, the two states' products and the density band;
+    the concentration solve's right-hand side and residual, the gradient and
+    u* die before the density solve, which takes its start uncopied, and
+    whose BiCGStab sweep holds its best iterate by reference.  The run peaks
+    at 48.7 vectors here, and at 51.7 with W/2 and (2/tau) W stored and the
+    best iterate copied at each improvement."""
     m = 128
     grid = make_grid(build_corner_refined(m), build_corner_refined(m))
     cfg = SchemeConfig(tau=1e-3, t_final=0.02)
@@ -837,7 +840,7 @@ def test_a_corner_run_keeps_at_most_53_full_grid_vectors_live():
         if not tracing:
             tracemalloc.stop()
     assert len(result.diagnostics) == 20
-    assert (peak - base) / (8 * m * m) <= 53
+    assert (peak - base) / (8 * m * m) <= 50
 
 
 class _AtTheSolve(Exception):
@@ -866,8 +869,8 @@ def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(s_tau, monke
     state = init_state(problem, grid)
     handed = []
 
-    def at_the_solve(ws, system, block, rhs, s, **kwargs):
-        handed.append((tracemalloc.get_traced_memory(), system, block))
+    def at_the_solve(ws, system, rhs, s, **kwargs):
+        handed.append((tracemalloc.get_traced_memory(), system))
         raise _AtTheSolve
 
     monkeypatch.setattr(ksbcfd.scheme, "_solve_density", at_the_solve)
@@ -879,15 +882,14 @@ def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(s_tau, monke
         if s_tau == 1.0:
             system = ws.u_system(g, problem.lam)
             kept, peak = tracemalloc.get_traced_memory()
-            block = ksbcfd.scheme._weak_rows_block(system.data, grid.nx)
         else:
             with pytest.raises(_AtTheSolve):
                 predict_u1(state, problem, ws)
-            ((kept, peak), system, block), = handed
+            ((kept, peak), system), = handed
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert block is not None
+    assert _weak_rows_block(system.data, grid.nx) is not None
     assert kept - base >= system.data.nbytes
     assert (peak - kept) / (8 * m * m) <= 5
 
@@ -922,10 +924,11 @@ def steep_patch_system(amp, tau=0.01, lam=1.0, predictor=False, nx=11):
     cfg = SchemeConfig(tau=tau, t_final=tau)
     c0 = lambda x, y: amp * np.exp(-30 * ((x - 0.9) ** 2 + (y - 0.6) ** 2))
     if predictor:
-        return predictor_solve(concentration_problem(c0, lam), grid, cfg)[:3]
-    ws = Workspace(grid, cfg)
-    system, block, _ = _density_system(ws, cell_field_from_function(grid, c0), lam)
-    return ws, system, block
+        ws, system = predictor_solve(concentration_problem(c0, lam), grid, cfg)[:2]
+    else:
+        ws = Workspace(grid, cfg)
+        system = ws.u_system(grad(cell_field_from_function(grid, c0)), lam)
+    return ws, system, _weak_rows_block(system.data, grid.nx)
 
 
 def heat_inverse(ws, s_tau=1.0):
@@ -937,10 +940,25 @@ def fp32_heat_inverse(ws, s_tau=1.0):
     return functools.partial(ws.heat.solve_fp32, s=s_tau / ws.config.tau)
 
 
-def solve_density(ws, system, block, rhs, s_tau=1.0, step=1, dominant=False):
+def solve_density(ws, system, rhs, s_tau=1.0, step=1):
     """``_solve_density`` from a zero start, for a heat part at s = s_tau / tau."""
-    return _solve_density(ws, system, block, rhs, s_tau / ws.config.tau, step=step,
-                          name="density", x0=np.zeros(system.shape[0]), dominant=dominant)
+    return _solve_density(ws, system, rhs, s_tau / ws.config.tau, step=step, name="density",
+                          x0=np.zeros(system.shape[0]))
+
+
+def singular_pivot_system(monkeypatch):
+    """The steep patch's dominant system with cell (0, 0)'s diagonal moved,
+    half each, to the couplings of cells (1, 0) and (0, 1) to it, in the
+    same column, so the column sums stay s W, which the shift assumes: row
+    (0, 0) is the one weak row, and with the margin patched to 0 its box is
+    that cell, whose block A_SS = [0] is exactly singular."""
+    monkeypatch.setattr(ksbcfd.scheme, "_BLOCK_MARGIN", 0)
+    ws, system, _ = steep_patch_system(0.3)
+    center = system.data[_CENTER, 0]
+    system.data[_WEST, 0] += 0.5 * center
+    system.data[_SOUTH, 0] += 0.5 * center
+    system.data[_CENTER, 0] = 0.0
+    return ws, system
 
 
 def mass_shifted(ws, b, x, s_tau=1.0):
@@ -974,11 +992,11 @@ class TestSolveFailure:
         assert block is None
         b = np.random.default_rng(3).standard_normal(system.shape[0])
         stalled_bicgstab(monkeypatch)
-        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws))
+        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws), tol=ksbcfd.linalg._DOMINANT_TOL)
         assert not krylov.converged and krylov.reason == "stagnated" and krylov.iterations == 3
         calls = sparse_lu_calls(monkeypatch)
         with pytest.raises(StepSolveError) as info:
-            solve_density(ws, system, block, b, step=7)
+            solve_density(ws, system, b, step=7)
         assert str(info.value) == (
             "density solve failed at step 7: stagnated after 3 iterations, relative residual "
             f"{krylov.final_relative_residual:.3e}")
@@ -986,20 +1004,23 @@ class TestSolveFailure:
         assert calls == []
 
     def test_singular_density_system_raises_without_sparse_lu(self, monkeypatch):
-        # an all-zero row: no solution meets either test, whatever BiCGStab does
+        # an all-zero row, which counts as diagonally dominant, as every
+        # other row is: no solution meets either test, whatever BiCGStab does
         ws, system, _ = steep_patch_system(0.3)
-        system = as_csr(system).tolil()
-        system[5, :] = 0.0
-        system = system.tocsr()
+        for slot, column in enumerate(5 + np.array(system.offsets)):
+            if 0 <= column < system.shape[0]:
+                system.data[slot, column] = 0.0  # row 5's entry in that column
+        assert not as_csr(system)[5].count_nonzero()
+        assert _weak_rows_block(system.data, system.nx) is None
         b = np.ones(system.shape[0])
-        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws))
+        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws), tol=ksbcfd.linalg._DOMINANT_TOL)
         calls = sparse_lu_calls(monkeypatch)
         with pytest.raises(StepSolveError, match=f"^density solve failed at step 3: {krylov.reason} "
                            f"after {krylov.iterations} iterations, relative residual "
                            f"{krylov.final_relative_residual:.3e}$") as info:
-            solve_density(ws, system, None, b, step=3)
+            solve_density(ws, system, b, step=3)
         assert not krylov.converged and info.value.report == krylov
-        assert krylov.final_relative_residual > TOL
+        assert krylov.final_relative_residual > ksbcfd.linalg._DOMINANT_TOL
         assert calls == [] and not hasattr(info.value, "fallback")
 
     def test_concentration_residual_miss_raises(self):
@@ -1042,7 +1063,7 @@ class TestBlockCorrection:
         assert block is None
         assert not weak_rows(system.tocsc().toarray(), ws.grid.shape).any()
         b = np.random.default_rng(5).standard_normal(system.shape[0])
-        x, report = solve_density(ws, system, block, b, s_tau=s_tau, dominant=True)
+        x, report = solve_density(ws, system, b, s_tau=s_tau)
         plain, plain_report = bicgstab(system, b, fp32_heat_inverse(ws, s_tau),
                                        tol=ksbcfd.linalg._DOMINANT_TOL)
         assert np.array_equal(x, mass_shifted(ws, b, plain, s_tau))
@@ -1061,37 +1082,77 @@ class TestBlockCorrection:
     def test_block_step_corrects_the_fp32_heat_inverse(self):
         ws, system, block = steep_patch_system(30.0, nx=40)
         b = np.random.default_rng(6).standard_normal(system.shape[0])
-        x, report = solve_density(ws, system, block, b)
+        x, report = solve_density(ws, system, b)
         precond = block_corrected(system, fp32_heat_inverse(ws), block)
         assert np.array_equal(x, mass_shifted(ws, b, bicgstab(system, b, precond)[0]))
         fp64 = block_corrected(system, heat_inverse(ws), block)
         assert not np.array_equal(x, mass_shifted(ws, b, bicgstab(system, b, fp64)[0]))
         assert report.converged and report.final_relative_residual <= TOL
 
-    def test_weak_row_system_on_the_heat_inverse_alone_meets_the_tolerance(self):
-        # block None asks for the heat inverse alone and says nothing of the
-        # rows: a band with weak rows still meets 1e-12, as criterion 6's
-        # do, where told it has none it stops above 1e-12
+    def test_weak_row_system_on_the_heat_inverse_alone_meets_the_tolerance(self, monkeypatch):
+        # the heat inverse alone on a band with weak rows, as the stepper
+        # runs it when their box meets an exactly singular pivot block: the
+        # band keys the tolerance, so the solve still meets 1e-12
         ws, system, block = steep_patch_system(30.0, nx=40)
         assert block is not None and weak_rows(system.tocsc().toarray(), ws.grid.shape).any()
+        monkeypatch.setattr(ksbcfd.linalg, "block_corrected", lambda a, precond, rows: precond)
         b = np.random.default_rng(10).standard_normal(system.shape[0])
-        x, report = solve_density(ws, system, None, b)
+        x, report = solve_density(ws, system, b)
         assert report.converged and report.block_cells == 0
         assert report.final_relative_residual <= TOL
         assert np.linalg.norm(b - system @ x) <= 1.01 * TOL * np.linalg.norm(b)
-        _, loose = solve_density(ws, system, None, b, dominant=True)
-        assert loose.final_relative_residual > TOL
 
-    def test_singular_block_reports_no_block_cells(self):
-        # a zero diagonal at cell (0, 0) makes the one-cell block A_SS = [0]
-        # exactly singular, so the solve runs on the heat inverse alone; the
-        # diagonal moves to cell (1, 0)'s coupling to it, in the same
-        # column, so the column sums stay s W, which the shift assumes
-        ws, system, _ = steep_patch_system(0.3)
-        system.data[_WEST, 0] += system.data[_CENTER, 0]
-        system.data[_CENTER, 0] = 0.0
+    @pytest.mark.parametrize("case", ["dominant", "weak_rows", "singular_pivot"])
+    def test_the_band_alone_picks_the_preconditioner_and_the_tolerance(self, case, monkeypatch):
+        # the one entry point's three outcomes: a band with no weak row takes
+        # the heat inverse to the dominant tolerance; weak rows take the
+        # correction on their grown box to 1e-12; a box whose pivot block is
+        # exactly singular leaves the heat inverse alone, still to 1e-12,
+        # because the band has weak rows whatever the correction gives
+        if case == "singular_pivot":
+            ws, system = singular_pivot_system(monkeypatch)
+        elif case == "weak_rows":
+            ws, system, _ = steep_patch_system(30.0, nx=40)
+        else:
+            ws, system, _ = steep_patch_system(0.3)
+        box = _weak_rows_block(system.data, system.nx)
+        corrections, solves = [], []
+        correct, solve = ksbcfd.linalg.block_corrected, ksbcfd.linalg.bicgstab
+
+        def recorded_correction(a, precond, rows):
+            m = correct(a, precond, rows)
+            corrections.append((rows, m is precond))
+            return m
+
+        def recorded_solve(a, b, precond, x0=None, tol=None):
+            solves.append((precond, TOL if tol is None else tol))
+            return solve(a, b, precond, x0=x0, tol=tol)
+
+        monkeypatch.setattr(ksbcfd.linalg, "block_corrected", recorded_correction)
+        monkeypatch.setattr(ksbcfd.linalg, "bicgstab", recorded_solve)
+        b = np.random.default_rng(11).standard_normal(system.shape[0])
+        _, report = solve_density(ws, system, b)
+        ((precond, tol),) = solves
+        heat_alone = (isinstance(precond, functools.partial)
+                      and precond.func == ws.heat.solve_fp32
+                      and precond.keywords == {"s": 1.0 / ws.config.tau})
+        assert report.converged
+        if case == "dominant":
+            assert box is None and corrections == [] and heat_alone
+            assert tol == ksbcfd.linalg._DOMINANT_TOL and report.block_cells == 0
+        else:
+            ((rows, bare),) = corrections
+            assert np.array_equal(rows, box)
+            assert bare == heat_alone == (case == "singular_pivot")
+            assert tol == TOL and report.block_cells == (0 if bare else box.size)
+
+    def test_singular_block_reports_no_block_cells(self, monkeypatch):
+        # the one-cell block A_SS = [0] is exactly singular, so the solve
+        # runs on the heat inverse alone
+        ws, system = singular_pivot_system(monkeypatch)
+        assert np.array_equal(_weak_rows_block(system.data, system.nx), [0])
         b = np.random.default_rng(9).standard_normal(system.shape[0])
-        x, report = solve_density(ws, system, np.array([0]), b)
+        x, report = solve_density(ws, system, b)
         assert report.converged and report.block_cells == 0
         assert np.max(np.abs(x - np.linalg.solve(system.tocsc().toarray(), b))) <= 1e-10
 
@@ -1109,7 +1170,7 @@ class TestBlockCorrection:
 
         b = np.random.default_rng(6).standard_normal(system.shape[0])
         _, plain = bicgstab(system, b, fp32_heat_inverse(ws))
-        x, corrected = solve_density(ws, system, block, b)
+        x, corrected = solve_density(ws, system, b)
         assert plain.converged and corrected.converged
         assert corrected.iterations < plain.iterations
         assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-10
@@ -1120,12 +1181,12 @@ class TestBlockCorrection:
                          build_random_perturbed(0, 1, 5, 0.3, 42))
         ws = Workspace(grid, SchemeConfig(tau=1.0, t_final=1.0))
         z = cell_field_from_function(grid, lambda x, y: 400.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
-        system, block, _ = _density_system(ws, z, 1.0)
+        system = ws.u_system(grad(z), 1.0)
         a = system.tocsc().toarray()
         assert weak_rows(a, grid.shape).all()
-        assert np.array_equal(block, np.arange(35))
+        assert np.array_equal(_weak_rows_block(system.data, grid.nx), np.arange(35))
         b = np.random.default_rng(7).standard_normal(system.shape[0])
-        x, report = solve_density(ws, system, block, b)
+        x, report = solve_density(ws, system, b)
         assert report.converged
         assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-10
 
@@ -1134,8 +1195,8 @@ class TestBlockCorrection:
         # box grown by the margin, 24 cells, is x 4..39 and y 0..7
         ws, system, block = steep_patch_system(30.0, nx=40)
         rhs = np.random.default_rng(8).standard_normal(system.shape[0])
-        _, report = solve_density(ws, system, block, rhs)
-        assert report.converged and report.block_cells == 36 * 8
+        _, report = solve_density(ws, system, rhs)
+        assert report.converged and block.size == report.block_cells == 36 * 8
 
     def test_block_is_the_weak_rows_box_grown_by_the_margin(self):
         # a 70 x 60 band whose rows are all diagonally dominant but those of
