@@ -277,25 +277,18 @@ def _build_axis(family: str, m: int, lo: float, hi: float, beta, seed) -> Axis1D
     if family == "random":
         return build_random_perturbed(lo, hi, m, beta, seed)
     if family == "middle":
-        axis = build_middle_refined(m)
-        return axis if (lo, hi) == (0.0, 1.0) else remap_axis(axis, lo, hi)
+        return remap_axis(build_middle_refined(m), lo, hi)
     if family == "corner":
-        axis = build_corner_refined(m)
-        return axis if (lo, hi) == (-0.5, 0.5) else remap_axis(axis, lo, hi)
+        return remap_axis(build_corner_refined(m), lo, hi)
     raise ValueError(f"unknown grid family {family!r}")
 
 
 def build_grid(problem: ProblemSpec, grid_cfg: GridConfig, m: int) -> StaggeredGrid2D:
     x_lo, x_hi, y_lo, y_hi = problem.domain
-    if grid_cfg.family == "random":
-        sx, sy = axis_subseeds(grid_cfg.seed)
-        beta = grid_cfg.beta_effective
-        ax = _build_axis("random", m, x_lo, x_hi, beta, sx)
-        ay = _build_axis("random", m, y_lo, y_hi, beta, sy)
-    else:
-        ax = _build_axis(grid_cfg.family, m, x_lo, x_hi, None, None)
-        ay = _build_axis(grid_cfg.family, m, y_lo, y_hi, None, None)
-    return make_grid(ax, ay)
+    family, beta = grid_cfg.family, grid_cfg.beta_effective
+    sx, sy = axis_subseeds(grid_cfg.seed) if family == "random" else (None, None)
+    return make_grid(_build_axis(family, m, x_lo, x_hi, beta, sx),
+                     _build_axis(family, m, y_lo, y_hi, beta, sy))
 
 
 # ---------------------------------------------------------------------------

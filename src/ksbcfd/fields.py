@@ -2,10 +2,13 @@
 
 Cell fields hold one value per cell center (i, j); edge fields hold values
 at the x-edge points (x_{i+1/2}, y_j) or y-edge points (x_i, y_{j+1/2}),
-boundary edges included.  Values are (nx, ny) / (nx+1, ny) / (nx, ny+1)
-float arrays indexed [i, j].  The gradient's edge arrays (``dx``, ``dy``)
-are stored x fastest, the memory order of the solver's flat vectors, so
-the transposes the density matrix is assembled from are contiguous.
+boundary edges included.  Values are float arrays indexed [i, j], of the
+grid's shape (nx, ny) plus the type's extra points along each axis:
+(0, 0), (1, 0) or (0, 1), the one difference between the three types,
+which share one base and its shape check.  The gradient's edge arrays
+(``dx``, ``dy``) are stored x fastest, the memory order of the solver's
+flat vectors, so the transposes the density matrix is assembled from are
+contiguous.
 
 The operators:
 
@@ -36,7 +39,7 @@ edge inner products run over interior edges only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -66,11 +69,22 @@ __all__ = [
 ]
 
 
-class _FieldBase:
-    """Shared helpers: extrema and elementwise diagnostics."""
+@dataclass(frozen=True)
+class _Field:
+    """Values on a grid's cells, with ``extra`` more points along each
+    axis: the shape check and the extrema the field types share."""
 
     grid: StaggeredGrid2D
     values: np.ndarray
+    extra: ClassVar[tuple[int, int]] = (0, 0)
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        shape = tuple(n + e for n, e in zip(self.grid.shape, self.extra))
+        if values.shape != shape:
+            raise ValueError(f"{type(self).__name__} values must have shape {shape}, "
+                             f"got {values.shape}")
+        object.__setattr__(self, "values", values)
 
     def max(self) -> float:
         return float(self.values.max())
@@ -88,46 +102,20 @@ class _FieldBase:
         return (k % nx, k // nx)
 
 
-def _check_shape(values: np.ndarray, expected: tuple[int, int], kind: str) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != expected:
-        raise ValueError(f"{kind} values must have shape {expected}, got {values.shape}")
-    return values
-
-
-@dataclass(frozen=True)
-class CellField(_FieldBase):
+class CellField(_Field):
     """Scalar values at cell centers, shape (nx, ny)."""
 
-    grid: StaggeredGrid2D
-    values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_shape(self.values, self.grid.shape, "cell"))
-
-
-@dataclass(frozen=True)
-class EdgeFieldX(_FieldBase):
+class EdgeFieldX(_Field):
     """Values at x-edge points (x_{i+1/2}, y_j), shape (nx+1, ny)."""
 
-    grid: StaggeredGrid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        nx, ny = self.grid.shape
-        object.__setattr__(self, "values", _check_shape(self.values, (nx + 1, ny), "x-edge"))
+    extra = (1, 0)
 
 
-@dataclass(frozen=True)
-class EdgeFieldY(_FieldBase):
+class EdgeFieldY(_Field):
     """Values at y-edge points (x_i, y_{j+1/2}), shape (nx, ny+1)."""
 
-    grid: StaggeredGrid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        nx, ny = self.grid.shape
-        object.__setattr__(self, "values", _check_shape(self.values, (nx, ny + 1), "y-edge"))
+    extra = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -136,10 +124,6 @@ class GradientPair:
 
     gx: EdgeFieldX
     gy: EdgeFieldY
-
-    def __post_init__(self):
-        if self.gx.grid is not self.gy.grid:
-            raise ValueError("gradient components must live on the same grid")
 
     def inf_norm(self) -> float:
         """Max-abs of the x component plus max-abs of the y component."""

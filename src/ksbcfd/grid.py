@@ -106,15 +106,20 @@ def axis_from_primal(primal, lo: float, hi: float) -> Axis1D:
     )
 
 
-def build_uniform(lo: float, hi: float, n: int) -> Axis1D:
-    """Uniform partition of [lo, hi] into n equal cells."""
+def _uniform_primal(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n + 1 primal points of the uniform partition of [lo, hi], n >= 2."""
     if n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
     if not hi > lo:
         raise ValueError(f"domain must satisfy hi > lo, got [{lo}, {hi}]")
     primal = lo + (hi - lo) * np.arange(n + 1) / n
     primal[0], primal[-1] = lo, hi
-    return axis_from_primal(primal, lo, hi)
+    return primal
+
+
+def build_uniform(lo: float, hi: float, n: int) -> Axis1D:
+    """Uniform partition of [lo, hi] into n equal cells."""
+    return axis_from_primal(_uniform_primal(lo, hi, n), lo, hi)
 
 
 def build_random_perturbed(lo: float, hi: float, n: int, beta: float, seed: int) -> Axis1D:
@@ -127,13 +132,8 @@ def build_random_perturbed(lo: float, hi: float, n: int, beta: float, seed: int)
     """
     if not 0.0 <= beta < 0.5:
         raise ValueError(f"beta must lie in [0, 0.5), got {beta}")
-    if n < 2:
-        raise ValueError(f"need at least 2 cells, got n={n}")
-    if not hi > lo:
-        raise ValueError(f"domain must satisfy hi > lo, got [{lo}, {hi}]")
+    primal = _uniform_primal(lo, hi, n)
     h_fix = (hi - lo) / n
-    primal = lo + (hi - lo) * np.arange(n + 1) / n
-    primal[0], primal[-1] = lo, hi
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(n - 1)
     primal[1:-1] += beta * h_fix * (-1.0 + 2.0 * u)
@@ -174,9 +174,12 @@ def build_corner_refined(n: int) -> Axis1D:
 
 
 def remap_axis(axis: Axis1D, lo: float, hi: float) -> Axis1D:
-    """Affinely map an axis onto a new interval [lo, hi]."""
+    """Affinely map an axis onto the interval [lo, hi]; an axis that
+    already spans it is returned as it is."""
     if not hi > lo:
         raise ValueError(f"domain must satisfy hi > lo, got [{lo}, {hi}]")
+    if (axis.lo, axis.hi) == (lo, hi):
+        return axis
     scale = (hi - lo) / (axis.hi - axis.lo)
     primal = lo + (axis.primal - axis.lo) * scale
     primal[0], primal[-1] = lo, hi

@@ -41,11 +41,12 @@ by block elimination in numpy).  Residuals and
 acceptance stay in float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
 of consecutive right-hand sides, and dX holds the differences of the last
-nine solutions (``DensityHistory``); the extrapolation 2 u^n - u^{n-1} is
-c = e_0.  A start whose residual exceeds |b| gives way to zero
-(``linalg``'s rule).  On the corner blow-up run at 180^2 the solves take
-464 BiCGStab iterations (626 with every solve at 1e-12, where the
-extrapolation alone took 935).
+nine solutions (``DensityHistory``, the one holder of the density levels
+as vectors: u^0 from ``init_state``, then u^n and u^{n-1}, which u* also
+reads, as its newest two); the extrapolation 2 u^n - u^{n-1} is c = e_0.
+A start whose residual exceeds |b| gives way to zero (``linalg``'s rule).
+On the corner blow-up run at 180^2 the solves take 464 BiCGStab iterations
+(626 with every solve at 1e-12, where the extrapolation alone took 935).
 Every solve, direct or iterative, refines its solution once when the
 recomputed residual misses the solver tolerance (BiCGStab aims that
 pass at a millionth of the residual it starts from), keeps the refinement
@@ -226,10 +227,10 @@ _Projection = tuple[np.ndarray, np.ndarray, float]
 
 @dataclass(frozen=True)
 class DensityHistory:
-    """Newest first, up to ``_HISTORY`` + 1 Crank-Nicolson density
-    solutions (``levels``, the flat arrays ``State`` holds, not copies:
-    ``levels[0]`` is u^n and ``levels[1]`` u^{n-1}) and the ``_HISTORY``
-    differences of consecutive right-hand sides between them (``d_rhs``,
+    """The density levels, flat and newest first (``levels[0]`` is u^n,
+    ``levels[1]`` u^{n-1}): u^0 from ``init_state``, then up to ``_HISTORY``
+    + 1 density solutions, the arrays ``State.u_curr`` views.  Between them
+    the ``_HISTORY`` differences of consecutive right-hand sides (``d_rhs``,
     the columns of dB), with ``gram`` = dB^T dB.  A level's right-hand
     side is taken as the product A^n u^n that the state carries, which
     equals it to the solver residual, so none is stored.  The fit lives in
@@ -247,18 +248,19 @@ class DensityHistory:
         d = b - au
         return d, np.array([d @ d, *(v @ d for v in self.d_rhs)]), float(b @ b)
 
-    def start(self, u: np.ndarray, projection: _Projection) -> np.ndarray:
-        """``u + dX c`` for the ``c`` that minimises ``|d - dB c|``, where
-        ``u`` is u^n, ``projection`` is ``self.projection(b, A^n u^n)`` and
-        column j of dX is ``levels[j] - levels[j + 1]``: the normal
-        equations, solved by least squares with the Gram's columns scaled to
-        a unit diagonal.  ``c = 0``, the start u^n, while no difference is
-        stored and when ``b`` repeats A^n u^n to ``_REPEATED``;
-        extrapolation is ``c = e_0``.  The sum telescopes to one weight per
-        level.  It stays in numpy, like all of the step's vector algebra:
-        scipy's BLAS has a thread pool of its own, and at two BLAS threads
-        one call into it between numpy's products slows a run 3-4 times.
+    def start(self, projection: _Projection) -> np.ndarray:
+        """``u^n + dX c`` for the ``c`` that minimises ``|d - dB c|``, where
+        ``projection`` is ``self.projection(b, A^n u^n)`` and column j of dX
+        is ``levels[j] - levels[j + 1]``: the normal equations, solved by
+        least squares with the Gram's columns scaled to a unit diagonal.
+        ``c = 0``, the start u^n, while no difference is stored and when
+        ``b`` repeats A^n u^n to ``_REPEATED``; extrapolation is ``c = e_0``.
+        The sum telescopes to one weight per level.  It stays in numpy, like
+        all of the step's vector algebra: scipy's BLAS has a thread pool of
+        its own, and at two BLAS threads one call into it between numpy's
+        products slows a run 3-4 times.
         """
+        u = self.levels[0]
         if not self.d_rhs:
             return u
         _, h, bb = projection
@@ -269,36 +271,35 @@ class DensityHistory:
         c = scale * np.linalg.lstsq(self.gram * scale * scale[:, None], scale * h[1:])[0]
         # levels[j] weighs c_j - c_{j-1}, with c_{-1} = -1 and c_k = 0
         weights = np.diff(c, prepend=-1.0, append=0.0)
-        x0, tmp = np.multiply(weights[0], self.levels[0]), np.empty_like(u)
+        x0, tmp = np.multiply(weights[0], u), np.empty_like(u)
         for wj, level in zip(weights[1:], self.levels[1:]):
             x0 += np.multiply(wj, level, out=tmp)
         return x0
 
-    def pushed(self, x: np.ndarray, u: np.ndarray, projection: _Projection) -> DensityHistory:
-        """The history with the solution ``x`` from u^n = ``u`` added, where
-        ``projection`` is ``self.projection(b, A^n u^n)`` of its right-hand
-        side ``b``; beyond ``_HISTORY`` differences the oldest level is
-        dropped.  The Gram shifts by one and takes ``projection``'s products
-        as its new first row.
+    def pushed(self, x: np.ndarray, projection: _Projection) -> DensityHistory:
+        """The history with the solution ``x`` from u^n = ``levels[0]``
+        added, where ``projection`` is ``self.projection(b, A^n u^n)`` of
+        its right-hand side ``b``; beyond ``_HISTORY`` differences the
+        oldest level is dropped.  The Gram shifts by one and takes
+        ``projection``'s products as its new first row.
         """
         d, h, _ = projection
         k = min(len(self.d_rhs) + 1, _HISTORY)
         g = np.empty((k, k))
         g[0], g[1:, 0], g[1:, 1:] = h[:k], h[1:k], self.gram[:k - 1, :k - 1]
-        return DensityHistory((x, *(self.levels or (u,))[:k]), (d, *self.d_rhs[:k - 1]), g)
+        return DensityHistory((x, *self.levels[:k]), (d, *self.d_rhs[:k - 1]), g)
 
 
 @dataclass(frozen=True)
 class State:
-    """One time level, with u^{n-1} for extrapolation, the products
-    A(grad z^n) u^n and A_z z^n of the level's own matrices (None at n = 0),
-    which the next Crank-Nicolson right-hand sides take, and the
-    Crank-Nicolson density solves that led to it."""
+    """One time level: u^n as a cell field, z^n, the products
+    A(grad z^n) u^n and A_z z^n of the level's own matrices (None at
+    n = 0), which the next Crank-Nicolson right-hand sides take, and the
+    density history, whose levels hold u^n and u^{n-1} as flat vectors."""
 
     t: float
     n: int
     u_curr: CellField
-    u_prev: CellField | None
     z_curr: CellField
     au_curr: np.ndarray | None = None
     az_curr: np.ndarray | None = None
@@ -509,7 +510,8 @@ def _forcing(problem: ProblemSpec, name: str, grid: StaggeredGrid2D, t: float):
 def init_state(problem: ProblemSpec, grid: StaggeredGrid2D) -> State:
     """Sample the initial data.
 
-    The density starts from pointwise samples; the concentration subtracts
+    The density starts from pointwise samples, which also seed the density
+    history as u^0 in the solver's flat order; the concentration subtracts
     the second-derivative correction so the discrete initial gradient is
     second-order accurate on non-uniform grids.
     """
@@ -525,7 +527,8 @@ def init_state(problem: ProblemSpec, grid: StaggeredGrid2D) -> State:
         cell_field_from_function(grid, problem.c0_yy),
     )
     z0 = CellField(grid, c0.values - corr.values)
-    return State(t=0.0, n=0, u_curr=u0, u_prev=None, z_curr=z0)
+    return State(t=0.0, n=0, u_curr=u0, z_curr=z0,
+                 history=DensityHistory((np.ravel(u0.values, order="F"),)))
 
 
 def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.ndarray, SolveReport]:
@@ -591,18 +594,17 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, rhs: np.ndarra
 
 def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
                ) -> tuple[CellField, SolveReport, np.ndarray]:
-    """The backward-Euler density predictor for the first level, its
-    report, and A(grad z^0) u^0, taken before that matrix's center is
-    lowered in place by W/(2 tau) to the halved predictor equation's."""
+    """The backward-Euler density predictor for the first level from the
+    history's u^0, its report, and A(grad z^0) u^0, taken before that
+    matrix's center is lowered in place by W/(2 tau) to the predictor's."""
     if state.n != 0:
         raise ValueError("the predictor runs from the initial level only")
     grid, tau = ws.grid, ws.config.tau
     system = ws.u_system(grad(state.z_curr), problem.lam)
-    u0 = np.ravel(state.u_curr.values, order="F")
+    u0 = state.history.levels[0]
     au = system @ u0
     system.data[_CENTER] -= 0.5 * ws.areas / tau
-    rhs_vals = state.u_curr.values / tau + _forcing(problem, "f_rho", grid, tau)
-    rhs = 0.5 * ws.areas * np.ravel(rhs_vals, order="F")
+    rhs = 0.5 * ws.areas * (u0 / tau + np.ravel(_forcing(problem, "f_rho", grid, tau), order="F"))
     x, report = _solve_density(ws, system, rhs, 0.5 / tau, step=1, name="density predictor", x0=u0)
     return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
@@ -648,13 +650,13 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
                          problem: ProblemSpec, t_half: float
                          ) -> tuple[CellField, np.ndarray, SolveReport]:
     """The concentration solve of a stage from ``state``, with ``u_star()``
-    as the half-level density: z^{n+1}, the product A_z z^{n+1} it carries
-    on as ``b - r``, and the solve's report without its residual.  u*, the
-    right-hand side and the residual die here, before the density system is
-    assembled."""
+    as the flat half-level density: z^{n+1}, the product A_z z^{n+1} it
+    carries on as ``b - r``, and the solve's report without its residual.
+    u*, the right-hand side and the residual die here, before the density
+    system is assembled."""
     grid = ws.grid
     z_flat = np.ravel(state.z_curr.values, order="F")
-    source = np.ravel(u_star() + _forcing(problem, "f_c", grid, t_half), order="F")
+    source = u_star() + np.ravel(_forcing(problem, "f_c", grid, t_half), order="F")
     rhs = 2.0 / ws.config.tau * ws.areas * z_flat - state.az_curr + ws.areas * source
     x, report = _solve_concentration(ws, rhs, step=state.n + 1)
     return (CellField(grid, x.reshape(grid.shape, order="F")), rhs - report.residual,
@@ -667,11 +669,12 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     ``u_star()`` as the half-level density (``_concentration_stage``), then
     the density solve in the new concentration gradient, from the fit of
     its right-hand side by ``state.history`` (``DensityHistory.start``; u^n
-    on the first step).  The right-hand sides take A_z z^n and A^n u^n from
-    ``state``, and the new state carries ``b - r`` of each solve, its
-    right-hand side less its true residual, as the products of the new
-    level.  Of the concentration solve and the gradient only these products,
-    the report and ``dz_inf`` live on through the density solve.
+    on the first step).  The right-hand sides take u^n from the history and
+    A_z z^n and A^n u^n from ``state``, and the new state carries ``b - r``
+    of each solve, its right-hand side less its true residual, as the
+    products of the new level.  Of the concentration solve and the gradient
+    only these products, the report and ``dz_inf`` live on through the
+    density solve.
 
     Returns the new state and its step's record, whose density columns
     also count ``reps_before``, the reports of the step's earlier density
@@ -686,18 +689,17 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     system, dz_inf = ws.u_system(g, problem.lam), g.inf_norm()
     del g  # the edge arrays die before the density solve
 
-    u_flat = np.ravel(state.u_curr.values, order="F")
-    source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
-    rhs_u = 2.0 / tau * ws.areas * u_flat - state.au_curr + ws.areas * source
     history = state.history
+    source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
+    rhs_u = 2.0 / tau * ws.areas * history.levels[0] - state.au_curr + ws.areas * source
     projection = history.projection(rhs_u, state.au_curr)
     xu, rep_u = _solve_density(ws, system, rhs_u, 1.0 / tau, step=step, name=name,
-                               x0=history.start(u_flat, projection))
+                               x0=history.start(projection))
     u_next = CellField(grid, xu.reshape(grid.shape, order="F"))
 
-    new_state = State(t=step * tau, n=step, u_curr=u_next, u_prev=state.u_curr, z_curr=z_next,
+    new_state = State(t=step * tau, n=step, u_curr=u_next, z_curr=z_next,
                       au_curr=rhs_u - rep_u.residual, az_curr=az_next,
-                      history=history.pushed(xu, u_flat, projection))
+                      history=history.pushed(xu, projection))
     diag = _diagnostics(new_state, dz_inf, ws.config, problem.lam, rep_z, (*reps_before, rep_u))
     _check_blowup(new_state, diag, ws.config)
     return new_state, diag
@@ -707,20 +709,20 @@ def first_step(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State
     """Prediction, then the Crank-Nicolson stage with u* = (ubar + u^0) / 2,
     from A_z z^0 and the predictor's product A(grad z^0) u^0."""
     u_bar, rep_pred, au = predict_u1(state, problem, ws)
-    u0 = state.u_curr.values
+    u0 = state.history.levels[0]
     az = ws.z_system @ np.ravel(state.z_curr.values, order="F")
     state = replace(state, au_curr=au, az_curr=az)
-    return _cn_stage(ws, state, lambda: 0.5 * (u_bar.values + u0), problem, "density corrector",
-                     reps_before=(rep_pred,))
+    return _cn_stage(ws, state, lambda: 0.5 * (np.ravel(u_bar.values, order="F") + u0), problem,
+                     "density corrector", reps_before=(rep_pred,))
 
 
 def step_cn(state: State, problem: ProblemSpec, ws: Workspace) -> tuple[State, StepDiagnostics]:
-    """One Crank-Nicolson step, with u* = (3 u^n - u^{n-1}) / 2."""
-    if state.n < 1 or state.u_prev is None or state.au_curr is None or state.az_curr is None:
+    """One Crank-Nicolson step, with u* = (3 u^n - u^{n-1}) / 2 from the history."""
+    if len(state.history.levels) < 2 or state.au_curr is None or state.az_curr is None:
         raise ValueError("Crank-Nicolson marching needs two density levels and the products "
                          "au_curr and az_curr; run the first step")
-    return _cn_stage(ws, state, lambda: 1.5 * state.u_curr.values - 0.5 * state.u_prev.values,
-                     problem, "density")
+    u_n, u_nm1 = state.history.levels[:2]
+    return _cn_stage(ws, state, lambda: 1.5 * u_n - 0.5 * u_nm1, problem, "density")
 
 
 def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,

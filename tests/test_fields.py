@@ -242,3 +242,8 @@ class TestExtrema:
             CellField(g, np.zeros((5, 4)))
         with pytest.raises(ValueError):
             EdgeFieldX(g, np.zeros((4, 4)))
+        # each type takes the cell shape plus its own extra points
+        for kind, shape in ((CellField, (4, 4)), (EdgeFieldX, (5, 4)), (EdgeFieldY, (4, 5))):
+            assert kind(g, np.zeros(shape, dtype=np.int64)).values.dtype == np.float64
+        with pytest.raises(ValueError, match=r"^EdgeFieldY values must have shape \(4, 5\)"):
+            EdgeFieldY(g, np.zeros((5, 4)))

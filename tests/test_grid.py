@@ -138,6 +138,8 @@ def test_remap_axis_affine():
     ax = remap_axis(build_corner_refined(10), 0.0, 2.0)
     assert ax.lo == 0.0 and ax.hi == 2.0
     check_axis_invariants(ax)
+    # an axis that already spans the interval is returned as it is
+    assert remap_axis(ax, 0.0, 2.0) is ax
 
 
 def test_axes_are_immutable():

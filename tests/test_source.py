@@ -1,7 +1,11 @@
 """Checks on the source text of the package and its tests."""
 
 import ast
+import contextlib
+import sys
 from pathlib import Path
+
+import ksbcfd.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +41,19 @@ def test_every_imported_name_is_read():
              for path in sorted(folder.glob("*.py")) if path.name != "__init__.py"]
     assert len(paths) > 10
     assert [found for path in paths for found in unused_imports(path)] == []
+
+
+def test_the_benchmark_spans_bind_names_that_exist():
+    # bench/ is on the path for the import only; run.py is not imported,
+    # since it sets the BLAS thread variables when it loads
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import layers
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    bicgstab = ksbcfd.linalg.bicgstab
+    with contextlib.ExitStack() as stack:
+        layers.install_layers(stack, spans.Tracer(), ksbcfd)
+        assert ksbcfd.linalg.bicgstab.__wrapped__ is bicgstab
+    assert ksbcfd.linalg.bicgstab is bicgstab
