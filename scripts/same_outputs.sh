@@ -12,10 +12,12 @@
 # file the script makes lives in a temporary directory that it removes; it
 # reads bench/ and writes nothing there.
 #
-# When they differ, it prints the head of the diff and, for each differing
-# diagnostics.csv and convergence.csv, the largest relative difference in
-# each numeric column, |a - b| / max(|a|, |b|) over the rows both files have,
-# so a reader can see whether only the last bits moved.
+# It first prints the total line count of src/ksbcfd/*.py at the ref and in
+# the working tree.  When the outputs differ, it prints the head of the diff
+# and, for each differing diagnostics.csv and convergence.csv, the largest
+# relative difference in each numeric column, |a - b| / max(|a|, |b|) over
+# the rows both files have, so a reader can see whether only the last bits
+# moved.
 #
 # Exits 0 when the output trees are byte-identical, 1 when they differ and
 # 2 on a usage error.
@@ -54,6 +56,8 @@ PY
 
 mkdir "$tmp/ref"
 git -C "$root" archive "$ref" src | tar -x -C "$tmp/ref"
+echo "src/ksbcfd/*.py: $(cat "$tmp/ref/src/ksbcfd/"*.py | wc -l) lines at ${ref:0:12}," \
+    "$(cat "$root/src/ksbcfd/"*.py | wc -l) in the working tree"
 
 run_all() {  # <src directory> <output root>
     local name command status

@@ -2,15 +2,16 @@
 
 Every solver takes the system as a ``Matrix``: anything with a shape, a
 product ``@`` and ``abs()``.  The stepper's matrices are
-``FivePointMatrix`` bands whose product runs in numpy.  There are a
-fast-diagonalization solver for
+``FivePointMatrix`` bands whose product runs in numpy; the band checks its
+own entries and finds the box of its rows that are not diagonally dominant
+(``weak_box``).  There are a fast-diagonalization solver for
 the area-weighted heat operator s W - W L / 2 of a tensor-product grid, the
 heat part of every system, which solves the concentration system directly
 and preconditions the density solves, with a
 single-precision variant used only as a preconditioner; BiCGStab for the
 nonsymmetric density systems, right-preconditioned by an operator; a block
 correction that follows such an operator with an exact solve, by block
-elimination in numpy, on a box of cells where it is a poor approximation;
+elimination in numpy, on such a box, where it is a poor approximation;
 and one direct solve by a given inverse, refined once on a miss, which
 solves the concentration system by the heat inverse.
 The Krylov solvers take the preconditioner as a callable ``r -> M^-1 r``;
@@ -26,8 +27,8 @@ the tolerance, aimed at ``_REFINEMENT`` times the true residual it
 starts from and kept if it lowers the 2-norm residual or if the verdict's
 backward-error test accepts it and not the first solution, and one
 verdict (``_verdict``).  The tolerance is the module's: ``_TOL``, 1e-12,
-unless the stepper hands ``bicgstab`` ``_DOMINANT_TOL``, 1e-10, for a
-density system whose rows are all diagonally dominant.  The budget of 10 n
+unless the caller hands ``bicgstab`` its own ``tol``, as the stepper does
+for a density system with no weak box.  The budget of 10 n
 Krylov iterations is not an argument.  The ``SolveReport``'s
 ``reason`` says why a solve stopped: ``converged``, ``max_iter`` (iteration
 budget spent), ``stagnated`` (a BiCGStab sweep went ``_STAGNATION_WINDOW``
@@ -105,10 +106,13 @@ class FivePointMatrix:
     row whose every term is -0.0 into the +0.0 those sums give, and changes
     no other row.  ``tocsc`` imports ``scipy.sparse``.  No run calls it:
     it stays for ``sparse_lu_solve``, which the benchmark's ``linalg.lu``
-    span binds by name, and for the tests' CSR and dense oracles.
+    span binds by name, and for the tests' CSR and dense oracles.  A band
+    with a NaN or infinite entry raises ``ValueError``.
     """
 
     def __init__(self, data: np.ndarray, nx: int):
+        if not np.all(np.isfinite(data)):
+            raise ValueError("matrix entries must be finite")
         self.data, self.nx = data, nx
         self.shape = (data.shape[1], data.shape[1])
 
@@ -140,6 +144,29 @@ class FivePointMatrix:
         y[:-nx] += self.data[4, nx:]
         return y
 
+    def weak_box(self) -> tuple[slice, slice] | None:
+        """The x and y slices of the cells whose rows the block correction
+        solves exactly (``block_corrected``), or None when every row is
+        diagonally dominant.
+
+        A row k is weak when ``|a_kk| < sum_{j != k} |a_kj|``, the four
+        off-diagonal magnitudes summed south, west, east, north.  The box
+        bounds the weak rows and grows by ``_BLOCK_MARGIN`` cells a side,
+        cut at the grid's edges.  Its bounds are Python ints.
+        """
+        nx, data = self.nx, self.data
+        off = np.zeros(self.shape[0])
+        off[nx:] = np.abs(data[0, :-nx])
+        off[1:] += np.abs(data[1, :-1])
+        off[:-1] += np.abs(data[3, 1:])
+        off[:-nx] += np.abs(data[4, nx:])
+        weak = (np.abs(data[2]) < off).reshape(-1, nx)
+        if not weak.any():
+            return None
+        (j, i), m = np.nonzero(weak), _BLOCK_MARGIN
+        return (slice(max(int(i.min()) - m, 0), min(int(i.max()) + m + 1, nx)),
+                slice(max(int(j.min()) - m, 0), min(int(j.max()) + m + 1, weak.shape[0])))
+
     def __abs__(self) -> FivePointMatrix:
         return FivePointMatrix(np.abs(self.data), self.nx)
 
@@ -147,6 +174,13 @@ class FivePointMatrix:
         import scipy.sparse as sp  # loaded on the first conversion
 
         return sp.dia_matrix((self.data, self.offsets), shape=self.shape).tocsc()
+
+
+# Cells the weak rows' box grows by on every side, an overlap (Smith,
+# Bjorstad & Gropp 1996): with every density solve at 1e-12, corner 180^2
+# took 626 BiCGStab iterations at 24 and 754 at 0, and the README gives the
+# scan.
+_BLOCK_MARGIN = 24
 
 
 # Denominators smaller than this (relative to the surrounding scale) count as
@@ -170,14 +204,6 @@ class SolveReport:
 
 # The relative residual |b - A x| / |b| at which a solve stops.
 _TOL = 1e-12
-
-# The same for a density system whose rows are all diagonally dominant, which
-# the stepper asks of ``bicgstab`` by its ``tol``: there the forward error is
-# about the residual, and the scheme's discretization error lies far above
-# it (Arioli, Noulard & Russo 2001, Calcolo 38).  A system with weak rows
-# keeps ``_TOL``: on criterion 6's, the forward error is about 20 times the
-# residual.
-_DOMINANT_TOL = 1e-10
 
 # A bound on the componentwise backward error, in units of roundoff.
 _BACKWARD_ULPS = 16
@@ -387,8 +413,8 @@ def bicgstab(a: Matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarra
     of ``a`` (the stepper passes the float32 fast-diagonalization solve of
     the heat part, block-corrected where the density matrix is not
     diagonally dominant).  ``tol`` is the relative residual to reach,
-    ``_TOL`` when None (the stepper passes ``_DOMINANT_TOL`` for a density
-    system with no weak row).
+    ``_TOL`` when None (the stepper passes a looser one for a density
+    system with no weak box).
 
     ``_refined``'s rule with ``_bicgstab_sweep`` as the pass.  The recursive
     residual drifts from the true one near the rounding floor, so the
@@ -526,33 +552,34 @@ class TensorHeatSolver:
 
 
 def block_corrected(a: FivePointMatrix, precond: Callable[[np.ndarray], np.ndarray],
-                    rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``precond`` followed by an exact solve of ``a`` on the index set ``rows``.
+                    box: tuple[slice, slice]) -> Callable[[np.ndarray], np.ndarray]:
+    """``precond`` followed by an exact solve of ``a`` on the cells of ``box``.
 
-    The returned map is ``x = precond(r); x[S] += A_SS^-1 (r - A x)[S]`` for
-    ``S = rows``: one step of a multiplicative Schwarz method (Smith,
-    Bjorstad & Gropp 1996) with ``precond`` as the global solve and ``S`` as
-    the one subdomain.  Where ``precond`` is exact the correction vanishes;
-    where it is not, the residual on ``S`` is removed.  ``S`` is a box of
-    ``bx x by`` cells, ascending with x fastest, so ``A_SS`` (``a`` on ``S``
-    in rows and columns) is block tridiagonal: ``by`` tridiagonal blocks
-    ``D_j`` coupled south and north by ``diag(l_j)`` and ``diag(u_j)``.  It
-    is factored here once by block elimination (Golub & Van Loan, *Matrix
-    Computations*, sec. 4.5), which keeps the ``by`` inverses of the Schur
-    complements ``S_j = D_j - diag(l_j) S_{j-1}^-1 diag(u_{j-1})``, each by
-    numpy's pivoted LU.  A correction costs the rows of ``a`` in ``S``, from
-    one (neighbour, coefficient) pair per offset, and a forward and a
-    backward sweep of ``by`` matrix-vector products.  No pivoting crosses
-    block rows: on the stepper's blocks the correction is about as accurate
-    as SuperLU's, and a poorer one would cost BiCGStab iterations, not
-    accuracy.  ``precond`` must return a new array.  An exactly singular
-    ``S_j`` (an exactly singular ``A_SS`` among them) leaves ``precond`` as
-    it is.
+    ``box`` holds the x and y slices of a box of cells, as ``weak_box``
+    gives them.  The returned map is ``x = precond(r); x[S] += A_SS^-1 (r -
+    A x)[S]`` for the box's rows ``S``: one step of a multiplicative Schwarz
+    method (Smith, Bjorstad & Gropp 1996) with ``precond`` as the global
+    solve and ``S`` as the one subdomain.  Where ``precond`` is exact the
+    correction vanishes; where it is not, the residual on ``S`` is removed.
+    Taken ascending with x fastest, the box's ``bx x by`` cells make
+    ``A_SS`` (``a`` on ``S`` in rows and columns) block tridiagonal: ``by``
+    tridiagonal blocks ``D_j`` coupled south and north by ``diag(l_j)`` and
+    ``diag(u_j)``.  It is factored here once by block elimination (Golub &
+    Van Loan, *Matrix Computations*, sec. 4.5), which keeps the ``by``
+    inverses of the Schur complements ``S_j = D_j - diag(l_j) S_{j-1}^-1
+    diag(u_{j-1})``, each by numpy's pivoted LU.  A correction costs the
+    rows of ``a`` in ``S``, from one (neighbour, coefficient) pair per
+    offset, and a forward and a backward sweep of ``by`` matrix-vector
+    products.  No pivoting crosses block rows: on the stepper's blocks the
+    correction is about as accurate as SuperLU's, and a poorer one would
+    cost BiCGStab iterations, not accuracy.  ``precond`` must return a new
+    array.  An exactly singular ``S_j`` (an exactly singular ``A_SS`` among
+    them) leaves ``precond`` as it is.
     """
     nx, n = a.nx, a.shape[0]
-    bx, by = rows[-1] % nx - rows[0] % nx + 1, rows[-1] // nx - rows[0] // nx + 1
-    if not np.array_equal(rows, (rows[0] + np.arange(bx) + nx * np.arange(by)[:, None]).ravel()):
-        raise ValueError("block rows must be a tensor box, ascending with x fastest")
+    xs, ys = box
+    cells = np.arange(n).reshape(-1, nx)[ys, xs]
+    (by, bx), rows = cells.shape, cells.ravel()
     neighbours = rows + np.array(a.offsets)[:, None]
     inside = (neighbours >= 0) & (neighbours < n)
     neighbours = np.clip(neighbours, 0, n - 1)

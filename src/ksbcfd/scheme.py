@@ -35,9 +35,9 @@ right-preconditioned by the inverse of its heat part in single precision
 iteration counts.  That inverse ignores the chemotaxis term, which matters
 where it outweighs diffusion: near the singular time of a blow-up run,
 rows at the peak stop being diagonally dominant.  Where any row is not,
-an exact solve of the density system on the box bounding those rows, grown
-by ``_BLOCK_MARGIN`` cells a side, follows it (``linalg.block_corrected``,
-by block elimination in numpy).  Residuals and
+an exact solve of the density system on the box that
+``linalg.FivePointMatrix.weak_box`` finds follows it
+(``linalg.block_corrected``, by block elimination in numpy).  Residuals and
 acceptance stay in float64.  Every Crank-Nicolson density solve starts
 from u^n + dX c, where c fits b - A^n u^n by the last eight differences dB
 of consecutive right-hand sides, and dX holds the differences of the last
@@ -47,33 +47,29 @@ reads, as its newest two); the extrapolation 2 u^n - u^{n-1} is c = e_0.
 A start whose residual exceeds |b| gives way to zero (``linalg``'s rule).
 On the corner blow-up run at 180^2 the solves take 464 BiCGStab iterations
 (626 with every solve at 1e-12, where the extrapolation alone took 935).
-Every solve, direct or iterative, refines its solution once when the
-recomputed residual misses the solver tolerance (BiCGStab aims that
-pass at a millionth of the residual it starts from), keeps the refinement
-when it lowers that residual or when only it passes the backward-error
-test, and accepts the solution when the residual meets the tolerance or
-its componentwise backward error is at most 16 units of roundoff.  The
-tolerance is 1e-12, but a density system with no weak row stops at 1e-10
-(``linalg._DOMINANT_TOL``): there the forward error is about the
-residual, far below the discretization error.  ``_solve_density`` is the
-one entry point of both density solves: it finds the weak rows on the
-system's band (``_weak_rows_block``) and takes the correction box and the
-tolerance from them, with no flag from its callers.  A solve
-that misses both raises ``StepSolveError``: there is no second solve path.
+Every solve, direct or iterative, follows ``linalg``'s one rule of
+refinement and acceptance.  The tolerance is 1e-12, but a density system
+with no weak box stops at 1e-10 (``_DOMINANT_TOL``): there the forward
+error is about the residual, far below the discretization error.
+``_solve_density`` is the one entry point of both density solves: it asks
+the system for its weak box and takes the correction and the tolerance
+from it, with no flag from its callers.  A solve that ``linalg`` does not
+accept raises ``StepSolveError``: there is no second solve path.
 After each density solve a uniform shift takes the residual's sum out,
 so the discrete mass moves by rounding only, whatever the tolerance
 (``_solve_density``).
 
 Every matrix is a five-point stencil, built one way: its entries are
 written into a band, the DIA data of a ``linalg.FivePointMatrix``, one row
-per neighbour in the flat order of the unknowns (``_five_point``), and its
-products run in numpy, and a run loads no scipy module.
+per neighbour in the flat order of the unknowns, which the matrix checks
+for finite entries; its products run in numpy, and a run loads no scipy
+module.
 ``Workspace`` assembles the constant concentration matrix once per run;
 its band is the only one a run keeps.  Density matrices change every step
 with the concentration gradient: each step copies the concentration band,
-lowers its center by W/2 to the Crank-Nicolson heat part, adds the
-chemotaxis term and reads the rows' diagonal dominance off the same copy.
-The gradient's edge arrays and the sampled forcing are stored in that flat
+lowers its center by W/2 to the Crank-Nicolson heat part and adds the
+chemotaxis term; the density matrix keeps that copy as its band.  The
+gradient's edge arrays and the sampled forcing are stored in that flat
 order too, so a step makes no layout copies.  A Crank-Nicolson equation
 A x^{n+1} = (2/tau) W x^n - A x^n + W f needs only the product A x^n of
 the previous level's own matrix, and the previous solve already holds it
@@ -359,12 +355,12 @@ def apply_chemotaxis(p: CellField, g: GradientPair) -> CellField:
 # runs and against golden values.
 
 
-# neighbour slots of a five-point row, in column order
-_SOUTH, _WEST, _CENTER, _EAST, _NORTH = range(5)
+# the center slot of a five-point band, its main diagonal
+_CENTER = 2
 
 
 def _heat_band(grid: StaggeredGrid2D, diagonal: np.ndarray) -> np.ndarray:
-    """The band (see ``_five_point``) of ``D - (1/2) W L``.
+    """The band (``linalg.FivePointMatrix``'s data) of ``D - (1/2) W L``.
 
     ``D`` is the diagonal matrix of ``diagonal``, shape (nx, ny), and ``W L``
     the area-weighted discrete Laplacian: an interior edge couples its two
@@ -427,38 +423,6 @@ def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s:
     north[1:, :] += flux
 
 
-def _five_point(band: np.ndarray, nx: int) -> linalg.FivePointMatrix:
-    """The five-point matrix of a band (``linalg.FivePointMatrix``), whose
-    entries must be finite."""
-    if not np.all(np.isfinite(band)):
-        raise ValueError("matrix entries must be finite")
-    return linalg.FivePointMatrix(band, nx)
-
-
-# Cells the correction box grows past the weak rows' box on every side, an
-# overlap (Smith, Bjorstad & Gropp 1996): with every density solve at 1e-12,
-# corner 180^2 took 626 BiCGStab iterations at 24 and 754 at 0, and the
-# README gives the scan.
-_BLOCK_MARGIN = 24
-
-
-def _weak_rows_block(band: np.ndarray, nx: int) -> np.ndarray | None:
-    """The rows k = i + nx j, ascending, of the box bounding the rows of a
-    band that are not diagonally dominant (``|a_kk| < sum_{j != k} |a_kj|``),
-    grown by ``_BLOCK_MARGIN`` cells a side within the grid, or None when every row is."""
-    off = np.zeros(band.shape[1])
-    off[nx:] = np.abs(band[_SOUTH, :-nx])
-    off[1:] += np.abs(band[_WEST, :-1])
-    off[:-1] += np.abs(band[_EAST, 1:])
-    off[:-nx] += np.abs(band[_NORTH, nx:])
-    weak = (np.abs(band[_CENTER]) < off).reshape(-1, nx)
-    if not weak.any():
-        return None
-    (j, i), m = np.nonzero(weak), _BLOCK_MARGIN
-    return np.arange(weak.size).reshape(weak.shape)[
-        max(j.min() - m, 0):j.max() + m + 1, max(i.min() - m, 0):i.max() + m + 1].ravel()
-
-
 class Workspace:
     """Per-run operator cache: the area weights W and their sum, the grid's
     fast-diagonalization heat solver, and the concentration matrix, whose
@@ -474,7 +438,7 @@ class Workspace:
         self.heat = linalg.TensorHeatSolver(grid.x_axis, grid.y_axis)
         # s W - (1/2) W L at s = 1/tau + 1/2; SPD, and its inverse
         s = 1.0 / config.tau + 0.5
-        self.z_system = _five_point(_heat_band(grid, s * grid.cell_areas), grid.nx)
+        self.z_system = linalg.FivePointMatrix(_heat_band(grid, s * grid.cell_areas), grid.nx)
         self.z_inverse = functools.partial(self.heat.solve, s=s)
 
     def u_system(self, g: GradientPair, lam: float) -> linalg.FivePointMatrix:
@@ -487,7 +451,7 @@ class Workspace:
         band = self.z_system.data.copy()
         band[_CENTER] -= 0.5 * self.areas
         _add_chemotaxis(band, self.grid, g, 0.5 * lam)
-        return _five_point(band, self.grid.nx)
+        return linalg.FivePointMatrix(band, self.grid.nx)
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +459,13 @@ class Workspace:
 
 
 def _forcing(problem: ProblemSpec, name: str, grid: StaggeredGrid2D, t: float):
-    """The forcing ``name`` (``f_rho`` or ``f_c``) at the cell centers, x fastest; 0.0 if none."""
+    """The forcing ``name`` (``f_rho`` or ``f_c``) at the cell centers as a
+    flat vector, x fastest; 0.0 if none."""
     if problem.forcing is None:
         return 0.0
     xs = grid.x_axis.centers[None, :]
     ys = grid.y_axis.centers[:, None]
-    return np.broadcast_to(getattr(problem.forcing, name)(xs, ys, t), grid.shape[::-1]).T
+    return np.broadcast_to(getattr(problem.forcing, name)(xs, ys, t), grid.shape[::-1]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +496,12 @@ def init_state(problem: ProblemSpec, grid: StaggeredGrid2D) -> State:
                  history=DensityHistory((np.ravel(u0.values, order="F"),)))
 
 
-def _solve_concentration(ws: Workspace, rhs: np.ndarray, step: int) -> tuple[np.ndarray, SolveReport]:
-    """Direct fast-diagonalization solve of the concentration system.
-
-    A solution that ``linalg.direct_solve``'s refinement leaves short of
-    its verdict raises ``StepSolveError``.
-    """
-    x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse)
-    if not report.converged:
-        raise StepSolveError(step, "concentration", report)
-    return x, report
+# The relative residual at which a density system with no weak box stops:
+# there the forward error is about the residual, and the scheme's
+# discretization error lies far above it (Arioli, Noulard & Russo 2001,
+# Calcolo 38).  A system with a weak box keeps ``linalg``'s 1e-12: on
+# criterion 6's, the forward error is about 20 times the residual.
+_DOMINANT_TOL = 1e-10
 
 
 def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, rhs: np.ndarray, s: float,
@@ -549,16 +510,16 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, rhs: np.ndarra
     s W - (1/2) W L, then a uniform shift that keeps the discrete mass.
 
     The right preconditioner is the inverse of that heat part in single
-    precision (``Workspace.heat.solve_fp32``).  The solve reads the rows
-    of ``system``'s band itself (``_weak_rows_block``): where every row is
-    diagonally dominant, it stops at the relative residual
-    ``linalg._DOMINANT_TOL``; where some are not, an exact solve of
-    ``system`` on their grown box follows the heat inverse
-    (``linalg.block_corrected``) and the solve stops at ``linalg._TOL``,
-    also when that box meets an exactly singular pivot block and the heat
-    inverse runs alone.  BiCGStab is the one solve path: a solution it does
-    not converge to, after its refinement pass on the true residual, raises
-    ``StepSolveError`` with its reason, iterations and residual.
+    precision (``Workspace.heat.solve_fp32``).  The solve asks ``system``
+    for its weak box (``linalg.FivePointMatrix.weak_box``): with none, it
+    stops at the relative residual ``_DOMINANT_TOL``; with one, an exact
+    solve of ``system`` on the box follows the heat inverse
+    (``linalg.block_corrected``) and the solve stops at ``linalg``'s own
+    tolerance, also when that box meets an exactly singular pivot block and
+    the heat inverse runs alone.  BiCGStab is the one solve path: a
+    solution it does not converge to, after its refinement pass on the true
+    residual, raises ``StepSolveError`` with its reason, iterations and
+    residual.
 
     The density matrix's column sums are s W, so ``1^T r = 1^T b - s W^T x``
     for ``r = b - A x``, and the shift ``x += 1^T r / (s sum W)`` puts the
@@ -573,12 +534,13 @@ def _solve_density(ws: Workspace, system: linalg.FivePointMatrix, rhs: np.ndarra
     exactly singular pivot block.
     """
     precond = heat = functools.partial(ws.heat.solve_fp32, s=s)
-    block = _weak_rows_block(system.data, system.nx)
-    if block is not None:
-        precond = linalg.block_corrected(system, heat, block)
-    cells = 0 if precond is heat else block.size  # 0: no block, or a singular pivot block
+    box = system.weak_box()
+    if box is not None:
+        precond = linalg.block_corrected(system, heat, box)
+    # 0: no box, or a singular pivot block
+    cells = 0 if precond is heat else math.prod(cut.stop - cut.start for cut in box)
     x, report = linalg.bicgstab(system, rhs, precond, x0=x0,
-                                tol=linalg._DOMINANT_TOL if block is None else None)
+                                tol=_DOMINANT_TOL if box is None else None)
     if not report.converged:
         raise StepSolveError(step, name, report)
     shift = (float(rhs.sum()) / s - float(ws.areas @ x)) / ws.total_area
@@ -604,7 +566,7 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
     u0 = state.history.levels[0]
     au = system @ u0
     system.data[_CENTER] -= 0.5 * ws.areas / tau
-    rhs = 0.5 * ws.areas * (u0 / tau + np.ravel(_forcing(problem, "f_rho", grid, tau), order="F"))
+    rhs = 0.5 * ws.areas * (u0 / tau + _forcing(problem, "f_rho", grid, tau))
     x, report = _solve_density(ws, system, rhs, 0.5 / tau, step=1, name="density predictor", x0=u0)
     return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
@@ -652,13 +614,17 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
     """The concentration solve of a stage from ``state``, with ``u_star()``
     as the flat half-level density: z^{n+1}, the product A_z z^{n+1} it
     carries on as ``b - r``, and the solve's report without its residual.
-    u*, the right-hand side and the residual die here, before the density
-    system is assembled."""
+    The solve is direct, by the fast-diagonalization inverse
+    (``linalg.direct_solve``); a solution its refinement leaves short of the
+    verdict raises ``StepSolveError``.  u*, the right-hand side and the
+    residual die here, before the density system is assembled."""
     grid = ws.grid
     z_flat = np.ravel(state.z_curr.values, order="F")
-    source = u_star() + np.ravel(_forcing(problem, "f_c", grid, t_half), order="F")
+    source = u_star() + _forcing(problem, "f_c", grid, t_half)
     rhs = 2.0 / ws.config.tau * ws.areas * z_flat - state.az_curr + ws.areas * source
-    x, report = _solve_concentration(ws, rhs, step=state.n + 1)
+    x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse)
+    if not report.converged:
+        raise StepSolveError(state.n + 1, "concentration", report)
     return (CellField(grid, x.reshape(grid.shape, order="F")), rhs - report.residual,
             replace(report, residual=None))
 
@@ -690,7 +656,7 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     del g  # the edge arrays die before the density solve
 
     history = state.history
-    source = np.ravel(_forcing(problem, "f_rho", grid, t_half), order="F")
+    source = _forcing(problem, "f_rho", grid, t_half)
     rhs_u = 2.0 / tau * ws.areas * history.levels[0] - state.au_curr + ws.areas * source
     projection = history.projection(rhs_u, state.au_curr)
     xu, rep_u = _solve_density(ws, system, rhs_u, 1.0 / tau, step=step, name=name,

@@ -49,8 +49,9 @@ from ksbcfd.io import diagnostics_to_csv
 from ksbcfd.problems import ProblemSpec, get_problem
 from ksbcfd.scheme import (
     SchemeConfig,
+    State,
     Workspace,
-    _solve_concentration,
+    _concentration_stage,
     _solve_density,
     apply_chemotaxis,
     apply_laplacian,
@@ -214,13 +215,16 @@ def test_criterion_5_correction_order():
 
 
 def test_criterion_6_solver_oracle_equivalence():
-    # the stepper's solve entry points: the direct concentration solve, and
-    # the density solve with the preconditioner the system calls for
-    # (block-corrected where rows are not diagonally dominant) and with the
-    # heat inverse alone, which the stepper runs on a weak-row system when
-    # the box's elimination meets an exactly singular pivot block
+    # the stepper's solve entry points: the direct concentration solve of
+    # the stage, whose right-hand side from z, A_z z and u* = u is the
+    # oracle's, and the density solve with the preconditioner the system
+    # calls for (block-corrected where rows are not diagonally dominant)
+    # and with the heat inverse alone, which the stepper runs on a weak-row
+    # system when the box's elimination meets an exactly singular pivot block
     grid = make_grid(build_uniform(0, 1, 8), build_uniform(0, 1, 8))
     tau, lam = 0.01, 1.0
+    problem = get_problem("global_existence")  # no forcing
+    assert problem.forcing is None
     ws = Workspace(grid, SchemeConfig(tau=tau, t_final=tau))
     z_dense = ws.z_system.tocsc().toarray()
     rng = np.random.Generator(np.random.PCG64(SEED))
@@ -233,7 +237,10 @@ def test_criterion_6_solver_oracle_equivalence():
         rhs_z = ws.areas * np.ravel(
             (1.0 / tau - 0.5) * z.values + 0.5 * apply_laplacian(z).values + u.values,
             order="F")
-        xz, rep_z = _solve_concentration(ws, rhs_z, step=1)
+        z_flat, u_flat = (np.ravel(f.values, order="F") for f in (z, u))
+        state = State(t=0.0, n=0, u_curr=u, z_curr=z, az_curr=ws.z_system @ z_flat)
+        z_next, _, rep_z = _concentration_stage(ws, state, lambda: u_flat, problem, 0.5 * tau)
+        xz = np.ravel(z_next.values, order="F")
         gaps = [np.max(np.abs(xz - np.linalg.solve(z_dense, rhs_z)))]
         ok &= rep_z.converged
         u_sys = ws.u_system(grad(z), lam)
@@ -245,7 +252,7 @@ def test_criterion_6_solver_oracle_equivalence():
         for bare in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 if bare:  # as when the box meets an exactly singular pivot block
-                    mp.setattr(linalg, "block_corrected", lambda a, precond, rows: precond)
+                    mp.setattr(linalg, "block_corrected", lambda a, precond, box: precond)
                 xu, rep_u = _solve_density(ws, u_sys, rhs_u, 1.0 / tau, step=1, name="density",
                                            x0=np.ravel(u.values, order="F"))
             blocks += rep_u.block_cells > 0

@@ -25,13 +25,10 @@ from ksbcfd.scheme import (
     StepSolveError,
     Workspace,
     _CENTER,
-    _SOUTH,
-    _WEST,
     _check_blowup,
+    _concentration_stage,
     _diagnostics,
-    _solve_concentration,
     _solve_density,
-    _weak_rows_block,
     apply_chemotaxis,
     apply_laplacian,
     error_norms,
@@ -235,7 +232,8 @@ class TestFirstStep:
         band[_CENTER] -= (0.5 * ws.areas) / cfg.tau
         assert bit_equal(system.data, band) and system.nx == grid.nx
         f = ksbcfd.scheme._forcing(problem, "f_rho", grid, cfg.tau)
-        backward_euler = ws.areas * np.ravel(state.u_curr.values / cfg.tau + f, order="F")
+        assert np.shape(f) in ((), (grid.nx * grid.ny,))
+        backward_euler = ws.areas * (np.ravel(state.u_curr.values / cfg.tau, order="F") + f)
         assert bit_equal(rhs, 0.5 * backward_euler)
         assert s == 0.5 / cfg.tau
         _, _, au = predict_u1(state, problem, ws)
@@ -406,6 +404,16 @@ class TestSystemStructure:
                 assert dense[east, west] == dense[west, east] == 0.0
             assert np.array_equal(a @ x, as_csr(a) @ x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_u_system_rejects_a_non_finite_gradient(self, bad):
+        grid = unit_grid(6)
+        z = np.random.default_rng(54).standard_normal(grid.shape)
+        z[2, 3] = bad
+        g = grad(CellField(grid, z))
+        assert not np.isfinite(g.gx.values).all()
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            workspace(grid).u_system(g, 1.0)
+
 
 # The band path the density matrices were assembled on before the heat
 # bands were kept as DIA data: a (5, nx, ny) view over (5, ny, nx) memory,
@@ -466,6 +474,13 @@ def reference_weak_rows_block(band):
     return flat[grown_box(*np.nonzero(weak), weak.shape)].ravel(order="F")
 
 
+def rows_of(box, shape):
+    """The rows k = i + nx j, ascending, of the cells in a box's x and y
+    slices, on a grid of ``shape`` (nx, ny)."""
+    flat = np.arange(shape[0] * shape[1]).reshape(shape, order="F")
+    return flat[box].ravel(order="F")
+
+
 def bit_equal(a, b):
     """Equal bit for bit, signed zeros included."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -508,8 +523,8 @@ class TestAssemblyOracle:
             system = predictor_solve(concentration_problem(fn, lam), grid, cfg)[1]
         assert bit_equal(system.data, data)
         assert system.offsets == offsets
-        rows = _weak_rows_block(system.data, system.nx)
-        assert rows is None if block is None else np.array_equal(rows, block)
+        box = system.weak_box()
+        assert box is None if block is None else np.array_equal(rows_of(box, grid.shape), block)
 
     def test_z_system_is_bit_equal_to_the_band_path(self):
         grid = make_grid(build_random_perturbed(0, 1, 7, 0.3, 51),
@@ -528,10 +543,13 @@ class TestAssemblyOracle:
                   CellField(grid, np.arange(54.0).reshape(grid.shape, order="F"))):
             g = grad(z)
             assert g.gx.values.T.flags.c_contiguous and g.gy.values.T.flags.c_contiguous
+        problem = get_problem("mms_accuracy")
         for name in ("f_rho", "f_c"):
-            f = ksbcfd.scheme._forcing(get_problem("mms_accuracy"), name, grid, 0.25)
-            assert f.shape == grid.shape
-            assert np.shares_memory(np.ravel(f, order="F"), f)
+            f = ksbcfd.scheme._forcing(problem, name, grid, 0.25)
+            assert f.shape == (grid.nx * grid.ny,) and f.flags.c_contiguous
+            fn = getattr(problem.forcing, name)
+            sampled = cell_field_from_function(grid, lambda x, y: fn(x, y, 0.25)).values
+            assert np.allclose(f, np.ravel(sampled, order="F"), rtol=1e-15, atol=0.0)
 
 
 class TestMarching:
@@ -562,7 +580,7 @@ class TestMarching:
         # density solves stopped at 1e-6: the uniform shift after each solve
         # takes the residual's sum out, so the mass moves by rounding only;
         # without it this run drifts by 1.8e-11
-        monkeypatch.setattr(ksbcfd.linalg, "_DOMINANT_TOL", 1e-6)
+        monkeypatch.setattr(ksbcfd.scheme, "_DOMINANT_TOL", 1e-6)
         problem = get_problem("global_existence")
         grid = unit_grid(32)
         result = run(problem, grid, SchemeConfig(tau=1e-3, t_final=0.02))
@@ -581,7 +599,7 @@ class TestMarching:
         shipped = run(problem, unit_grid(32), cfg)
         assert cfg.n_steps == 400
         assert any(d.iters_u == 0 for d in shipped.diagnostics[1:])
-        monkeypatch.setattr(ksbcfd.linalg, "_DOMINANT_TOL", 1e-12)
+        monkeypatch.setattr(ksbcfd.scheme, "_DOMINANT_TOL", 1e-12)
         tight = run(problem, unit_grid(32), cfg).state.u_curr.values
         drift = np.max(np.abs(shipped.state.u_curr.values - tight))
         assert drift <= 1e-9 * np.max(np.abs(tight))
@@ -793,7 +811,8 @@ class TestDensityHistory:
         assert diag.block_cells == 0
         heat_only = starts[-1]
         assert not np.array_equal(heat_only, np.ravel(state.u_curr.values, order="F"))
-        monkeypatch.setattr(ksbcfd.scheme, "_weak_rows_block", lambda band, nx: np.arange(3))
+        monkeypatch.setattr(ksbcfd.linalg.FivePointMatrix, "weak_box",
+                            lambda self: (slice(0, 3), slice(0, 1)))
         _, diag = step_cn(state, problem, ws)
         assert diag.block_cells == 3
         assert heat_only.tobytes() == starts[-1].tobytes()
@@ -906,7 +925,7 @@ def test_the_density_assembly_makes_at_most_5_full_grid_temporaries(s_tau, monke
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert _weak_rows_block(system.data, grid.nx) is not None
+    assert system.weak_box() is not None
     assert kept - base >= system.data.nbytes
     assert (peak - kept) / (8 * m * m) <= 5
 
@@ -945,7 +964,7 @@ def steep_patch_system(amp, tau=0.01, lam=1.0, predictor=False, nx=11):
     else:
         ws = Workspace(grid, cfg)
         system = ws.u_system(grad(cell_field_from_function(grid, c0)), lam)
-    return ws, system, _weak_rows_block(system.data, grid.nx)
+    return ws, system, system.weak_box()
 
 
 def heat_inverse(ws, s_tau=1.0):
@@ -969,12 +988,12 @@ def singular_pivot_system(monkeypatch):
     same column, so the column sums stay s W, which the shift assumes: row
     (0, 0) is the one weak row, and with the margin patched to 0 its box is
     that cell, whose block A_SS = [0] is exactly singular."""
-    monkeypatch.setattr(ksbcfd.scheme, "_BLOCK_MARGIN", 0)
+    monkeypatch.setattr(ksbcfd.linalg, "_BLOCK_MARGIN", 0)
     ws, system, _ = steep_patch_system(0.3)
-    center = system.data[_CENTER, 0]
-    system.data[_WEST, 0] += 0.5 * center
-    system.data[_SOUTH, 0] += 0.5 * center
-    system.data[_CENTER, 0] = 0.0
+    center = system.data[C, 0]
+    system.data[W, 0] += 0.5 * center
+    system.data[S, 0] += 0.5 * center
+    system.data[C, 0] = 0.0
     return ws, system
 
 
@@ -1009,7 +1028,7 @@ class TestSolveFailure:
         assert block is None
         b = np.random.default_rng(3).standard_normal(system.shape[0])
         stalled_bicgstab(monkeypatch)
-        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws), tol=ksbcfd.linalg._DOMINANT_TOL)
+        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws), tol=ksbcfd.scheme._DOMINANT_TOL)
         assert not krylov.converged and krylov.reason == "stagnated" and krylov.iterations == 3
         calls = sparse_lu_calls(monkeypatch)
         with pytest.raises(StepSolveError) as info:
@@ -1028,27 +1047,33 @@ class TestSolveFailure:
             if 0 <= column < system.shape[0]:
                 system.data[slot, column] = 0.0  # row 5's entry in that column
         assert not as_csr(system)[5].count_nonzero()
-        assert _weak_rows_block(system.data, system.nx) is None
+        assert system.weak_box() is None
         b = np.ones(system.shape[0])
-        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws), tol=ksbcfd.linalg._DOMINANT_TOL)
+        _, krylov = bicgstab(system, b, fp32_heat_inverse(ws), tol=ksbcfd.scheme._DOMINANT_TOL)
         calls = sparse_lu_calls(monkeypatch)
         with pytest.raises(StepSolveError, match=f"^density solve failed at step 3: {krylov.reason} "
                            f"after {krylov.iterations} iterations, relative residual "
                            f"{krylov.final_relative_residual:.3e}$") as info:
             solve_density(ws, system, b, step=3)
         assert not krylov.converged and info.value.report == krylov
-        assert krylov.final_relative_residual > ksbcfd.linalg._DOMINANT_TOL
+        assert krylov.final_relative_residual > ksbcfd.scheme._DOMINANT_TOL
         assert calls == [] and not hasattr(info.value, "fallback")
 
     def test_concentration_residual_miss_raises(self):
-        # the heat inverse at s off by 1/2 misses the tolerance even after refinement
-        cfg = SchemeConfig(tau=0.01, t_final=0.01)
-        ws = Workspace(perturbed_grid(6), cfg)
+        # the heat inverse at s off by 1/2 misses the tolerance even after
+        # refinement: the stage of step 2, from level 1, raises
+        cfg = SchemeConfig(tau=0.01, t_final=0.02)
+        grid = perturbed_grid(6)
+        ws = Workspace(grid, cfg)
         ws.z_inverse = functools.partial(ws.heat.solve, s=1.0 / cfg.tau)
-        rhs = np.random.default_rng(4).standard_normal(36)
+        rng = np.random.default_rng(4)
+        z = CellField(grid, rng.standard_normal(grid.shape))
+        state = State(t=cfg.tau, n=1, u_curr=z, z_curr=z, au_curr=np.zeros(36),
+                      az_curr=rng.standard_normal(36))
+        u_star = rng.standard_normal(36)
         with pytest.raises(StepSolveError, match="^concentration solve failed at step 2: "
                            "breakdown after 0 iterations, relative residual") as info:
-            _solve_concentration(ws, rhs, step=2)
+            _concentration_stage(ws, state, lambda: u_star, constant_problem(), 1.5 * cfg.tau)
         assert info.value.report.reason == "breakdown"
         assert info.value.report.final_relative_residual > TOL
 
@@ -1063,7 +1088,7 @@ def weak_rows(a, shape):
 def grown_box(i, j, shape):
     """The (x, y) slices of the box bounding cells (i, j), grown by the
     stepper's margin on every side and cut at the grid's edges."""
-    m = ksbcfd.scheme._BLOCK_MARGIN
+    m = ksbcfd.linalg._BLOCK_MARGIN
     return (slice(max(i.min() - m, 0), min(i.max() + m + 1, shape[0])),
             slice(max(j.min() - m, 0), min(j.max() + m + 1, shape[1])))
 
@@ -1082,7 +1107,7 @@ class TestBlockCorrection:
         b = np.random.default_rng(5).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, b, s_tau=s_tau)
         plain, plain_report = bicgstab(system, b, fp32_heat_inverse(ws, s_tau),
-                                       tol=ksbcfd.linalg._DOMINANT_TOL)
+                                       tol=ksbcfd.scheme._DOMINANT_TOL)
         assert np.array_equal(x, mass_shifted(ws, b, plain, s_tau))
         assert report.iterations == plain_report.iterations
         tight = bicgstab(system, b, fp32_heat_inverse(ws, s_tau))
@@ -1092,7 +1117,7 @@ class TestBlockCorrection:
         assert np.max(np.abs(report.residual - r)) <= 1e-14 * np.max(np.abs(b))
         assert report.final_relative_residual == pytest.approx(
             np.linalg.norm(r) / np.linalg.norm(b), rel=1e-6)
-        assert report.final_relative_residual <= ksbcfd.linalg._DOMINANT_TOL
+        assert report.final_relative_residual <= ksbcfd.scheme._DOMINANT_TOL
         s, rounding = s_tau / ws.config.tau, 4 * np.finfo(np.float64).eps * np.abs(b).sum()
         assert abs(ws.areas @ x - b.sum() / s) <= rounding / s < abs(ws.areas @ plain - b.sum() / s)
 
@@ -1112,7 +1137,7 @@ class TestBlockCorrection:
         # band keys the tolerance, so the solve still meets 1e-12
         ws, system, block = steep_patch_system(30.0, nx=40)
         assert block is not None and weak_rows(system.tocsc().toarray(), ws.grid.shape).any()
-        monkeypatch.setattr(ksbcfd.linalg, "block_corrected", lambda a, precond, rows: precond)
+        monkeypatch.setattr(ksbcfd.linalg, "block_corrected", lambda a, precond, box: precond)
         b = np.random.default_rng(10).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, b)
         assert report.converged and report.block_cells == 0
@@ -1132,13 +1157,13 @@ class TestBlockCorrection:
             ws, system, _ = steep_patch_system(30.0, nx=40)
         else:
             ws, system, _ = steep_patch_system(0.3)
-        box = _weak_rows_block(system.data, system.nx)
+        box = system.weak_box()
         corrections, solves = [], []
         correct, solve = ksbcfd.linalg.block_corrected, ksbcfd.linalg.bicgstab
 
-        def recorded_correction(a, precond, rows):
-            m = correct(a, precond, rows)
-            corrections.append((rows, m is precond))
+        def recorded_correction(a, precond, handed):
+            m = correct(a, precond, handed)
+            corrections.append((handed, m is precond))
             return m
 
         def recorded_solve(a, b, precond, x0=None, tol=None):
@@ -1156,18 +1181,19 @@ class TestBlockCorrection:
         assert report.converged
         if case == "dominant":
             assert box is None and corrections == [] and heat_alone
-            assert tol == ksbcfd.linalg._DOMINANT_TOL and report.block_cells == 0
+            assert tol == ksbcfd.scheme._DOMINANT_TOL and report.block_cells == 0
         else:
-            ((rows, bare),) = corrections
-            assert np.array_equal(rows, box)
+            ((handed, bare),) = corrections
+            assert handed == box
             assert bare == heat_alone == (case == "singular_pivot")
-            assert tol == TOL and report.block_cells == (0 if bare else box.size)
+            assert tol == TOL
+            assert report.block_cells == (0 if bare else rows_of(box, ws.grid.shape).size)
 
     def test_singular_block_reports_no_block_cells(self, monkeypatch):
         # the one-cell block A_SS = [0] is exactly singular, so the solve
         # runs on the heat inverse alone
         ws, system = singular_pivot_system(monkeypatch)
-        assert np.array_equal(_weak_rows_block(system.data, system.nx), [0])
+        assert system.weak_box() == (slice(0, 1), slice(0, 1))
         b = np.random.default_rng(9).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, b)
         assert report.converged and report.block_cells == 0
@@ -1179,8 +1205,7 @@ class TestBlockCorrection:
         weak = weak_rows(a, ws.grid.shape)
         i, j = np.nonzero(weak)
         box = grown_box(i, j, weak.shape)
-        flat = np.arange(weak.size).reshape(weak.shape, order="F")
-        assert np.array_equal(block, flat[box].ravel(order="F"))
+        assert block == box
         assert box[0].stop == ws.grid.nx  # the box reaches the boundary, cut there
         assert box[0].start > 0  # and leaves cells west of it
         assert weak[box].sum() == weak.sum() < weak[box].size < weak.size
@@ -1201,7 +1226,9 @@ class TestBlockCorrection:
         system = ws.u_system(grad(z), 1.0)
         a = system.tocsc().toarray()
         assert weak_rows(a, grid.shape).all()
-        assert np.array_equal(_weak_rows_block(system.data, grid.nx), np.arange(35))
+        box = system.weak_box()
+        assert box == (slice(0, 7), slice(0, 5))
+        assert np.array_equal(rows_of(box, grid.shape), np.arange(35))
         b = np.random.default_rng(7).standard_normal(system.shape[0])
         x, report = solve_density(ws, system, b)
         assert report.converged
@@ -1213,15 +1240,16 @@ class TestBlockCorrection:
         ws, system, block = steep_patch_system(30.0, nx=40)
         rhs = np.random.default_rng(8).standard_normal(system.shape[0])
         _, report = solve_density(ws, system, rhs)
-        assert report.converged and block.size == report.block_cells == 36 * 8
+        assert block == (slice(4, 40), slice(0, 8))
+        assert report.converged and rows_of(block, ws.grid.shape).size == report.block_cells == 36 * 8
+        assert type(report.block_cells) is int
 
     def test_block_is_the_weak_rows_box_grown_by_the_margin(self):
         # a 70 x 60 band whose rows are all diagonally dominant but those of
         # the given cells; their bounding box grows by the margin on every
         # side, inside the grid and cut at its edges
-        nx, ny, m = 70, 60, ksbcfd.scheme._BLOCK_MARGIN
+        nx, ny, m = 70, 60, ksbcfd.linalg._BLOCK_MARGIN
         assert 0 < m < 30  # so the first box lies inside the grid
-        flat = np.arange(nx * ny).reshape((nx, ny), order="F")
         for cells, box in [
             ([(35, 30)], (slice(35 - m, 36 + m), slice(30 - m, 31 + m))),
             ([(0, 59)], (slice(0, 1 + m), slice(59 - m, 60))),
@@ -1231,8 +1259,7 @@ class TestBlockCorrection:
             band[_CENTER] = 2.0
             for i, j in cells:
                 band[_CENTER, i + nx * j] = 0.0
-            assert np.array_equal(ksbcfd.scheme._weak_rows_block(band, nx),
-                                  flat[box].ravel(order="F"))
+            assert FivePointMatrix(band, nx).weak_box() == box
 
 
 class TestRun:

@@ -43,6 +43,43 @@ def test_every_imported_name_is_read():
     assert [found for path in paths for found in unused_imports(path)] == []
 
 
+def private_reads(path: Path) -> list[str]:
+    """Where a module reads another ksbcfd module's private name, as
+    ``file:line: module._name``.
+
+    A private name starts with one underscore (``__version__`` is public).
+    It is read as an attribute of a name bound to a ksbcfd module (``from .
+    import linalg``, ``import ksbcfd.linalg``) or imported from one (``from
+    .linalg import _name``).
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "ksbcfd")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ksbcfd"):
+            for alias in node.names:
+                if private(alias.name):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                                 f"{node.module}.{alias.name}")
+                elif node.module in (None, "ksbcfd"):
+                    modules.add(alias.asname or alias.name)
+    found += [f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and private(node.attr)
+              and ast.unparse(node.value) in modules]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    paths = sorted((ROOT / "src" / "ksbcfd").glob("*.py"))
+    assert len(paths) > 5
+    assert [found for path in paths for found in private_reads(path)] == []
+
+
 def test_the_benchmark_spans_bind_names_that_exist():
     # bench/ is on the path for the import only; run.py is not imported,
     # since it sets the BLAS thread variables when it loads
