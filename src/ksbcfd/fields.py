@@ -237,8 +237,9 @@ def _same_grid(f, g) -> None:
 def inner_m(f: CellField, g: CellField) -> float:
     """Cell-weighted inner product sum_ij dx_i dy_j f_ij g_ij."""
     _same_grid(f, g)
-    # grouping the field product first keeps the sum bitwise symmetric
-    return float(np.sum(f.grid.cell_areas * (f.values * g.values)))
+    # grouping the field product first keeps the sum bitwise symmetric, and
+    # a C-order product fixes the sum's order whatever the arrays' layouts
+    return float(np.sum(np.multiply(f.grid.cell_areas, f.values * g.values, order="C")))
 
 
 def norm_m(f: CellField) -> float:

@@ -192,7 +192,7 @@ class StaggeredGrid2D:
 
     x_axis: Axis1D
     y_axis: Axis1D
-    cell_areas: np.ndarray = field(repr=False)  # (nx, ny), dx_i * dy_j
+    cell_areas: np.ndarray = field(repr=False)  # (nx, ny), dx_i * dy_j, x fastest
 
     @property
     def nx(self) -> int:
@@ -208,8 +208,11 @@ class StaggeredGrid2D:
 
 
 def make_grid(x_axis: Axis1D, y_axis: Axis1D) -> StaggeredGrid2D:
+    """The grid of two axes, with ``cell_areas[i, j] = dx_i dy_j`` stored x
+    fastest, the memory order of the solver's flat vectors, so that their
+    flat form is a view."""
     with np.errstate(over="ignore"):
-        areas = _frozen(np.outer(x_axis.cell_widths, y_axis.cell_widths))
+        areas = _frozen(np.outer(y_axis.cell_widths, x_axis.cell_widths)).T
     if not np.all(np.isfinite(areas)):
         raise ValueError("cell areas must be finite")
     return StaggeredGrid2D(x_axis=x_axis, y_axis=y_axis, cell_areas=areas)

@@ -488,7 +488,12 @@ class TensorHeatSolver:
         X = Vx [(Vx^T B Vy) / (s + (mu_x_i + mu_y_j) / 2)] Vy^T
 
     (Lynch, Rice & Thomas 1964): four small matrix products and a pointwise
-    divide, exact up to rounding for any ``s > 0``.
+    divide, exact up to rounding for any ``s > 0``.  The solver keeps one
+    denominator per precision, for the last ``s`` it solved at: in a run,
+    the float64 one is the concentration solve's, and the float32 one the
+    density preconditioner's, where the correctors' ``s`` replaces the
+    predictor's in the first step.  A denominator is a full-grid pass with
+    a full-grid temporary, so it is not formed on every call.
     """
 
     def __init__(self, x_axis, y_axis):
@@ -504,12 +509,11 @@ class TensorHeatSolver:
 
     def _denominator(self, s: float, dtype) -> np.ndarray:
         """``s + (mu_x_i + mu_y_j) / 2`` in ``dtype``, transposed (see
-        ``solve``); made on the first call with these arguments and kept."""
-        key = (s, dtype)
-        if key not in self._denominators:
+        ``solve``); kept, one per dtype, for the last ``s`` it was made for."""
+        if self._denominators.get(dtype, (None,))[0] != s:
             mu_sum = (self._mu_y[:, None] + self._mu_x[None, :]).astype(dtype)
-            self._denominators[key] = dtype(s) + dtype(0.5) * mu_sum
-        return self._denominators[key]
+            self._denominators[dtype] = (s, dtype(s) + dtype(0.5) * mu_sum)
+        return self._denominators[dtype][1]
 
     def solve(self, b: np.ndarray, s: float) -> np.ndarray:
         """Solve ``(s W + (1/2) (Kx (x) Wy + Wx (x) Ky)) x = b``.

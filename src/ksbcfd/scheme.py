@@ -77,9 +77,13 @@ as b - r, its right-hand side less its true residual (which
 ``linalg`` hands back): ``State`` carries A(grad z^n) u^n and A_z z^n as
 vectors, and a step multiplies by no matrix.  The first step takes A_z z^0
 and A(grad z^0) u^0 once, the latter from the one matrix it assembles,
-before lowering its center by W/(2 tau) more to the predictor's.  The
-matrix-free stencils are the tests' oracle of the assembly and the
-right-hand sides.
+before lowering its center by W/(2 tau) more to the predictor's.  Those
+two vectors are also the next step's buffers: it builds the concentration
+right-hand side in A_z z^n's, which then holds A_z z^{n+1}, and writes the
+fit's difference b - A^n u^n into A^n u^n's, so a state's products belong
+to the one step that follows it.  W is a flat view of the grid's areas,
+which the grid stores x fastest.  The matrix-free stencils are the tests'
+oracle of the assembly and the right-hand sides.
 
 Manufactured problems add pointwise forcing sampled at cell centers at the
 half-level time (at the full first-level time in the backward-Euler
@@ -240,8 +244,9 @@ class DensityHistory:
 
     def projection(self, b: np.ndarray, au: np.ndarray) -> _Projection:
         """``d = b - A^n u^n``, for ``au`` = A^n u^n, its products
-        ``(d . d, dB^T d)`` and ``b . b``."""
-        d = b - au
+        ``(d . d, dB^T d)`` and ``b . b``.  ``d`` is written into ``au``'s
+        buffer, which ``pushed`` keeps as the newest difference."""
+        d = np.subtract(b, au, out=au)
         return d, np.array([d @ d, *(v @ d for v in self.d_rhs)]), float(b @ b)
 
     def start(self, projection: _Projection) -> np.ndarray:
@@ -291,7 +296,12 @@ class State:
     """One time level: u^n as a cell field, z^n, the products
     A(grad z^n) u^n and A_z z^n of the level's own matrices (None at
     n = 0), which the next Crank-Nicolson right-hand sides take, and the
-    density history, whose levels hold u^n and u^{n-1} as flat vectors."""
+    density history, whose levels hold u^n and u^{n-1} as flat vectors.
+
+    ``au_curr`` and ``az_curr`` belong to the step that follows the state:
+    it writes vectors of its own into their buffers, so a state is stepped
+    once (``run`` never steps one twice), and a caller that steps it again
+    passes copies.  ``u_curr`` and ``z_curr`` are not touched."""
 
     t: float
     n: int
@@ -424,11 +434,12 @@ def _add_chemotaxis(band: np.ndarray, grid: StaggeredGrid2D, g: GradientPair, s:
 
 
 class Workspace:
-    """Per-run operator cache: the area weights W and their sum, the grid's
-    fast-diagonalization heat solver, and the concentration matrix, whose
-    band is the one constant band of a run, and its inverse by that solver.
-    A step forms W/2 and (2/tau) W where it uses them, with no stored copy.
-    None of them depends on the chemotactic sensitivity."""
+    """Per-run operator cache: the area weights W, a flat view of the
+    grid's ``cell_areas``, and their sum, the grid's fast-diagonalization
+    heat solver, and the concentration matrix, whose band is the one
+    constant band of a run, and its inverse by that solver.  A step forms
+    W/2 and (2/tau) W where it uses them, with no stored copy.  None of them
+    depends on the chemotactic sensitivity."""
 
     def __init__(self, grid: StaggeredGrid2D, config: SchemeConfig):
         self.grid = grid
@@ -571,6 +582,12 @@ def predict_u1(state: State, problem: ProblemSpec, ws: Workspace
     return CellField(grid, x.reshape(grid.shape, order="F")), report, au
 
 
+def _mass(u: CellField) -> float:
+    """sum(W u), over the product in C order, which fixes the sum's order
+    whatever the layout of ``u``."""
+    return float(np.sum(np.multiply(u.grid.cell_areas, u.values, order="C")))
+
+
 def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, lam: float,
                  rep_z: SolveReport, reps_u: tuple[SolveReport, ...]) -> StepDiagnostics:
     """One step's record; ``dz_inf`` is ``GradientPair.inf_norm`` of the
@@ -582,7 +599,7 @@ def _diagnostics(state: State, dz_inf: float, config: SchemeConfig, lam: float,
     argmax_i, argmax_j = u.argmax()
     return StepDiagnostics(
         t=state.t,
-        mass=float(np.sum(u.grid.cell_areas * u.values)),
+        mass=_mass(u),
         u_max=u.max(),
         u_min=u.min(),
         z_max=z.max(),
@@ -614,19 +631,23 @@ def _concentration_stage(ws: Workspace, state: State, u_star: Callable[[], np.nd
     """The concentration solve of a stage from ``state``, with ``u_star()``
     as the flat half-level density: z^{n+1}, the product A_z z^{n+1} it
     carries on as ``b - r``, and the solve's report without its residual.
-    The solve is direct, by the fast-diagonalization inverse
-    (``linalg.direct_solve``); a solution its refinement leaves short of the
-    verdict raises ``StepSolveError``.  u*, the right-hand side and the
-    residual die here, before the density system is assembled."""
+    The right-hand side ``b`` is built in ``state.az_curr``'s buffer, and
+    ``b - r`` is left there.  The solve is direct, by the
+    fast-diagonalization inverse (``linalg.direct_solve``); a solution its
+    refinement leaves short of the verdict raises ``StepSolveError``.  u*
+    and the residual die here, before the density system is assembled."""
     grid = ws.grid
     z_flat = np.ravel(state.z_curr.values, order="F")
     source = u_star() + _forcing(problem, "f_c", grid, t_half)
-    rhs = 2.0 / ws.config.tau * ws.areas * z_flat - state.az_curr + ws.areas * source
+    # (2/tau) W z^n - A_z z^n + W source, in A_z z^n's buffer
+    rhs = np.subtract(2.0 / ws.config.tau * ws.areas * z_flat, state.az_curr, out=state.az_curr)
+    rhs += ws.areas * source
     x, report = linalg.direct_solve(ws.z_system, rhs, ws.z_inverse)
     if not report.converged:
         raise StepSolveError(state.n + 1, "concentration", report)
-    return (CellField(grid, x.reshape(grid.shape, order="F")), rhs - report.residual,
-            replace(report, residual=None))
+    # b - r in b's buffer; r may be b itself, when b - r is rightly 0
+    return (CellField(grid, x.reshape(grid.shape, order="F")),
+            np.subtract(rhs, report.residual, out=rhs), replace(report, residual=None))
 
 
 def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], problem: ProblemSpec,
@@ -638,9 +659,10 @@ def _cn_stage(ws: Workspace, state: State, u_star: Callable[[], np.ndarray], pro
     on the first step).  The right-hand sides take u^n from the history and
     A_z z^n and A^n u^n from ``state``, and the new state carries ``b - r``
     of each solve, its right-hand side less its true residual, as the
-    products of the new level.  Of the concentration solve and the gradient
-    only these products, the report and ``dz_inf`` live on through the
-    density solve.
+    products of the new level, A_z z^{n+1} in A_z z^n's buffer; the fit's
+    difference ``b - A^n u^n`` takes A^n u^n's.  Of the concentration solve
+    and the gradient only A_z z^{n+1}, the report and ``dz_inf`` live on
+    through the density solve.
 
     Returns the new state and its step's record, whose density columns
     also count ``reps_before``, the reports of the step's earlier density
@@ -710,7 +732,7 @@ def run(problem: ProblemSpec, grid: StaggeredGrid2D, config: SchemeConfig,
         raise ValueError(f"grid extent {extent} is not the domain {tuple(problem.domain)} "
                          f"of problem {problem.name!r}")
     state = init_state(problem, grid)
-    initial_mass = float(np.sum(grid.cell_areas * state.u_curr.values))
+    initial_mass = _mass(state.u_curr)
     ws = Workspace(grid, config)
     diagnostics: list[StepDiagnostics] = []
     blew_up = False
